@@ -29,9 +29,9 @@ from math import factorial
 import numpy as np
 
 from .errors import EmptySetError
-from .partitions import dimension, partitions_of
+from .partitions import dimension
 from .permutations import group_matrix, lehmer_unrank, rank_of_word
-from .representations import TABLE_MAX_N, evaluate, representation_tables
+from .representations import fft
 from .sets import OrderingSet
 
 BOUND_TOL = 1e-9
@@ -71,23 +71,19 @@ def symmetrize(members: OrderingSet) -> SymmetricSet:
     return SymmetricSet(members.n, tuple(sorted(ranks)))
 
 
+def _block_operators(
+    conn: SymmetricSet, normalized: bool
+) -> dict[tuple[int, ...], np.ndarray]:
+    """B_shape for every shape: the transform of the set's (scaled) indicator."""
+    weights = conn.as_ordering_set().mask() / (len(conn) if normalized else 1.0)
+    return fft(conn.n, weights)
+
+
 def block_operator(
     conn: SymmetricSet, shape: tuple[int, ...], normalized: bool = True
 ) -> np.ndarray:
     """Sum (optionally averaged) of the representation matrices over the set."""
-    n = conn.n
-    d = dimension(shape)
-    total = np.zeros((d, d))
-    if n <= TABLE_MAX_N:
-        table = representation_tables(n)[shape]
-        for r in conn.members:
-            total += table[r]
-    else:
-        for r in conn.members:
-            total += evaluate(shape, lehmer_unrank(n, r))
-    if normalized:
-        total /= len(conn)
-    return total
+    return _block_operators(conn, normalized)[shape]
 
 
 @dataclass(frozen=True)
@@ -103,12 +99,10 @@ def spectrum_report(
     conn: SymmetricSet, normalized: bool = True, tol: float = BOUND_TOL
 ) -> dict[tuple[int, ...], BlockSpectrum]:
     """Per-shape gram eigenvalues and bound flags for the chosen scaling."""
-    n = conn.n
     out = {}
-    for shape in partitions_of(n):
-        b = block_operator(conn, shape, normalized=normalized)
+    for shape, b in _block_operators(conn, normalized).items():
         eig = np.linalg.eigvalsh(b.T @ b)[::-1]
-        bound = factorial(n) / (len(conn) * dimension(shape))
+        bound = factorial(conn.n) / (len(conn) * dimension(shape))
         out[shape] = BlockSpectrum(
             eigenvalues=eig,
             bound=bound,

@@ -13,6 +13,7 @@ import argparse
 import csv
 import hashlib
 import json
+import re
 import sys
 from math import factorial
 
@@ -394,7 +395,7 @@ def _suite_roundtrip(n: int, seed: int, tol: float, max_n: int):
         cases[f"uniform_{i}"] = random_payoff(n, seed=seed + i, max_n=max_n)
     cases["sparse"] = random_payoff(n, seed=seed, dist="sparse", nonzero=3, max_n=max_n)
     size = factorial(n)
-    cases["point_mass"] = PayoffFn(n, np.eye(size)[0])
+    cases["point_mass"] = PayoffFn(n, np.eye(1, size)[0])
     cases["constant"] = PayoffFn(n, np.ones(size))
     rows = []
     passed = True
@@ -439,7 +440,7 @@ def _suite_uncertainty(n: int, seed: int, tol: float, max_n: int):
             }
         )
     for label, f in {
-        "point_mass": PayoffFn(n, np.eye(order)[0]),
+        "point_mass": PayoffFn(n, np.eye(1, order)[0]),
         "constant": PayoffFn(n, np.ones(order)),
     }.items():
         check = uncertainty_check(f, max_n=max_n)
@@ -742,9 +743,23 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _join_negative_deltas(argv: list[str]) -> list[str]:
+    """Rewrite ``--deltas -3,1,2`` as ``--deltas=-3,1,2``: argparse would
+    read a value opening with a minus sign as an option."""
+    out: list[str] = []
+    for token in argv:
+        if out and out[-1] == "--deltas" and re.match(r"-[\d.]", token):
+            out[-1] = f"--deltas={token}"
+        else:
+            out.append(token)
+    return out
+
+
 def main(argv=None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
+    args = parser.parse_args(
+        _join_negative_deltas(sys.argv[1:] if argv is None else argv)
+    )
     try:
         return args.func(args)
     except ValueError as exc:

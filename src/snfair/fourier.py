@@ -36,7 +36,7 @@ import numpy as np
 
 from .errors import CapacityError, DegenerateError
 from .partitions import dimension, partitions_of
-from .representations import TABLE_MAX_N, group_walk, representation_tables
+from .representations import fft, fft_adjoint
 
 DEFAULT_MAX_N = 8
 DEGREE_TOL = 1e-9
@@ -118,23 +118,8 @@ def _check_capacity(n: int, max_n: int) -> None:
 
 def transform(f: PayoffFn, max_n: int = DEFAULT_MAX_N) -> FourierSpectrum:
     """Forward transform: one dim x dim block per partition."""
-    n = f.n
-    _check_capacity(n, max_n)
-    if n <= TABLE_MAX_N:
-        tables = representation_tables(n)
-        blocks = {
-            s: np.tensordot(f.values, tab, axes=(0, 0)) for s, tab in tables.items()
-        }
-    else:
-        shapes = partitions_of(n)
-        blocks = {s: np.zeros((dimension(s), dimension(s))) for s in shapes}
-        vals = f.values
-        for rank, mats in group_walk(n):
-            v = vals[rank]
-            if v != 0.0:
-                for s in shapes:
-                    blocks[s] += v * mats[s]
-    return FourierSpectrum(n, blocks)
+    _check_capacity(f.n, max_n)
+    return FourierSpectrum(f.n, fft(f.n, f.values))
 
 
 def _synthesize(
@@ -142,21 +127,8 @@ def _synthesize(
 ) -> np.ndarray:
     """Pointwise values of (1/n!) sum_shape dim * trace(block @ rho(p).T)."""
     _check_capacity(n, max_n)
-    size = factorial(n)
-    out = np.zeros(size)
-    if n <= TABLE_MAX_N:
-        tables = representation_tables(n)
-        for s, mat in blocks.items():
-            out += dimension(s) * np.einsum("ij,pij->p", mat, tables[s])
-    else:
-        shapes = tuple(blocks.keys())
-        dims = {s: dimension(s) for s in shapes}
-        for rank, mats in group_walk(n, shapes):
-            acc = 0.0
-            for s in shapes:
-                acc += dims[s] * float(np.vdot(blocks[s], mats[s]))
-            out[rank] = acc
-    return out / size
+    weighted = {s: dimension(s) * np.asarray(m) for s, m in blocks.items()}
+    return fft_adjoint(n, weighted) / factorial(n)
 
 
 def inverse(spec: FourierSpectrum, max_n: int = DEFAULT_MAX_N) -> PayoffFn:

@@ -18,11 +18,24 @@ homomorphism for this package's composition convention:
 and every matrix is orthogonal with evaluate(shape, p).T equal to
 evaluate(shape, p.inverse()).
 
-Full-group sweeps use ``group_walk``: a single pass over S_n in
-plain-changes order, updating all blocks by one generator multiplication
-per step.  For n <= TABLE_MAX_N the per-rank matrices are cached densely
-(``representation_tables``), which makes repeated transforms cheap.  All
-cached arrays are read-only and safe to share across threads.
+``fft`` computes F(shape) = sum_p f(p) * evaluate(shape, p) for every
+shape by the coset recursion of M. Clausen (TCS 67, 1989) and D. Maslen
+(Math. Comp. 67, 1998).  Each p in S_k is c_j * q with j = p(k), q fixing
+k, and c_j = s_j s_{j+1} ... s_{k-1}.  Last-letter order makes the
+restriction to S_{k-1} block diagonal (one block per shape mu left by
+removing a corner, top row first), so
+
+    F_k(shape) = sum_j evaluate(shape, c_j) @ (direct sum of F_{k-1,j}(mu))
+
+with F_{k-1,j} the transform of q -> f(c_j * q).  Level k = 2..n builds
+the S_k spectra of all n!/k! cosets at once, without ever forming the n!
+representation matrices; a level holds its n! input and n! output floats
+plus tensordot temporaries of at most n! each.  ``fft_adjoint`` is the
+same recursion transposed, sum_shape <G(shape), evaluate(shape, p)>_F
+for every p, which is the inverse transform for G = dim * F / n!.
+
+The per-shape coset matrices and the per-n rank-to-coset-digit index are
+cached read-only arrays, safe to share across threads.
 """
 from __future__ import annotations
 
@@ -32,10 +45,7 @@ from math import factorial, sqrt
 import numpy as np
 
 from .partitions import dimension, partitions_of, standard_tableaux
-from .permutations import Permutation, rank_of_word
-
-# Largest n whose full dense tables are cached: memory is (n!)^2 floats.
-TABLE_MAX_N = 6
+from .permutations import Permutation, group_matrix
 
 
 @lru_cache(maxsize=4096)
@@ -90,64 +100,79 @@ def character(shape: tuple[int, ...], p: Permutation) -> float:
     return float(np.trace(evaluate(shape, p)))
 
 
-def plain_changes(n: int):
-    """Yield 0-based positions j; swapping word[j], word[j+1] after each yield
-    steps through all n! arrangements (Steinhaus-Johnson-Trotter)."""
-    if n < 2:
-        return
-    word = list(range(n))
-    direction = [-1] * n
-    while True:
-        mobile_val = -1
-        mobile_pos = -1
-        for i, v in enumerate(word):
-            j = i + direction[v]
-            if 0 <= j < n and word[j] < v and v > mobile_val:
-                mobile_val = v
-                mobile_pos = i
-        if mobile_pos < 0:
-            return
-        j = mobile_pos + direction[mobile_val]
-        yield min(mobile_pos, j)
-        word[mobile_pos], word[j] = word[j], word[mobile_pos]
-        for v in range(mobile_val + 1, n):
-            direction[v] = -direction[v]
-
-
-def group_walk(n: int, shapes: tuple[tuple[int, ...], ...] | None = None):
-    """Single pass over S_n yielding (rank, {shape: matrix}) for every element.
-
-    One generator multiplication per block per step.  The dict and its
-    matrices are reused between yields: consume each step immediately and
-    copy anything retained.
-    """
-    if shapes is None:
-        shapes = partitions_of(n)
-    gens = {s: [adjacent_generator(s, k) for k in range(1, n)] for s in shapes}
-    current = {s: np.eye(dimension(s)) for s in shapes}
-    word = list(range(1, n + 1))
-    yield 0, current
-    for j in plain_changes(n):
-        word[j], word[j + 1] = word[j + 1], word[j]
-        for s in shapes:
-            current[s] = current[s] @ gens[s][j]
-        yield rank_of_word(word), current
+@lru_cache(maxsize=256)
+def _coset_matrices(shape: tuple[int, ...]):
+    """evaluate(shape, c_j) for j = 1..k stacked, and the (mu, offset) of each
+    block of the restriction to S_{k-1}, top row's corner first."""
+    k, d = sum(shape), dimension(shape)
+    mats = np.empty((k, d, d))
+    mats[k - 1] = np.eye(d)
+    for j in range(k - 1, 0, -1):
+        mats[j - 1] = adjacent_generator(shape, j) @ mats[j]
+    mats.setflags(write=False)
+    corners = []
+    offset = 0
+    for i, part in enumerate(shape):
+        if i + 1 == len(shape) or part > shape[i + 1]:
+            mu = tuple(p for p in shape[:i] + (part - 1,) + shape[i + 1 :] if p)
+            corners.append((mu, offset))
+            offset += dimension(mu)
+    return mats, tuple(corners)
 
 
 @lru_cache(maxsize=3)
-def representation_tables(n: int) -> dict[tuple[int, ...], np.ndarray]:
-    """Dense per-rank matrices for every shape: tables[shape][r] = matrix.
+def _coset_order(n: int) -> np.ndarray:
+    """Position of each rank in the recursion's order: the coset digits
+    j_n, j_{n-1}, ..., j_1 in mixed radix, most significant first."""
+    words = group_matrix(n).astype(np.int16)
+    order = np.zeros(len(words), dtype=np.int64)
+    for k in range(n, 0, -1):
+        digit = words[:, k - 1 : k]
+        order = order * k + (digit[:, 0] - 1)
+        # Drop the last letter and relabel the rest as a word on 1..k-1.
+        words[:, : k - 1] -= words[:, : k - 1] > digit
+    order.setflags(write=False)
+    return order
 
-    Only sensible for small n (memory is (n!)^2 floats); callers guard with
-    TABLE_MAX_N.  Arrays are read-only.
-    """
-    tables = {
-        s: np.empty((factorial(n), dimension(s), dimension(s)))
-        for s in partitions_of(n)
-    }
-    for rank, mats in group_walk(n):
-        for s, m in mats.items():
-            tables[s][rank] = m
-    for arr in tables.values():
-        arr.setflags(write=False)
-    return tables
+
+def fft(n: int, values: np.ndarray) -> dict[tuple[int, ...], np.ndarray]:
+    """sum_p values[rank(p)] * evaluate(shape, p) for every shape of n."""
+    level = {(1,): np.empty((factorial(n), 1, 1))}
+    level[(1,)][_coset_order(n), 0, 0] = values
+    for k in range(2, n + 1):
+        cosets = factorial(n) // factorial(k)
+        built = {}
+        for shape in partitions_of(k):
+            mats, corners = _coset_matrices(shape)
+            out = np.empty((cosets, dimension(shape), dimension(shape)))
+            for mu, off in corners:
+                e = dimension(mu)
+                sub = level[mu].reshape(cosets, k, e, e)
+                # out[o][:, mu cols] = sum_j mats[j][:, mu rows] @ sub[o, j]
+                part = np.tensordot(sub, mats[:, :, off : off + e], ([1, 2], [0, 2]))
+                out[:, :, off : off + e] = part.transpose(0, 2, 1)
+            built[shape] = out
+        level = built
+    return {shape: stack[0] for shape, stack in level.items()}
+
+
+def fft_adjoint(n: int, blocks: dict[tuple[int, ...], np.ndarray]) -> np.ndarray:
+    """sum_shape <blocks[shape], evaluate(shape, p)>_F for every rank; missing
+    shapes count as zero blocks."""
+    level = {s: np.asarray(m, dtype=float)[None] for s, m in blocks.items()}
+    for k in range(n, 1, -1):
+        cosets = factorial(n) // factorial(k)
+        spread = {}
+        for shape, g in level.items():
+            mats, corners = _coset_matrices(shape)
+            for mu, off in corners:
+                e = dimension(mu)
+                # sub[o, j] = mats[j][:, mu rows].T @ g[o][:, mu cols]
+                cols = g[:, :, off : off + e]
+                sub = np.tensordot(cols, mats[:, :, off : off + e], ([1], [1]))
+                sub = sub.transpose(0, 2, 3, 1).reshape(cosets * k, e, e)
+                spread[mu] = spread.get(mu, 0.0) + sub
+        level = spread
+    if (1,) not in level:
+        return np.zeros(factorial(n))
+    return level[(1,)].reshape(-1)[_coset_order(n)]

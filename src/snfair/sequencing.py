@@ -18,8 +18,6 @@ from dataclasses import dataclass
 from math import factorial
 
 import numpy as np
-from scipy.sparse import csr_matrix
-from scipy.sparse.csgraph import connected_components
 
 from .errors import CapacityError
 from .permutations import group_matrix
@@ -82,7 +80,7 @@ def majority_graph(votes: VoteProfile) -> MajorityGraph:
             position[v, tx - 1] = pos
 
     edges = set()
-    adj = np.zeros((n, n), dtype=np.int8)
+    reach = np.eye(n, dtype=bool)
     half = len(votes.validators) / 2.0
     for i in range(1, n + 1):
         for j in range(1, n + 1):
@@ -91,15 +89,14 @@ def majority_graph(votes: VoteProfile) -> MajorityGraph:
             before = int((position[:, i - 1] < position[:, j - 1]).sum())
             if before > half:
                 edges.add((i, j))
-                adj[i - 1, j - 1] = 1
+                reach[i - 1, j - 1] = True
 
-    _, labels = connected_components(
-        csr_matrix(adj), directed=True, connection="strong"
-    )
-    groups: dict[int, list[int]] = {}
-    for tx in range(1, n + 1):
-        groups.setdefault(int(labels[tx - 1]), []).append(tx)
-    sccs = tuple(sorted((tuple(sorted(g)) for g in groups.values()), key=lambda c: c[0]))
+    # Transitive closure (Warshall); i and j share a strongly connected
+    # component iff each reaches the other.
+    for k in range(n):
+        reach |= np.outer(reach[:, k], reach[k])
+    mutual = reach & reach.T
+    sccs = tuple(sorted({tuple(int(j) + 1 for j in np.flatnonzero(r)) for r in mutual}))
     return MajorityGraph(n_tx=n, edges=frozenset(edges), sccs=sccs)
 
 

@@ -17,6 +17,7 @@ from snfair.fourier import PayoffFn, transform
 from snfair.partitions import dimension, partitions_of
 from snfair.payoffs import random_payoff
 from snfair.permutations import Permutation, enumerate_group, lehmer_unrank
+from snfair.representations import evaluate
 from snfair.sets import OrderingSet
 
 
@@ -142,11 +143,17 @@ def test_unnormalized_bound_can_fail_where_normalized_holds():
     assert len(bound_violations(conn, normalized=False)) > 0
 
 
-def test_block_operator_beyond_table_cap(monkeypatch):
-    import snfair.cayley as cayley
-
-    conn = all_transpositions(4)
-    expected = {s: block_operator(conn, s) for s in partitions_of(4)}
-    monkeypatch.setattr(cayley, "TABLE_MAX_N", 0)
-    for s in partitions_of(4):
-        np.testing.assert_allclose(block_operator(conn, s), expected[s], atol=1e-12)
+def test_block_operator_matches_evaluate_sum_at_n7():
+    n = 7
+    rng = np.random.default_rng(17)
+    picks = rng.choice(factorial(n), size=4, replace=False)
+    for conn in (all_transpositions(n), symmetrize(OrderingSet.from_ranks(n, picks))):
+        perms = [lehmer_unrank(n, r) for r in conn.members]
+        for shape in partitions_of(n):
+            raw = sum(evaluate(shape, p) for p in perms)
+            np.testing.assert_allclose(
+                block_operator(conn, shape, normalized=False), raw, atol=1e-12
+            )
+            np.testing.assert_allclose(
+                block_operator(conn, shape), raw / len(conn), atol=1e-12
+            )

@@ -60,6 +60,16 @@ def test_gen_payoff_missing_flags_is_usage_error(capsys):
     assert "deltas" in capsys.readouterr().err
 
 
+def test_gen_payoff_cfmm_negative_first_delta(tmp_path):
+    # A trade list that opens with a sell parses in both spellings.
+    a, b = tmp_path / "a.json", tmp_path / "b.json"
+    args = ["gen-payoff", "--model", "cfmm"]
+    assert main(args + ["--deltas", "-3,1,2", "--out", str(a)]) == EXIT_OK
+    assert main(args + ["--deltas=-3,1,2", "--out", str(b)]) == EXIT_OK
+    assert json.loads(a.read_text())["values"] == json.loads(b.read_text())["values"]
+    assert json.loads(a.read_text())["n"] == 3
+
+
 def test_gen_payoff_repeat_is_byte_identical(tmp_path):
     a, b = tmp_path / "a.json", tmp_path / "b.json"
     args = ["gen-payoff", "--model", "random", "--n", "3", "--seed", "1"]
@@ -152,6 +162,13 @@ def test_verify_roundtrip_n5_exit_zero(tmp_path):
     assert run("verify", "--suite", "roundtrip", "--n", "5", "--out", str(out)) == EXIT_OK
     report = json.loads(out.read_text())
     assert all(c["max_abs_error"] <= 1e-9 for c in report["cases"])
+
+
+def test_verify_roundtrip_n8_exit_zero(tmp_path):
+    out = tmp_path / "r8.json"
+    assert run("verify", "--suite", "roundtrip", "--n", "8", "--out", str(out)) == EXIT_OK
+    report = json.loads(out.read_text())
+    assert all(c["ok"] for c in report["cases"])
 
 
 def test_verify_uncertainty_seed3_all_hold(tmp_path):

@@ -4,7 +4,6 @@ from math import factorial
 import numpy as np
 import pytest
 
-import snfair.fourier as fourier
 from snfair.errors import CapacityError, DegenerateError
 from snfair.fourier import (
     FourierSpectrum,
@@ -20,7 +19,7 @@ from snfair.fourier import (
 )
 from snfair.partitions import dimension, partitions_of
 from snfair.payoffs import indicator_payoff, random_payoff
-from snfair.permutations import enumerate_group, lehmer_unrank
+from snfair.permutations import enumerate_group, group_matrix, lehmer_unrank
 from snfair.representations import evaluate
 from snfair.sets import OrderingSet
 
@@ -75,6 +74,41 @@ def test_roundtrip_random_s5():
         f = random_payoff(5, seed=seed)
         back = inverse(transform(f))
         assert np.abs(back.values - f.values).max() <= 1e-9
+
+
+@pytest.mark.parametrize("n", [8, 9])
+def test_roundtrip_and_parseval_at_large_n(n):
+    f = random_payoff(n, seed=n, max_n=n)
+    spec = transform(f, max_n=n)
+    back = inverse(spec, max_n=n)
+    assert np.abs(back.values - f.values).max() <= 1e-12
+    energy = float(f.values @ f.values)
+    spectral = sum(
+        dimension(s) * float(np.linalg.norm(m)) ** 2 for s, m in spec.blocks.items()
+    ) / factorial(n)
+    assert abs(energy - spectral) / energy <= 1e-12
+
+
+def test_convolution_theorem():
+    # (f * g)(p) = sum_q f(q) g(q^-1 p), built from the word table alone;
+    # its transform must be the blockwise product F(f) @ F(g).
+    n = 5
+    words = group_matrix(n).astype(np.int64)
+    code = words @ n ** np.arange(n)  # one integer per word
+    rank_of = {int(c): r for r, c in enumerate(code)}
+    f = random_payoff(n, seed=21).values
+    g = random_payoff(n, seed=22).values - 0.5
+    conv = np.zeros(factorial(n))
+    for q, word in enumerate(words):
+        inv = np.argsort(word) + 1
+        ranks = [rank_of[int(c)] for c in inv[words - 1] @ n ** np.arange(n)]
+        conv += f[q] * g[ranks]
+    lhs = transform(PayoffFn(n, conv))
+    fs, gs = transform(PayoffFn(n, f)), transform(PayoffFn(n, g))
+    scale = np.abs(conv).sum()  # bounds every entry of every block
+    for shape in partitions_of(n):
+        expect = fs.blocks[shape] @ gs.blocks[shape]
+        np.testing.assert_allclose(lhs.blocks[shape], expect, rtol=0, atol=1e-12 * scale)
 
 
 def test_zero_spectrum_synthesizes_zero():
@@ -206,20 +240,3 @@ def test_spectrum_block_order_is_canonical():
 def test_capacity_guard():
     with pytest.raises(CapacityError):
         transform(PayoffFn(4, np.zeros(24)), max_n=3)
-
-
-def test_walk_path_agrees_with_table_path(monkeypatch):
-    # Force the streaming route at a size where tables are available, then
-    # compare both directions against the table-backed results.
-    f = random_payoff(5, seed=12)
-    spec_table = transform(f)
-    back_table = inverse(spec_table)
-    monkeypatch.setattr(fourier, "TABLE_MAX_N", 0)
-    spec_walk = transform(f)
-    for s in partitions_of(5):
-        np.testing.assert_allclose(
-            spec_walk.blocks[s], spec_table.blocks[s], atol=1e-10
-        )
-    back_walk = inverse(spec_walk)
-    np.testing.assert_allclose(back_walk.values, back_table.values, atol=1e-10)
-    np.testing.assert_allclose(back_walk.values, f.values, atol=1e-9)

@@ -11,15 +11,13 @@ import numpy as np
 import pytest
 
 from snfair.partitions import dimension, partitions_of
-from snfair.permutations import Permutation, enumerate_group, lehmer_unrank
+from snfair.permutations import Permutation, enumerate_group
 from snfair.representations import (
-    TABLE_MAX_N,
     adjacent_generator,
     character,
     evaluate,
-    group_walk,
-    plain_changes,
-    representation_tables,
+    fft,
+    fft_adjoint,
 )
 
 
@@ -126,43 +124,35 @@ def test_schur_orthogonality_of_characters():
             assert inner == pytest.approx(expect, abs=1e-10)
 
 
-def test_plain_changes_visits_every_arrangement():
-    for n in (1, 2, 3, 4, 5):
-        word = list(range(1, n + 1))
-        seen = {tuple(word)}
-        for j in plain_changes(n):
-            word[j], word[j + 1] = word[j + 1], word[j]
-            seen.add(tuple(word))
-        assert len(seen) == factorial(n)
+def test_fft_matches_evaluate_sum():
+    rng = np.random.default_rng(41)
+    for n in range(1, 7):
+        f = rng.standard_normal(factorial(n))
+        blocks = fft(n, f)
+        assert tuple(blocks) == partitions_of(n)
+        group = list(enumerate_group(n))
+        for shape in partitions_of(n):
+            ref = sum(f[p.rank()] * evaluate(shape, p) for p in group)
+            scale = np.abs(ref).max()
+            assert np.abs(blocks[shape] - ref).max() <= 1e-12 * scale
 
 
-def test_group_walk_matches_direct_evaluation():
-    n = 4
-    shapes = partitions_of(n)
-    ranks = []
-    for rank, mats in group_walk(n):
-        ranks.append(rank)
-        p = lehmer_unrank(n, rank)
-        for s in shapes:
-            np.testing.assert_allclose(mats[s], evaluate(s, p), atol=1e-12)
-    assert sorted(ranks) == list(range(factorial(n)))
-
-
-def test_representation_tables_agree_with_evaluate():
-    n = 4
-    tables = representation_tables(n)
-    assert set(tables) == set(partitions_of(n))
-    for s, arr in tables.items():
-        assert arr.shape == (factorial(n), dimension(s), dimension(s))
-        assert not arr.flags.writeable
-    for r in (0, 5, 17, 23):
-        p = lehmer_unrank(n, r)
-        for s in partitions_of(n):
-            np.testing.assert_allclose(tables[s][r], evaluate(s, p), atol=1e-12)
-
-
-def test_table_cap_is_sane():
-    assert 4 <= TABLE_MAX_N <= 7
+def test_fft_adjoint_is_the_transpose():
+    # <fft(f), G> == <f, fft_adjoint(G)>, and the adjoint of a single block
+    # reads off that block against each representation matrix.
+    rng = np.random.default_rng(43)
+    n = 5
+    f = rng.standard_normal(factorial(n))
+    g = {s: rng.standard_normal((dimension(s), dimension(s))) for s in partitions_of(n)}
+    lhs = sum(float(np.vdot(m, g[s])) for s, m in fft(n, f).items())
+    assert lhs == pytest.approx(float(f @ fft_adjoint(n, g)), rel=1e-12)
+    shape = (3, 2)
+    one = fft_adjoint(n, {shape: g[shape]})
+    for p in enumerate_group(n):
+        assert one[p.rank()] == pytest.approx(
+            float(np.vdot(g[shape], evaluate(shape, p))), abs=1e-12
+        )
+    assert not fft_adjoint(n, {}).any()
 
 
 def test_evaluate_size_mismatch():

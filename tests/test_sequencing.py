@@ -149,6 +149,26 @@ def test_mixed_profile_two_components():
         assert p(1) == 1
 
 
+def test_two_separate_cycles():
+    # {2, 3, 6} and {1, 4, 5} each rotate; every validator sees the first
+    # group before the second.
+    votes = VoteProfile(
+        6,
+        (
+            (2, 3, 6, 1, 4, 5),
+            (3, 6, 2, 4, 5, 1),
+            (6, 2, 3, 5, 1, 4),
+        ),
+    )
+    graph = majority_graph(votes)
+    assert graph.sccs == ((1, 4, 5), (2, 3, 6))
+    stats = condorcet_stats(graph)
+    assert (stats.num_sccs, stats.largest_scc, stats.has_cycle) == (2, 3, True)
+    members = valid_orderings(graph)
+    assert len(members) == 36
+    assert {p.mapping for p in members.permutations()} == admissible_oracle(votes)
+
+
 def test_valid_orderings_never_empty():
     # Cross-component edges are acyclic by construction, so at least one
     # topological order always survives.
