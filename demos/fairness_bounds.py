@@ -5,13 +5,12 @@ several payoff/set pairs on S_5, then shows both bound regimes: high
 set agreement versus payoff degree, and the low-agreement template.
 """
 from snfair.fairness import (
-    fairness_report,
+    Analysis,
     lower_bound_report,
     nested_stabilizer_instance,
-    uncertainty_bound,
     upper_bound_report,
 )
-from snfair.intersecting import intersection_profile, stabilizer_set
+from snfair.intersecting import stabilizer_set
 from snfair.payoffs import CfmmModel, JuntaTerm, cfmm_payoff, junta_payoff
 from snfair.sets import OrderingSet
 
@@ -19,9 +18,8 @@ N = 5
 
 
 def show_pair(p_label, f, s_label, members):
-    base = fairness_report(f, members)
-    ub = uncertainty_bound(f, members)
-    t = intersection_profile(members).t_max
+    pair = Analysis(f, members)  # one transform per spectrum, one agreement scan
+    base, ub, t = pair.fairness, pair.uncertainty, pair.profile.t_max
     print(
         f"  {p_label:<18} over {s_label:<22} "
         f"gap={base.additive_gap:8.4f}  bound={ub.bound:8.4f}  "

@@ -6,6 +6,11 @@ seed, and content hashes of all file inputs; nothing time-dependent is
 written, so identical invocations produce byte-identical files.  The
 verify command exits 0 exactly when every theorem-backed check in the
 chosen suite passes; trend quantities are reported but never gate.
+
+``--max-n`` (default 8) is a command-line setting on top of the
+library's own limit of n <= 10: every command checks each group size
+against it once, as soon as the size is known (from a flag, a model, or
+the raw JSON of an input file) and before any n!-sized work.
 """
 from __future__ import annotations
 
@@ -15,25 +20,18 @@ import hashlib
 import json
 import re
 import sys
+from dataclasses import asdict
 from math import factorial
 
 import numpy as np
 
 from . import __version__
 from .cayley import SymmetricSet, block_operator, bound_violations, dense_operator, symmetrize
-from .errors import DegenerateError
-from .fairness import (
-    additive_gap,
-    fairness_report,
-    lower_bound_report,
-    nested_stabilizer_instance,
-    uncertainty_bound,
-    upper_bound_report,
-)
+from .fairness import Analysis, lower_bound_report, nested_stabilizer_instance
 from .fourier import (
     PayoffFn,
     FourierSpectrum,
-    degree,
+    SchattenSummary,
     inverse,
     schatten_summary,
     transform,
@@ -87,16 +85,30 @@ def _hash_file(path: str) -> str:
         return hashlib.sha256(fh.read()).hexdigest()
 
 
-def _load_json(path: str, what: str) -> dict:
+def _check_size(n, max_n: int) -> None:
+    """The --max-n check, made once per group size before n!-sized work."""
+    if type(n) is not int or not 1 <= n <= max_n:
+        raise ValueError(
+            f"group size must be an integer from 1 to --max-n = {max_n}, got {n!r}"
+        )
+
+
+def _load_json(path: str, what: str, max_n: int, size_key: str, *keys: str) -> dict:
+    """A JSON object with the given fields whose group size passes --max-n."""
     try:
         with open(path) as fh:
-            return json.load(fh)
+            data = json.load(fh)
     except FileNotFoundError:
         raise ValueError(f"{what} file not found: {path}")
     except json.JSONDecodeError as exc:
         raise ValueError(
             f"malformed {what} file {path}: {exc.msg} at line {exc.lineno} column {exc.colno}"
         )
+    if not isinstance(data, dict) or not {size_key, *keys} <= data.keys():
+        fields = ", ".join((size_key, *keys))
+        raise ValueError(f"malformed {what} file {path}: need an object with {fields}")
+    _check_size(data[size_key], max_n)
+    return data
 
 
 def _metadata(args: argparse.Namespace, inputs: dict[str, str]) -> dict:
@@ -155,8 +167,12 @@ def _parse_pairs(text: str) -> tuple[tuple[int, int], ...]:
     return tuple(pairs)
 
 
-def _spectrum_rows(spec: FourierSpectrum) -> list[dict]:
-    summary = schatten_summary(spec)
+def _fields(report, *skip: str) -> dict:
+    """A report dataclass as a dict, without the named fields."""
+    return {k: v for k, v in asdict(report).items() if k not in skip}
+
+
+def _spectrum_rows(spec: FourierSpectrum, summary: SchattenSummary) -> list[dict]:
     rows = []
     for shape, mat in spec.blocks.items():
         sv = summary.per_block[shape]
@@ -170,6 +186,16 @@ def _spectrum_rows(spec: FourierSpectrum) -> list[dict]:
             }
         )
     return rows
+
+
+def _load_payoff(args: argparse.Namespace) -> PayoffFn:
+    data = _load_json(args.payoff, "payoff", args.max_n, "n", "values")
+    return PayoffFn.from_dict(data)
+
+
+def _load_set(args: argparse.Namespace) -> OrderingSet:
+    data = _load_json(args.set, "ordering set", args.max_n, "n", "members")
+    return OrderingSet.from_dict(data)
 
 
 # ---------------------------------------------------------------- commands
@@ -186,30 +212,31 @@ def cmd_gen_payoff(args: argparse.Namespace) -> int:
             gamma=args.gamma,
             beta=args.beta,
         )
-        payoff = cfmm_payoff(model, max_n=args.max_n)
+        _check_size(model.n, args.max_n)
+        payoff = cfmm_payoff(model)
     elif args.model == "liquidation":
         if args.k is None or args.c is None:
             raise ValueError("liquidation model needs --k and --c")
-        payoff = liquidation_payoff(
-            LiquidationModel(k=args.k, c=args.c, p0=args.p0), max_n=args.max_n
-        )
+        model = LiquidationModel(k=args.k, c=args.c, p0=args.p0)
+        _check_size(model.n, args.max_n)
+        payoff = liquidation_payoff(model)
     elif args.model == "junta":
         if args.n is None or args.pairs is None:
             raise ValueError("junta model needs --n and --pairs")
+        _check_size(args.n, args.max_n)
         term = JuntaTerm(constraints=_parse_pairs(args.pairs), coefficient=args.coeff)
-        payoff = junta_payoff([term], args.n, max_n=args.max_n)
+        payoff = junta_payoff([term], args.n)
     elif args.model == "indicator":
         if args.set is None:
             raise ValueError("indicator model needs --set")
         inputs["set"] = args.set
-        members = OrderingSet.from_dict(_load_json(args.set, "ordering set"))
-        payoff = indicator_payoff(members)
+        payoff = indicator_payoff(_load_set(args))
     elif args.model == "random":
         if args.n is None:
             raise ValueError("random model needs --n")
+        _check_size(args.n, args.max_n)
         payoff = random_payoff(
-            args.n, seed=args.seed, dist=args.dist, nonzero=args.nonzero,
-            max_n=args.max_n,
+            args.n, seed=args.seed, dist=args.dist, nonzero=args.nonzero
         )
     else:  # pragma: no cover - argparse already restricts choices
         raise ValueError(f"unknown model {args.model!r}")
@@ -227,72 +254,32 @@ def cmd_gen_payoff(args: argparse.Namespace) -> int:
 
 
 def cmd_transform(args: argparse.Namespace) -> int:
-    payoff = PayoffFn.from_dict(_load_json(args.payoff, "payoff"))
-    spec = transform(payoff, max_n=args.max_n)
+    payoff = _load_payoff(args)
+    spec = transform(payoff)
     payload = spec.to_dict()
     payload["metadata"] = _metadata(args, {"payoff": args.payoff})
     _emit(payload, args.out)
     if args.csv:
-        _emit_csv(_spectrum_rows(spec), args.csv)
+        _emit_csv(_spectrum_rows(spec, schatten_summary(spec)), args.csv)
     return EXIT_OK
 
 
 def cmd_analyze(args: argparse.Namespace) -> int:
-    payoff = PayoffFn.from_dict(_load_json(args.payoff, "payoff"))
-    members = OrderingSet.from_dict(_load_json(args.set, "ordering set"))
-    if payoff.n != members.n:
-        raise ValueError(f"payoff is on S_{payoff.n} but the set lives in S_{members.n}")
-
-    base = fairness_report(payoff, members, max_n=args.max_n)
-    profile = intersection_profile(members)
-    spec = transform(payoff, max_n=args.max_n)
-    summary = schatten_summary(spec)
+    payoff = _load_payoff(args)
+    members = _load_set(args)
+    pair = Analysis(payoff, members, tol=args.tol)
     report = {
         "n": payoff.n,
         "set_size": len(members),
-        "fairness": {
-            "max_value": base.max_value,
-            "mean_value": base.mean_value,
-            "additive_gap": base.additive_gap,
-            "multiplicative_gap": base.multiplicative_gap,
-            "conditional_gap": base.conditional_gap,
-            "classification": base.classification,
-            "trivial_bound": base.trivial_bound,
-        },
-        "degree": degree(payoff, tol=args.tol, spectrum=spec),
-        "intersection": {
-            "t_max": profile.t_max,
-            "common_pairs": [list(p) for p in profile.common_pairs],
-            "size_gate": profile.size_gate,
-        },
-        "schatten": {"s1": summary.s1, "sinf": summary.sinf},
+        "fairness": _fields(pair.fairness, "n", "set_size"),
+        "degree": pair.degree,
+        "intersection": _fields(pair.profile, "size"),
+        "schatten": {"s1": pair.schatten.s1, "sinf": pair.schatten.sinf},
     }
-    restricted_max = base.max_value if len(members) else 0.0
-    if restricted_max > 0.0:
-        ub = uncertainty_bound(payoff, members, max_n=args.max_n)
-        upper = upper_bound_report(payoff, members, max_n=args.max_n)
-        lower = lower_bound_report(payoff, members, max_n=args.max_n)
-        report["uncertainty_bound"] = {
-            "bound": ub.bound,
-            "additive_gap": ub.additive_gap,
-            "slack": ub.slack,
-        }
-        report["upper_regime"] = {
-            "degree": upper.degree,
-            "t_max": upper.t_max,
-            "applicable": upper.applicable,
-            "schatten_ratio": upper.schatten_ratio,
-            "dim_sq_sum": upper.dim_sq_sum,
-            "bound_value": upper.bound_value,
-        }
-        report["lower_regime"] = {
-            "degree": lower.degree,
-            "t_max": lower.t_max,
-            "applicable": lower.applicable,
-            "gap_ratio": lower.gap_ratio,
-            "rhs_coefficient": lower.rhs_coefficient,
-            "implied_constant": lower.implied_constant,
-        }
+    if pair.fairness.max_value > 0.0:
+        report["uncertainty_bound"] = _fields(pair.uncertainty)
+        report["upper_regime"] = _fields(pair.upper)
+        report["lower_regime"] = _fields(pair.lower, "additive_gap", "max_on_set")
     else:
         report["uncertainty_bound"] = None
         report["upper_regime"] = None
@@ -301,7 +288,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     report["metadata"] = _metadata(args, {"payoff": args.payoff, "set": args.set})
     _emit(report, args.out)
     if args.csv:
-        _emit_csv(_spectrum_rows(spec), args.csv)
+        _emit_csv(_spectrum_rows(pair.spectrum, pair.schatten), args.csv)
     return EXIT_OK
 
 
@@ -309,8 +296,11 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     inputs = {}
     if args.votes:
         inputs["votes"] = args.votes
-        votes = VoteProfile.from_dict(_load_json(args.votes, "votes"))
+        votes = VoteProfile.from_dict(
+            _load_json(args.votes, "votes", args.max_n, "n_tx", "validators")
+        )
     else:
+        _check_size(args.n_tx, args.max_n)
         votes = simulate(
             n_tx=args.n_tx,
             n_validators=args.validators,
@@ -318,7 +308,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
             seed=args.seed,
         )
     graph = majority_graph(votes)
-    admissible = valid_orderings(graph, max_tx=args.max_n)
+    admissible = valid_orderings(graph)
     stats = condorcet_stats(graph)
     profile = intersection_profile(admissible)
     payload = admissible.to_dict()
@@ -347,7 +337,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 # ---------------------------------------------------------------- verify
 
 
-def _corpus_payoffs(n: int, seed: int, max_n: int) -> dict[str, PayoffFn]:
+def _corpus_payoffs(n: int, seed: int) -> dict[str, PayoffFn]:
     """Deterministic generator-family corpus used by the verify suites."""
     sizes = []
     mag = 1
@@ -357,22 +347,19 @@ def _corpus_payoffs(n: int, seed: int, max_n: int) -> dict[str, PayoffFn]:
             mag += 1
     corpus = {
         "cfmm": cfmm_payoff(
-            CfmmModel(deltas=tuple(sizes), p0=100.0, gamma=0.001, beta=1.0),
-            max_n=max_n,
+            CfmmModel(deltas=tuple(sizes), p0=100.0, gamma=0.001, beta=1.0)
         ),
-        "junta_k1": junta_payoff([JuntaTerm(((1, 1),))], n, max_n=max_n),
-        "junta_k2": junta_payoff([JuntaTerm(((1, 1), (2, 2)))], n, max_n=max_n),
-        "random_a": random_payoff(n, seed=seed, max_n=max_n),
-        "random_b": random_payoff(n, seed=seed + 1, max_n=max_n),
+        "junta_k1": junta_payoff([JuntaTerm(((1, 1),))], n),
+        "junta_k2": junta_payoff([JuntaTerm(((1, 1), (2, 2)))], n),
+        "random_a": random_payoff(n, seed=seed),
+        "random_b": random_payoff(n, seed=seed + 1),
     }
     if n % 2 == 0 and n >= 4:
-        corpus["liquidation"] = liquidation_payoff(
-            LiquidationModel(k=n // 2, c=1), max_n=max_n
-        )
+        corpus["liquidation"] = liquidation_payoff(LiquidationModel(k=n // 2, c=1))
     return corpus
 
 
-def _corpus_sets(n: int, seed: int, max_n: int) -> dict[str, OrderingSet]:
+def _corpus_sets(n: int, seed: int) -> dict[str, OrderingSet]:
     sets = {
         "full_group": OrderingSet.full_group(n),
         "stabilizer_t1": stabilizer_set(n, [(1, 1)]),
@@ -380,28 +367,26 @@ def _corpus_sets(n: int, seed: int, max_n: int) -> dict[str, OrderingSet]:
     }
     if n <= 8:
         votes = simulate(n, 5, "iid_shuffle", seed=seed)
-        sets["fair_ordering_iid"] = valid_orderings(majority_graph(votes), max_tx=max_n)
+        sets["fair_ordering_iid"] = valid_orderings(majority_graph(votes))
         if n >= 3:
             votes = simulate(n, n, "adversarial_cycle")
-            sets["fair_ordering_cycle"] = valid_orderings(
-                majority_graph(votes), max_tx=max_n
-            )
+            sets["fair_ordering_cycle"] = valid_orderings(majority_graph(votes))
     return sets
 
 
-def _suite_roundtrip(n: int, seed: int, tol: float, max_n: int):
+def _suite_roundtrip(n: int, seed: int, tol: float):
     cases = {}
     for i in range(5):
-        cases[f"uniform_{i}"] = random_payoff(n, seed=seed + i, max_n=max_n)
-    cases["sparse"] = random_payoff(n, seed=seed, dist="sparse", nonzero=3, max_n=max_n)
+        cases[f"uniform_{i}"] = random_payoff(n, seed=seed + i)
+    cases["sparse"] = random_payoff(n, seed=seed, dist="sparse", nonzero=3)
     size = factorial(n)
     cases["point_mass"] = PayoffFn(n, np.eye(1, size)[0])
     cases["constant"] = PayoffFn(n, np.ones(size))
     rows = []
     passed = True
     for label, f in cases.items():
-        spec = transform(f, max_n=max_n)
-        back = inverse(spec, max_n=max_n)
+        spec = transform(f)
+        back = inverse(spec)
         err = float(np.abs(back.values - f.values).max())
         energy = float((f.values**2).sum())
         spectral = sum(
@@ -421,14 +406,14 @@ def _suite_roundtrip(n: int, seed: int, tol: float, max_n: int):
     return passed, {"cases": rows}, rows
 
 
-def _suite_uncertainty(n: int, seed: int, tol: float, max_n: int):
+def _suite_uncertainty(n: int, seed: int, tol: float):
     rows = []
     passed = True
     order = factorial(n)
-    cases = {f"uniform_{i}": random_payoff(n, seed=seed + i, max_n=max_n) for i in range(100)}
-    cases.update(_corpus_payoffs(n, seed, max_n))
+    cases = {f"uniform_{i}": random_payoff(n, seed=seed + i) for i in range(100)}
+    cases.update(_corpus_payoffs(n, seed))
     for label, f in cases.items():
-        check = uncertainty_check(f, max_n=max_n)
+        check = uncertainty_check(f)
         passed &= check.holds
         rows.append(
             {
@@ -443,7 +428,7 @@ def _suite_uncertainty(n: int, seed: int, tol: float, max_n: int):
         "point_mass": PayoffFn(n, np.eye(1, order)[0]),
         "constant": PayoffFn(n, np.ones(order)),
     }.items():
-        check = uncertainty_check(f, max_n=max_n)
+        check = uncertainty_check(f)
         equal = abs(check.product - order) <= 1e-12 * order
         passed &= check.holds and equal
         rows.append(
@@ -464,7 +449,7 @@ def _random_symmetric_set(n: int, rng: np.random.Generator) -> SymmetricSet:
     return symmetrize(OrderingSet.from_ranks(n, picks))
 
 
-def _suite_eigenvalue(n: int, seed: int, tol: float, max_n: int):
+def _suite_eigenvalue(n: int, seed: int, tol: float):
     rng = np.random.default_rng(seed)
     sets = {"identity": SymmetricSet(n, (0,))}
     transpositions = [
@@ -518,7 +503,7 @@ def _suite_eigenvalue(n: int, seed: int, tol: float, max_n: int):
     return passed, {"cases": rows}, rows
 
 
-def _suite_indicator_degree(n: int, seed: int, tol: float, max_n: int):
+def _suite_indicator_degree(n: int, seed: int, tol: float):
     rng = np.random.default_rng(seed)
     sets: dict[str, OrderingSet] = {"full_group": OrderingSet.full_group(n)}
     for t in range(1, min(3, n - 1) + 1):
@@ -533,7 +518,7 @@ def _suite_indicator_degree(n: int, seed: int, tol: float, max_n: int):
                 n, list(zip(slots.tolist(), items.tolist()))
             )
     votes = simulate(n, 5, "iid_shuffle", seed=seed)
-    sets["fair_ordering_iid"] = valid_orderings(majority_graph(votes), max_tx=max_n)
+    sets["fair_ordering_iid"] = valid_orderings(majority_graph(votes))
 
     rows = []
     passed = True
@@ -553,11 +538,11 @@ def _suite_indicator_degree(n: int, seed: int, tol: float, max_n: int):
     return passed, {"cases": rows}, rows
 
 
-def _suite_claim1(n: int, seed: int, tol: float, max_n: int):
+def _suite_claim1(n: int, seed: int, tol: float):
     rows = []
     passed = True
-    for p_label, f in _corpus_payoffs(n, seed, max_n).items():
-        for s_label, members in _corpus_sets(n, seed, max_n).items():
+    for p_label, f in _corpus_payoffs(n, seed).items():
+        for s_label, members in _corpus_sets(n, seed).items():
             if len(members) == 0:
                 continue
             restricted = f.values[list(members.members)]
@@ -575,8 +560,8 @@ def _suite_claim1(n: int, seed: int, tol: float, max_n: int):
                     }
                 )
                 continue
-            ub = uncertainty_bound(f, members, max_n=max_n)
-            upper = upper_bound_report(f, members, max_n=max_n)
+            pair = Analysis(f, members)
+            ub, upper = pair.uncertainty, pair.upper
             ok = ub.slack >= -tol
             passed &= ok
             rows.append(
@@ -594,7 +579,7 @@ def _suite_claim1(n: int, seed: int, tol: float, max_n: int):
     return passed, {"cases": rows}, rows
 
 
-def _suite_claim2(n: int, seed: int, tol: float, max_n: int):
+def _suite_claim2(n: int, seed: int, tol: float):
     if n < 4:
         raise ValueError("claim2 suite needs n >= 4 for a non-degenerate instance")
     instances = [(1, 3)]
@@ -604,7 +589,7 @@ def _suite_claim2(n: int, seed: int, tol: float, max_n: int):
     passed = True
     for outer, inner in instances:
         f, members = nested_stabilizer_instance(n, outer, inner)
-        report = lower_bound_report(f, members, max_n=max_n)
+        report = lower_bound_report(f, members)
         finite_positive = (
             report.implied_constant is not None
             and np.isfinite(report.implied_constant)
@@ -637,8 +622,8 @@ _SUITES = {
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
-    suite = _SUITES[args.suite]
-    passed, body, rows = suite(args.n, args.seed, args.tol, args.max_n)
+    _check_size(args.n, args.max_n)
+    passed, body, rows = _SUITES[args.suite](args.n, args.seed, args.tol)
     report = {
         "suite": args.suite,
         "n": args.n,
@@ -671,7 +656,7 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
         type=int,
         default=8,
         dest="max_n",
-        help="capacity guard on the group size (default 8)",
+        help="largest group size a command accepts (default 8, at most 10)",
     )
 
 

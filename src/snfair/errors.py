@@ -6,7 +6,7 @@ Everything derives from ValueError so callers that only care about
 
 
 class CapacityError(ValueError):
-    """Requested group size exceeds the configured guard."""
+    """Requested group size exceeds the enumeration limit (n <= 10)."""
 
 
 class EmptySetError(ValueError):

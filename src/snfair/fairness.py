@@ -25,104 +25,37 @@ agreement level t_max: high agreement (t_max >= s) activates the upper
 bound regime, low agreement (t_max < s) the lower bound regime whose
 template rhs(c) = (1 - c * (s - t_max - 1)/(n - t_max)!) * ||g||_inf is
 solved for the constant that would make it tight.
+
+An :class:`Analysis` holds one (payoff, set) pair and computes the
+payoff's spectrum, the restriction's spectrum, the set's agreement
+profile and the payoff's degree at most once each; every report reads
+those shared values, and the module-level functions are one-report
+shortcuts over a fresh analysis.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from math import factorial
 
 import numpy as np
 
-from .cayley import spectrum_report, symmetrize
 from .errors import DegenerateError, EmptySetError
 from .fourier import (
-    DEFAULT_MAX_N,
+    DEGREE_TOL,
+    FourierSpectrum,
     PayoffFn,
-    degree,
-    isotypic_project,
+    SchattenSummary,
+    degree as spectral_degree,
     schatten_summary,
     transform,
 )
-from .intersecting import intersection_profile, stabilizer_set
+from .intersecting import IntersectionProfile, intersection_profile, stabilizer_set
 from .partitions import dimension, partitions_of
 from .payoffs import indicator_payoff
 from .sets import OrderingSet
 
 CLASSIFY_TOL = 1e-12
-
-
-def _restricted(f: PayoffFn, members: OrderingSet) -> np.ndarray:
-    if f.n != members.n:
-        raise ValueError(f"payoff on S_{f.n} but set in S_{members.n}")
-    if len(members) == 0:
-        raise EmptySetError("fairness gaps over the empty set are undefined")
-    return f.values[list(members.members)]
-
-
-def additive_gap(f: PayoffFn, members: OrderingSet) -> float:
-    """Best member payoff minus the whole-group mean of the restriction."""
-    vals = _restricted(f, members)
-    return float(vals.max() - vals.sum() / factorial(f.n))
-
-
-def multiplicative_gap(f: PayoffFn, members: OrderingSet) -> float:
-    """Best member payoff over the whole-group mean of the restriction."""
-    vals = _restricted(f, members)
-    mean = vals.sum() / factorial(f.n)
-    if mean <= 0.0:
-        raise DegenerateError("multiplicative gap needs a positive restricted mean")
-    return float(vals.max() / mean)
-
-
-def conditional_additive_gap(f: PayoffFn, members: OrderingSet) -> float:
-    """Best member payoff minus the per-member (conditional) mean."""
-    vals = _restricted(f, members)
-    return float(vals.max() - vals.mean())
-
-
-def classify_fairness(
-    f: PayoffFn, members: OrderingSet, tol: float = CLASSIFY_TOL
-) -> str:
-    """'perfectly_fair', 'maximally_unfair', or 'other'."""
-    vals = _restricted(f, members)
-    gap = float(vals.max() - vals.sum() / factorial(f.n))
-    if abs(gap) <= tol:
-        return "perfectly_fair"
-    extreme = (1.0 - 1.0 / factorial(f.n)) * float(vals.max())
-    if abs(gap - extreme) <= tol:
-        return "maximally_unfair"
-    return "other"
-
-
-def trivial_bound(f: PayoffFn, members: OrderingSet) -> float:
-    """(1 - 1/n!) * max over the set; the gap can never exceed this."""
-    vals = _restricted(f, members)
-    return (1.0 - 1.0 / factorial(f.n)) * float(vals.max())
-
-
-@dataclass(frozen=True)
-class UncertaintyBound:
-    """Support-spread upper bound on the additive gap of a restriction."""
-
-    bound: float
-    additive_gap: float
-    slack: float  # bound - gap; nonnegative when the inequality holds
-
-
-def uncertainty_bound(
-    f: PayoffFn, members: OrderingSet, max_n: int = DEFAULT_MAX_N
-) -> UncertaintyBound:
-    """Evaluate gap_plus <= (1 - sinf/s1) * ||f * 1_A||_inf."""
-    vals = _restricted(f, members)
-    restricted = np.zeros_like(f.values)
-    restricted[list(members.members)] = vals
-    linf = float(np.abs(restricted).max())
-    if linf == 0.0:
-        raise DegenerateError("restriction is identically zero")
-    summary = schatten_summary(transform(PayoffFn(f.n, restricted), max_n))
-    bound = (1.0 - summary.sinf / summary.s1) * linf
-    gap = additive_gap(f, members)
-    return UncertaintyBound(bound=bound, additive_gap=gap, slack=bound - gap)
 
 
 @dataclass(frozen=True)
@@ -138,35 +71,15 @@ class FairnessReport:
     conditional_gap: float
     classification: str
     trivial_bound: float
-    uncertainty_bound: float | None
 
 
-def fairness_report(
-    f: PayoffFn,
-    members: OrderingSet,
-    max_n: int = DEFAULT_MAX_N,
-    with_uncertainty: bool = True,
-) -> FairnessReport:
-    vals = _restricted(f, members)
-    mean = float(vals.sum() / factorial(f.n))
-    mult = None
-    if mean > 0.0:
-        mult = float(vals.max() / mean)
-    ub = None
-    if with_uncertainty and float(np.abs(vals).max()) > 0.0:
-        ub = uncertainty_bound(f, members, max_n).bound
-    return FairnessReport(
-        n=f.n,
-        set_size=len(members),
-        max_value=float(vals.max()),
-        mean_value=mean,
-        additive_gap=float(vals.max() - mean),
-        multiplicative_gap=mult,
-        conditional_gap=conditional_additive_gap(f, members),
-        classification=classify_fairness(f, members),
-        trivial_bound=trivial_bound(f, members),
-        uncertainty_bound=ub,
-    )
+@dataclass(frozen=True)
+class UncertaintyBound:
+    """Support-spread upper bound on the additive gap of a restriction."""
+
+    bound: float
+    additive_gap: float
+    slack: float  # bound - gap; nonnegative when the inequality holds
 
 
 @dataclass(frozen=True)
@@ -179,30 +92,6 @@ class UpperBoundReport:
     schatten_ratio: float  # sinf / s1 of the unrestricted payoff's spectrum
     dim_sq_sum: int  # sum of dim^2 over shapes with largest part >= n - degree
     bound_value: float  # (1 - 1/dim_sq_sum) * ||f * 1_A||_inf
-
-
-def upper_bound_report(
-    f: PayoffFn, members: OrderingSet, max_n: int = DEFAULT_MAX_N
-) -> UpperBoundReport:
-    vals = _restricted(f, members)
-    spec = transform(f, max_n)
-    s = degree(f, spectrum=spec)
-    profile = intersection_profile(members)
-    summary = schatten_summary(spec)
-    if summary.s1 == 0.0:
-        raise DegenerateError("zero payoff has no spectral ratio")
-    dim_sq = sum(
-        dimension(shape) ** 2 for shape in partitions_of(f.n) if shape[0] >= f.n - s
-    )
-    linf = float(np.abs(vals).max())
-    return UpperBoundReport(
-        degree=s,
-        t_max=profile.t_max,
-        applicable=profile.t_max >= s,
-        schatten_ratio=summary.sinf / summary.s1,
-        dim_sq_sum=dim_sq,
-        bound_value=(1.0 - 1.0 / dim_sq) * linf,
-    )
 
 
 @dataclass(frozen=True)
@@ -223,74 +112,160 @@ class LowerBoundReport:
         return (1.0 - c * self.rhs_coefficient) * self.max_on_set
 
 
-def lower_bound_report(
-    f: PayoffFn, members: OrderingSet, max_n: int = DEFAULT_MAX_N
-) -> LowerBoundReport:
-    vals = _restricted(f, members)
-    linf = float(np.abs(vals).max())
-    if linf == 0.0:
-        raise DegenerateError("restriction is identically zero")
-    s = degree(f, max_n=max_n)
-    profile = intersection_profile(members)
-    t = profile.t_max
-    gap = additive_gap(f, members)
-    coeff = (s - t - 1) / factorial(f.n - t) if s - t - 1 != 0 else 0.0
-    implied = None
-    if s - t - 1 > 0:
-        implied = (1.0 - gap / linf) * factorial(f.n - t) / (s - t - 1)
-    return LowerBoundReport(
-        degree=s,
-        t_max=t,
-        applicable=t < s and profile.size_gate,
-        additive_gap=gap,
-        max_on_set=linf,
-        gap_ratio=gap / linf,
-        rhs_coefficient=coeff,
-        implied_constant=implied,
-    )
+def _classify(gap: float, extreme: float, tol: float) -> str:
+    if abs(gap) <= tol:
+        return "perfectly_fair"
+    if abs(gap - extreme) <= tol:
+        return "maximally_unfair"
+    return "other"
 
 
-@dataclass(frozen=True)
-class TruncationDiagnostic:
-    """Both sides of the mid-band truncation chain, reported without verdict.
+class Analysis:
+    """The fairness trade-off of one payoff over one ordering set.
 
-    mid_band_l1 is the entrywise 1-norm of the indicator's spectral mass
-    at degrees in (t, s]; eigenvalue_sum adds, over the same shapes, the
-    top gram eigenvalue of the symmetrized set's averaging operator.
+    The pointwise statistics of the restriction are computed on
+    construction.  The spectral values (payoff spectrum, its Schatten
+    summary, degree at `tol`, agreement profile) and the bound reports
+    built from them are computed on first use and then kept.
     """
 
-    mid_band_l1: float
-    eigenvalue_sum: float
-    shapes: tuple[tuple[int, ...], ...]
+    def __init__(self, f: PayoffFn, members: OrderingSet, tol: float = DEGREE_TOL):
+        if f.n != members.n:
+            raise ValueError(f"payoff on S_{f.n} but set in S_{members.n}")
+        if len(members) == 0:
+            raise EmptySetError("fairness gaps over the empty set are undefined")
+        self.f, self.members, self.tol = f, members, tol
+        self.on_set = f.values[list(members.members)]
+        self.linf = float(np.abs(self.on_set).max())  # ||f * 1_A||_inf
+        top = float(self.on_set.max())
+        mean = float(self.on_set.sum() / factorial(f.n))
+        trivial = (1.0 - 1.0 / factorial(f.n)) * top
+        self.fairness = FairnessReport(
+            n=f.n,
+            set_size=len(members),
+            max_value=top,
+            mean_value=mean,
+            additive_gap=top - mean,
+            multiplicative_gap=top / mean if mean > 0.0 else None,
+            conditional_gap=float(self.on_set.max() - self.on_set.mean()),
+            classification=_classify(top - mean, trivial, CLASSIFY_TOL),
+            trivial_bound=trivial,
+        )
+
+    @cached_property
+    def spectrum(self) -> FourierSpectrum:
+        return transform(self.f)
+
+    @cached_property
+    def schatten(self) -> SchattenSummary:
+        return schatten_summary(self.spectrum)
+
+    @cached_property
+    def degree(self) -> int:
+        return spectral_degree(self.f, tol=self.tol, spectrum=self.spectrum)
+
+    @cached_property
+    def profile(self) -> IntersectionProfile:
+        return intersection_profile(self.members)
+
+    def _nonzero_restriction(self) -> float:
+        if self.linf == 0.0:
+            raise DegenerateError("restriction is identically zero")
+        return self.linf
+
+    @cached_property
+    def uncertainty(self) -> UncertaintyBound:
+        """gap_plus <= (1 - sinf/s1) * ||f * 1_A||_inf, sinf and s1 of f * 1_A."""
+        linf = self._nonzero_restriction()
+        restricted = np.zeros_like(self.f.values)
+        restricted[list(self.members.members)] = self.on_set
+        summary = schatten_summary(transform(PayoffFn(self.f.n, restricted)))
+        bound = (1.0 - summary.sinf / summary.s1) * linf
+        gap = self.fairness.additive_gap
+        return UncertaintyBound(bound=bound, additive_gap=gap, slack=bound - gap)
+
+    @cached_property
+    def upper(self) -> UpperBoundReport:
+        n, s, t = self.f.n, self.degree, self.profile.t_max
+        dim_sq = sum(
+            dimension(shape) ** 2 for shape in partitions_of(n) if shape[0] >= n - s
+        )
+        return UpperBoundReport(
+            degree=s,
+            t_max=t,
+            applicable=t >= s,
+            schatten_ratio=self.schatten.sinf / self.schatten.s1,
+            dim_sq_sum=dim_sq,
+            bound_value=(1.0 - 1.0 / dim_sq) * self.linf,
+        )
+
+    @cached_property
+    def lower(self) -> LowerBoundReport:
+        linf = self._nonzero_restriction()
+        n, s, t = self.f.n, self.degree, self.profile.t_max
+        gap = self.fairness.additive_gap
+        coeff = (s - t - 1) / factorial(n - t) if s - t - 1 != 0 else 0.0
+        implied = None
+        if s - t - 1 > 0:
+            implied = (1.0 - gap / linf) * factorial(n - t) / (s - t - 1)
+        return LowerBoundReport(
+            degree=s,
+            t_max=t,
+            applicable=t < s and self.profile.size_gate,
+            additive_gap=gap,
+            max_on_set=linf,
+            gap_ratio=gap / linf,
+            rhs_coefficient=coeff,
+            implied_constant=implied,
+        )
 
 
-def truncation_diagnostic(
-    f: PayoffFn,
-    members: OrderingSet,
-    t: int,
-    s: int,
-    max_n: int = DEFAULT_MAX_N,
-) -> TruncationDiagnostic:
-    if f.n != members.n:
-        raise ValueError(f"payoff on S_{f.n} but set in S_{members.n}")
-    n = f.n
-    if not 0 <= t < s <= n - 1:
-        raise ValueError(f"need 0 <= t < s <= n - 1, got t={t}, s={s}")
-    band = tuple(
-        shape for shape in partitions_of(n) if t < n - shape[0] <= s
-    )
-    ind = indicator_payoff(members)
-    mid = np.zeros_like(ind.values)
-    for shape in band:
-        mid += isotypic_project(ind, shape, max_n).values
-    conn = symmetrize(members)
-    report = spectrum_report(conn)
-    eig_sum = float(sum(report[shape].eigenvalues[0] for shape in band))
-    return TruncationDiagnostic(
-        mid_band_l1=float(np.abs(mid).sum()),
-        eigenvalue_sum=eig_sum,
-        shapes=band,
-    )
+def fairness_report(f: PayoffFn, members: OrderingSet) -> FairnessReport:
+    return Analysis(f, members).fairness
+
+
+def additive_gap(f: PayoffFn, members: OrderingSet) -> float:
+    """Best member payoff minus the whole-group mean of the restriction."""
+    return fairness_report(f, members).additive_gap
+
+
+def multiplicative_gap(f: PayoffFn, members: OrderingSet) -> float:
+    """Best member payoff over the whole-group mean of the restriction."""
+    ratio = fairness_report(f, members).multiplicative_gap
+    if ratio is None:
+        raise DegenerateError("multiplicative gap needs a positive restricted mean")
+    return ratio
+
+
+def conditional_additive_gap(f: PayoffFn, members: OrderingSet) -> float:
+    """Best member payoff minus the per-member (conditional) mean."""
+    return fairness_report(f, members).conditional_gap
+
+
+def classify_fairness(
+    f: PayoffFn, members: OrderingSet, tol: float = CLASSIFY_TOL
+) -> str:
+    """'perfectly_fair', 'maximally_unfair', or 'other'."""
+    report = fairness_report(f, members)
+    return _classify(report.additive_gap, report.trivial_bound, tol)
+
+
+def trivial_bound(f: PayoffFn, members: OrderingSet) -> float:
+    """(1 - 1/n!) * max over the set; the gap can never exceed this."""
+    return fairness_report(f, members).trivial_bound
+
+
+def uncertainty_bound(f: PayoffFn, members: OrderingSet) -> UncertaintyBound:
+    """Evaluate gap_plus <= (1 - sinf/s1) * ||f * 1_A||_inf."""
+    return Analysis(f, members).uncertainty
+
+
+def upper_bound_report(f: PayoffFn, members: OrderingSet) -> UpperBoundReport:
+    return Analysis(f, members).upper
+
+
+def lower_bound_report(f: PayoffFn, members: OrderingSet) -> LowerBoundReport:
+    return Analysis(f, members).lower
 
 
 def nested_stabilizer_instance(

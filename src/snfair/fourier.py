@@ -26,6 +26,9 @@ sinf = max over all blocks of sigma_max.  The support-spread inequality
 
 holds for every nonzero payoff, with equality for point masses and for
 constants.
+
+The only size limit is :func:`snfair.permutations.check_enumerable`,
+which every :class:`PayoffFn` passes on construction.
 """
 from __future__ import annotations
 
@@ -34,11 +37,11 @@ from math import factorial
 
 import numpy as np
 
-from .errors import CapacityError, DegenerateError
+from .errors import DegenerateError
 from .partitions import dimension, partitions_of
+from .permutations import check_enumerable
 from .representations import fft, fft_adjoint
 
-DEFAULT_MAX_N = 8
 DEGREE_TOL = 1e-9
 
 
@@ -50,6 +53,7 @@ class PayoffFn:
     values: np.ndarray
 
     def __post_init__(self) -> None:
+        check_enumerable(self.n)
         vals = np.asarray(self.values, dtype=float)
         if vals.shape != (factorial(self.n),):
             raise ValueError(
@@ -108,47 +112,32 @@ class FourierSpectrum:
         return cls(int(data["n"]), blocks)
 
 
-def _check_capacity(n: int, max_n: int) -> None:
-    if n > max_n:
-        raise CapacityError(
-            f"n = {n} exceeds the capacity guard ({max_n}); raise max_n explicitly "
-            "if you really want a group this large"
-        )
-
-
-def transform(f: PayoffFn, max_n: int = DEFAULT_MAX_N) -> FourierSpectrum:
+def transform(f: PayoffFn) -> FourierSpectrum:
     """Forward transform: one dim x dim block per partition."""
-    _check_capacity(f.n, max_n)
     return FourierSpectrum(f.n, fft(f.n, f.values))
 
 
-def _synthesize(
-    n: int, blocks: dict[tuple[int, ...], np.ndarray], max_n: int
-) -> np.ndarray:
+def _synthesize(n: int, blocks: dict[tuple[int, ...], np.ndarray]) -> np.ndarray:
     """Pointwise values of (1/n!) sum_shape dim * trace(block @ rho(p).T)."""
-    _check_capacity(n, max_n)
     weighted = {s: dimension(s) * np.asarray(m) for s, m in blocks.items()}
     return fft_adjoint(n, weighted) / factorial(n)
 
 
-def inverse(spec: FourierSpectrum, max_n: int = DEFAULT_MAX_N) -> PayoffFn:
+def inverse(spec: FourierSpectrum) -> PayoffFn:
     """Invert a full spectrum back to pointwise values."""
-    return PayoffFn(spec.n, _synthesize(spec.n, spec.blocks, max_n))
+    return PayoffFn(spec.n, _synthesize(spec.n, spec.blocks))
 
 
-def isotypic_project(
-    f: PayoffFn, shape: tuple[int, ...], max_n: int = DEFAULT_MAX_N
-) -> PayoffFn:
+def isotypic_project(f: PayoffFn, shape: tuple[int, ...]) -> PayoffFn:
     """Component of the payoff living in a single partition's isotype."""
-    spec = transform(f, max_n)
-    return PayoffFn(f.n, _synthesize(f.n, {shape: spec.blocks[shape]}, max_n))
+    spec = transform(f)
+    return PayoffFn(f.n, _synthesize(f.n, {shape: spec.blocks[shape]}))
 
 
 def degree(
     f: PayoffFn,
     tol: float = DEGREE_TOL,
     spectrum: FourierSpectrum | None = None,
-    max_n: int = DEFAULT_MAX_N,
 ) -> int:
     """Largest n - (largest part) over shapes carrying spectral mass.
 
@@ -158,7 +147,7 @@ def degree(
     norm = float(np.linalg.norm(f.values))
     if norm == 0.0:
         raise DegenerateError("degree of the zero function is undefined")
-    spec = spectrum if spectrum is not None else transform(f, max_n)
+    spec = spectrum if spectrum is not None else transform(f)
     deg = 0
     for s, mat in spec.blocks.items():
         if np.linalg.norm(mat) > tol * norm:
@@ -166,16 +155,16 @@ def degree(
     return deg
 
 
-def truncate_low(f: PayoffFn, t: int, max_n: int = DEFAULT_MAX_N) -> PayoffFn:
+def truncate_low(f: PayoffFn, t: int) -> PayoffFn:
     """Keep only components of degree <= t."""
-    spec = transform(f, max_n)
+    spec = transform(f)
     kept = {s: m for s, m in spec.blocks.items() if f.n - s[0] <= t}
-    return PayoffFn(f.n, _synthesize(f.n, kept, max_n))
+    return PayoffFn(f.n, _synthesize(f.n, kept))
 
 
-def truncate_high(f: PayoffFn, t: int, max_n: int = DEFAULT_MAX_N) -> PayoffFn:
+def truncate_high(f: PayoffFn, t: int) -> PayoffFn:
     """Drop components of degree <= t, keeping the high-degree remainder."""
-    low = truncate_low(f, t, max_n)
+    low = truncate_low(f, t)
     return PayoffFn(f.n, f.values - low.values)
 
 
@@ -212,16 +201,14 @@ class UncertaintyCheck:
     holds: bool
 
 
-def uncertainty_check(
-    f: PayoffFn, max_n: int = DEFAULT_MAX_N, rel_tol: float = 1e-9
-) -> UncertaintyCheck:
+def uncertainty_check(f: PayoffFn, rel_tol: float = 1e-9) -> UncertaintyCheck:
     """Check (||f||_1/||f||_inf) * (s1/sinf) >= n! for a nonzero payoff."""
     abs_vals = np.abs(f.values)
     linf = float(abs_vals.max())
     if linf == 0.0:
         raise DegenerateError("support-spread product undefined for the zero function")
     l1 = float(abs_vals.sum())
-    summary = schatten_summary(transform(f, max_n))
+    summary = schatten_summary(transform(f))
     support_ratio = l1 / linf
     spread_ratio = summary.s1 / summary.sinf
     product = support_ratio * spread_ratio

@@ -16,6 +16,10 @@ liquidated), else 0.
 
 Junta payoffs are weighted sums of position-constraint indicators; random
 payoffs come from a seeded generator for reproducible experiments.
+
+Every generator enumerates S_n, so each is bounded by the one library
+limit, :func:`snfair.permutations.check_enumerable` (n <= 10), which
+runs before anything of size n! is allocated.
 """
 from __future__ import annotations
 
@@ -24,17 +28,10 @@ from math import factorial
 
 import numpy as np
 
-from .errors import CapacityError, ModelValidityError
+from .errors import ModelValidityError
 from .fourier import PayoffFn
-from .permutations import group_matrix
+from .permutations import check_enumerable, group_matrix
 from .sets import OrderingSet
-
-DEFAULT_MAX_N = 8
-
-
-def _check_capacity(n: int, max_n: int) -> None:
-    if n > max_n:
-        raise CapacityError(f"n = {n} exceeds the capacity guard ({max_n})")
 
 
 @dataclass(frozen=True)
@@ -67,10 +64,9 @@ class CfmmModel:
         return len(self.deltas)
 
 
-def cfmm_payoff(model: CfmmModel, max_n: int = DEFAULT_MAX_N) -> PayoffFn:
+def cfmm_payoff(model: CfmmModel) -> PayoffFn:
     """Total extraction of every ordering of the model's trades."""
     n = model.n
-    _check_capacity(n, max_n)
     perms = group_matrix(n)
     sizes = np.asarray(model.deltas)[perms - 1]  # (n!, n) trade size per slot
     factors = 1.0 + model.gamma * sizes
@@ -113,10 +109,9 @@ class LiquidationModel:
         return (1,) * self.k + (-1,) * self.k
 
 
-def liquidation_payoff(model: LiquidationModel, max_n: int = DEFAULT_MAX_N) -> PayoffFn:
+def liquidation_payoff(model: LiquidationModel) -> PayoffFn:
     """Indicator of orderings whose running move total ever reaches -c."""
     n = model.n
-    _check_capacity(n, max_n)
     perms = group_matrix(n)
     steps = np.asarray(model.moves)[perms - 1]
     running = np.cumsum(steps, axis=1)
@@ -124,9 +119,9 @@ def liquidation_payoff(model: LiquidationModel, max_n: int = DEFAULT_MAX_N) -> P
     return PayoffFn(n, values)
 
 
-def liquidatable_set(model: LiquidationModel, max_n: int = DEFAULT_MAX_N) -> OrderingSet:
+def liquidatable_set(model: LiquidationModel) -> OrderingSet:
     """The support of the liquidation payoff as an ordering set."""
-    f = liquidation_payoff(model, max_n)
+    f = liquidation_payoff(model)
     return OrderingSet.from_ranks(model.n, np.nonzero(f.values)[0])
 
 
@@ -152,12 +147,11 @@ class JuntaTerm:
         return len(self.constraints)
 
 
-def junta_payoff(terms, n: int, max_n: int = DEFAULT_MAX_N) -> PayoffFn:
+def junta_payoff(terms, n: int) -> PayoffFn:
     """Sum of the terms' weighted constraint indicators on S_n."""
-    _check_capacity(n, max_n)
     terms = list(terms)
-    values = np.zeros(factorial(n))
     perms = group_matrix(n)
+    values = np.zeros(perms.shape[0])
     for term in terms:
         for i, j in term.constraints:
             if i > n or j > n:
@@ -179,14 +173,13 @@ def random_payoff(
     seed: int,
     dist: str = "uniform01",
     nonzero: int | None = None,
-    max_n: int = DEFAULT_MAX_N,
 ) -> PayoffFn:
     """Seeded random payoff: dense uniform values, or a sparse support.
 
     dist="uniform01" draws every value from [0, 1); dist="sparse" places
     `nonzero` values in (0, 1] at distinct random ranks.
     """
-    _check_capacity(n, max_n)
+    check_enumerable(n)
     size = factorial(n)
     rng = np.random.default_rng(seed)
     if dist == "uniform01":

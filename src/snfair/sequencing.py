@@ -19,11 +19,8 @@ from math import factorial
 
 import numpy as np
 
-from .errors import CapacityError
 from .permutations import group_matrix
 from .sets import OrderingSet
-
-DEFAULT_MAX_TX = 8
 
 
 @dataclass(frozen=True)
@@ -114,15 +111,14 @@ def condorcet_stats(graph: MajorityGraph) -> CondorcetStats:
     )
 
 
-def valid_orderings(graph: MajorityGraph, max_tx: int = DEFAULT_MAX_TX) -> OrderingSet:
+def valid_orderings(graph: MajorityGraph) -> OrderingSet:
     """Orderings respecting every edge between different components.
 
     The ordering word lists transaction labels by execution slot, so tx i
-    precedes tx j when i appears earlier in the word.
+    precedes tx j when i appears earlier in the word.  Enumerating S_n
+    bounds n_tx by :func:`snfair.permutations.check_enumerable`.
     """
     n = graph.n_tx
-    if n > max_tx:
-        raise CapacityError(f"n_tx = {n} exceeds the capacity guard ({max_tx})")
     component = {}
     for c_index, comp in enumerate(graph.sccs):
         for tx in comp:

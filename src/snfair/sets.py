@@ -6,7 +6,7 @@ from math import factorial
 
 import numpy as np
 
-from .permutations import Permutation, group_matrix, lehmer_unrank
+from .permutations import Permutation, check_enumerable, group_matrix, lehmer_unrank
 
 
 @dataclass(frozen=True)
@@ -17,8 +17,7 @@ class OrderingSet:
     members: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        if self.n < 1:
-            raise ValueError("n must be positive")
+        check_enumerable(self.n)
         size = factorial(self.n)
         prev = -1
         for r in self.members:
@@ -44,6 +43,7 @@ class OrderingSet:
 
     @classmethod
     def full_group(cls, n: int) -> "OrderingSet":
+        check_enumerable(n)
         return cls(n, tuple(range(factorial(n))))
 
     def __len__(self) -> int:

@@ -249,6 +249,58 @@ def test_capacity_guard_respected(capsys):
     assert run("gen-payoff", "--model", "random", "--n", "9") == EXIT_USAGE
 
 
+def test_indicator_of_a_set_past_max_n_is_usage_error(tmp_path):
+    big = tmp_path / "set9.json"
+    big.write_text(json.dumps({"n": 9, "members": [0]}))
+    assert run("gen-payoff", "--model", "indicator", "--set", str(big)) == EXIT_USAGE
+
+
+def test_verify_past_max_n_is_usage_error(tmp_path):
+    out = tmp_path / "report.json"
+    assert run("verify", "--suite", "eigenvalue", "--n", "9", "--out", str(out)) == EXIT_USAGE
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "argv, content, reason",
+    [
+        (["transform", "--payoff", "{path}"], {"values": [1.0]}, "malformed"),
+        (["transform", "--payoff", "{path}"], [2, [1.0, 2.0]], "malformed"),
+        (["transform", "--payoff", "{path}"], {"n": 2.7, "values": [1.0, 2.0]}, "group size"),
+        (["transform", "--payoff", "{path}"], {"n": True, "values": [1.0]}, "group size"),
+        (["transform", "--payoff", "{path}"], {"n": "8", "values": [1.0]}, "group size"),
+        (["gen-payoff", "--model", "indicator", "--set", "{path}"],
+         {"n": 300000, "members": []}, "group size"),
+        (["verify", "--suite", "roundtrip", "--n", "0"], None, "group size"),
+    ],
+    ids=["no-n", "top-level-list", "float-n", "bool-n", "string-n", "huge-n", "verify-n0"],
+)
+def test_malformed_input_is_one_line_usage_error(argv, content, reason, tmp_path, capsys):
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps(content))
+    assert run(*(arg.format(path=path) for arg in argv)) == EXIT_USAGE
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and reason in err[0]
+
+
+def test_analyze_tol_reaches_regime_reports(tmp_path):
+    # A near-constant payoff: every non-trivial block sits below 1e-3 * ||f||.
+    values = 1.0 + 1e-6 * np.random.default_rng(0).random(120)
+    payoff = tmp_path / "f.json"
+    payoff.write_text(json.dumps({"n": 5, "values": values.tolist()}))
+    members = write_stabilizer(tmp_path / "set.json", 5, [(1, 1)])
+    out = tmp_path / "report.json"
+    assert run(
+        "analyze", "--payoff", str(payoff), "--set", members, "--tol", "1e-3",
+        "--out", str(out),
+    ) == EXIT_OK
+    report = json.loads(out.read_text())
+    assert report["degree"] == 0
+    assert report["upper_regime"]["degree"] == 0
+    assert report["lower_regime"]["degree"] == 0
+    assert report["upper_regime"]["applicable"] is True
+
+
 def test_stdout_when_no_out_flag(capsys):
     assert run("gen-payoff", "--model", "junta", "--n", "3", "--pairs", "1:1") == EXIT_OK
     captured = capsys.readouterr()

@@ -1,11 +1,13 @@
-"""Fairness gaps, spectral upper/lower bound regimes, truncation diagnostic."""
+"""Fairness gaps, spectral upper/lower bound regimes, the shared analysis pass."""
 from math import factorial
 
 import numpy as np
 import pytest
 
+import snfair.fairness
 from snfair.errors import DegenerateError, EmptySetError
 from snfair.fairness import (
+    Analysis,
     additive_gap,
     classify_fairness,
     conditional_additive_gap,
@@ -14,11 +16,10 @@ from snfair.fairness import (
     multiplicative_gap,
     nested_stabilizer_instance,
     trivial_bound,
-    truncation_diagnostic,
     uncertainty_bound,
     upper_bound_report,
 )
-from snfair.fourier import PayoffFn, isotypic_project
+from snfair.fourier import PayoffFn
 from snfair.intersecting import stabilizer_set
 from snfair.payoffs import CfmmModel, cfmm_payoff, indicator_payoff, random_payoff
 from snfair.sets import OrderingSet
@@ -197,28 +198,6 @@ def test_nested_stabilizer_validation():
         nested_stabilizer_instance(5, 1, 5)
 
 
-def test_truncation_diagnostic_matches_projection_oracle():
-    n = 4
-    members = stabilizer_set(n, [(1, 1)])
-    f = indicator_payoff(members)
-    diag = truncation_diagnostic(f, members, t=0, s=1)
-    assert diag.shapes == ((3, 1),)
-    oracle = float(np.abs(isotypic_project(f, (3, 1)).values).sum())
-    assert diag.mid_band_l1 == pytest.approx(oracle, abs=1e-10)
-    assert diag.mid_band_l1 == pytest.approx(9.0, abs=1e-9)
-    assert diag.eigenvalue_sum >= 0.0
-
-
-def test_truncation_diagnostic_band_validation():
-    n = 4
-    members = stabilizer_set(n, [(1, 1)])
-    f = indicator_payoff(members)
-    with pytest.raises(ValueError):
-        truncation_diagnostic(f, members, t=2, s=2)
-    with pytest.raises(ValueError):
-        truncation_diagnostic(f, members, t=0, s=4)
-
-
 def test_fairness_report_bundles_consistently():
     f = random_payoff(4, seed=33)
     members = stabilizer_set(4, [(2, 2)])
@@ -230,10 +209,40 @@ def test_fairness_report_bundles_consistently():
         conditional_additive_gap(f, members)
     )
     assert report.trivial_bound == pytest.approx(trivial_bound(f, members))
-    assert report.uncertainty_bound == pytest.approx(
-        uncertainty_bound(f, members).bound
-    )
     assert report.classification == "other"
+
+
+def test_analysis_computes_each_spectrum_and_profile_once(monkeypatch):
+    calls = {"transform": 0, "profile": 0}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    monkeypatch.setattr(
+        snfair.fairness, "transform", counted("transform", snfair.fairness.transform)
+    )
+    monkeypatch.setattr(
+        snfair.fairness,
+        "intersection_profile",
+        counted("profile", snfair.fairness.intersection_profile),
+    )
+    f = cfmm_payoff(CfmmModel(deltas=(1.0, 2.0, -1.0, -2.0, 0.5)))
+    members = stabilizer_set(5, [(1, 1)])
+    pair = Analysis(f, members)
+    reports = (pair.fairness, pair.uncertainty, pair.upper, pair.lower)
+    assert pair.degree == pair.upper.degree == pair.lower.degree
+    assert calls == {"transform": 2, "profile": 1}
+    # the one-report shortcuts give the same answers as the shared pass
+    assert reports == (
+        fairness_report(f, members),
+        uncertainty_bound(f, members),
+        upper_bound_report(f, members),
+        lower_bound_report(f, members),
+    )
 
 
 def test_size_mismatch_and_empty_set_errors():

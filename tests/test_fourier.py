@@ -78,9 +78,9 @@ def test_roundtrip_random_s5():
 
 @pytest.mark.parametrize("n", [8, 9])
 def test_roundtrip_and_parseval_at_large_n(n):
-    f = random_payoff(n, seed=n, max_n=n)
-    spec = transform(f, max_n=n)
-    back = inverse(spec, max_n=n)
+    f = random_payoff(n, seed=n)
+    spec = transform(f)
+    back = inverse(spec)
     assert np.abs(back.values - f.values).max() <= 1e-12
     energy = float(f.values @ f.values)
     spectral = sum(
@@ -238,5 +238,12 @@ def test_spectrum_block_order_is_canonical():
 
 
 def test_capacity_guard():
+    # The one library limit, n <= 10, is checked before anything n!-sized.
     with pytest.raises(CapacityError):
-        transform(PayoffFn(4, np.zeros(24)), max_n=3)
+        PayoffFn(11, np.zeros(1))
+    with pytest.raises(CapacityError):
+        OrderingSet(11, ())
+    with pytest.raises(CapacityError):
+        OrderingSet.full_group(11)
+    with pytest.raises(ValueError):
+        PayoffFn(0, np.zeros(1))

@@ -190,8 +190,9 @@ def test_random_sparse_validation():
 
 
 def test_capacity_guards():
+    # n = 9 is inside the library limit; n = 11 is past it.
+    assert random_payoff(9, seed=0).values.shape == (362880,)
     with pytest.raises(CapacityError):
-        random_payoff(9, seed=0)
+        random_payoff(11, seed=0)
     with pytest.raises(CapacityError):
-        junta_payoff([JuntaTerm(((1, 1),))], 9)
-    random_payoff(9, seed=0, max_n=9)  # explicit override widens the guard
+        junta_payoff([JuntaTerm(((1, 1),))], 11)

@@ -222,6 +222,7 @@ def test_vote_profile_validation():
 
 def test_capacity_guard_on_enumeration():
     votes = VoteProfile(9, (tuple(range(1, 10)),))
+    assert len(valid_orderings(majority_graph(votes))) == 1
+    votes = VoteProfile(11, (tuple(range(1, 12)),))
     with pytest.raises(CapacityError):
         valid_orderings(majority_graph(votes))
-    assert len(valid_orderings(majority_graph(votes), max_tx=9)) == 1
