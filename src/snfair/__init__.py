@@ -23,7 +23,7 @@ from .fourier import (
     truncate_low,
     uncertainty_check,
 )
-from .partitions import dimension, dimension_upper_bound, partitions_of, standard_tableaux
+from .partitions import dimension, partitions_of, standard_tableaux
 from .permutations import Permutation, enumerate_group, group_matrix, lehmer_unrank
 from .sets import OrderingSet
 
@@ -39,7 +39,6 @@ __all__ = [
     "__version__",
     "degree",
     "dimension",
-    "dimension_upper_bound",
     "enumerate_group",
     "group_matrix",
     "inverse",

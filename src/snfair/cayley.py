@@ -20,6 +20,10 @@ reference bound checked here is
 for the normalized operator; the raw-sum variant (no 1/|F|) is exposed as
 well since either scaling appears in practice, and reports record which
 one satisfied the bound.
+
+A connection set is a :class:`SymmetricSet`: an ordering set that checks
+on construction that it is nonempty and closed under inversion.  Inverse
+ranks come from the argsort of the member words, ranked in one batch.
 """
 from __future__ import annotations
 
@@ -30,52 +34,45 @@ import numpy as np
 
 from .errors import EmptySetError
 from .partitions import dimension
-from .permutations import group_matrix, lehmer_unrank, rank_of_word
+from .permutations import group_matrix, rank_of_word
 from .representations import fft
 from .sets import OrderingSet
 
 BOUND_TOL = 1e-9
 
 
-@dataclass(frozen=True)
-class SymmetricSet:
-    """A connection set closed under inversion, stored as sorted ranks."""
+def _inverse_ranks(members: OrderingSet) -> np.ndarray:
+    """Rank of each member's inverse: its word's argsort, ranked in one batch."""
+    return rank_of_word(np.argsort(members.matrix(), axis=1) + 1)
 
-    n: int
-    members: tuple[int, ...]
+
+class SymmetricSet(OrderingSet):
+    """A nonempty ordering set closed under inversion."""
 
     def __post_init__(self) -> None:
-        base = OrderingSet(self.n, self.members)  # reuse rank validation
-        ranks = set(base.members)
-        if not ranks:
+        super().__post_init__()
+        if len(self) == 0:
             raise EmptySetError("connection set must be nonempty")
-        for r in ranks:
-            inv = lehmer_unrank(self.n, r).inverse().rank()
-            if inv not in ranks:
-                raise ValueError(
-                    f"set is not closed under inversion: rank {r} lacks {inv}"
-                )
-
-    def __len__(self) -> int:
-        return len(self.members)
-
-    def as_ordering_set(self) -> OrderingSet:
-        return OrderingSet(self.n, self.members)
+        inv = _inverse_ranks(self)
+        lacking = ~self.mask()[inv]
+        if lacking.any():
+            i = int(np.argmax(lacking))
+            raise ValueError(
+                f"set is not closed under inversion: rank {self.members[i]} lacks {inv[i]}"
+            )
 
 
 def symmetrize(members: OrderingSet) -> SymmetricSet:
     """Close an ordering set under inversion."""
-    ranks = set(members.members)
-    for r in members.members:
-        ranks.add(lehmer_unrank(members.n, r).inverse().rank())
-    return SymmetricSet(members.n, tuple(sorted(ranks)))
+    both = np.concatenate([members.members, _inverse_ranks(members)])
+    return SymmetricSet.from_ranks(members.n, both)
 
 
 def _block_operators(
     conn: SymmetricSet, normalized: bool
 ) -> dict[tuple[int, ...], np.ndarray]:
     """B_shape for every shape: the transform of the set's (scaled) indicator."""
-    weights = conn.as_ordering_set().mask() / (len(conn) if normalized else 1.0)
+    weights = conn.mask() / (len(conn) if normalized else 1.0)
     return fft(conn.n, weights)
 
 
@@ -125,14 +122,11 @@ def dense_operator(conn: SymmetricSet, normalized: bool = True) -> np.ndarray:
     Independent of the representation machinery; used to cross-check the
     block route.  Row p holds weight at column rank(t * p) for each t.
     """
-    n = conn.n
-    size = factorial(n)
-    perms = group_matrix(n)
+    size = factorial(conn.n)
+    perms = group_matrix(conn.n)
     mat = np.zeros((size, size))
     weight = 1.0 / len(conn) if normalized else 1.0
-    for r in conn.members:
-        t = perms[r]
-        for p in range(size):
-            composed = t[perms[p] - 1]  # (t * p) in one-line form
-            mat[p, rank_of_word(composed)] += weight
+    for t in perms[conn.members]:
+        # column rank(t * p) for every row p; p -> t * p is a bijection
+        mat[np.arange(size), rank_of_word(t[perms - 1])] += weight
     return mat

@@ -64,20 +64,11 @@ EXIT_CHECK_FAILED = 1
 EXIT_USAGE = 2
 
 
-def _jsonable(obj):
-    if isinstance(obj, dict):
-        return {str(k): _jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_jsonable(v) for v in obj]
-    if isinstance(obj, np.ndarray):
-        return [_jsonable(v) for v in obj.tolist()]
-    if isinstance(obj, (np.integer,)):
-        return int(obj)
-    if isinstance(obj, (np.floating,)):
-        return float(obj)
-    if isinstance(obj, (np.bool_,)):
-        return bool(obj)
-    return obj
+def _numpy_to_builtin(obj):
+    """json.dumps hook for the numpy scalars and arrays a payload may hold."""
+    if isinstance(obj, (np.generic, np.ndarray)):
+        return obj.tolist()
+    raise TypeError(f"{type(obj).__name__} is not JSON serializable")
 
 
 def _hash_file(path: str) -> str:
@@ -116,7 +107,7 @@ def _metadata(args: argparse.Namespace, inputs: dict[str, str]) -> dict:
     # them out keeps file content independent of where it is written.
     skip = {"func", "out", "csv"}
     config = {
-        k: _jsonable(v)
+        k: v
         for k, v in sorted(vars(args).items())
         if k not in skip and v is not None
     }
@@ -130,7 +121,7 @@ def _metadata(args: argparse.Namespace, inputs: dict[str, str]) -> dict:
 
 
 def _emit(payload: dict, out: str | None) -> None:
-    text = json.dumps(_jsonable(payload), indent=2, sort_keys=True) + "\n"
+    text = json.dumps(payload, indent=2, sort_keys=True, default=_numpy_to_builtin) + "\n"
     if out:
         with open(out, "w") as fh:
             fh.write(text)
@@ -145,8 +136,7 @@ def _emit_csv(rows: list[dict], path: str) -> None:
     with open(path, "w", newline="") as fh:
         writer = csv.DictWriter(fh, fieldnames=keys)
         writer.writeheader()
-        for row in rows:
-            writer.writerow({k: _jsonable(v) for k, v in row.items()})
+        writer.writerows(rows)
 
 
 def _parse_deltas(text: str) -> tuple[float, ...]:
@@ -276,7 +266,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
         "intersection": _fields(pair.profile, "size"),
         "schatten": {"s1": pair.schatten.s1, "sinf": pair.schatten.sinf},
     }
-    if pair.fairness.max_value > 0.0:
+    if pair.bounds_note is None:
         report["uncertainty_bound"] = _fields(pair.uncertainty)
         report["upper_regime"] = _fields(pair.upper)
         report["lower_regime"] = _fields(pair.lower, "additive_gap", "max_on_set")
@@ -284,7 +274,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
         report["uncertainty_bound"] = None
         report["upper_regime"] = None
         report["lower_regime"] = None
-        report["note"] = "restriction is identically zero; spectral bounds degenerate"
+        report["note"] = pair.bounds_note
     report["metadata"] = _metadata(args, {"payoff": args.payoff, "set": args.set})
     _emit(report, args.out)
     if args.csv:
@@ -545,13 +535,13 @@ def _suite_claim1(n: int, seed: int, tol: float):
         for s_label, members in _corpus_sets(n, seed).items():
             if len(members) == 0:
                 continue
-            restricted = f.values[list(members.members)]
-            if float(np.abs(restricted).max()) == 0.0:
+            pair = Analysis(f, members)
+            if pair.bounds_note is not None:
                 rows.append(
                     {
                         "payoff": p_label,
                         "set": s_label,
-                        "additive_gap": 0.0,
+                        "additive_gap": pair.fairness.additive_gap,
                         "bound": None,
                         "slack": None,
                         "applicable": None,
@@ -560,7 +550,6 @@ def _suite_claim1(n: int, seed: int, tol: float):
                     }
                 )
                 continue
-            pair = Analysis(f, members)
             ub, upper = pair.uncertainty, pair.upper
             ok = ub.slack >= -tol
             passed &= ok

@@ -135,7 +135,7 @@ class Analysis:
         if len(members) == 0:
             raise EmptySetError("fairness gaps over the empty set are undefined")
         self.f, self.members, self.tol = f, members, tol
-        self.on_set = f.values[list(members.members)]
+        self.on_set = f.values[members.members]
         self.linf = float(np.abs(self.on_set).max())  # ||f * 1_A||_inf
         top = float(self.on_set.max())
         mean = float(self.on_set.sum() / factorial(f.n))
@@ -168,6 +168,18 @@ class Analysis:
     def profile(self) -> IntersectionProfile:
         return intersection_profile(self.members)
 
+    @cached_property
+    def bounds_note(self) -> str | None:
+        """Why the spectral bounds do not apply, or None when they do.
+
+        They need a nonnegative, nonzero restriction (module docstring).
+        """
+        if self.linf == 0.0:
+            return "restriction is identically zero; spectral bounds degenerate"
+        if self.on_set.min() < 0.0:
+            return "restriction takes negative values; spectral bounds need it nonnegative"
+        return None
+
     def _nonzero_restriction(self) -> float:
         if self.linf == 0.0:
             raise DegenerateError("restriction is identically zero")
@@ -178,7 +190,7 @@ class Analysis:
         """gap_plus <= (1 - sinf/s1) * ||f * 1_A||_inf, sinf and s1 of f * 1_A."""
         linf = self._nonzero_restriction()
         restricted = np.zeros_like(self.f.values)
-        restricted[list(self.members.members)] = self.on_set
+        restricted[self.members.members] = self.on_set
         summary = schatten_summary(transform(PayoffFn(self.f.n, restricted)))
         bound = (1.0 - summary.sinf / summary.s1) * linf
         gap = self.fairness.additive_gap

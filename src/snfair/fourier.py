@@ -66,7 +66,7 @@ class PayoffFn:
         object.__setattr__(self, "values", vals)
 
     def to_dict(self) -> dict:
-        return {"n": self.n, "values": [float(v) for v in self.values]}
+        return {"n": self.n, "values": self.values.tolist()}
 
     @classmethod
     def from_dict(cls, data: dict) -> "PayoffFn":
@@ -98,7 +98,7 @@ class FourierSpectrum:
         return {
             "n": self.n,
             "blocks": [
-                {"lambda": list(s), "matrix": [[float(x) for x in row] for row in m]}
+                {"lambda": list(s), "matrix": np.asarray(m, dtype=float).tolist()}
                 for s, m in self.blocks.items()
             ],
         }

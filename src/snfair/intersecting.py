@@ -27,8 +27,6 @@ from .payoffs import indicator_payoff
 from .permutations import group_matrix
 from .sets import OrderingSet
 
-_PAIR_BLOCK = 256  # row block size for the vectorized pair scan
-
 
 @dataclass(frozen=True)
 class IntersectionProfile:
@@ -53,24 +51,14 @@ def intersection_profile(members: OrderingSet) -> IntersectionProfile:
         (int(i) + 1, int(words[0, i])) for i in np.nonzero(shared)[0]
     )
 
-    if m == 1:
-        t_max = n
-    else:
-        t_max = n
-        for start in range(0, m - 1, _PAIR_BLOCK):
-            block = words[start : start + _PAIR_BLOCK]
-            for offset, row in enumerate(block):
-                others = words[start + offset + 1 :]
-                if others.size == 0:
-                    continue
-                agree = (others == row).sum(axis=1)
-                t_max = min(t_max, int(agree.min()))
-                if t_max == 0:
-                    break
-            if t_max == 0:
-                break
+    t_max = n
+    for i in range(m - 1):
+        agree = (words[i + 1 :] == words[i]).sum(axis=1)
+        t_max = min(t_max, int(agree.min()))
+        if t_max == 0:
+            break
 
-    gate = m >= factorial(n - t_max) if t_max <= n else True
+    gate = m >= factorial(n - t_max)
     return IntersectionProfile(
         t_max=t_max, common_pairs=common_pairs, size=m, size_gate=gate
     )

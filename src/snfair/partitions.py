@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from math import comb, factorial, prod, sqrt
+from math import factorial, prod
 
 
 def _check_shape(shape: tuple[int, ...]) -> None:
@@ -59,17 +59,6 @@ def dimension(shape: tuple[int, ...]) -> int:
     num, denom = factorial(n), prod(hooks)
     assert num % denom == 0
     return num // denom
-
-
-def dimension_upper_bound(shape: tuple[int, ...]) -> float:
-    """Closed-form upper bound C(n, p1) * sqrt((n - p1)!) on the dimension.
-
-    Loose but cheap; p1 is the largest part.
-    """
-    _check_shape(shape)
-    n = sum(shape)
-    p1 = shape[0]
-    return comb(n, p1) * sqrt(factorial(n - p1))
 
 
 @dataclass(frozen=True)

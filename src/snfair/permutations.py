@@ -104,20 +104,19 @@ class Permutation:
 
     def rank(self) -> int:
         """Position in the lexicographic enumeration of S_n (0-based)."""
-        return rank_of_word(self.mapping)
+        return int(rank_of_word(self.mapping))
 
 
-def rank_of_word(word) -> int:
-    """Lehmer rank of a 1-based one-line word (no validation)."""
-    n = len(word)
-    r = 0
-    for i in range(n):
-        smaller = 0
-        for j in range(i + 1, n):
-            if word[j] < word[i]:
-                smaller += 1
-        r += smaller * factorial(n - 1 - i)
-    return r
+def rank_of_word(words) -> np.ndarray:
+    """Lehmer ranks of 1-based one-line words along the last axis (no validation).
+
+    Digit i counts the later entries smaller than entry i; a single word
+    gives a 0-d array, a stack of words one rank per word.
+    """
+    w = np.asarray(words)
+    n = w.shape[-1]
+    digits = np.triu(w[..., :, None] > w[..., None, :], 1).sum(-1)
+    return digits @ np.array([factorial(n - 1 - i) for i in range(n)], dtype=np.int64)
 
 
 def lehmer_unrank(n: int, r: int) -> Permutation:

@@ -95,11 +95,6 @@ def evaluate(shape: tuple[int, ...], p: Permutation) -> np.ndarray:
     return mat
 
 
-def character(shape: tuple[int, ...], p: Permutation) -> float:
-    """Trace of the representation matrix."""
-    return float(np.trace(evaluate(shape, p)))
-
-
 @lru_cache(maxsize=256)
 def _coset_matrices(shape: tuple[int, ...]):
     """evaluate(shape, c_j) for j = 1..k stacked, and the (mu, offset) of each

@@ -43,17 +43,17 @@ class VoteProfile:
                 )
 
     def to_dict(self) -> dict:
-        return {
-            "n_tx": self.n_tx,
-            "validators": [[int(x) for x in order] for order in self.validators],
-        }
+        return {"n_tx": self.n_tx, "validators": [list(o) for o in self.validators]}
 
     @classmethod
     def from_dict(cls, data: dict) -> "VoteProfile":
-        return cls(
-            int(data["n_tx"]),
-            tuple(tuple(int(x) for x in order) for order in data["validators"]),
-        )
+        validators = data["validators"]
+        # JSON booleans would pass as 0/1 and floats would truncate.
+        if not isinstance(validators, list) or not all(
+            isinstance(o, list) and all(type(x) is int for x in o) for o in validators
+        ):
+            raise ValueError("validators must be a list of lists of integer labels")
+        return cls(int(data["n_tx"]), tuple(tuple(o) for o in validators))
 
 
 @dataclass(frozen=True)

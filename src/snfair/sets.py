@@ -1,4 +1,9 @@
-"""Sets of orderings, stored as sorted dense ranks."""
+"""Sets of orderings, stored as read-only arrays of sorted dense ranks.
+
+An :class:`OrderingSet` holds its members as one read-only int64 array of
+strictly increasing Lehmer ranks, so masks, word matrices and payoff
+restrictions index with it directly.
+"""
 from __future__ import annotations
 
 from dataclasses import dataclass
@@ -9,27 +14,35 @@ import numpy as np
 from .permutations import Permutation, check_enumerable, group_matrix, lehmer_unrank
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class OrderingSet:
     """A subset of S_n given by strictly increasing Lehmer ranks."""
 
     n: int
-    members: tuple[int, ...]
+    members: np.ndarray
 
     def __post_init__(self) -> None:
         check_enumerable(self.n)
         size = factorial(self.n)
-        prev = -1
-        for r in self.members:
-            if not prev < r < size:
-                raise ValueError(
-                    f"members must be strictly increasing ranks in [0, {size})"
-                )
-            prev = r
+        raw = np.asarray(self.members)
+        if raw.ndim != 1 or (raw.size and raw.dtype.kind not in "iu"):
+            raise ValueError("members must be a 1-D sequence of integer ranks")
+        ranks = raw.astype(np.int64)
+        if ranks.size and (
+            ranks[0] < 0 or ranks[-1] >= size or np.any(ranks[1:] <= ranks[:-1])
+        ):
+            raise ValueError(
+                f"members must be strictly increasing ranks in [0, {size})"
+            )
+        ranks.setflags(write=False)
+        object.__setattr__(self, "members", ranks)
 
     @classmethod
     def from_ranks(cls, n: int, ranks) -> "OrderingSet":
-        return cls(n, tuple(sorted(set(int(r) for r in ranks))))
+        ranks = np.sort(np.asarray(ranks, dtype=np.int64))
+        keep = np.ones(ranks.shape, dtype=bool)
+        keep[1:] = ranks[1:] != ranks[:-1]
+        return cls(n, ranks[keep])
 
     @classmethod
     def from_permutations(cls, perms) -> "OrderingSet":
@@ -39,37 +52,45 @@ class OrderingSet:
         n = perms[0].n
         if any(p.n != n for p in perms):
             raise ValueError("mixed group sizes")
-        return cls.from_ranks(n, (p.rank() for p in perms))
+        return cls.from_ranks(n, [p.rank() for p in perms])
 
     @classmethod
     def full_group(cls, n: int) -> "OrderingSet":
         check_enumerable(n)
-        return cls(n, tuple(range(factorial(n))))
+        return cls(n, np.arange(factorial(n)))
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, OrderingSet):
+            return NotImplemented
+        return self.n == other.n and np.array_equal(self.members, other.members)
 
     def __len__(self) -> int:
         return len(self.members)
 
     def __contains__(self, rank: int) -> bool:
         i = np.searchsorted(self.members, rank)
-        return i < len(self.members) and self.members[i] == rank
+        return bool(i < len(self.members) and self.members[i] == rank)
 
     def mask(self) -> np.ndarray:
         """Dense boolean membership vector of length n!."""
         out = np.zeros(factorial(self.n), dtype=bool)
-        if self.members:
-            out[list(self.members)] = True
+        out[self.members] = True
         return out
 
     def matrix(self) -> np.ndarray:
-        """Members as one-line words, one row per member (int8, read-only rows)."""
-        return group_matrix(self.n)[list(self.members)]
+        """Members as one-line words, one row per member (int8)."""
+        return group_matrix(self.n)[self.members]
 
     def permutations(self) -> tuple[Permutation, ...]:
-        return tuple(lehmer_unrank(self.n, r) for r in self.members)
+        return tuple(lehmer_unrank(self.n, r) for r in self.members.tolist())
 
     def to_dict(self) -> dict:
-        return {"n": self.n, "members": [int(r) for r in self.members]}
+        return {"n": self.n, "members": self.members.tolist()}
 
     @classmethod
     def from_dict(cls, data: dict) -> "OrderingSet":
-        return cls(int(data["n"]), tuple(int(r) for r in data["members"]))
+        members = data["members"]
+        # JSON booleans would pass as 0/1 and floats would truncate.
+        if not isinstance(members, list) or any(type(r) is not int for r in members):
+            raise ValueError("members must be a list of integer ranks")
+        return cls(int(data["n"]), members)

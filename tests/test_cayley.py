@@ -49,8 +49,29 @@ def test_symmetrize_adds_inverses():
 
 def test_symmetrize_fixed_point_on_symmetric_input():
     conn = all_transpositions(4)
-    again = symmetrize(conn.as_ordering_set())
-    assert again.members == conn.members
+    again = symmetrize(conn)
+    assert again == conn
+
+
+@pytest.mark.parametrize("n", [5, 6])
+def test_closure_and_symmetrize_match_per_element_inverses(n):
+    def inverses(ranks):
+        return {lehmer_unrank(n, r).inverse().rank() for r in ranks}
+
+    rng = np.random.default_rng(n)
+    for _ in range(4):
+        picks = rng.choice(factorial(n), size=int(rng.integers(1, 40)), replace=False)
+        ranks = set(picks.tolist())
+        closed = set(symmetrize(OrderingSet.from_ranks(n, picks)).members.tolist())
+        assert closed == ranks | inverses(ranks)
+        # a member whose inverse is another member; dropping it breaks closure
+        paired = next((r for r in sorted(closed) if inverses([r]) != {r}), None)
+        for candidate in (ranks, closed, closed - {paired}):
+            if inverses(candidate) == candidate:
+                SymmetricSet(n, sorted(candidate))
+            else:
+                with pytest.raises(ValueError, match="not closed under inversion"):
+                    SymmetricSet(n, sorted(candidate))
 
 
 def test_identity_connection_gives_identity_blocks():

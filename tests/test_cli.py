@@ -6,7 +6,7 @@ import sys
 import numpy as np
 import pytest
 
-from snfair.cli import EXIT_CHECK_FAILED, EXIT_OK, EXIT_USAGE, main
+from snfair.cli import EXIT_CHECK_FAILED, EXIT_OK, EXIT_USAGE, _emit, main
 from snfair.intersecting import stabilizer_set
 
 
@@ -272,8 +272,18 @@ def test_verify_past_max_n_is_usage_error(tmp_path):
         (["gen-payoff", "--model", "indicator", "--set", "{path}"],
          {"n": 300000, "members": []}, "group size"),
         (["verify", "--suite", "roundtrip", "--n", "0"], None, "group size"),
+        (["gen-payoff", "--model", "indicator", "--set", "{path}"],
+         {"n": 3, "members": [0, 2.7]}, "members"),
+        (["gen-payoff", "--model", "indicator", "--set", "{path}"],
+         {"n": 3, "members": [0, True]}, "members"),
+        (["gen-payoff", "--model", "indicator", "--set", "{path}"],
+         {"n": 3, "members": 5}, "members"),
+        (["simulate", "--votes", "{path}"],
+         {"n_tx": 3, "validators": [[1, 2.9, 3], [1, 2, 3]]}, "validators"),
+        (["simulate", "--votes", "{path}"], {"n_tx": 3, "validators": 5}, "validators"),
     ],
-    ids=["no-n", "top-level-list", "float-n", "bool-n", "string-n", "huge-n", "verify-n0"],
+    ids=["no-n", "top-level-list", "float-n", "bool-n", "string-n", "huge-n", "verify-n0",
+         "float-member", "bool-member", "scalar-members", "float-vote", "scalar-validators"],
 )
 def test_malformed_input_is_one_line_usage_error(argv, content, reason, tmp_path, capsys):
     path = tmp_path / "input.json"
@@ -299,6 +309,52 @@ def test_analyze_tol_reaches_regime_reports(tmp_path):
     assert report["upper_regime"]["degree"] == 0
     assert report["lower_regime"]["degree"] == 0
     assert report["upper_regime"]["applicable"] is True
+
+
+@pytest.mark.parametrize(
+    "values, ranks, reason",
+    [
+        ([-1.0, -2.0, -3.0, -1.0, -2.0, -3.0], range(6), "negative values"),
+        ([1.0, -1.0, -1.0, -1.0, -1.0, -1.0], range(6), "negative values"),
+        ([0.0, 1.0, 2.0, 3.0, 4.0, 5.0], [0], "identically zero"),
+    ],
+    ids=["all-negative", "mixed-sign", "zero"],
+)
+def test_analyze_reports_bounds_only_for_nonnegative_nonzero_restrictions(
+    values, ranks, reason, tmp_path
+):
+    payoff = tmp_path / "f.json"
+    payoff.write_text(json.dumps({"n": 3, "values": values}))
+    members = tmp_path / "set.json"
+    members.write_text(json.dumps({"n": 3, "members": list(ranks)}))
+    out = tmp_path / "report.json"
+    assert run(
+        "analyze", "--payoff", str(payoff), "--set", str(members), "--out", str(out)
+    ) == EXIT_OK
+    report = json.loads(out.read_text())
+    assert reason in report["note"]
+    assert report["uncertainty_bound"] is None
+    assert report["upper_regime"] is None and report["lower_regime"] is None
+
+
+def test_emit_writes_numpy_values_as_their_builtins(tmp_path):
+    with_numpy = {
+        "gap": np.float64(0.1) + np.float64(0.2),
+        "count": np.int64(7),
+        "ok": np.bool_(True),
+        "ranks": np.arange(3),
+        "rows": [{"x": np.float64(1.5), "y": None}],
+    }
+    builtins = {
+        "gap": 0.1 + 0.2,
+        "count": 7,
+        "ok": True,
+        "ranks": [0, 1, 2],
+        "rows": [{"x": 1.5, "y": None}],
+    }
+    _emit(with_numpy, str(tmp_path / "numpy.json"))
+    _emit(builtins, str(tmp_path / "builtins.json"))
+    assert (tmp_path / "numpy.json").read_bytes() == (tmp_path / "builtins.json").read_bytes()
 
 
 def test_stdout_when_no_out_flag(capsys):

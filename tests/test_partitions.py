@@ -1,12 +1,11 @@
 """Partition enumeration, hook-length dimensions, and standard tableaux."""
-from math import comb, factorial, sqrt
+from math import factorial
 
 import pytest
 
 from snfair.partitions import (
     StandardTableau,
     dimension,
-    dimension_upper_bound,
     partitions_of,
     standard_tableaux,
 )
@@ -69,18 +68,6 @@ def test_dimension_frozen_values():
 def test_dimension_squares_sum_to_group_order():
     for n in range(1, 11):
         assert sum(dimension(s) ** 2 for s in partitions_of(n)) == factorial(n)
-
-
-def test_dimension_upper_bound_frozen_values():
-    assert dimension_upper_bound((3, 1)) == pytest.approx(4.0)
-    assert dimension_upper_bound((2, 2)) == pytest.approx(comb(4, 2) * sqrt(2.0))
-    assert dimension_upper_bound((2, 2)) >= dimension((2, 2))
-
-
-def test_dimension_upper_bound_dominates():
-    for n in range(1, 9):
-        for shape in partitions_of(n):
-            assert dimension_upper_bound(shape) >= dimension(shape) - 1e-12
 
 
 @pytest.mark.parametrize("shape,count", [((2, 1), 2), ((2, 2), 2), ((3,), 1), ((1, 1, 1), 1)])

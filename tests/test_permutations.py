@@ -100,6 +100,14 @@ def test_rank_of_word_agrees_with_permutation_rank():
         assert rank_of_word(word) == Permutation(word).rank()
 
 
+def test_rank_of_word_ranks_a_stack_of_words():
+    words = group_matrix(5)
+    ranks = rank_of_word(words)
+    assert ranks.tolist() == list(range(120))
+    assert ranks.tolist() == [p.rank() for p in enumerate_group(5)]
+    assert rank_of_word(words.reshape(12, 10, 5)).tolist() == ranks.reshape(12, 10).tolist()
+
+
 def test_enumeration_count_and_uniqueness():
     group = list(enumerate_group(4))
     assert len(group) == 24

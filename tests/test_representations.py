@@ -14,7 +14,6 @@ from snfair.partitions import dimension, partitions_of
 from snfair.permutations import Permutation, enumerate_group
 from snfair.representations import (
     adjacent_generator,
-    character,
     evaluate,
     fft,
     fft_adjoint,
@@ -96,7 +95,7 @@ def test_standard_module_character_counts_fixed_points():
         shape = (n - 1, 1)
         for p in enumerate_group(n):
             expect = len(p.fixed_points()) - 1
-            assert character(shape, p) == pytest.approx(expect, abs=1e-11)
+            assert np.trace(evaluate(shape, p)) == pytest.approx(expect, abs=1e-11)
 
 
 def test_characters_are_class_functions():
@@ -104,8 +103,8 @@ def test_characters_are_class_functions():
         for q in enumerate_group(4):
             conj = q * p * q.inverse()
             for shape in partitions_of(4):
-                assert character(shape, conj) == pytest.approx(
-                    character(shape, p), abs=1e-10
+                assert np.trace(evaluate(shape, conj)) == pytest.approx(
+                    np.trace(evaluate(shape, p)), abs=1e-10
                 )
 
 
@@ -115,7 +114,7 @@ def test_schur_orthogonality_of_characters():
     n = 4
     shapes = partitions_of(n)
     table = {
-        s: np.array([character(s, p) for p in enumerate_group(n)]) for s in shapes
+        s: np.array([np.trace(evaluate(s, p)) for p in enumerate_group(n)]) for s in shapes
     }
     for a, s in enumerate(shapes):
         for t in shapes[a:]:

@@ -19,14 +19,14 @@ def test_members_must_be_increasing_in_range():
 
 def test_from_ranks_sorts_and_dedups():
     s = OrderingSet.from_ranks(3, [5, 1, 5, 0])
-    assert s.members == (0, 1, 5)
+    assert s.members.tolist() == [0, 1, 5]
 
 
 def test_from_permutations():
     perms = [Permutation((2, 1, 3)), Permutation((1, 2, 3))]
     s = OrderingSet.from_permutations(perms)
     assert s.n == 3
-    assert s.members == (0, 2)
+    assert s.members.tolist() == [0, 2]
     with pytest.raises(ValueError):
         OrderingSet.from_permutations([])
     with pytest.raises(ValueError):
@@ -36,7 +36,7 @@ def test_from_permutations():
 def test_full_group_and_len():
     s = OrderingSet.full_group(4)
     assert len(s) == 24
-    assert s.members == tuple(range(24))
+    assert s.members.tolist() == list(range(24))
 
 
 def test_contains():
@@ -71,3 +71,28 @@ def test_permutations_roundtrip():
 def test_dict_roundtrip():
     s = OrderingSet(4, (0, 5, 11))
     assert OrderingSet.from_dict(s.to_dict()) == s
+
+
+def test_members_are_a_read_only_int64_array():
+    s = OrderingSet(4, (0, 5, 11))
+    assert isinstance(s.members, np.ndarray)
+    assert s.members.dtype == np.int64 and s.members.ndim == 1
+    with pytest.raises(ValueError):
+        s.members[0] = 3
+    with pytest.raises(ValueError):
+        OrderingSet(3, np.array([0.0, 2.0]))  # float ranks
+    with pytest.raises(ValueError):
+        OrderingSet(3, np.array([[0, 1]]))  # not 1-D
+
+
+def test_from_ranks_takes_unsorted_numpy_input_with_duplicates():
+    ranks = np.array([23, 4, 4, 0, 23, 7, 0], dtype=np.int32)
+    s = OrderingSet.from_ranks(4, ranks)
+    assert s.members.tolist() == [0, 4, 7, 23]
+    assert OrderingSet.from_ranks(4, np.array([], dtype=np.int64)).members.size == 0
+
+
+def test_to_dict_members_are_python_ints():
+    members = OrderingSet.full_group(3).to_dict()["members"]
+    assert members == [0, 1, 2, 3, 4, 5]
+    assert all(type(r) is int for r in members)
