@@ -60,9 +60,12 @@ class OrderingSet:
         return cls(n, np.arange(factorial(n)))
 
     def __eq__(self, other) -> bool:
-        if not isinstance(other, OrderingSet):
+        if other.__class__ is not self.__class__:
             return NotImplemented
         return self.n == other.n and np.array_equal(self.members, other.members)
+
+    def __hash__(self) -> int:
+        return hash((self.n, self.members.tobytes()))
 
     def __len__(self) -> int:
         return len(self.members)

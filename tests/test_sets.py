@@ -96,3 +96,15 @@ def test_to_dict_members_are_python_ints():
     members = OrderingSet.full_group(3).to_dict()["members"]
     assert members == [0, 1, 2, 3, 4, 5]
     assert all(type(r) is int for r in members)
+
+
+def test_equal_sets_hash_alike_and_subclasses_stay_distinct():
+    from snfair.cayley import symmetrize
+
+    a, b = OrderingSet(4, (0, 5, 11)), OrderingSet.from_ranks(4, [11, 0, 5, 5])
+    assert a == b and hash(a) == hash(b) and len({a, b}) == 1
+    assert {a: 1}[b] == 1
+    closed = symmetrize(OrderingSet(4, (0, 1)))  # identity and a transposition
+    plain = OrderingSet(4, closed.members)
+    assert closed != plain and plain != closed
+    assert hash(closed) == hash(symmetrize(plain))

@@ -1,26 +1,19 @@
 """Run one fixed list of snfair commands on two source trees and compare the outputs.
 
-Usage: python tools/compare_outputs.py PARENT_SRC CHANGE_SRC [--tol T]
+Usage: python tools/compare_outputs.py PARENT_SRC CHANGE_SRC
 
 PARENT_SRC and CHANGE_SRC are directories that hold the ``snfair``
 package (a checkout's ``src``).  For each tree the commands below run in
 order, in a fresh temporary directory, with that tree first on
 PYTHONPATH; the demos next to each tree (``../demos/*.py``) run too.
 The tool then compares each command's exit code, stdout and stderr and
-every file the commands wrote.
-
-At the default ``--tol 0`` every output must be byte-identical.  With a
-positive tolerance, JSON and CSV outputs whose bytes differ are parsed
-and their numbers compared with |a - b| <= tol * max(1, |a|, |b|); all
-other fields must still match exactly.  Exit status: 0 when nothing
-differs, 1 on any difference.  Giving the same tree twice checks that
-repeat runs are byte-identical.
+every file the commands wrote, byte for byte.  Exit status: 0 when
+nothing differs, 1 on any difference.  Giving the same tree twice checks
+that repeat runs are byte-identical.
 """
 from __future__ import annotations
 
 import argparse
-import csv
-import io
 import json
 import os
 import subprocess
@@ -113,53 +106,10 @@ def _run_tree(src: Path, work: Path) -> dict[str, bytes]:
     return outputs
 
 
-def _numbers_close(a, b, tol: float) -> bool:
-    if isinstance(a, dict) and isinstance(b, dict):
-        return a.keys() == b.keys() and all(_numbers_close(a[k], b[k], tol) for k in a)
-    if isinstance(a, list) and isinstance(b, list):
-        return len(a) == len(b) and all(_numbers_close(x, y, tol) for x, y in zip(a, b))
-    numeric = (int, float)
-    if isinstance(a, numeric) and isinstance(b, numeric) and not isinstance(a, bool) \
-            and not isinstance(b, bool):
-        return abs(a - b) <= tol * max(1.0, abs(a), abs(b))
-    return a == b
-
-
-def _parse(data: bytes):
-    """JSON, else CSV rows with numeric cells as floats, else None."""
-    text = data.decode()
-    try:
-        return json.loads(text)
-    except json.JSONDecodeError:
-        pass
-    rows = list(csv.reader(io.StringIO(text)))
-    if len(rows) < 2 or len({len(r) for r in rows}) != 1:
-        return None
-
-    def cell(c: str):
-        try:
-            return float(c)
-        except ValueError:
-            return c
-
-    return [[cell(c) for c in row] for row in rows]
-
-
-def _same(a: bytes, b: bytes, tol: float) -> bool:
-    if a == b:
-        return True
-    if tol <= 0:
-        return False
-    pa, pb = _parse(a), _parse(b)
-    return pa is not None and pb is not None and _numbers_close(pa, pb, tol)
-
-
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("parent_src", type=Path)
     parser.add_argument("change_src", type=Path)
-    parser.add_argument("--tol", type=float, default=0.0,
-                        help="relative tolerance for JSON/CSV numbers (default 0: bytes)")
     args = parser.parse_args(argv)
     results = []
     for src in (args.parent_src, args.change_src):
@@ -174,7 +124,7 @@ def main(argv=None) -> int:
             side = "parent" if label in parent else "change"
             print(f"DIFF {label}: only the {side} produced it")
             differences += 1
-        elif not _same(parent[label], change[label], args.tol):
+        elif parent[label] != change[label]:
             print(f"DIFF {label}")
             differences += 1
     files = sum(label.startswith("file ") for label in change)
