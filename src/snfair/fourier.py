@@ -70,7 +70,11 @@ class PayoffFn:
 
     @classmethod
     def from_dict(cls, data: dict) -> "PayoffFn":
-        return cls(int(data["n"]), np.asarray(data["values"], dtype=float))
+        values = data["values"]
+        # JSON strings and booleans would be coerced to numbers.
+        if not isinstance(values, list) or not set(map(type, values)) <= {int, float}:
+            raise ValueError("values must be a list of numbers")
+        return cls(int(data["n"]), np.asarray(values, dtype=float))
 
 
 @dataclass(frozen=True, eq=False)

@@ -7,6 +7,20 @@ everywhere and gets level n by convention.  Sets that pin specific items
 to specific slots ("stabilizer" sets) are the canonical high-agreement
 examples: t pinned slots leave (n - t)! members all sharing those slots.
 
+The scan is exact and stops as soon as the answer is known.  Every pair
+agrees on the slots all members share, so their number (the floor) is a
+lower bound on the level.  Member 0 is compared with all the others
+first, in O(m n).  That already reaches the floor for stabilizer sets,
+the full group and every admissible set whose majority graph orders all
+its components (as a tournament's does): such a set permutes the items
+of each component freely, and every component of two or more items has
+a derangement.  Otherwise the remaining pairs are compared in tiles of
+ROW_TILE x COL_TILE: with each word one-hot encoded as n^2 (slot, item)
+float32 entries, the product of a row tile and a column tile counts
+agreements exactly, and the scan stops after the first tile that brings
+the minimum down to the floor.  Memory stays at one tile beyond the
+m x n word matrix.
+
 The structural link verified here: once a set's size clears (n - t)!, its
 indicator function must carry spectral mass at degree t or above.  The
 degree of any function caps at n - 1, so the comparison level is clamped
@@ -27,6 +41,10 @@ from .payoffs import indicator_payoff
 from .permutations import group_matrix
 from .sets import OrderingSet
 
+# Rows and columns of one agreement tile: a 512 x 2048 float32 product is 4 MB.
+ROW_TILE = 512
+COL_TILE = 2048
+
 
 @dataclass(frozen=True)
 class IntersectionProfile:
@@ -46,22 +64,45 @@ def intersection_profile(members: OrderingSet) -> IntersectionProfile:
     n = members.n
     words = members.matrix()
 
-    shared = np.all(words == words[0], axis=0)
+    agree0 = words == words[0]
+    shared = agree0.all(axis=0)
     common_pairs = tuple(
         (int(i) + 1, int(words[0, i])) for i in np.nonzero(shared)[0]
     )
+    floor = len(common_pairs)
 
-    t_max = n
-    for i in range(m - 1):
-        agree = (words[i + 1 :] == words[i]).sum(axis=1)
-        t_max = min(t_max, int(agree.min()))
-        if t_max == 0:
-            break
+    t_max = int(agree0[1:].sum(axis=1).min(initial=n))
+    if t_max > floor:
+        t_max = _tiled_minimum(words, t_max, floor)
 
     gate = m >= factorial(n - t_max)
     return IntersectionProfile(
         t_max=t_max, common_pairs=common_pairs, size=m, size_gate=gate
     )
+
+
+def _tiled_minimum(words: np.ndarray, t_max: int, floor: int) -> int:
+    """min(t_max, agreement of rows i < j with i >= 1), stopping at floor.
+
+    A tile may also hold (j, i) or (i, i), which add nothing below the
+    true minimum.
+    """
+    m = len(words)
+    for r0 in range(1, m - 1, ROW_TILE):
+        rows = _one_hot(words[r0 : r0 + ROW_TILE])
+        for c0 in range(r0, m, COL_TILE):
+            cols = _one_hot(words[c0 : c0 + COL_TILE])
+            t_max = min(t_max, int((rows @ cols.T).min()))
+            if t_max == floor:
+                return t_max
+    return t_max
+
+
+def _one_hot(words: np.ndarray) -> np.ndarray:
+    """Rows of n^2 float32 (slot, item) indicators, one per word."""
+    k, n = words.shape
+    hot = words[:, :, None] == np.arange(1, n + 1, dtype=words.dtype)
+    return hot.reshape(k, n * n).astype(np.float32)
 
 
 @dataclass(frozen=True)

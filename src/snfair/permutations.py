@@ -165,10 +165,23 @@ def group_matrix(n: int) -> np.ndarray:
     Cached and marked read-only; shared freely across callers.
     """
     check_enumerable(n)
-    mat = np.fromiter(
-        itertools.chain.from_iterable(itertools.permutations(range(1, n + 1))),
-        dtype=np.int8,
-        count=factorial(n) * n,
-    ).reshape(factorial(n), n)
+    mat = np.empty((factorial(n), n), dtype=np.int8)
+    # The top k! rows of the last k columns hold S_k on 1..k.  S_{k+1} is
+    # k + 1 blocks of k! rows: block a puts a in the new column and S_k
+    # relabelled to skip a beside it.  Block 1 is the source itself,
+    # relabelled in place once the others are written.  Every step writes
+    # straight into the array, so the build makes no temporaries.
+    mat[0, n - 1] = 1
+    for k in range(1, n):
+        size = factorial(k)
+        src = mat[:size, n - k :]
+        for a in range(k + 1, 1, -1):
+            block = mat[(a - 1) * size : a * size]
+            block[:, n - k - 1] = a
+            dest = block[:, n - k :]
+            np.greater_equal(src, a, out=dest)
+            dest += src
+        mat[:size, n - k - 1] = 1
+        src += 1
     mat.setflags(write=False)
     return mat

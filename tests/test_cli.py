@@ -281,9 +281,13 @@ def test_verify_past_max_n_is_usage_error(tmp_path):
         (["simulate", "--votes", "{path}"],
          {"n_tx": 3, "validators": [[1, 2.9, 3], [1, 2, 3]]}, "validators"),
         (["simulate", "--votes", "{path}"], {"n_tx": 3, "validators": 5}, "validators"),
+        (["transform", "--payoff", "{path}"], {"n": 3, "values": [1, "2", 3, 4, 5, 6]}, "values"),
+        (["transform", "--payoff", "{path}"], {"n": 3, "values": [1, True, 3, 4, 5, 6]}, "values"),
+        (["transform", "--payoff", "{path}"], {"n": 3, "values": 5}, "values"),
     ],
     ids=["no-n", "top-level-list", "float-n", "bool-n", "string-n", "huge-n", "verify-n0",
-         "float-member", "bool-member", "scalar-members", "float-vote", "scalar-validators"],
+         "float-member", "bool-member", "scalar-members", "float-vote", "scalar-validators",
+         "string-value", "bool-value", "scalar-values"],
 )
 def test_malformed_input_is_one_line_usage_error(argv, content, reason, tmp_path, capsys):
     path = tmp_path / "input.json"

@@ -1,16 +1,22 @@
 """Pairwise agreement levels and the indicator-degree link."""
 import itertools
+import tracemalloc
 from math import factorial
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from snfair.errors import EmptySetError
 from snfair.intersecting import (
+    COL_TILE,
+    ROW_TILE,
     intersection_profile,
     stabilizer_set,
     verify_indicator_degree,
 )
+from snfair.permutations import Permutation, group_matrix
 from snfair.sets import OrderingSet
 
 
@@ -55,6 +61,71 @@ def test_profile_matches_quadratic_oracle():
             ranks = rng.choice(factorial(n), size=size, replace=False)
             members = OrderingSet.from_ranks(n, ranks)
             assert intersection_profile(members).t_max == t_max_oracle(members)
+
+
+def two_of_first_three_fixed(n):
+    """Ranks fixing at least two of slots 1-3: every pair agrees, no slot is shared."""
+    words = group_matrix(n)
+    return np.flatnonzero((words[:, :3] == np.arange(1, 4)).sum(axis=1) >= 2)
+
+
+@st.composite
+def ordering_sets(draw):
+    n = draw(st.integers(1, 6))
+    pool = range(factorial(n))
+    if n >= 4 and draw(st.booleans()):
+        pool = two_of_first_three_fixed(n).tolist()
+    ranks = draw(st.lists(st.sampled_from(pool), min_size=1, max_size=40, unique=True))
+    return OrderingSet.from_ranks(n, ranks)
+
+
+@settings(max_examples=300, deadline=None)
+@given(ordering_sets())
+def test_profile_matches_oracle_on_random_sets(members):
+    n, words = members.n, members.matrix().tolist()
+    t = t_max_oracle(members)
+    shared = tuple(
+        (i + 1, words[0][i]) for i in range(n) if all(w[i] == words[0][i] for w in words)
+    )
+    profile = intersection_profile(members)
+    assert profile.t_max == t
+    assert profile.common_pairs == shared
+    assert profile.size_gate == (len(members) >= factorial(n - t))
+
+
+@pytest.mark.parametrize("n", [4, 5, 6, 7])
+def test_intersecting_family_sits_above_its_floor(n):
+    members = OrderingSet(n, two_of_first_three_fixed(n))
+    profile = intersection_profile(members)
+    assert profile.common_pairs == ()
+    assert profile.t_max == t_max_oracle(members) == 1
+
+
+def test_only_low_pair_in_the_last_tile():
+    # A fixes slots 1 and 2, so its pairs agree on at least 2 slots.  x
+    # keeps slot 1 and y keeps slot 2, so each agrees with every member of A;
+    # x and y agree nowhere, and their ranks put them last.
+    stab = stabilizer_set(9, [(1, 1), (2, 2)])
+    x = Permutation((1, 9, 2, 3, 4, 5, 6, 7, 8)).rank()
+    y = Permutation((9, 2, 3, 4, 5, 6, 7, 8, 1)).rank()
+    members = OrderingSet.from_ranks(9, [*stab.members.tolist(), x, y])
+    m = len(members)
+    assert m > ROW_TILE and m > COL_TILE
+    assert members.members[-2:].tolist() == [x, y]
+    words = members.matrix()
+    assert np.flatnonzero((words == words[-1]).sum(axis=1) == 0).tolist() == [m - 2]
+
+    tracemalloc.start()
+    try:
+        profile = intersection_profile(members)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert profile.t_max == 0 and profile.common_pairs == ()
+    assert peak < m * m  # a quarter of an m x m float32 agreement matrix
+
+    assert intersection_profile(OrderingSet(9, members.members[:-1])).t_max == 1
+    assert intersection_profile(stab).t_max == 2
 
 
 def test_common_pairs_require_unanimity():

@@ -127,6 +127,9 @@ def test_group_matrix_rows_are_rank_ordered():
         assert tuple(int(x) for x in mat[r]) == lehmer_unrank(4, r).mapping
     with pytest.raises(ValueError):
         mat[0, 0] = 9  # cached array must stay read-only
+    for n in range(1, 9):
+        words = list(itertools.permutations(range(1, n + 1)))
+        assert group_matrix(n).tobytes() == np.array(words, dtype=np.int8).tobytes()
 
 
 def test_word_validation():

@@ -14,12 +14,25 @@ that repeat runs are byte-identical.
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import os
 import subprocess
 import sys
 import tempfile
 from pathlib import Path
+
+
+def _two_of_first_three_fixed(n: int) -> dict:
+    """The orderings of S_n that fix at least two of slots 1-3.
+
+    Every pair agrees on a slot but no slot is shared by all, so the
+    agreement scan cannot stop at member 0 and runs its tiles.
+    """
+    words = itertools.permutations(range(1, n + 1))
+    members = [r for r, w in enumerate(words) if (w[0] == 1) + (w[1] == 2) + (w[2] == 3) >= 2]
+    return {"n": n, "members": members}
+
 
 # Input files written into both work directories before the commands run.
 INPUTS = {
@@ -28,6 +41,8 @@ INPUTS = {
         "n_tx": 5,
         "validators": [[1, 2, 3, 4, 5], [2, 1, 3, 5, 4], [1, 3, 2, 4, 5]],
     },
+    "family6.json": _two_of_first_three_fixed(6),
+    "family7.json": _two_of_first_three_fixed(7),
 }
 
 
@@ -55,6 +70,8 @@ def _commands() -> list[list[str]]:
         ["simulate", "--votes", "votes_split5.json", "--out", "split5.json"],
         ["gen-payoff", "--model", "indicator", "--set", "iid6.json", "--out", "ind6.json"],
         ["gen-payoff", "--model", "indicator", "--set", "cycle8.json", "--out", "ind8.json"],
+        ["gen-payoff", "--model", "indicator", "--set", "family6.json", "--out", "ind_family6.json"],
+        ["gen-payoff", "--model", "indicator", "--set", "family7.json", "--out", "ind_family7.json"],
         ["transform", "--payoff", "random6.json", "--out", "spec6.json", "--csv", "spec6.csv"],
         ["transform", "--payoff", "cfmm7.json", "--out", "spec7.json", "--csv", "spec7.csv"],
         ["transform", "--payoff", "sparse5.json"],
@@ -71,6 +88,10 @@ def _commands() -> list[list[str]]:
         ["analyze", "--payoff", "random7.json", "--set", "cycle7.json", "--out", "an_random7.json"],
         ["analyze", "--payoff", "cfmm8.json", "--set", "iid8.json", "--out", "an_cfmm8.json",
          "--csv", "an_cfmm8.csv"],
+        ["analyze", "--payoff", "cfmm6.json", "--set", "family6.json", "--out", "an_family6.json",
+         "--csv", "an_family6.csv"],
+        ["analyze", "--payoff", "ind_family7.json", "--set", "family7.json",
+         "--out", "an_family7.json"],
         ["analyze", "--payoff", "cfmm6.json", "--set", "iid7.json"],
         ["analyze", "--payoff", "missing.json", "--set", "iid6.json"],
         ["verify", "--suite", "roundtrip", "--n", "0"],
