@@ -8,7 +8,6 @@ from snfair.fairness import (
     Analysis,
     lower_bound_report,
     nested_stabilizer_instance,
-    upper_bound_report,
 )
 from snfair.intersecting import stabilizer_set
 from snfair.payoffs import CfmmModel, JuntaTerm, cfmm_payoff, junta_payoff
@@ -43,7 +42,7 @@ def main():
     show_pair("2-pin junta", pin2, "slots 1+2 pinned", sets["slots 1+2 pinned"])
 
     print("\nhigh-agreement regime (set agreement >= payoff degree):")
-    upper = upper_bound_report(pin2, sets["slots 1+2 pinned"])
+    upper = Analysis(pin2, sets["slots 1+2 pinned"]).upper
     print(
         f"  degree={upper.degree}, t_max={upper.t_max}, applicable={upper.applicable},"
         f" band dim^2 sum={upper.dim_sq_sum}, bound={upper.bound_value:.4f}"

@@ -16,11 +16,8 @@ from .fourier import (
     PayoffFn,
     degree,
     inverse,
-    isotypic_project,
     schatten_summary,
     transform,
-    truncate_high,
-    truncate_low,
     uncertainty_check,
 )
 from .partitions import dimension, partitions_of, standard_tableaux
@@ -42,13 +39,10 @@ __all__ = [
     "enumerate_group",
     "group_matrix",
     "inverse",
-    "isotypic_project",
     "lehmer_unrank",
     "partitions_of",
     "schatten_summary",
     "standard_tableaux",
     "transform",
-    "truncate_high",
-    "truncate_low",
     "uncertainty_check",
 ]

@@ -38,6 +38,9 @@ from .permutations import group_matrix, rank_of_word
 from .representations import fft
 from .sets import OrderingSet
 
+# Absolute: a shape is within the bound when the largest eigenvalue of
+# B.T @ B is at most bound + BOUND_TOL.  For all transpositions at n = 8
+# and 9 those eigenvalues measured within 6.7e-16 of their exact values.
 BOUND_TOL = 1e-9
 
 

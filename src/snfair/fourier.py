@@ -42,6 +42,10 @@ from .partitions import dimension, partitions_of
 from .permutations import check_enumerable
 from .representations import fft, fft_adjoint
 
+# Relative: a block counts toward the degree when its Frobenius norm
+# exceeds DEGREE_TOL * ||f||_2.  Blocks that are zero in exact arithmetic
+# measured at most 1.7e-14 * ||f||_2 at n = 8-10 (junta k = 2, stabilizer
+# t = 3); the smallest true block there is at least 11 * ||f||_2.
 DEGREE_TOL = 1e-9
 
 
@@ -107,35 +111,16 @@ class FourierSpectrum:
             ],
         }
 
-    @classmethod
-    def from_dict(cls, data: dict) -> "FourierSpectrum":
-        blocks = {
-            tuple(int(p) for p in b["lambda"]): np.asarray(b["matrix"], dtype=float)
-            for b in data["blocks"]
-        }
-        return cls(int(data["n"]), blocks)
-
 
 def transform(f: PayoffFn) -> FourierSpectrum:
     """Forward transform: one dim x dim block per partition."""
     return FourierSpectrum(f.n, fft(f.n, f.values))
 
 
-def _synthesize(n: int, blocks: dict[tuple[int, ...], np.ndarray]) -> np.ndarray:
-    """Pointwise values of (1/n!) sum_shape dim * trace(block @ rho(p).T)."""
-    weighted = {s: dimension(s) * np.asarray(m) for s, m in blocks.items()}
-    return fft_adjoint(n, weighted) / factorial(n)
-
-
 def inverse(spec: FourierSpectrum) -> PayoffFn:
-    """Invert a full spectrum back to pointwise values."""
-    return PayoffFn(spec.n, _synthesize(spec.n, spec.blocks))
-
-
-def isotypic_project(f: PayoffFn, shape: tuple[int, ...]) -> PayoffFn:
-    """Component of the payoff living in a single partition's isotype."""
-    spec = transform(f)
-    return PayoffFn(f.n, _synthesize(f.n, {shape: spec.blocks[shape]}))
+    """Invert a full spectrum: (1/n!) sum_shape dim * trace(block @ rho(p).T)."""
+    weighted = {s: dimension(s) * np.asarray(m) for s, m in spec.blocks.items()}
+    return PayoffFn(spec.n, fft_adjoint(spec.n, weighted) / factorial(spec.n))
 
 
 def degree(
@@ -157,19 +142,6 @@ def degree(
         if np.linalg.norm(mat) > tol * norm:
             deg = max(deg, f.n - s[0])
     return deg
-
-
-def truncate_low(f: PayoffFn, t: int) -> PayoffFn:
-    """Keep only components of degree <= t."""
-    spec = transform(f)
-    kept = {s: m for s, m in spec.blocks.items() if f.n - s[0] <= t}
-    return PayoffFn(f.n, _synthesize(f.n, kept))
-
-
-def truncate_high(f: PayoffFn, t: int) -> PayoffFn:
-    """Drop components of degree <= t, keeping the high-degree remainder."""
-    low = truncate_low(f, t)
-    return PayoffFn(f.n, f.values - low.values)
 
 
 @dataclass(frozen=True)
@@ -206,7 +178,12 @@ class UncertaintyCheck:
 
 
 def uncertainty_check(f: PayoffFn, rel_tol: float = 1e-9) -> UncertaintyCheck:
-    """Check (||f||_1/||f||_inf) * (s1/sinf) >= n! for a nonzero payoff."""
+    """Check (||f||_1/||f||_inf) * (s1/sinf) >= n! for a nonzero payoff.
+
+    rel_tol is relative to n!: the product may fall short of n! by at most
+    rel_tol * n!.  The equality cases (point mass, constant) land within
+    3.1e-15 * n! of it at n = 8 and 9.
+    """
     abs_vals = np.abs(f.values)
     linf = float(abs_vals.max())
     if linf == 0.0:

@@ -83,11 +83,6 @@ class StandardTableau:
                     return (i, j)
         raise IndexError(f"value {value} not in tableau")
 
-    def content(self, value: int) -> int:
-        """column - row of the cell holding the value."""
-        i, j = self.position(value)
-        return j - i
-
     def swap(self, k: int) -> "StandardTableau":
         """Exchange the entries k and k + 1 (caller guarantees validity)."""
         sub = {k: k + 1, k + 1: k}

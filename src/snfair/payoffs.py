@@ -119,12 +119,6 @@ def liquidation_payoff(model: LiquidationModel) -> PayoffFn:
     return PayoffFn(n, values)
 
 
-def liquidatable_set(model: LiquidationModel) -> OrderingSet:
-    """The support of the liquidation payoff as an ordering set."""
-    f = liquidation_payoff(model)
-    return OrderingSet.from_ranks(model.n, np.nonzero(f.values)[0])
-
-
 @dataclass(frozen=True)
 class JuntaTerm:
     """One weighted product of position constraints: slot i holds item j."""
@@ -141,10 +135,6 @@ class JuntaTerm:
             raise ValueError(f"duplicate item in constraints: {self.constraints!r}")
         if any(i < 1 for i in slots) or any(j < 1 for j in items):
             raise ValueError("slots and items are 1-based")
-
-    @property
-    def width(self) -> int:
-        return len(self.constraints)
 
 
 def junta_payoff(terms, n: int) -> PayoffFn:

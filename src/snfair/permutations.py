@@ -78,30 +78,6 @@ class Permutation:
             inv[v - 1] = i + 1
         return Permutation(tuple(inv))
 
-    def cycles(self) -> tuple[tuple[int, ...], ...]:
-        """Disjoint cycles, each starting at its smallest point, ordered by it."""
-        seen = [False] * self.n
-        out = []
-        for start in range(1, self.n + 1):
-            if seen[start - 1]:
-                continue
-            cyc = [start]
-            seen[start - 1] = True
-            nxt = self(start)
-            while nxt != start:
-                cyc.append(nxt)
-                seen[nxt - 1] = True
-                nxt = self(nxt)
-            out.append(tuple(cyc))
-        return tuple(out)
-
-    def cycle_type(self) -> tuple[int, ...]:
-        """Cycle lengths sorted descending; a partition of n."""
-        return tuple(sorted((len(c) for c in self.cycles()), reverse=True))
-
-    def fixed_points(self) -> tuple[int, ...]:
-        return tuple(i for i in range(1, self.n + 1) if self(i) == i)
-
     def rank(self) -> int:
         """Position in the lexicographic enumeration of S_n (0-based)."""
         return int(rank_of_word(self.mapping))

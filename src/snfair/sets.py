@@ -45,16 +45,6 @@ class OrderingSet:
         return cls(n, ranks[keep])
 
     @classmethod
-    def from_permutations(cls, perms) -> "OrderingSet":
-        perms = list(perms)
-        if not perms:
-            raise ValueError("cannot infer n from an empty iterable")
-        n = perms[0].n
-        if any(p.n != n for p in perms):
-            raise ValueError("mixed group sizes")
-        return cls.from_ranks(n, [p.rank() for p in perms])
-
-    @classmethod
     def full_group(cls, n: int) -> "OrderingSet":
         check_enumerable(n)
         return cls(n, np.arange(factorial(n)))

@@ -41,7 +41,7 @@ def test_symmetric_set_validation():
 def test_symmetrize_adds_inverses():
     # {(1 2 3)} in S_3 closes to both 3-cycles.
     cycle = Permutation((2, 3, 1))
-    closed = symmetrize(OrderingSet.from_permutations([cycle]))
+    closed = symmetrize(OrderingSet.from_ranks(3, [cycle.rank()]))
     assert len(closed) == 2
     ranks = {cycle.rank(), cycle.inverse().rank()}
     assert set(closed.members) == ranks

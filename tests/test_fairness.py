@@ -3,6 +3,8 @@ from math import factorial
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import snfair.fairness
 from snfair.errors import DegenerateError, EmptySetError
@@ -10,14 +12,10 @@ from snfair.fairness import (
     Analysis,
     additive_gap,
     classify_fairness,
-    conditional_additive_gap,
-    fairness_report,
     lower_bound_report,
     multiplicative_gap,
     nested_stabilizer_instance,
-    trivial_bound,
     uncertainty_bound,
-    upper_bound_report,
 )
 from snfair.fourier import PayoffFn
 from snfair.intersecting import stabilizer_set
@@ -31,7 +29,7 @@ def test_two_member_indicator_gaps():
     f = indicator_payoff(members)
     assert additive_gap(f, members) == pytest.approx(2.0 / 3.0)
     assert multiplicative_gap(f, members) == pytest.approx(3.0)
-    assert conditional_additive_gap(f, members) == pytest.approx(0.0)
+    assert Analysis(f, members).fairness.conditional_gap == pytest.approx(0.0)
 
 
 def test_indicator_multiplicative_gap_is_group_order_over_size():
@@ -78,7 +76,8 @@ def test_gap_never_exceeds_trivial_bound():
     for trial in range(20):
         f = random_payoff(4, seed=100 + trial)
         members = OrderingSet.from_ranks(4, rng.choice(24, size=8, replace=False))
-        assert additive_gap(f, members) <= trivial_bound(f, members) + 1e-12
+        trivial = Analysis(f, members).fairness.trivial_bound
+        assert additive_gap(f, members) <= trivial + 1e-12
 
 
 def test_classification_generic_cfmm():
@@ -112,6 +111,15 @@ def test_uncertainty_bound_holds_on_random_corpus():
         assert report.slack >= -1e-9
 
 
+@settings(max_examples=60, deadline=None)
+@given(st.integers(2, 6), st.integers(0, 2**32 - 1), st.data())
+def test_gap_never_exceeds_uncertainty_bound_on_random_sets(n, seed, data):
+    f = random_payoff(n, seed=seed)
+    ranks = data.draw(st.lists(st.integers(0, factorial(n) - 1), min_size=1, max_size=50))
+    report = uncertainty_bound(f, OrderingSet.from_ranks(n, ranks))
+    assert report.slack >= -1e-9
+
+
 def test_uncertainty_bound_cfmm_on_stabilizer():
     f = cfmm_payoff(CfmmModel(deltas=(1.0, 2.0, -1.0, -2.0, 0.5)))
     members = stabilizer_set(5, [(1, 1)])
@@ -129,7 +137,7 @@ def test_uncertainty_bound_zero_restriction_rejected():
 def test_upper_regime_constant_payoff():
     n = 4
     f = PayoffFn(n, np.ones(factorial(n)))
-    report = upper_bound_report(f, OrderingSet.full_group(n))
+    report = Analysis(f, OrderingSet.full_group(n)).upper
     assert report.degree == 0
     assert report.applicable  # t_max = 0 >= 0
     assert report.dim_sq_sum == 1
@@ -140,7 +148,7 @@ def test_upper_regime_dim_sq_sum_one_junta_band():
     # Degree-1 payoff on S_5: shapes (5) and (4,1) carry the band,
     # contributing 1 + 16 = 17.
     f = indicator_payoff(stabilizer_set(5, [(1, 1)]))
-    report = upper_bound_report(f, stabilizer_set(5, [(1, 1), (2, 2)]))
+    report = Analysis(f, stabilizer_set(5, [(1, 1), (2, 2)])).upper
     assert report.degree == 1
     assert report.dim_sq_sum == 17
     assert report.t_max == 2
@@ -150,7 +158,7 @@ def test_upper_regime_dim_sq_sum_one_junta_band():
 def test_upper_regime_applicability_tracks_degree():
     f = cfmm_payoff(CfmmModel(deltas=(1.0, 2.0, -1.0, -2.0, 0.5)))
     members = stabilizer_set(5, [(1, 1), (2, 2)])
-    report = upper_bound_report(f, members)
+    report = Analysis(f, members).upper
     assert report.t_max == 2
     assert report.applicable == (report.t_max >= report.degree)
     assert 0.0 < report.schatten_ratio <= 1.0
@@ -167,9 +175,8 @@ def test_lower_regime_point_mass_closed_form():
         assert report.applicable
         assert report.implied_constant == pytest.approx(1.0 / (n - 2))
         # rhs at the implied constant reproduces the measured gap
-        assert report.rhs_value(report.implied_constant) == pytest.approx(
-            report.additive_gap
-        )
+        rhs = (1.0 - report.implied_constant * report.rhs_coefficient) * report.max_on_set
+        assert rhs == pytest.approx(report.additive_gap)
 
 
 def test_nested_stabilizer_instances_frozen_values():
@@ -201,15 +208,14 @@ def test_nested_stabilizer_validation():
 def test_fairness_report_bundles_consistently():
     f = random_payoff(4, seed=33)
     members = stabilizer_set(4, [(2, 2)])
-    report = fairness_report(f, members)
+    report = Analysis(f, members).fairness
+    on_set = f.values[members.members]
     assert report.n == 4
     assert report.set_size == 6
     assert report.additive_gap == pytest.approx(additive_gap(f, members))
-    assert report.conditional_gap == pytest.approx(
-        conditional_additive_gap(f, members)
-    )
-    assert report.trivial_bound == pytest.approx(trivial_bound(f, members))
-    assert report.classification == "other"
+    assert report.conditional_gap == pytest.approx(on_set.max() - on_set.mean())
+    assert report.trivial_bound == pytest.approx((1.0 - 1.0 / 24) * on_set.max())
+    assert report.classification == classify_fairness(f, members) == "other"
 
 
 def test_analysis_computes_each_spectrum_and_profile_once(monkeypatch):
@@ -237,10 +243,9 @@ def test_analysis_computes_each_spectrum_and_profile_once(monkeypatch):
     assert pair.degree == pair.upper.degree == pair.lower.degree
     assert calls == {"transform": 2, "profile": 1}
     # the one-report shortcuts give the same answers as the shared pass
-    assert reports == (
-        fairness_report(f, members),
+    assert (reports[0].additive_gap, reports[1], reports[3]) == (
+        additive_gap(f, members),
         uncertainty_bound(f, members),
-        upper_bound_report(f, members),
         lower_bound_report(f, members),
     )
 

@@ -3,6 +3,8 @@ from math import factorial
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from snfair.errors import CapacityError, DegenerateError
 from snfair.fourier import (
@@ -10,16 +12,13 @@ from snfair.fourier import (
     PayoffFn,
     degree,
     inverse,
-    isotypic_project,
     schatten_summary,
     transform,
-    truncate_high,
-    truncate_low,
     uncertainty_check,
 )
 from snfair.partitions import dimension, partitions_of
-from snfair.payoffs import indicator_payoff, random_payoff
-from snfair.permutations import enumerate_group, group_matrix, lehmer_unrank
+from snfair.payoffs import JuntaTerm, indicator_payoff, junta_payoff, random_payoff
+from snfair.permutations import enumerate_group, group_matrix, lehmer_unrank, rank_of_word
 from snfair.representations import evaluate
 from snfair.sets import OrderingSet
 
@@ -34,6 +33,12 @@ def brute_transform(f):
             acc += f.values[p.rank()] * evaluate(shape, p)
         blocks[shape] = acc
     return blocks
+
+
+def band(f, keep):
+    """Inverse of f's spectrum with every block whose shape fails keep zeroed."""
+    blocks = {s: m if keep(s) else np.zeros_like(m) for s, m in transform(f).blocks.items()}
+    return inverse(FourierSpectrum(f.n, blocks))
 
 
 def stab_slot1_indicator(n):
@@ -134,13 +139,13 @@ def test_isotypic_projections_sum_to_identity():
     f = random_payoff(4, seed=3)
     total = np.zeros_like(f.values)
     for shape in partitions_of(4):
-        total = total + isotypic_project(f, shape).values
+        total = total + band(f, lambda s: s == shape).values
     assert np.abs(total - f.values).max() <= 1e-9
 
 
 def test_isotypic_projections_mutually_orthogonal():
     f = random_payoff(4, seed=4)
-    parts = {s: isotypic_project(f, s).values for s in partitions_of(4)}
+    parts = {s: band(f, lambda t: t == s).values for s in partitions_of(4)}
     shapes = partitions_of(4)
     for i, s in enumerate(shapes):
         for t in shapes[i + 1:]:
@@ -149,8 +154,8 @@ def test_isotypic_projections_mutually_orthogonal():
 
 def test_isotypic_projection_is_idempotent():
     f = random_payoff(4, seed=6)
-    once = isotypic_project(f, (3, 1))
-    twice = isotypic_project(once, (3, 1))
+    once = band(f, lambda s: s == (3, 1))
+    twice = band(once, lambda s: s == (3, 1))
     np.testing.assert_allclose(twice.values, once.values, atol=1e-10)
 
 
@@ -166,19 +171,42 @@ def test_degree_of_zero_function_rejected():
         degree(PayoffFn(3, np.zeros(6)))
 
 
+@st.composite
+def junta_or_sparse_payoffs(draw):
+    """A nonzero junta with integer weights, or a sparse random payoff, on S_n."""
+    n = draw(st.integers(2, 6))
+    if draw(st.booleans()):
+        terms = []
+        for _ in range(draw(st.integers(1, 3))):
+            k = draw(st.integers(1, min(3, n)))
+            slots = draw(st.permutations(range(1, n + 1)))[:k]
+            items = draw(st.permutations(range(1, n + 1)))[:k]
+            terms.append(JuntaTerm(tuple(zip(slots, items)), draw(st.integers(1, 5))))
+        return junta_payoff(terms, n)
+    nonzero = draw(st.integers(1, factorial(n)))
+    return random_payoff(n, seed=draw(st.integers(0, 2**32 - 1)), dist="sparse", nonzero=nonzero)
+
+
+@settings(max_examples=60, deadline=None)
+@given(junta_or_sparse_payoffs(), st.data())
+def test_degree_is_invariant_under_left_and_right_translation(f, data):
+    words = group_matrix(f.n)
+    sigma = np.array(data.draw(st.permutations(range(1, f.n + 1))))
+    left = rank_of_word(sigma[words - 1])  # rank of sigma * p for every rank p
+    right = rank_of_word(words[:, sigma - 1])  # rank of p * sigma
+    d = degree(f)
+    assert degree(PayoffFn(f.n, f.values[left])) == d
+    assert degree(PayoffFn(f.n, f.values[right])) == d
+
+
 def test_truncation_caps_degree_and_splits_exactly():
     f = random_payoff(5, seed=7)
-    low = truncate_low(f, 2)
-    high = truncate_high(f, 2)
+    low = band(f, lambda s: 5 - s[0] <= 2)
+    high = band(f, lambda s: 5 - s[0] > 2)
     assert degree(low) <= 2
     np.testing.assert_allclose(low.values + high.values, f.values, atol=1e-10)
     # The split is orthogonal: energies add.
     assert float(low.values @ high.values) == pytest.approx(0.0, abs=1e-8)
-
-
-def test_truncate_low_full_band_is_identity():
-    f = random_payoff(4, seed=8)
-    np.testing.assert_allclose(truncate_low(f, 3).values, f.values, atol=1e-10)
 
 
 def test_schatten_sinf_bounded_by_s1():
@@ -204,6 +232,25 @@ def test_uncertainty_equality_cases():
     assert const.product == pytest.approx(order, rel=1e-12)
 
 
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 6), st.integers(0, 2**32 - 1))
+def test_roundtrip_and_plancherel_on_random_signed_payoffs(n, seed):
+    f = PayoffFn(n, random_payoff(n, seed=seed).values - 0.5)
+    spec = transform(f)
+    assert np.abs(inverse(spec).values - f.values).max() <= 1e-12
+    energy = float(f.values @ f.values)
+    spectral = sum(
+        dimension(s) * float(np.linalg.norm(m)) ** 2 for s, m in spec.blocks.items()
+    ) / factorial(n)
+    assert abs(energy - spectral) <= 1e-12 * energy
+
+
+@settings(max_examples=60, deadline=None)
+@given(junta_or_sparse_payoffs())
+def test_support_spread_holds_on_juntas_and_sparse_payoffs(f):
+    assert uncertainty_check(f).holds
+
+
 def test_uncertainty_zero_function_rejected():
     with pytest.raises(DegenerateError):
         uncertainty_check(PayoffFn(3, np.zeros(6)))
@@ -223,10 +270,6 @@ def test_payoff_dict_roundtrip():
     f = random_payoff(4, seed=10)
     again = PayoffFn.from_dict(f.to_dict())
     np.testing.assert_array_equal(again.values, f.values)
-    spec = transform(f)
-    spec2 = FourierSpectrum.from_dict(spec.to_dict())
-    for s in partitions_of(4):
-        np.testing.assert_allclose(spec2.blocks[s], spec.blocks[s], atol=1e-15)
 
 
 def test_spectrum_block_order_is_canonical():

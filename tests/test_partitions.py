@@ -95,13 +95,6 @@ def test_tableaux_last_letter_order():
         assert len(set(keys)) == len(keys)
 
 
-def test_tableau_content_is_col_minus_row():
-    tab = standard_tableaux((2, 1))[0]
-    for entry in (1, 2, 3):
-        r, c = tab.position(entry)
-        assert tab.content(entry) == c - r
-
-
 def test_tableau_swap_changes_rows_of_adjacent_entries():
     tab = StandardTableau(((1, 2), (3,)))
     swapped = tab.swap(2)

@@ -12,7 +12,6 @@ from snfair.payoffs import (
     cfmm_payoff,
     indicator_payoff,
     junta_payoff,
-    liquidatable_set,
     liquidation_payoff,
     random_payoff,
 )
@@ -111,14 +110,6 @@ def test_liquidation_depth_validation():
     with pytest.raises(ModelValidityError):
         LiquidationModel(k=0, c=1)
     LiquidationModel(k=2, c=2)  # boundary is reachable, hence allowed
-
-
-def test_liquidatable_set_is_payoff_support():
-    model = LiquidationModel(k=2, c=1)
-    support = liquidatable_set(model)
-    f = liquidation_payoff(model)
-    assert support.mask().tolist() == (f.values == 1.0).tolist()
-    assert len(support) == 16
 
 
 def test_junta_single_constraint_support():

@@ -48,27 +48,9 @@ def test_call_applies_to_points():
         p(4)
 
 
-def test_cycle_type_hand_oracles():
-    assert Permutation((2, 3, 1)).cycle_type() == (3,)
-    assert Permutation((2, 1, 4, 3)).cycle_type() == (2, 2)
-    assert Permutation.identity(4).cycle_type() == (1, 1, 1, 1)
-
-
-def test_cycles_cover_all_points():
-    for p in enumerate_group(5):
-        seen = sorted(x for c in p.cycles() for x in c)
-        assert seen == [1, 2, 3, 4, 5]
-
-
-def test_fixed_points():
-    assert Permutation((1, 3, 2, 4)).fixed_points() == (1, 4)
-    assert Permutation((2, 3, 1)).fixed_points() == ()
-
-
 def test_transposition_constructor():
     t = Permutation.transposition(4, 2, 4)
     assert t.mapping == (1, 4, 3, 2)
-    assert t.cycle_type() == (2, 1, 1)
     assert (t * t).mapping == (1, 2, 3, 4)
 
 
