@@ -11,6 +11,12 @@ chosen suite passes; trend quantities are reported but never gate.
 library's own limit of n <= 10: every command checks each group size
 against it once, as soon as the size is known (from a flag, a model, or
 the raw JSON of an input file) and before any n!-sized work.
+
+Payloads hand numpy arrays (payoff values, spectrum blocks, set members)
+straight to the JSON writer, which streams them to the output in chunks
+of EMIT_CHUNK items: the bytes are those of ``json.dumps(indent=2,
+sort_keys=True)``, but neither the whole document nor a Python list of a
+whole array is ever built.
 """
 from __future__ import annotations
 
@@ -62,6 +68,10 @@ from .sequencing import (
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
 EXIT_USAGE = 2
+
+# Largest number of array items _emit turns into Python objects at once:
+# a chunk of ints costs about 2 MB under tracemalloc, a full n = 9 list 14 MB.
+EMIT_CHUNK = 16384
 
 
 def _numpy_to_builtin(obj):
@@ -120,13 +130,55 @@ def _metadata(args: argparse.Namespace, inputs: dict[str, str]) -> dict:
     }
 
 
+def _write_json(write, obj, pad: str) -> None:
+    """Write obj as ``json.dumps(obj, indent=2, sort_keys=True)`` would at
+    indentation pad, but array by array in chunks of at most EMIT_CHUNK.
+
+    A chunk dumped by the C encoder with separator ",\\n" + indent and its
+    brackets trimmed is exactly what indent=2 writes for a flat list.
+    """
+    if isinstance(obj, np.ndarray) and obj.ndim >= 2:
+        obj = list(obj)  # row by row
+    inner = pad + "  "
+    if isinstance(obj, dict):
+        if not obj:
+            write("{}")
+            return
+        for i, key in enumerate(sorted(obj)):
+            name = key if isinstance(key, str) else json.dumps(key)
+            write(("{\n" if i == 0 else ",\n") + inner + json.dumps(name) + ": ")
+            _write_json(write, obj[key], inner)
+        write("\n" + pad + "}")
+    elif isinstance(obj, (list, tuple)):
+        if not obj:
+            write("[]")
+            return
+        for i, item in enumerate(obj):
+            write(("[\n" if i == 0 else ",\n") + inner)
+            _write_json(write, item, inner)
+        write("\n" + pad + "]")
+    elif isinstance(obj, np.ndarray) and obj.ndim == 1:
+        if not obj.size:
+            write("[]")
+            return
+        sep = ",\n" + inner
+        for start in range(0, obj.size, EMIT_CHUNK):
+            chunk = json.dumps(obj[start : start + EMIT_CHUNK].tolist(), separators=(sep, ": "))
+            write(("[\n" + inner if start == 0 else sep) + chunk[1:-1])
+        write("\n" + pad + "]")
+    else:
+        write(json.dumps(obj, default=_numpy_to_builtin))
+
+
 def _emit(payload: dict, out: str | None) -> None:
-    text = json.dumps(payload, indent=2, sort_keys=True, default=_numpy_to_builtin) + "\n"
+    """Write payload as indented, key-sorted JSON without building the text."""
     if out:
         with open(out, "w") as fh:
-            fh.write(text)
+            _write_json(fh.write, payload, "")
+            fh.write("\n")
     else:
-        sys.stdout.write(text)
+        _write_json(sys.stdout.write, payload, "")
+        sys.stdout.write("\n")
 
 
 def _emit_csv(rows: list[dict], path: str) -> None:
@@ -231,8 +283,7 @@ def cmd_gen_payoff(args: argparse.Namespace) -> int:
     else:  # pragma: no cover - argparse already restricts choices
         raise ValueError(f"unknown model {args.model!r}")
 
-    payload = payoff.to_dict()
-    payload["metadata"] = _metadata(args, inputs)
+    payload = {"n": payoff.n, "values": payoff.values, "metadata": _metadata(args, inputs)}
     _emit(payload, args.out)
     vals = payoff.values
     print(
@@ -246,8 +297,11 @@ def cmd_gen_payoff(args: argparse.Namespace) -> int:
 def cmd_transform(args: argparse.Namespace) -> int:
     payoff = _load_payoff(args)
     spec = transform(payoff)
-    payload = spec.to_dict()
-    payload["metadata"] = _metadata(args, {"payoff": args.payoff})
+    payload = {
+        "n": spec.n,
+        "blocks": [{"lambda": list(s), "matrix": m} for s, m in spec.blocks.items()],
+        "metadata": _metadata(args, {"payoff": args.payoff}),
+    }
     _emit(payload, args.out)
     if args.csv:
         _emit_csv(_spectrum_rows(spec, schatten_summary(spec)), args.csv)
@@ -301,8 +355,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     admissible = valid_orderings(graph)
     stats = condorcet_stats(graph)
     profile = intersection_profile(admissible)
-    payload = admissible.to_dict()
-    payload["votes"] = votes.to_dict()
+    payload = {"n": admissible.n, "members": admissible.members, "votes": votes.to_dict()}
     payload["stats"] = {
         "num_sccs": stats.num_sccs,
         "largest_scc": stats.largest_scc,
@@ -327,26 +380,24 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 # ---------------------------------------------------------------- verify
 
 
-def _corpus_payoffs(n: int, seed: int) -> dict[str, PayoffFn]:
-    """Deterministic generator-family corpus used by the verify suites."""
+def _corpus_payoffs(n: int, seed: int):
+    """Deterministic generator-family corpus used by the verify suites,
+    as (label, payoff) pairs built one at a time."""
     sizes = []
     mag = 1
     for i in range(n):
         sizes.append(float(mag) if i % 2 == 0 else float(-mag))
         if i % 2 == 1:
             mag += 1
-    corpus = {
-        "cfmm": cfmm_payoff(
-            CfmmModel(deltas=tuple(sizes), p0=100.0, gamma=0.001, beta=1.0)
-        ),
-        "junta_k1": junta_payoff([JuntaTerm(((1, 1),))], n),
-        "junta_k2": junta_payoff([JuntaTerm(((1, 1), (2, 2)))], n),
-        "random_a": random_payoff(n, seed=seed),
-        "random_b": random_payoff(n, seed=seed + 1),
-    }
+    yield "cfmm", cfmm_payoff(
+        CfmmModel(deltas=tuple(sizes), p0=100.0, gamma=0.001, beta=1.0)
+    )
+    yield "junta_k1", junta_payoff([JuntaTerm(((1, 1),))], n)
+    yield "junta_k2", junta_payoff([JuntaTerm(((1, 1), (2, 2)))], n)
+    yield "random_a", random_payoff(n, seed=seed)
+    yield "random_b", random_payoff(n, seed=seed + 1)
     if n % 2 == 0 and n >= 4:
-        corpus["liquidation"] = liquidation_payoff(LiquidationModel(k=n // 2, c=1))
-    return corpus
+        yield "liquidation", liquidation_payoff(LiquidationModel(k=n // 2, c=1))
 
 
 def _corpus_sets(n: int, seed: int) -> dict[str, OrderingSet]:
@@ -399,11 +450,15 @@ def _suite_uncertainty(n: int, seed: int, tol: float):
     rows = []
     passed = True
     order = factorial(n)
-    cases = {f"uniform_{i}": random_payoff(n, seed=seed + i) for i in range(100)}
-    cases.update(_corpus_payoffs(n, seed))
-    cases["point_mass"] = PayoffFn(n, np.eye(1, order)[0])
-    cases["constant"] = PayoffFn(n, np.ones(order))
-    for label, f in cases.items():
+
+    def cases():  # built one at a time, as each is checked
+        for i in range(100):
+            yield f"uniform_{i}", random_payoff(n, seed=seed + i)
+        yield from _corpus_payoffs(n, seed)
+        yield "point_mass", PayoffFn(n, np.eye(1, order)[0])
+        yield "constant", PayoffFn(n, np.ones(order))
+
+    for label, f in cases():
         check = uncertainty_check(f)
         holds = check.holds
         if label in ("point_mass", "constant"):  # the equality cases
@@ -520,11 +575,12 @@ def _suite_claim1(n: int, seed: int, tol: float):
     rows = []
     passed = True
     sets = _corpus_sets(n, seed)
-    for p_label, f in _corpus_payoffs(n, seed).items():
+    for p_label, f in _corpus_payoffs(n, seed):
+        spectrum = None  # transformed once, by the first pair that needs it
         for s_label, members in sets.items():
             if len(members) == 0:
                 continue
-            pair = Analysis(f, members)
+            pair = Analysis(f, members, spectrum=spectrum)
             if pair.bounds_note is not None:
                 rows.append(
                     {
@@ -540,6 +596,7 @@ def _suite_claim1(n: int, seed: int, tol: float):
                 )
                 continue
             ub, upper = pair.uncertainty, pair.upper
+            spectrum = pair.spectrum
             ok = ub.slack >= -tol
             passed &= ok
             rows.append(

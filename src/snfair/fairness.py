@@ -126,15 +126,25 @@ class Analysis:
     The pointwise statistics of the restriction are computed on
     construction.  The spectral values (payoff spectrum, its Schatten
     summary, degree at `tol`, agreement profile) and the bound reports
-    built from them are computed on first use and then kept.
+    built from them are computed on first use and then kept.  A caller
+    that pairs one payoff with several sets may pass the payoff's
+    `spectrum` so that it is transformed only once.
     """
 
-    def __init__(self, f: PayoffFn, members: OrderingSet, tol: float = DEGREE_TOL):
+    def __init__(
+        self,
+        f: PayoffFn,
+        members: OrderingSet,
+        tol: float = DEGREE_TOL,
+        spectrum: FourierSpectrum | None = None,
+    ):
         if f.n != members.n:
             raise ValueError(f"payoff on S_{f.n} but set in S_{members.n}")
         if len(members) == 0:
             raise EmptySetError("fairness gaps over the empty set are undefined")
         self.f, self.members, self.tol = f, members, tol
+        if spectrum is not None:
+            self.spectrum = spectrum  # fills the cached property
         self.on_set = f.values[members.members]
         self.linf = float(np.abs(self.on_set).max())  # ||f * 1_A||_inf
         top = float(self.on_set.max())

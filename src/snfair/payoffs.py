@@ -69,12 +69,18 @@ def cfmm_payoff(model: CfmmModel) -> PayoffFn:
     n = model.n
     perms = group_matrix(n)
     sizes = np.asarray(model.deltas)[perms - 1]  # (n!, n) trade size per slot
-    factors = 1.0 + model.gamma * sizes
-    prices = model.p0 * np.cumprod(factors, axis=1)
-    prior = np.concatenate(
-        [np.full((prices.shape[0], 1), model.p0), prices[:, :-1]], axis=1
-    )
-    values = model.beta * (sizes**2 * prior).sum(axis=1)
+    # prior[:, k] = price before slot k: the price factors, their running
+    # product times p0, then shifted one slot right behind p0, all in place
+    prior = model.gamma * sizes
+    prior += 1.0
+    np.cumprod(prior, axis=1, out=prior)
+    prior *= model.p0
+    for k in range(n - 1, 0, -1):
+        prior[:, k] = prior[:, k - 1]
+    prior[:, 0] = model.p0
+    sizes *= sizes
+    sizes *= prior
+    values = model.beta * sizes.sum(axis=1)
     return PayoffFn(n, values)
 
 

@@ -127,11 +127,15 @@ def valid_orderings(graph: MajorityGraph) -> OrderingSet:
         (i, j) for (i, j) in sorted(graph.edges) if component[i] != component[j]
     ]
     perms = group_matrix(n)
-    # slot_of[r, v] = 0-based execution slot of item v + 1 under ordering r
-    slot_of = np.argsort(perms, axis=1)
+    # slot_of[v][r] = 0-based execution slot of item v under ordering r,
+    # found only for the items on cross edges
+    slot_of = {
+        v: (perms == v).argmax(axis=1).astype(np.int8)
+        for v in sorted({v for edge in cross_edges for v in edge})
+    }
     keep = np.ones(factorial(n), dtype=bool)
     for i, j in cross_edges:
-        keep &= slot_of[:, i - 1] < slot_of[:, j - 1]
+        keep &= slot_of[i] < slot_of[j]
     return OrderingSet.from_ranks(n, np.nonzero(keep)[0])
 
 

@@ -1,13 +1,23 @@
 """End-to-end checks of the command-line interface via its main() entry."""
+import contextlib
+import io
 import json
 import subprocess
 import sys
+import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
-from snfair.cli import EXIT_CHECK_FAILED, EXIT_OK, EXIT_USAGE, _emit, main
+import snfair.cli
+import snfair.fairness
+from snfair.cli import EXIT_CHECK_FAILED, EXIT_OK, EXIT_USAGE, _emit, _suite_claim1, main
 from snfair.intersecting import stabilizer_set
+from snfair.sets import OrderingSet
 
 
 def run(*argv):
@@ -359,6 +369,88 @@ def test_emit_writes_numpy_values_as_their_builtins(tmp_path):
     _emit(with_numpy, str(tmp_path / "numpy.json"))
     _emit(builtins, str(tmp_path / "builtins.json"))
     assert (tmp_path / "numpy.json").read_bytes() == (tmp_path / "builtins.json").read_bytes()
+
+
+def _as_pair(value):
+    """(value as _emit receives it, its builtin form for json.dumps)."""
+    if isinstance(value, (np.ndarray, np.generic)):
+        return value, value.tolist()
+    return value, value
+
+
+_ARRAYS = st.one_of(
+    hnp.arrays(
+        st.sampled_from([np.int64, np.float64, np.bool_]),
+        hnp.array_shapes(min_dims=1, max_dims=2, min_side=0, max_side=6),
+    ),
+    st.integers(0, 40).map(np.arange),  # past several chunks of the patched size
+)
+_LEAVES = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(),
+    st.floats(),
+    st.text(max_size=4),
+    st.floats().map(np.float64),
+    st.integers(-(2**63), 2**63 - 1).map(np.int64),
+    st.booleans().map(np.bool_),
+    _ARRAYS,
+).map(_as_pair)
+
+
+def _containers(children):
+    def unzip(pairs):
+        return [p[0] for p in pairs], [p[1] for p in pairs]
+
+    return st.one_of(
+        st.lists(children, max_size=4).map(unzip),
+        st.lists(children, max_size=3).map(unzip).map(lambda p: (tuple(p[0]), p[1])),
+        st.dictionaries(st.text(max_size=4), children, max_size=4).map(
+            lambda d: ({k: v[0] for k, v in d.items()}, {k: v[1] for k, v in d.items()})
+        ),
+    )
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.recursive(_LEAVES, _containers, max_leaves=12), st.sampled_from([1, 3, 16384]))
+def test_emit_streams_exactly_what_indented_json_dumps_writes(pair, chunk):
+    value, builtin = pair
+    out = io.StringIO()
+    with mock.patch.object(snfair.cli, "EMIT_CHUNK", chunk), contextlib.redirect_stdout(out):
+        _emit(value, None)
+    assert out.getvalue() == json.dumps(builtin, indent=2, sort_keys=True) + "\n"
+
+
+def test_emit_of_a_full_n9_set_stays_well_below_its_list_form(tmp_path):
+    members = OrderingSet.full_group(9).members  # 362880 ranks
+    tracemalloc.start()
+    try:
+        _emit({"n": 9, "members": members}, str(tmp_path / "set.json"))
+        emit_peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.reset_peak()
+        as_list = members.tolist()
+        list_peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(as_list) == 362880 and list_peak > 10e6  # about 14 MB
+    assert emit_peak < list_peak / 4
+
+
+def test_claim1_transforms_each_payoff_once(monkeypatch):
+    calls = {"transform": 0}
+    real = snfair.fairness.transform
+
+    def counted(f):
+        calls["transform"] += 1
+        return real(f)
+
+    monkeypatch.setattr(snfair.fairness, "transform", counted)
+    passed, rows = _suite_claim1(5, 5, 1e-9)
+    bounded = [row for row in rows if row["bound"] is not None]
+    payoffs = {row["payoff"] for row in bounded}
+    assert passed and len(rows) == 25 and len(payoffs) == 5
+    # one restriction per bounded row, one spectrum per payoff (was one per row)
+    assert calls["transform"] == len(bounded) + len(payoffs)
 
 
 def test_stdout_when_no_out_flag(capsys):

@@ -218,6 +218,22 @@ def test_fairness_report_bundles_consistently():
     assert report.classification == classify_fairness(f, members) == "other"
 
 
+def test_analysis_with_a_given_spectrum_transforms_only_the_restriction(monkeypatch):
+    f = cfmm_payoff(CfmmModel(deltas=(1.0, 2.0, -1.0, -2.0, 0.5)))
+    members = stabilizer_set(5, [(1, 1)])
+    fresh = Analysis(f, members)
+    expected = (fresh.uncertainty, fresh.upper, fresh.lower)
+    spectrum = snfair.fairness.transform(f)
+    calls = []
+    real = snfair.fairness.transform
+    monkeypatch.setattr(
+        snfair.fairness, "transform", lambda g: calls.append(g) or real(g)
+    )
+    pair = Analysis(f, members, spectrum=spectrum)
+    assert (pair.uncertainty, pair.upper, pair.lower) == expected
+    assert pair.spectrum is spectrum and len(calls) == 1
+
+
 def test_analysis_computes_each_spectrum_and_profile_once(monkeypatch):
     calls = {"transform": 0, "profile": 0}
 

@@ -4,9 +4,12 @@ from math import factorial
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from snfair.errors import CapacityError
 from snfair.intersecting import intersection_profile
+from snfair.permutations import group_matrix
 from snfair.sequencing import (
     VoteProfile,
     condorcet_stats,
@@ -127,6 +130,32 @@ def test_admissible_set_matches_oracle_on_random_profiles():
         )
         members = valid_orderings(majority_graph(votes))
         assert {p.mapping for p in members.permutations()} == admissible_oracle(votes)
+
+
+def argsort_orderings(graph):
+    """Admissible ranks through the full int64 argsort of the group matrix."""
+    n = graph.n_tx
+    component = {tx: c for c, comp in enumerate(graph.sccs) for tx in comp}
+    slot_of = np.argsort(group_matrix(n), axis=1)
+    keep = np.ones(factorial(n), dtype=bool)
+    for i, j in graph.edges:
+        if component[i] != component[j]:
+            keep &= slot_of[:, i - 1] < slot_of[:, j - 1]
+    return np.nonzero(keep)[0]
+
+
+@st.composite
+def vote_profiles(draw):
+    n = draw(st.integers(1, 7))
+    orders = st.permutations(range(1, n + 1)).map(tuple)
+    return VoteProfile(n, tuple(draw(st.lists(orders, min_size=1, max_size=9))))
+
+
+@settings(max_examples=80, deadline=None)
+@given(vote_profiles())
+def test_valid_orderings_matches_argsort_formulation(votes):
+    graph = majority_graph(votes)
+    assert np.array_equal(valid_orderings(graph).members, argsort_orderings(graph))
 
 
 def test_mixed_profile_two_components():

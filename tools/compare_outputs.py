@@ -58,6 +58,8 @@ def _commands() -> list[list[str]]:
         ["gen-payoff", "--model", "random", "--n", "5", "--dist", "sparse", "--nonzero", "7",
          "--out", "sparse5.json"],
         ["gen-payoff", "--model", "random", "--n", "7", "--seed", "1", "--out", "random7.json"],
+        # float arrays longer than one chunk of the streaming writer
+        ["gen-payoff", "--model", "random", "--n", "9", "--max-n", "9", "--out", "random9.json"],
     ]
     for n in (4, 6, 7, 8):
         cmds.append(["simulate", "--n-tx", str(n), "--seed", str(n), "--out", f"iid{n}.json"])
@@ -75,6 +77,8 @@ def _commands() -> list[list[str]]:
         ["transform", "--payoff", "random6.json", "--out", "spec6.json", "--csv", "spec6.csv"],
         ["transform", "--payoff", "cfmm7.json", "--out", "spec7.json", "--csv", "spec7.csv"],
         ["transform", "--payoff", "sparse5.json"],
+        # 2-D blocks up to 90 x 90
+        ["transform", "--payoff", "cfmm8.json", "--out", "spec8.json", "--csv", "spec8.csv"],
         ["analyze", "--payoff", "cfmm6.json", "--set", "iid6.json", "--out", "an_cfmm6.json",
          "--csv", "an_cfmm6.csv"],
         ["analyze", "--payoff", "random6.json", "--set", "cycle6.json", "--out", "an_random6.json"],
