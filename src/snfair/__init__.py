@@ -6,43 +6,10 @@ Fourier transform of payoff functions; payoff model generators; pairwise
 agreement structure of ordering sets; Cayley averaging operators; fairness
 gaps and their spectral bounds; and a vote-to-admissible-orderings
 sequencing pipeline.  The ``snfair`` command drives it all reproducibly.
+
+Import names from their modules (``snfair.fourier``, ``snfair.sets``,
+...): the package re-exports nothing, so importing one layer, or the
+command line, loads only the modules that layer needs.
 """
 
 __version__ = "0.1.0"
-
-from .errors import CapacityError, DegenerateError, EmptySetError, ModelValidityError
-from .fourier import (
-    FourierSpectrum,
-    PayoffFn,
-    degree,
-    inverse,
-    schatten_summary,
-    transform,
-    uncertainty_check,
-)
-from .partitions import dimension, partitions_of, standard_tableaux
-from .permutations import Permutation, enumerate_group, group_matrix, lehmer_unrank
-from .sets import OrderingSet
-
-__all__ = [
-    "CapacityError",
-    "DegenerateError",
-    "EmptySetError",
-    "FourierSpectrum",
-    "ModelValidityError",
-    "OrderingSet",
-    "PayoffFn",
-    "Permutation",
-    "__version__",
-    "degree",
-    "dimension",
-    "enumerate_group",
-    "group_matrix",
-    "inverse",
-    "lehmer_unrank",
-    "partitions_of",
-    "schatten_summary",
-    "standard_tableaux",
-    "transform",
-    "uncertainty_check",
-]

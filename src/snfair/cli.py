@@ -7,10 +7,17 @@ written, so identical invocations produce byte-identical files.  The
 verify command exits 0 exactly when every theorem-backed check in the
 chosen suite passes; trend quantities are reported but never gate.
 
+This module parses arguments and formats results; the analysis is in the
+layers and the verify suites in :mod:`snfair.verify`.  It imports none
+of them at module scope: each command imports the layers it runs when
+it starts, so ``--version`` and ``--help`` load no numpy and
+``simulate`` never loads the Fourier stack.
+
 ``--max-n`` (default 8) is a command-line setting on top of the
 library's own limit of n <= 10: every command checks each group size
 against it once, as soon as the size is known (from a flag, a model, or
-the raw JSON of an input file) and before any n!-sized work.
+the raw JSON of an input file) and before any n!-sized work.  ``--tol``
+must be a finite number >= 0.
 
 Payloads hand numpy arrays (payoff values, spectrum blocks, set members)
 straight to the JSON writer, which streams them to the output in chunks
@@ -21,49 +28,11 @@ whole array is ever built.
 from __future__ import annotations
 
 import argparse
-import csv
-import hashlib
 import json
 import re
 import sys
-from dataclasses import asdict
-from math import factorial
-
-import numpy as np
 
 from . import __version__
-from .cayley import SymmetricSet, block_operator, bound_violations, dense_operator, symmetrize
-from .fairness import Analysis, lower_bound_report, nested_stabilizer_instance
-from .fourier import (
-    PayoffFn,
-    FourierSpectrum,
-    SchattenSummary,
-    inverse,
-    schatten_summary,
-    transform,
-    uncertainty_check,
-)
-from .intersecting import intersection_profile, stabilizer_set, verify_indicator_degree
-from .partitions import dimension, partitions_of
-from .payoffs import (
-    CfmmModel,
-    JuntaTerm,
-    LiquidationModel,
-    cfmm_payoff,
-    indicator_payoff,
-    junta_payoff,
-    liquidation_payoff,
-    random_payoff,
-)
-from .permutations import Permutation
-from .sets import OrderingSet
-from .sequencing import (
-    VoteProfile,
-    condorcet_stats,
-    majority_graph,
-    simulate,
-    valid_orderings,
-)
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -73,15 +42,23 @@ EXIT_USAGE = 2
 # a chunk of ints costs about 2 MB under tracemalloc, a full n = 9 list 14 MB.
 EMIT_CHUNK = 16384
 
+# The keys of snfair.verify.SUITES in the order --help lists them, written
+# out so that parsing arguments imports no suite.
+VERIFY_SUITES = ("claim1", "claim2", "eigenvalue", "indicator_degree", "roundtrip", "uncertainty")
+
 
 def _numpy_to_builtin(obj):
     """json.dumps hook for the numpy scalars and arrays a payload may hold."""
+    import numpy as np
+
     if isinstance(obj, (np.generic, np.ndarray)):
         return obj.tolist()
     raise TypeError(f"{type(obj).__name__} is not JSON serializable")
 
 
 def _hash_file(path: str) -> str:
+    import hashlib
+
     with open(path, "rb") as fh:
         return hashlib.sha256(fh.read()).hexdigest()
 
@@ -137,6 +114,8 @@ def _write_json(write, obj, pad: str) -> None:
     A chunk dumped by the C encoder with separator ",\\n" + indent and its
     brackets trimmed is exactly what indent=2 writes for a flat list.
     """
+    import numpy as np
+
     if isinstance(obj, np.ndarray) and obj.ndim >= 2:
         obj = list(obj)  # row by row
     inner = pad + "  "
@@ -182,6 +161,8 @@ def _emit(payload: dict, out: str | None) -> None:
 
 
 def _emit_csv(rows: list[dict], path: str) -> None:
+    import csv
+
     if not rows:
         return
     keys = list(rows[0].keys())
@@ -211,10 +192,17 @@ def _parse_pairs(text: str) -> tuple[tuple[int, int], ...]:
 
 def _fields(report, *skip: str) -> dict:
     """A report dataclass as a dict, without the named fields."""
+    from dataclasses import asdict
+
     return {k: v for k, v in asdict(report).items() if k not in skip}
 
 
-def _spectrum_rows(spec: FourierSpectrum, summary: SchattenSummary) -> list[dict]:
+def _spectrum_rows(spec, summary) -> list[dict]:
+    """One CSV row per block of a FourierSpectrum and its SchattenSummary."""
+    import numpy as np
+
+    from .partitions import dimension
+
     rows = []
     for shape, mat in spec.blocks.items():
         sv = summary.per_block[shape]
@@ -230,12 +218,16 @@ def _spectrum_rows(spec: FourierSpectrum, summary: SchattenSummary) -> list[dict
     return rows
 
 
-def _load_payoff(args: argparse.Namespace) -> PayoffFn:
+def _load_payoff(args: argparse.Namespace):
+    from .fourier import PayoffFn
+
     data = _load_json(args.payoff, "payoff", args.max_n, "n", "values")
     return PayoffFn.from_dict(data)
 
 
-def _load_set(args: argparse.Namespace) -> OrderingSet:
+def _load_set(args: argparse.Namespace):
+    from .sets import OrderingSet
+
     data = _load_json(args.set, "ordering set", args.max_n, "n", "members")
     return OrderingSet.from_dict(data)
 
@@ -244,6 +236,17 @@ def _load_set(args: argparse.Namespace) -> OrderingSet:
 
 
 def cmd_gen_payoff(args: argparse.Namespace) -> int:
+    from .payoffs import (
+        CfmmModel,
+        JuntaTerm,
+        LiquidationModel,
+        cfmm_payoff,
+        indicator_payoff,
+        junta_payoff,
+        liquidation_payoff,
+        random_payoff,
+    )
+
     inputs = {}
     if args.model == "cfmm":
         if args.deltas is None:
@@ -287,7 +290,7 @@ def cmd_gen_payoff(args: argparse.Namespace) -> int:
     _emit(payload, args.out)
     vals = payoff.values
     print(
-        f"n={payoff.n} orderings={factorial(payoff.n)} "
+        f"n={payoff.n} orderings={vals.size} "
         f"min={vals.min():.6g} max={vals.max():.6g} mean={vals.mean():.6g}",
         file=sys.stderr,
     )
@@ -295,6 +298,8 @@ def cmd_gen_payoff(args: argparse.Namespace) -> int:
 
 
 def cmd_transform(args: argparse.Namespace) -> int:
+    from .fourier import schatten_summary, transform
+
     payoff = _load_payoff(args)
     spec = transform(payoff)
     payload = {
@@ -309,6 +314,8 @@ def cmd_transform(args: argparse.Namespace) -> int:
 
 
 def cmd_analyze(args: argparse.Namespace) -> int:
+    from .fairness import Analysis
+
     payoff = _load_payoff(args)
     members = _load_set(args)
     pair = Analysis(payoff, members, tol=args.tol)
@@ -337,6 +344,15 @@ def cmd_analyze(args: argparse.Namespace) -> int:
 
 
 def cmd_simulate(args: argparse.Namespace) -> int:
+    from .intersecting import intersection_profile
+    from .sequencing import (
+        VoteProfile,
+        condorcet_stats,
+        majority_graph,
+        simulate,
+        valid_orderings,
+    )
+
     inputs = {}
     if args.votes:
         inputs["votes"] = args.votes
@@ -380,285 +396,11 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 # ---------------------------------------------------------------- verify
 
 
-def _corpus_payoffs(n: int, seed: int):
-    """Deterministic generator-family corpus used by the verify suites,
-    as (label, payoff) pairs built one at a time."""
-    sizes = []
-    mag = 1
-    for i in range(n):
-        sizes.append(float(mag) if i % 2 == 0 else float(-mag))
-        if i % 2 == 1:
-            mag += 1
-    yield "cfmm", cfmm_payoff(
-        CfmmModel(deltas=tuple(sizes), p0=100.0, gamma=0.001, beta=1.0)
-    )
-    yield "junta_k1", junta_payoff([JuntaTerm(((1, 1),))], n)
-    yield "junta_k2", junta_payoff([JuntaTerm(((1, 1), (2, 2)))], n)
-    yield "random_a", random_payoff(n, seed=seed)
-    yield "random_b", random_payoff(n, seed=seed + 1)
-    if n % 2 == 0 and n >= 4:
-        yield "liquidation", liquidation_payoff(LiquidationModel(k=n // 2, c=1))
-
-
-def _corpus_sets(n: int, seed: int) -> dict[str, OrderingSet]:
-    sets = {
-        "full_group": OrderingSet.full_group(n),
-        "stabilizer_t1": stabilizer_set(n, [(1, 1)]),
-        "stabilizer_t2": stabilizer_set(n, [(1, 1), (2, 2)]),
-    }
-    votes = simulate(n, 5, "iid_shuffle", seed=seed)
-    sets["fair_ordering_iid"] = valid_orderings(majority_graph(votes))
-    if n >= 3:
-        votes = simulate(n, n, "adversarial_cycle")
-        sets["fair_ordering_cycle"] = valid_orderings(majority_graph(votes))
-    return sets
-
-
-def _suite_roundtrip(n: int, seed: int, tol: float):
-    cases = {}
-    for i in range(5):
-        cases[f"uniform_{i}"] = random_payoff(n, seed=seed + i)
-    cases["sparse"] = random_payoff(n, seed=seed, dist="sparse", nonzero=3)
-    size = factorial(n)
-    cases["point_mass"] = PayoffFn(n, np.eye(1, size)[0])
-    cases["constant"] = PayoffFn(n, np.ones(size))
-    rows = []
-    passed = True
-    for label, f in cases.items():
-        spec = transform(f)
-        back = inverse(spec)
-        err = float(np.abs(back.values - f.values).max())
-        energy = float((f.values**2).sum())
-        spectral = sum(
-            dimension(s) * float(np.linalg.norm(m)) ** 2 for s, m in spec.blocks.items()
-        ) / size
-        rel = abs(energy - spectral) / energy
-        ok = err <= tol and rel <= tol
-        passed &= ok
-        rows.append(
-            {
-                "payoff": label,
-                "max_abs_error": err,
-                "parseval_rel_error": rel,
-                "ok": ok,
-            }
-        )
-    return passed, rows
-
-
-def _suite_uncertainty(n: int, seed: int, tol: float):
-    rows = []
-    passed = True
-    order = factorial(n)
-
-    def cases():  # built one at a time, as each is checked
-        for i in range(100):
-            yield f"uniform_{i}", random_payoff(n, seed=seed + i)
-        yield from _corpus_payoffs(n, seed)
-        yield "point_mass", PayoffFn(n, np.eye(1, order)[0])
-        yield "constant", PayoffFn(n, np.ones(order))
-
-    for label, f in cases():
-        check = uncertainty_check(f)
-        holds = check.holds
-        if label in ("point_mass", "constant"):  # the equality cases
-            holds = holds and abs(check.product - order) <= 1e-12 * order
-        passed &= holds
-        rows.append(
-            {
-                "payoff": label,
-                "support_ratio": check.support_ratio,
-                "spread_ratio": check.spread_ratio,
-                "product": check.product,
-                "holds": holds,
-            }
-        )
-    return passed, rows
-
-
-def _random_symmetric_set(n: int, rng: np.random.Generator) -> SymmetricSet:
-    size = factorial(n)
-    picks = rng.choice(size, size=min(4, size), replace=False)
-    return symmetrize(OrderingSet.from_ranks(n, picks))
-
-
-def _suite_eigenvalue(n: int, seed: int, tol: float):
-    rng = np.random.default_rng(seed)
-    sets = {"identity": SymmetricSet(n, (0,))}
-    transpositions = [
-        Permutation.transposition(n, i, j).rank()
-        for i in range(1, n + 1)
-        for j in range(i + 1, n + 1)
-    ]
-    sets["transpositions"] = SymmetricSet(n, tuple(sorted(transpositions)))
-    for i in range(3):
-        sets[f"random_{i}"] = _random_symmetric_set(n, rng)
-
-    rows = []
-    passed = True
-    for label, conn in sets.items():
-        if n <= 4:
-            dense = dense_operator(conn)
-            brute = np.sort(np.linalg.eigvalsh(dense))
-            blockwise = np.sort(
-                np.concatenate(
-                    [
-                        np.repeat(
-                            np.linalg.eigvalsh(block_operator(conn, s)), dimension(s)
-                        )
-                        for s in partitions_of(n)
-                    ]
-                )
-            )
-            residual = float(np.abs(brute - blockwise).max())
-            consistent = residual <= 1e-8
-        else:
-            residual = None
-            consistent = True
-        normalized_bad = bound_violations(conn, normalized=True)
-        raw_bad = bound_violations(conn, normalized=False)
-        satisfied = "normalized" if not normalized_bad else (
-            "unnormalized" if not raw_bad else "neither"
-        )
-        ok = consistent and satisfied != "neither"
-        passed &= ok
-        rows.append(
-            {
-                "set": label,
-                "size": len(conn),
-                "block_residual": residual,
-                "normalized_violations": len(normalized_bad),
-                "unnormalized_violations": len(raw_bad),
-                "bound_satisfied_by": satisfied,
-                "ok": ok,
-            }
-        )
-    return passed, rows
-
-
-def _suite_indicator_degree(n: int, seed: int, tol: float):
-    rng = np.random.default_rng(seed)
-    sets: dict[str, OrderingSet] = {"full_group": OrderingSet.full_group(n)}
-    for t in range(1, min(3, n - 1) + 1):
-        sets[f"pin_identity_t{t}"] = stabilizer_set(n, [(i, i) for i in range(1, t + 1)])
-        sets[f"pin_reversal_t{t}"] = stabilizer_set(
-            n, [(i, n + 1 - i) for i in range(1, t + 1)]
-        )
-        for rep in range(4):
-            slots = rng.choice(n, size=t, replace=False) + 1
-            items = rng.choice(n, size=t, replace=False) + 1
-            sets[f"pin_random_t{t}_{rep}"] = stabilizer_set(
-                n, list(zip(slots.tolist(), items.tolist()))
-            )
-    votes = simulate(n, 5, "iid_shuffle", seed=seed)
-    sets["fair_ordering_iid"] = valid_orderings(majority_graph(votes))
-
-    rows = []
-    passed = True
-    for label, members in sets.items():
-        report = verify_indicator_degree(members, tol=tol)
-        passed &= report.claim_holds
-        rows.append(
-            {
-                "set": label,
-                "size": len(members),
-                "t_max": report.t_max,
-                "degree": report.deg_indicator,
-                "size_gate": report.size_gate,
-                "claim_holds": report.claim_holds,
-            }
-        )
-    return passed, rows
-
-
-def _suite_claim1(n: int, seed: int, tol: float):
-    rows = []
-    passed = True
-    sets = _corpus_sets(n, seed)
-    for p_label, f in _corpus_payoffs(n, seed):
-        spectrum = None  # transformed once, by the first pair that needs it
-        for s_label, members in sets.items():
-            if len(members) == 0:
-                continue
-            pair = Analysis(f, members, spectrum=spectrum)
-            if pair.bounds_note is not None:
-                rows.append(
-                    {
-                        "payoff": p_label,
-                        "set": s_label,
-                        "additive_gap": pair.fairness.additive_gap,
-                        "bound": None,
-                        "slack": None,
-                        "applicable": None,
-                        "dim_sq_sum": None,
-                        "ok": True,
-                    }
-                )
-                continue
-            ub, upper = pair.uncertainty, pair.upper
-            spectrum = pair.spectrum
-            ok = ub.slack >= -tol
-            passed &= ok
-            rows.append(
-                {
-                    "payoff": p_label,
-                    "set": s_label,
-                    "additive_gap": ub.additive_gap,
-                    "bound": ub.bound,
-                    "slack": ub.slack,
-                    "applicable": upper.applicable,
-                    "dim_sq_sum": upper.dim_sq_sum,
-                    "ok": ok,
-                }
-            )
-    return passed, rows
-
-
-def _suite_claim2(n: int, seed: int, tol: float):
-    if n < 4:
-        raise ValueError("claim2 suite needs n >= 4 for a non-degenerate instance")
-    instances = [(1, 3)]
-    if n >= 5:
-        instances.append((2, 4))
-    rows = []
-    passed = True
-    for outer, inner in instances:
-        f, members = nested_stabilizer_instance(n, outer, inner)
-        report = lower_bound_report(f, members)
-        finite_positive = (
-            report.implied_constant is not None
-            and np.isfinite(report.implied_constant)
-            and report.implied_constant > 0.0
-        )
-        ok = report.applicable and finite_positive
-        passed &= ok
-        rows.append(
-            {
-                "instance": f"outer{outer}_inner{inner}",
-                "degree": report.degree,
-                "t_max": report.t_max,
-                "applicable": report.applicable,
-                "gap_ratio": report.gap_ratio,
-                "implied_constant": report.implied_constant,
-                "ok": ok,
-            }
-        )
-    return passed, rows
-
-
-_SUITES = {
-    "roundtrip": _suite_roundtrip,
-    "uncertainty": _suite_uncertainty,
-    "eigenvalue": _suite_eigenvalue,
-    "indicator_degree": _suite_indicator_degree,
-    "claim1": _suite_claim1,
-    "claim2": _suite_claim2,
-}
-
-
 def cmd_verify(args: argparse.Namespace) -> int:
+    from .verify import SUITES
+
     _check_size(args.n, args.max_n)
-    passed, rows = _SUITES[args.suite](args.n, args.seed, args.tol)
+    passed, rows = SUITES[args.suite](args.n, args.seed, args.tol)
     report = {
         "suite": args.suite,
         "n": args.n,
@@ -741,7 +483,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_analyze)
 
     p = sub.add_parser("verify", help="run a verification suite")
-    p.add_argument("--suite", required=True, choices=sorted(_SUITES))
+    p.add_argument("--suite", required=True, choices=VERIFY_SUITES)
     p.add_argument("--n", type=int, default=4, help="group size (default 4)")
     p.add_argument("--csv", help="also write per-case rows as CSV")
     _add_common(p)
@@ -781,6 +523,8 @@ def main(argv=None) -> int:
         _join_negative_deltas(sys.argv[1:] if argv is None else argv)
     )
     try:
+        if not 0.0 <= args.tol < float("inf"):
+            raise ValueError(f"--tol must be a finite number >= 0, got {args.tol!r}")
         return args.func(args)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -36,8 +36,6 @@ from math import factorial
 import numpy as np
 
 from .errors import EmptySetError
-from .fourier import DEGREE_TOL, degree
-from .payoffs import indicator_payoff
 from .permutations import group_matrix
 from .sets import OrderingSet
 
@@ -116,16 +114,22 @@ class IndicatorDegreeReport:
 
 
 def verify_indicator_degree(
-    members: OrderingSet, tol: float = DEGREE_TOL
+    members: OrderingSet, tol: float | None = None
 ) -> IndicatorDegreeReport:
     """Check that a large high-agreement set has a high-degree indicator.
 
     The comparison level is min(t_max, n - 1) because degrees cap at
     n - 1; the clamp only matters for singletons (see module docstring).
     Sets below the (n - t_max)! size gate satisfy the claim vacuously.
+    `tol` is the degree threshold, ``fourier.DEGREE_TOL`` when None.
     """
+    # Imported here so that the agreement scan, which simulate runs, does
+    # not load the Fourier stack.
+    from .fourier import DEGREE_TOL, degree
+    from .payoffs import indicator_payoff
+
     profile = intersection_profile(members)
-    deg = degree(indicator_payoff(members), tol=tol)
+    deg = degree(indicator_payoff(members), tol=DEGREE_TOL if tol is None else tol)
     required = min(profile.t_max, members.n - 1)
     holds = (not profile.size_gate) or deg >= required
     return IndicatorDegreeReport(

@@ -1,0 +1,325 @@
+"""The six ``snfair verify`` suites and the corpora they share.
+
+Each suite takes (n, seed, tol) and returns (passed, rows): passed is
+True exactly when every theorem-backed check holds, and rows hold one
+dict per case, trend quantities included, which are reported but never
+gate.  A suite whose cases need a larger group than n raises ValueError
+naming the suite and its smallest n before any work.
+
+- roundtrip: transform then inverse returns the payoff, and Parseval
+  holds, for uniform, sparse, point-mass and constant payoffs.
+- uncertainty: the support-spread inequality for 100 uniform payoffs and
+  the corpus, with equality for the point mass and the constant.
+- eigenvalue: the per-shape averaging blocks of symmetric connection sets
+  against the dense operator (n <= 4), and the spectral bound flags.
+- indicator_degree: large high-agreement sets have high-degree
+  indicators (stabilizer and admissible sets).
+- claim1: the spectral upper bound on the additive gap for every corpus
+  payoff over every corpus set.
+- claim2: the lower-bound regime on nested stabilizer instances.
+"""
+from __future__ import annotations
+
+from math import factorial
+
+import numpy as np
+
+from .cayley import SymmetricSet, block_operator, bound_violations, dense_operator, symmetrize
+from .fairness import Analysis, lower_bound_report, nested_stabilizer_instance
+from .fourier import PayoffFn, inverse, transform, uncertainty_check
+from .intersecting import stabilizer_set, verify_indicator_degree
+from .partitions import dimension, partitions_of
+from .payoffs import (
+    CfmmModel,
+    JuntaTerm,
+    LiquidationModel,
+    cfmm_payoff,
+    junta_payoff,
+    liquidation_payoff,
+    random_payoff,
+)
+from .permutations import Permutation
+from .sequencing import majority_graph, simulate, valid_orderings
+from .sets import OrderingSet
+
+
+def _corpus_payoffs(n: int, seed: int):
+    """Deterministic generator-family corpus used by the verify suites,
+    as (label, payoff) pairs built one at a time."""
+    sizes = []
+    mag = 1
+    for i in range(n):
+        sizes.append(float(mag) if i % 2 == 0 else float(-mag))
+        if i % 2 == 1:
+            mag += 1
+    yield "cfmm", cfmm_payoff(
+        CfmmModel(deltas=tuple(sizes), p0=100.0, gamma=0.001, beta=1.0)
+    )
+    yield "junta_k1", junta_payoff([JuntaTerm(((1, 1),))], n)
+    yield "junta_k2", junta_payoff([JuntaTerm(((1, 1), (2, 2)))], n)
+    yield "random_a", random_payoff(n, seed=seed)
+    yield "random_b", random_payoff(n, seed=seed + 1)
+    if n % 2 == 0 and n >= 4:
+        yield "liquidation", liquidation_payoff(LiquidationModel(k=n // 2, c=1))
+
+
+def _corpus_sets(n: int, seed: int) -> dict[str, OrderingSet]:
+    sets = {
+        "full_group": OrderingSet.full_group(n),
+        "stabilizer_t1": stabilizer_set(n, [(1, 1)]),
+        "stabilizer_t2": stabilizer_set(n, [(1, 1), (2, 2)]),
+    }
+    votes = simulate(n, 5, "iid_shuffle", seed=seed)
+    sets["fair_ordering_iid"] = valid_orderings(majority_graph(votes))
+    if n >= 3:
+        votes = simulate(n, n, "adversarial_cycle")
+        sets["fair_ordering_cycle"] = valid_orderings(majority_graph(votes))
+    return sets
+
+
+def _suite_roundtrip(n: int, seed: int, tol: float):
+    size = factorial(n)
+    cases = {}
+    for i in range(5):
+        cases[f"uniform_{i}"] = random_payoff(n, seed=seed + i)
+    cases["sparse"] = random_payoff(n, seed=seed, dist="sparse", nonzero=min(3, size))
+    cases["point_mass"] = PayoffFn(n, np.eye(1, size)[0])
+    cases["constant"] = PayoffFn(n, np.ones(size))
+    rows = []
+    passed = True
+    for label, f in cases.items():
+        spec = transform(f)
+        back = inverse(spec)
+        err = float(np.abs(back.values - f.values).max())
+        energy = float((f.values**2).sum())
+        spectral = sum(
+            dimension(s) * float(np.linalg.norm(m)) ** 2 for s, m in spec.blocks.items()
+        ) / size
+        rel = abs(energy - spectral) / energy
+        ok = err <= tol and rel <= tol
+        passed &= ok
+        rows.append(
+            {
+                "payoff": label,
+                "max_abs_error": err,
+                "parseval_rel_error": rel,
+                "ok": ok,
+            }
+        )
+    return passed, rows
+
+
+def _suite_uncertainty(n: int, seed: int, tol: float):
+    if n < 2:
+        raise ValueError("uncertainty suite needs n >= 2 for its two-slot corpus cases")
+    rows = []
+    passed = True
+    order = factorial(n)
+
+    def cases():  # built one at a time, as each is checked
+        for i in range(100):
+            yield f"uniform_{i}", random_payoff(n, seed=seed + i)
+        yield from _corpus_payoffs(n, seed)
+        yield "point_mass", PayoffFn(n, np.eye(1, order)[0])
+        yield "constant", PayoffFn(n, np.ones(order))
+
+    for label, f in cases():
+        check = uncertainty_check(f)
+        holds = check.holds
+        if label in ("point_mass", "constant"):  # the equality cases
+            holds = holds and abs(check.product - order) <= 1e-12 * order
+        passed &= holds
+        rows.append(
+            {
+                "payoff": label,
+                "support_ratio": check.support_ratio,
+                "spread_ratio": check.spread_ratio,
+                "product": check.product,
+                "holds": holds,
+            }
+        )
+    return passed, rows
+
+
+def _random_symmetric_set(n: int, rng: np.random.Generator) -> SymmetricSet:
+    size = factorial(n)
+    picks = rng.choice(size, size=min(4, size), replace=False)
+    return symmetrize(OrderingSet.from_ranks(n, picks))
+
+
+def _suite_eigenvalue(n: int, seed: int, tol: float):
+    if n < 2:
+        raise ValueError("eigenvalue suite needs n >= 2 for a transposition set")
+    rng = np.random.default_rng(seed)
+    sets = {"identity": SymmetricSet(n, (0,))}
+    transpositions = [
+        Permutation.transposition(n, i, j).rank()
+        for i in range(1, n + 1)
+        for j in range(i + 1, n + 1)
+    ]
+    sets["transpositions"] = SymmetricSet(n, tuple(sorted(transpositions)))
+    for i in range(3):
+        sets[f"random_{i}"] = _random_symmetric_set(n, rng)
+
+    rows = []
+    passed = True
+    for label, conn in sets.items():
+        if n <= 4:
+            dense = dense_operator(conn)
+            brute = np.sort(np.linalg.eigvalsh(dense))
+            blockwise = np.sort(
+                np.concatenate(
+                    [
+                        np.repeat(
+                            np.linalg.eigvalsh(block_operator(conn, s)), dimension(s)
+                        )
+                        for s in partitions_of(n)
+                    ]
+                )
+            )
+            residual = float(np.abs(brute - blockwise).max())
+            consistent = residual <= 1e-8
+        else:
+            residual = None
+            consistent = True
+        normalized_bad = bound_violations(conn, normalized=True)
+        raw_bad = bound_violations(conn, normalized=False)
+        satisfied = "normalized" if not normalized_bad else (
+            "unnormalized" if not raw_bad else "neither"
+        )
+        ok = consistent and satisfied != "neither"
+        passed &= ok
+        rows.append(
+            {
+                "set": label,
+                "size": len(conn),
+                "block_residual": residual,
+                "normalized_violations": len(normalized_bad),
+                "unnormalized_violations": len(raw_bad),
+                "bound_satisfied_by": satisfied,
+                "ok": ok,
+            }
+        )
+    return passed, rows
+
+
+def _suite_indicator_degree(n: int, seed: int, tol: float):
+    rng = np.random.default_rng(seed)
+    sets: dict[str, OrderingSet] = {"full_group": OrderingSet.full_group(n)}
+    for t in range(1, min(3, n - 1) + 1):
+        sets[f"pin_identity_t{t}"] = stabilizer_set(n, [(i, i) for i in range(1, t + 1)])
+        sets[f"pin_reversal_t{t}"] = stabilizer_set(
+            n, [(i, n + 1 - i) for i in range(1, t + 1)]
+        )
+        for rep in range(4):
+            slots = rng.choice(n, size=t, replace=False) + 1
+            items = rng.choice(n, size=t, replace=False) + 1
+            sets[f"pin_random_t{t}_{rep}"] = stabilizer_set(
+                n, list(zip(slots.tolist(), items.tolist()))
+            )
+    votes = simulate(n, 5, "iid_shuffle", seed=seed)
+    sets["fair_ordering_iid"] = valid_orderings(majority_graph(votes))
+
+    rows = []
+    passed = True
+    for label, members in sets.items():
+        report = verify_indicator_degree(members, tol=tol)
+        passed &= report.claim_holds
+        rows.append(
+            {
+                "set": label,
+                "size": len(members),
+                "t_max": report.t_max,
+                "degree": report.deg_indicator,
+                "size_gate": report.size_gate,
+                "claim_holds": report.claim_holds,
+            }
+        )
+    return passed, rows
+
+
+def _suite_claim1(n: int, seed: int, tol: float):
+    if n < 2:
+        raise ValueError("claim1 suite needs n >= 2 for its two-slot corpus cases")
+    rows = []
+    passed = True
+    sets = _corpus_sets(n, seed)
+    for p_label, f in _corpus_payoffs(n, seed):
+        spectrum = None  # transformed once, by the first pair that needs it
+        for s_label, members in sets.items():
+            if len(members) == 0:
+                continue
+            pair = Analysis(f, members, spectrum=spectrum)
+            if pair.bounds_note is not None:
+                rows.append(
+                    {
+                        "payoff": p_label,
+                        "set": s_label,
+                        "additive_gap": pair.fairness.additive_gap,
+                        "bound": None,
+                        "slack": None,
+                        "applicable": None,
+                        "dim_sq_sum": None,
+                        "ok": True,
+                    }
+                )
+                continue
+            ub, upper = pair.uncertainty, pair.upper
+            spectrum = pair.spectrum
+            ok = ub.slack >= -tol
+            passed &= ok
+            rows.append(
+                {
+                    "payoff": p_label,
+                    "set": s_label,
+                    "additive_gap": ub.additive_gap,
+                    "bound": ub.bound,
+                    "slack": ub.slack,
+                    "applicable": upper.applicable,
+                    "dim_sq_sum": upper.dim_sq_sum,
+                    "ok": ok,
+                }
+            )
+    return passed, rows
+
+
+def _suite_claim2(n: int, seed: int, tol: float):
+    if n < 4:
+        raise ValueError("claim2 suite needs n >= 4 for a non-degenerate instance")
+    instances = [(1, 3)]
+    if n >= 5:
+        instances.append((2, 4))
+    rows = []
+    passed = True
+    for outer, inner in instances:
+        f, members = nested_stabilizer_instance(n, outer, inner)
+        report = lower_bound_report(f, members)
+        finite_positive = (
+            report.implied_constant is not None
+            and np.isfinite(report.implied_constant)
+            and report.implied_constant > 0.0
+        )
+        ok = report.applicable and finite_positive
+        passed &= ok
+        rows.append(
+            {
+                "instance": f"outer{outer}_inner{inner}",
+                "degree": report.degree,
+                "t_max": report.t_max,
+                "applicable": report.applicable,
+                "gap_ratio": report.gap_ratio,
+                "implied_constant": report.implied_constant,
+                "ok": ok,
+            }
+        )
+    return passed, rows
+
+
+SUITES = {
+    "roundtrip": _suite_roundtrip,
+    "uncertainty": _suite_uncertainty,
+    "eigenvalue": _suite_eigenvalue,
+    "indicator_degree": _suite_indicator_degree,
+    "claim1": _suite_claim1,
+    "claim2": _suite_claim2,
+}

@@ -15,9 +15,10 @@ from hypothesis.extra import numpy as hnp
 
 import snfair.cli
 import snfair.fairness
-from snfair.cli import EXIT_CHECK_FAILED, EXIT_OK, EXIT_USAGE, _emit, _suite_claim1, main
+from snfair.cli import EXIT_CHECK_FAILED, EXIT_OK, EXIT_USAGE, VERIFY_SUITES, _emit, main
 from snfair.intersecting import stabilizer_set
 from snfair.sets import OrderingSet
+from snfair.verify import SUITES
 
 
 def run(*argv):
@@ -167,6 +168,21 @@ def test_verify_suites_pass_at_n4(suite, tmp_path):
     assert report["cases"]
 
 
+@pytest.mark.parametrize("n", [1, 2, 3])
+@pytest.mark.parametrize("suite", VERIFY_SUITES)
+def test_every_suite_runs_or_names_its_smallest_n(suite, n, tmp_path, capsys):
+    code = run("verify", "--suite", suite, "--n", str(n), "--out", str(tmp_path / "r.json"))
+    err = capsys.readouterr().err.strip().splitlines()
+    if code == EXIT_USAGE:
+        assert len(err) == 1 and f"{suite} suite needs n >=" in err[0]
+    else:
+        assert code == EXIT_OK
+
+
+def test_verify_suite_choices_are_the_suite_registry():
+    assert VERIFY_SUITES == tuple(sorted(SUITES))
+
+
 def test_verify_roundtrip_n5_exit_zero(tmp_path):
     out = tmp_path / "r5.json"
     assert run("verify", "--suite", "roundtrip", "--n", "5", "--out", str(out)) == EXIT_OK
@@ -294,10 +310,13 @@ def test_verify_past_max_n_is_usage_error(tmp_path):
         (["transform", "--payoff", "{path}"], {"n": 3, "values": [1, "2", 3, 4, 5, 6]}, "values"),
         (["transform", "--payoff", "{path}"], {"n": 3, "values": [1, True, 3, 4, 5, 6]}, "values"),
         (["transform", "--payoff", "{path}"], {"n": 3, "values": 5}, "values"),
+        (["analyze", "--payoff", "{path}", "--set", "{path}", "--tol", "nan"], None, "--tol"),
+        (["verify", "--suite", "claim1", "--tol", "inf"], None, "--tol"),
+        (["gen-payoff", "--model", "random", "--n", "3", "--tol", "-1"], None, "--tol"),
     ],
     ids=["no-n", "top-level-list", "float-n", "bool-n", "string-n", "huge-n", "verify-n0",
          "float-member", "bool-member", "scalar-members", "float-vote", "scalar-validators",
-         "string-value", "bool-value", "scalar-values"],
+         "string-value", "bool-value", "scalar-values", "tol-nan", "tol-inf", "tol-negative"],
 )
 def test_malformed_input_is_one_line_usage_error(argv, content, reason, tmp_path, capsys):
     path = tmp_path / "input.json"
@@ -445,7 +464,7 @@ def test_claim1_transforms_each_payoff_once(monkeypatch):
         return real(f)
 
     monkeypatch.setattr(snfair.fairness, "transform", counted)
-    passed, rows = _suite_claim1(5, 5, 1e-9)
+    passed, rows = SUITES["claim1"](5, 5, 1e-9)
     bounded = [row for row in rows if row["bound"] is not None]
     payoffs = {row["payoff"] for row in bounded}
     assert passed and len(rows) == 25 and len(payoffs) == 5
@@ -468,3 +487,43 @@ def test_console_script_entry_point():
     )
     assert proc.returncode == 0
     assert "snfair" in proc.stdout
+
+
+def _modules_loaded_by(*argv):
+    """The modules a fresh interpreter holds after one snfair command."""
+    script = (
+        "import sys\n"
+        "from snfair.cli import main\n"
+        "try:\n"
+        "    main(sys.argv[1:])\n"
+        "except SystemExit:\n"
+        "    pass\n"
+        "print(*sorted(sys.modules))\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", script, *argv], capture_output=True, text=True, check=True
+    )
+    return set(proc.stdout.splitlines()[-1].split())
+
+
+def test_simulate_loads_neither_the_fourier_stack_nor_openssl(tmp_path):
+    loaded = _modules_loaded_by(
+        "simulate", "--latency", "adversarial_cycle", "--out", str(tmp_path / "sim.json")
+    )
+    assert {"snfair.sequencing", "snfair.intersecting"} <= loaded
+    heavy = {
+        "snfair.fourier",
+        "snfair.representations",
+        "snfair.fairness",
+        "snfair.cayley",
+        "snfair.payoffs",
+        "snfair.verify",
+        "_hashlib",
+    }
+    assert not loaded & heavy
+
+
+@pytest.mark.parametrize("flag", ["--version", "--help"])
+def test_version_and_help_load_no_numpy(flag):
+    loaded = _modules_loaded_by(flag)
+    assert "snfair.cli" in loaded and "numpy" not in loaded

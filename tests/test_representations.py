@@ -9,6 +9,8 @@ from math import factorial
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from snfair.partitions import dimension, partitions_of
 from snfair.permutations import Permutation, enumerate_group
@@ -62,17 +64,20 @@ def test_evaluate_matches_generator_on_adjacent_transpositions():
                 )
 
 
-def test_homomorphism_random_triples():
-    rng = np.random.default_rng(23)
-    for n in (3, 4, 5):
-        shapes = partitions_of(n)
-        for _ in range(60):
-            p = Permutation(tuple(int(x) for x in rng.permutation(n) + 1))
-            q = Permutation(tuple(int(x) for x in rng.permutation(n) + 1))
-            for shape in shapes:
-                lhs = evaluate(shape, p * q)
-                rhs = evaluate(shape, p) @ evaluate(shape, q)
-                np.testing.assert_allclose(lhs, rhs, atol=1e-10)
+_PAIRS = st.integers(1, 5).flatmap(
+    lambda n: st.tuples(*[st.permutations(range(1, n + 1))] * 2)
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_PAIRS)
+def test_homomorphism_random_triples(words):
+    # rho(p * q) == rho(p) @ rho(q) for every shape of n <= 5
+    p, q = (Permutation(tuple(w)) for w in words)
+    for shape in partitions_of(p.n):
+        lhs = evaluate(shape, p * q)
+        rhs = evaluate(shape, p) @ evaluate(shape, q)
+        np.testing.assert_allclose(lhs, rhs, atol=1e-10)
 
 
 def test_orthogonality_and_inverse_transpose():

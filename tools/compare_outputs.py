@@ -47,7 +47,11 @@ INPUTS = {
 
 
 def _commands() -> list[list[str]]:
-    cmds = [
+    # the parser's own text first: usage, choices and defaults
+    cmds = [["--version"], ["--help"]]
+    cmds += [[command, "--help"] for command in
+             ("gen-payoff", "transform", "analyze", "verify", "simulate")]
+    cmds += [
         ["gen-payoff", "--model", "cfmm", "--deltas", "3,-1,2,-4,1,2", "--out", "cfmm6.json"],
         ["gen-payoff", "--model", "cfmm", "--deltas", "-3,1,2,-1,2,1,-2", "--out", "cfmm7.json"],
         ["gen-payoff", "--model", "cfmm", "--deltas=2,-5,1,3,-1,4,-2,1", "--out", "cfmm8.json"],
