@@ -219,7 +219,7 @@ def _spectrum_rows(spec, summary) -> list[dict]:
 
 
 def _load_payoff(args: argparse.Namespace):
-    from .fourier import PayoffFn
+    from .payoffs import PayoffFn
 
     data = _load_json(args.payoff, "payoff", args.max_n, "n", "values")
     return PayoffFn.from_dict(data)

@@ -44,7 +44,6 @@ from .errors import DegenerateError, EmptySetError
 from .fourier import (
     DEGREE_TOL,
     FourierSpectrum,
-    PayoffFn,
     SchattenSummary,
     degree as spectral_degree,
     schatten_summary,
@@ -52,7 +51,7 @@ from .fourier import (
 )
 from .intersecting import IntersectionProfile, intersection_profile, stabilizer_set
 from .partitions import dimension, partitions_of
-from .payoffs import indicator_payoff
+from .payoffs import PayoffFn, indicator_payoff
 from .sets import OrderingSet
 
 # Absolute: a gap within CLASSIFY_TOL of 0 is perfectly fair, within it of

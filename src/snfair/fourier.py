@@ -28,7 +28,7 @@ holds for every nonzero payoff, with equality for point masses and for
 constants.
 
 The only size limit is :func:`snfair.permutations.check_enumerable`,
-which every :class:`PayoffFn` passes on construction.
+which every :class:`~snfair.payoffs.PayoffFn` passes on construction.
 """
 from __future__ import annotations
 
@@ -39,7 +39,7 @@ import numpy as np
 
 from .errors import DegenerateError
 from .partitions import dimension, partitions_of
-from .permutations import check_enumerable
+from .payoffs import PayoffFn
 from .representations import fft, fft_adjoint
 
 # Relative: a block counts toward the degree when its Frobenius norm
@@ -47,38 +47,6 @@ from .representations import fft, fft_adjoint
 # measured at most 1.7e-14 * ||f||_2 at n = 8-10 (junta k = 2, stabilizer
 # t = 3); the smallest true block there is at least 11 * ||f||_2.
 DEGREE_TOL = 1e-9
-
-
-@dataclass(frozen=True, eq=False)
-class PayoffFn:
-    """A real-valued function on S_n, dense in rank order."""
-
-    n: int
-    values: np.ndarray
-
-    def __post_init__(self) -> None:
-        check_enumerable(self.n)
-        vals = np.asarray(self.values, dtype=float)
-        if vals.shape != (factorial(self.n),):
-            raise ValueError(
-                f"need {factorial(self.n)} values for n={self.n}, got shape {vals.shape}"
-            )
-        if not np.all(np.isfinite(vals)):
-            raise ValueError("payoff values must be finite")
-        vals = vals.copy()
-        vals.setflags(write=False)
-        object.__setattr__(self, "values", vals)
-
-    def to_dict(self) -> dict:
-        return {"n": self.n, "values": self.values.tolist()}
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "PayoffFn":
-        values = data["values"]
-        # JSON strings and booleans would be coerced to numbers.
-        if not isinstance(values, list) or not set(map(type, values)) <= {int, float}:
-            raise ValueError("values must be a list of numbers")
-        return cls(int(data["n"]), np.asarray(values, dtype=float))
 
 
 @dataclass(frozen=True, eq=False)

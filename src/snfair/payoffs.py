@@ -1,8 +1,8 @@
 """Payoff generators: concrete families of functions on orderings.
 
-Every generator returns a dense :class:`~snfair.fourier.PayoffFn` whose
-entry at rank r is the payoff of the ordering with that rank, and every
-family produces nonnegative values.
+Every generator returns a dense :class:`PayoffFn` whose entry at rank r
+is the payoff of the ordering with that rank, and every family produces
+nonnegative values.
 
 CFMM sandwich-style model: n labeled trades with signed sizes; executing
 trade with size D against price p books extraction beta * D^2 * p and
@@ -25,13 +25,47 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import factorial
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .errors import ModelValidityError
-from .fourier import PayoffFn
 from .permutations import check_enumerable, group_matrix
-from .sets import OrderingSet
+
+if TYPE_CHECKING:
+    from .sets import OrderingSet
+
+
+@dataclass(frozen=True, eq=False)
+class PayoffFn:
+    """A real-valued function on S_n, dense in rank order."""
+
+    n: int
+    values: np.ndarray
+
+    def __post_init__(self) -> None:
+        check_enumerable(self.n)
+        vals = np.asarray(self.values, dtype=float)
+        if vals.shape != (factorial(self.n),):
+            raise ValueError(
+                f"need {factorial(self.n)} values for n={self.n}, got shape {vals.shape}"
+            )
+        if not np.all(np.isfinite(vals)):
+            raise ValueError("payoff values must be finite")
+        vals = vals.copy()
+        vals.setflags(write=False)
+        object.__setattr__(self, "values", vals)
+
+    def to_dict(self) -> dict:
+        return {"n": self.n, "values": self.values.tolist()}
+
+    @classmethod
+    def from_dict(cls, data: dict) -> "PayoffFn":
+        values = data["values"]
+        # JSON strings and booleans would be coerced to numbers.
+        if not isinstance(values, list) or not set(map(type, values)) <= {int, float}:
+            raise ValueError("values must be a list of numbers")
+        return cls(int(data["n"]), np.asarray(values, dtype=float))
 
 
 @dataclass(frozen=True)

@@ -26,13 +26,14 @@ import numpy as np
 
 from .cayley import SymmetricSet, block_operator, bound_violations, dense_operator, symmetrize
 from .fairness import Analysis, lower_bound_report, nested_stabilizer_instance
-from .fourier import PayoffFn, inverse, transform, uncertainty_check
+from .fourier import inverse, transform, uncertainty_check
 from .intersecting import stabilizer_set, verify_indicator_degree
 from .partitions import dimension, partitions_of
 from .payoffs import (
     CfmmModel,
     JuntaTerm,
     LiquidationModel,
+    PayoffFn,
     cfmm_payoff,
     junta_payoff,
     liquidation_payoff,

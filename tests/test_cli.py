@@ -523,6 +523,14 @@ def test_simulate_loads_neither_the_fourier_stack_nor_openssl(tmp_path):
     assert not loaded & heavy
 
 
+def test_gen_payoff_loads_no_fourier_stack(tmp_path):
+    loaded = _modules_loaded_by(
+        "gen-payoff", "--model", "cfmm", "--deltas", "3,-1,2", "--out", str(tmp_path / "c.json")
+    )
+    assert "snfair.payoffs" in loaded
+    assert not loaded & {"snfair.fourier", "snfair.representations", "snfair.partitions"}
+
+
 @pytest.mark.parametrize("flag", ["--version", "--help"])
 def test_version_and_help_load_no_numpy(flag):
     loaded = _modules_loaded_by(flag)

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from snfair.errors import CapacityError, DegenerateError
 from snfair.fourier import (
+    DEGREE_TOL,
     FourierSpectrum,
     PayoffFn,
     degree,
@@ -18,6 +19,7 @@ from snfair.fourier import (
 )
 from snfair.partitions import dimension, partitions_of
 from snfair.payoffs import JuntaTerm, indicator_payoff, junta_payoff, random_payoff
+from snfair.intersecting import stabilizer_set
 from snfair.permutations import enumerate_group, group_matrix, lehmer_unrank, rank_of_word
 from snfair.representations import evaluate
 from snfair.sets import OrderingSet
@@ -164,6 +166,26 @@ def test_degree_frozen_cases():
     assert degree(PayoffFn(n, np.ones(factorial(n)))) == 0
     assert degree(stab_slot1_indicator(n)) == 1
     assert degree(PayoffFn(n, np.eye(factorial(n))[0])) == 3
+
+
+@pytest.mark.parametrize(
+    "build, deg",
+    [
+        (lambda: junta_payoff([JuntaTerm(((1, 1), (2, 2)))], 9), 2),
+        (lambda: indicator_payoff(stabilizer_set(9, [(1, 1), (2, 2), (3, 3)])), 3),
+    ],
+    ids=["junta-k2", "stabilizer-t3"],
+)
+def test_degree_tol_margin_at_n9(build, deg):
+    # Blocks above the degree are zero in exact arithmetic and the rest are
+    # not; both sit many orders of magnitude from DEGREE_TOL * ||f||_2.
+    f = build()
+    norm = np.linalg.norm(f.values)
+    blocks = {s: np.linalg.norm(m) / norm for s, m in transform(f).blocks.items()}
+    zero = max(v for s, v in blocks.items() if 9 - s[0] > deg)
+    true = min(v for s, v in blocks.items() if 9 - s[0] <= deg)
+    assert zero <= 1e-12 < DEGREE_TOL < 1.0 <= true
+    assert degree(f) == deg
 
 
 def test_degree_of_zero_function_rejected():

@@ -12,9 +12,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from snfair.partitions import dimension, partitions_of
-from snfair.permutations import Permutation, enumerate_group
+from snfair.partitions import dimension, partitions_of, standard_tableaux
+from snfair.permutations import Permutation, enumerate_group, group_matrix
 from snfair.representations import (
+    _coset_matrices,
+    _coset_order,
+    _young,
     adjacent_generator,
     evaluate,
     fft,
@@ -45,6 +48,49 @@ def test_generator_index_bounds():
         adjacent_generator((2, 1), 3)
     with pytest.raises(IndexError):
         adjacent_generator((2, 1), 0)
+
+
+def test_sparse_generators_rebuild_the_tableau_oracle():
+    # The transform's row words and (diagonal, partner, weight) rows, built
+    # by corner recursion, against the tableau objects and dense matrices.
+    for n in range(1, 8):
+        for shape in partitions_of(n):
+            words, diag, partner, weight = _young(shape)
+            tabs = standard_tableaux(shape)
+            rows = [[t.position(v)[0] for v in range(1, n + 1)] for t in tabs]
+            np.testing.assert_array_equal(words, rows)
+            d = len(tabs)
+            diagonal = np.arange(d)
+            for j in range(1, n):
+                dense = np.zeros((d, d))
+                dense[diagonal, diagonal] = diag[j - 1]
+                dense[diagonal, partner[j - 1]] += weight[j - 1]
+                np.testing.assert_array_equal(dense, adjacent_generator(shape, j))
+
+
+def _relabelled_coset_order(n):
+    """The coset digits by relabelling: read slot k's letter, drop it and
+    renumber the letters before it as a word on 1..k-1."""
+    words = group_matrix(n).astype(np.int16)
+    order = np.zeros(len(words), dtype=np.int64)
+    for k in range(n, 0, -1):
+        digit = words[:, k - 1 : k]
+        order = order * k + (digit[:, 0] - 1)
+        words[:, : k - 1] -= words[:, : k - 1] > digit
+    return order
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_coset_order_matches_relabelling(n):
+    np.testing.assert_array_equal(_coset_order(n), _relabelled_coset_order(n))
+
+
+def test_fft_builds_no_dense_generator():
+    for cached in (adjacent_generator, _young, _coset_matrices, _coset_order):
+        cached.cache_clear()
+    blocks = fft(6, np.arange(720.0))
+    fft_adjoint(6, blocks)
+    assert adjacent_generator.cache_info().currsize == 0
 
 
 def test_evaluate_identity_is_identity_matrix():

@@ -83,6 +83,9 @@ def _commands() -> list[list[str]]:
         ["transform", "--payoff", "sparse5.json"],
         # 2-D blocks up to 90 x 90
         ["transform", "--payoff", "cfmm8.json", "--out", "spec8.json", "--csv", "spec8.csv"],
+        # blocks up to 216 x 216, from generators built above n = 8
+        ["transform", "--payoff", "random9.json", "--max-n", "9", "--out", "spec9.json",
+         "--csv", "spec9.csv"],
         ["analyze", "--payoff", "cfmm6.json", "--set", "iid6.json", "--out", "an_cfmm6.json",
          "--csv", "an_cfmm6.csv"],
         ["analyze", "--payoff", "random6.json", "--set", "cycle6.json", "--out", "an_random6.json"],
