@@ -27,6 +27,7 @@ ranks come from the argsort of the member words, ranked in one batch.
 """
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 from math import factorial
 
@@ -71,19 +72,25 @@ def symmetrize(members: OrderingSet) -> SymmetricSet:
     return SymmetricSet.from_ranks(members.n, both)
 
 
-def _block_operators(
-    conn: SymmetricSet, normalized: bool
-) -> dict[tuple[int, ...], np.ndarray]:
-    """B_shape for every shape: the transform of the set's (scaled) indicator."""
-    weights = conn.mask() / (len(conn) if normalized else 1.0)
-    return fft(conn.n, weights)
+def block_operator_stack(
+    jobs: Sequence[tuple[SymmetricSet, bool]],
+) -> list[dict[tuple[int, ...], np.ndarray]]:
+    """B_shape for every shape of each (set, normalized) job, all sets on
+    one S_n: the transforms of the sets' (scaled) indicators, in one
+    stacked pass."""
+    n = jobs[0][0].n
+    if any(conn.n != n for conn, _ in jobs):
+        raise ValueError("a stack needs connection sets of one n")
+    weights = [conn.mask() / (len(conn) if norm else 1.0) for conn, norm in jobs]
+    blocks = fft(n, np.stack(weights))
+    return [{s: m[b] for s, m in blocks.items()} for b in range(len(jobs))]
 
 
 def block_operator(
     conn: SymmetricSet, shape: tuple[int, ...], normalized: bool = True
 ) -> np.ndarray:
     """Sum (optionally averaged) of the representation matrices over the set."""
-    return _block_operators(conn, normalized)[shape]
+    return block_operator_stack([(conn, normalized)])[0][shape]
 
 
 @dataclass(frozen=True)
@@ -96,11 +103,20 @@ class BlockSpectrum:
 
 
 def spectrum_report(
-    conn: SymmetricSet, normalized: bool = True, tol: float = BOUND_TOL
+    conn: SymmetricSet,
+    normalized: bool = True,
+    tol: float = BOUND_TOL,
+    blocks: dict[tuple[int, ...], np.ndarray] | None = None,
 ) -> dict[tuple[int, ...], BlockSpectrum]:
-    """Per-shape gram eigenvalues and bound flags for the chosen scaling."""
+    """Per-shape gram eigenvalues and bound flags for the chosen scaling.
+
+    `blocks` are the set's B_shape in that scaling when the caller has
+    them (from ``block_operator_stack``); the bound does not depend on it.
+    """
+    if blocks is None:
+        (blocks,) = block_operator_stack([(conn, normalized)])
     out = {}
-    for shape, b in _block_operators(conn, normalized).items():
+    for shape, b in blocks.items():
         eig = np.linalg.eigvalsh(b.T @ b)[::-1]
         bound = factorial(conn.n) / (len(conn) * dimension(shape))
         out[shape] = BlockSpectrum(
@@ -112,10 +128,14 @@ def spectrum_report(
 
 
 def bound_violations(
-    conn: SymmetricSet, normalized: bool = True, tol: float = BOUND_TOL
+    conn: SymmetricSet,
+    normalized: bool = True,
+    tol: float = BOUND_TOL,
+    blocks: dict[tuple[int, ...], np.ndarray] | None = None,
 ) -> tuple[tuple[int, ...], ...]:
-    """Shapes whose gram eigenvalues exceed the reference bound."""
-    report = spectrum_report(conn, normalized=normalized, tol=tol)
+    """Shapes whose gram eigenvalues exceed the reference bound
+    (`blocks` as in ``spectrum_report``)."""
+    report = spectrum_report(conn, normalized=normalized, tol=tol, blocks=blocks)
     return tuple(s for s, spec in report.items() if not spec.within_bound)
 
 

@@ -529,6 +529,10 @@ def main(argv=None) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except OSError as exc:  # a path that cannot be read or written
+        where = f": {exc.filename}" if exc.filename is not None else ""
+        print(f"error: {exc.strerror or exc}{where}", file=sys.stderr)
+        return EXIT_USAGE
 
 
 if __name__ == "__main__":

@@ -27,11 +27,19 @@ sinf = max over all blocks of sigma_max.  The support-spread inequality
 holds for every nonzero payoff, with equality for point masses and for
 constants.
 
+The ``*_stack`` functions take several payoffs (or spectra) of one n and
+do the work of one call per item in one stacked pass: one FFT pass for
+the transforms or inverses, one batched SVD per shape for the Schatten
+sums.  A stack of one gives the same bits as the single call; larger
+stacks change the shapes of the BLAS calls, so block entries may move
+in their last bits.
+
 The only size limit is :func:`snfair.permutations.check_enumerable`,
 which every :class:`~snfair.payoffs.PayoffFn` passes on construction.
 """
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from math import factorial
 
@@ -46,6 +54,13 @@ from .representations import fft, fft_adjoint
 # exceeds DEGREE_TOL * ||f||_2.  Blocks that are zero in exact arithmetic
 # measured at most 1.7e-14 * ||f||_2 at n = 8-10 (junta k = 2, stabilizer
 # t = 3); the smallest true block there is at least 11 * ||f||_2.
+# The raw norm is kept rather than weighted by sqrt(dim / n!), which is a
+# block's Parseval share of ||f||_2.  At n = 9 (same payoffs) weighting
+# would move the zero blocks from <= 5.8e-15 to <= 8.8e-17 and the true
+# ones from >= 26.8 to >= 0.045 times ||f||_2: margins to DEGREE_TOL of
+# about 1e7 on both sides instead of 1.7e5 and 2.7e10.  Both leave the
+# threshold five or more orders of magnitude from either side, and
+# weighting would rescale what a user's --tol means by up to sqrt(n!).
 DEGREE_TOL = 1e-9
 
 
@@ -80,15 +95,40 @@ class FourierSpectrum:
         }
 
 
+def _common_n(items) -> int:
+    """The n shared by a nonempty sequence of payoffs or spectra."""
+    sizes = {item.n for item in items}
+    if len(sizes) != 1:
+        raise ValueError(f"a stack needs items of one n, got {sorted(sizes) or 'none'}")
+    return sizes.pop()
+
+
 def transform(f: PayoffFn) -> FourierSpectrum:
     """Forward transform: one dim x dim block per partition."""
     return FourierSpectrum(f.n, fft(f.n, f.values))
 
 
+def transform_stack(payoffs: Sequence[PayoffFn]) -> list[FourierSpectrum]:
+    """transform(f) for each payoff of one n, in one stacked pass."""
+    n = _common_n(payoffs)
+    blocks = fft(n, np.stack([f.values for f in payoffs]))
+    return [
+        FourierSpectrum(n, {s: m[b] for s, m in blocks.items()}) for b in range(len(payoffs))
+    ]
+
+
 def inverse(spec: FourierSpectrum) -> PayoffFn:
     """Invert a full spectrum: (1/n!) sum_shape dim * trace(block @ rho(p).T)."""
-    weighted = {s: dimension(s) * np.asarray(m) for s, m in spec.blocks.items()}
-    return PayoffFn(spec.n, fft_adjoint(spec.n, weighted) / factorial(spec.n))
+    return inverse_stack([spec])[0]
+
+
+def inverse_stack(spectra: Sequence[FourierSpectrum]) -> list[PayoffFn]:
+    """inverse(spec) for each spectrum of one n, in one stacked pass."""
+    n = _common_n(spectra)
+    weighted = {
+        s: dimension(s) * np.stack([spec.blocks[s] for spec in spectra]) for s in partitions_of(n)
+    }
+    return [PayoffFn(n, v) for v in fft_adjoint(n, weighted) / factorial(n)]
 
 
 def degree(
@@ -121,17 +161,30 @@ class SchattenSummary:
     per_block: dict[tuple[int, ...], np.ndarray] = field(repr=False)
 
 
-def schatten_summary(spec: FourierSpectrum) -> SchattenSummary:
-    per_block = {}
+def _summarize(per_block: dict[tuple[int, ...], np.ndarray]) -> SchattenSummary:
     s1 = 0.0
     sinf = 0.0
-    for s, mat in spec.blocks.items():
-        sv = np.linalg.svd(mat, compute_uv=False)
-        per_block[s] = sv
+    for s, sv in per_block.items():
         s1 += dimension(s) * float(sv.sum())
         if sv.size:
             sinf = max(sinf, float(sv[0]))
     return SchattenSummary(s1=s1, sinf=sinf, per_block=per_block)
+
+
+def schatten_summary(spec: FourierSpectrum) -> SchattenSummary:
+    return _summarize(
+        {s: np.linalg.svd(mat, compute_uv=False) for s, mat in spec.blocks.items()}
+    )
+
+
+def schatten_stack(spectra: Sequence[FourierSpectrum]) -> list[SchattenSummary]:
+    """schatten_summary(spec) for each spectrum of one n, one SVD call per shape."""
+    n = _common_n(spectra)
+    sv = {
+        s: np.linalg.svd(np.stack([spec.blocks[s] for spec in spectra]), compute_uv=False)
+        for s in partitions_of(n)
+    }
+    return [_summarize({s: v[b] for s, v in sv.items()}) for b in range(len(spectra))]
 
 
 @dataclass(frozen=True)
@@ -145,19 +198,23 @@ class UncertaintyCheck:
     holds: bool
 
 
-def uncertainty_check(f: PayoffFn, rel_tol: float = 1e-9) -> UncertaintyCheck:
+def uncertainty_check(
+    f: PayoffFn, rel_tol: float = 1e-9, summary: SchattenSummary | None = None
+) -> UncertaintyCheck:
     """Check (||f||_1/||f||_inf) * (s1/sinf) >= n! for a nonzero payoff.
 
     rel_tol is relative to n!: the product may fall short of n! by at most
     rel_tol * n!.  The equality cases (point mass, constant) land within
-    3.1e-15 * n! of it at n = 8 and 9.
+    3.1e-15 * n! of it at n = 8 and 9.  `summary` is the Schatten summary
+    of f's spectrum when the caller already has it.
     """
     abs_vals = np.abs(f.values)
     linf = float(abs_vals.max())
     if linf == 0.0:
         raise DegenerateError("support-spread product undefined for the zero function")
     l1 = float(abs_vals.sum())
-    summary = schatten_summary(transform(f))
+    if summary is None:
+        summary = schatten_summary(transform(f))
     support_ratio = l1 / linf
     spread_ratio = summary.s1 / summary.sinf
     product = support_ratio * spread_ratio

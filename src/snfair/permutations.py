@@ -122,14 +122,14 @@ def check_enumerable(n: int) -> None:
 
     The package's only size limit: payoffs, ordering sets and the group
     index check it before allocating anything of size n!.  At the cap,
-    one transform and inverse of a dense n = 10 payoff peak at 632 MB
+    one transform and inverse of a dense n = 10 payoff peak at 345 MB
     resident (whole process, measured with getrusage on a 2-core Intel
-    Xeon, numpy float64) and take about 3.5 s.  Whole ``snfair`` commands
+    Xeon, numpy float64) and take about 2 s.  Whole ``snfair`` commands
     at n = 10 on that machine: ``simulate --latency adversarial_cycle``
     peaks at 200 MB, ``gen-payoff --model random`` at 91 MB, ``--model
-    cfmm`` at 678 MB, ``transform`` at 597 MB, ``analyze`` at 654 MB,
-    and ``verify --suite claim1`` and ``--suite uncertainty`` at 1.24 and
-    1.17 GB.
+    cfmm`` at 678 MB, ``transform`` at 328 MB, ``analyze`` at 321 MB,
+    and ``verify --suite claim1`` and ``--suite uncertainty`` at 1.05 and
+    0.85 GB.
     """
     if n < 1:
         raise ValueError("n must be positive")

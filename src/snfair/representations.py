@@ -32,9 +32,12 @@ removing a corner, top row first), so
 
 with F_{k-1,j} the transform of q -> f(c_j * q).  Level k = 2..n builds
 the S_k spectra of all n!/k! cosets at once, without ever forming the n!
-representation matrices; a level holds its n! input and n! output floats
-plus tensordot temporaries of at most n! each.  ``fft_adjoint`` is the
-same recursion transposed, sum_shape <G(shape), evaluate(shape, p)>_F
+representation matrices.  Both functions also take a stack of B payoffs
+(values of shape (B, n!), blocks of shape (B, d, d)) and run them through
+one pass: the stack axis joins the coset axis, so the set-up below is
+paid once for all B.  A level holds its B * n! input and output floats
+plus tensordot temporaries of at most B * n! each.  ``fft_adjoint`` is
+the same recursion transposed, sum_shape <G(shape), evaluate(shape, p)>_F
 for every p, which is the inverse transform for G = dim * F / n!.
 
 The recursion's set-up uses no tableau objects and no dense generators:
@@ -57,9 +60,12 @@ The recursion's set-up uses no tableau objects and no dense generators:
 - Coset order.  Digit k of rank r's position is #{i < k : w_i < w_k}
   for the word w of rank r, counted straight from ``group_matrix``.
 
-The per-shape generators and coset matrices and the per-n
+The per-shape row words and generators (O(k * d) numbers) and the per-n
 rank-to-coset-digit index are cached read-only arrays, safe to share
-across threads.
+across threads.  The coset matrices, k * d^2 floats per shape (305 MB
+over every shape of n = 10), are not: a pass builds a shape's when its
+level reaches it and drops them after that shape's contraction, so at
+most one shape's are held at a time.
 """
 from __future__ import annotations
 
@@ -172,10 +178,10 @@ def _young(shape: tuple[int, ...]):
     return words, diag, partner, weight
 
 
-@lru_cache(maxsize=256)
 def _coset_matrices(shape: tuple[int, ...]):
     """evaluate(shape, c_j) for j = 1..k stacked, and the (mu, offset) of each
-    block of the restriction to S_{k-1}, top row's corner first."""
+    block of the restriction to S_{k-1}, top row's corner first.  Built
+    afresh on every call."""
     k, d = sum(shape), dimension(shape)
     _, diag, partner, weight = _young(shape)
     mats = np.empty((k, d, d))
@@ -184,7 +190,6 @@ def _coset_matrices(shape: tuple[int, ...]):
         # s_j @ M: row a is diag[a] * M[a] + weight[a] * M[partner[a]]
         m = mats[j]
         mats[j - 1] = diag[j - 1, :, None] * m + weight[j - 1, :, None] * m[partner[j - 1]]
-    mats.setflags(write=False)
     corners = []
     offset = 0
     for _, mu in _corners(shape):
@@ -219,11 +224,17 @@ def _coset_order(n: int) -> np.ndarray:
 
 
 def fft(n: int, values: np.ndarray) -> dict[tuple[int, ...], np.ndarray]:
-    """sum_p values[rank(p)] * evaluate(shape, p) for every shape of n."""
-    level = {(1,): np.empty((factorial(n), 1, 1))}
-    level[(1,)][_coset_order(n), 0, 0] = values
+    """sum_p values[rank(p)] * evaluate(shape, p) for every shape of n.
+
+    values of shape (n!,) give d x d blocks; a stack of shape (B, n!)
+    gives B x d x d blocks from one pass."""
+    values = np.asarray(values)
+    stack = values.reshape(-1, factorial(n))
+    batch = len(stack)
+    level = {(1,): np.empty((batch * factorial(n), 1, 1))}
+    level[(1,)].reshape(batch, -1)[:, _coset_order(n)] = stack
     for k in range(2, n + 1):
-        cosets = factorial(n) // factorial(k)
+        cosets = batch * factorial(n) // factorial(k)
         built = {}
         for shape in partitions_of(k):
             mats, corners = _coset_matrices(shape)
@@ -235,16 +246,26 @@ def fft(n: int, values: np.ndarray) -> dict[tuple[int, ...], np.ndarray]:
                 part = np.tensordot(sub, mats[:, :, off : off + e], ([1, 2], [0, 2]))
                 out[:, :, off : off + e] = part.transpose(0, 2, 1)
             built[shape] = out
+            del mats  # before the next shape's are built
         level = built
-    return {shape: stack[0] for shape, stack in level.items()}
+    if values.ndim == 1:
+        return {shape: blocks[0] for shape, blocks in level.items()}
+    return level
 
 
 def fft_adjoint(n: int, blocks: dict[tuple[int, ...], np.ndarray]) -> np.ndarray:
     """sum_shape <blocks[shape], evaluate(shape, p)>_F for every rank; missing
-    shapes count as zero blocks."""
-    level = {s: np.asarray(m, dtype=float)[None] for s, m in blocks.items()}
+    shapes count as zero blocks.
+
+    d x d blocks give n! values; B x d x d blocks give B x n! values from
+    one pass."""
+    level = {s: np.asarray(m, dtype=float) for s, m in blocks.items()}
+    single = all(g.ndim == 2 for g in level.values())
+    if single:
+        level = {s: g[None] for s, g in level.items()}
+    batch = len(next(iter(level.values()))) if level else 1
     for k in range(n, 1, -1):
-        cosets = factorial(n) // factorial(k)
+        cosets = batch * factorial(n) // factorial(k)
         spread = {}
         for shape, g in level.items():
             mats, corners = _coset_matrices(shape)
@@ -255,7 +276,10 @@ def fft_adjoint(n: int, blocks: dict[tuple[int, ...], np.ndarray]) -> np.ndarray
                 sub = np.tensordot(cols, mats[:, :, off : off + e], ([1], [1]))
                 sub = sub.transpose(0, 2, 3, 1).reshape(cosets * k, e, e)
                 spread[mu] = spread.get(mu, 0.0) + sub
+            del mats
         level = spread
     if (1,) not in level:
-        return np.zeros(factorial(n))
-    return level[(1,)].reshape(-1)[_coset_order(n)]
+        values = np.zeros((batch, factorial(n)))
+    else:
+        values = level[(1,)].reshape(batch, -1)[:, _coset_order(n)]
+    return values[0] if single else values

@@ -17,6 +17,11 @@ naming the suite and its smallest n before any work.
 - claim1: the spectral upper bound on the additive gap for every corpus
   payoff over every corpus set.
 - claim2: the lower-bound regime on nested stabilizer instances.
+
+A suite that transforms several payoffs of one n runs them through the
+``*_stack`` entry points of :mod:`snfair.fourier` (and
+``cayley.block_operator_stack``), in stacks of at most STACK_FLOATS
+payoff values per pass and never fewer than one payoff.
 """
 from __future__ import annotations
 
@@ -24,9 +29,15 @@ from math import factorial
 
 import numpy as np
 
-from .cayley import SymmetricSet, block_operator, bound_violations, dense_operator, symmetrize
-from .fairness import Analysis, lower_bound_report, nested_stabilizer_instance
-from .fourier import inverse, transform, uncertainty_check
+from .cayley import (
+    SymmetricSet,
+    block_operator_stack,
+    bound_violations,
+    dense_operator,
+    symmetrize,
+)
+from .fairness import Analysis, nested_stabilizer_instance
+from .fourier import inverse_stack, schatten_stack, transform_stack, uncertainty_check
 from .intersecting import stabilizer_set, verify_indicator_degree
 from .partitions import dimension, partitions_of
 from .payoffs import (
@@ -35,6 +46,7 @@ from .payoffs import (
     LiquidationModel,
     PayoffFn,
     cfmm_payoff,
+    indicator_payoff,
     junta_payoff,
     liquidation_payoff,
     random_payoff,
@@ -42,6 +54,26 @@ from .payoffs import (
 from .permutations import Permutation
 from .sequencing import majority_graph, simulate, valid_orderings
 from .sets import OrderingSet
+
+# Payoff values one stacked pass may hold: 34 payoffs at n = 5, 5 at
+# n = 6, one from n = 7 on.  A pass allocates about six times this in
+# levels, copies and temporaries, 0.2 MB, which keeps the peak RSS of a
+# verify process flat; stacks of 45 at n = 6 (2**15) raised it by 1 MB.
+STACK_FLOATS = 2**12
+
+
+def _stacks(items, floats_each: int):
+    """The items in order, as lists holding at most STACK_FLOATS floats at
+    floats_each floats per item, and at least one item."""
+    size = max(1, STACK_FLOATS // floats_each)
+    stack = []
+    for item in items:
+        stack.append(item)
+        if len(stack) == size:
+            yield stack
+            stack = []
+    if stack:
+        yield stack
 
 
 def _corpus_payoffs(n: int, seed: int):
@@ -80,33 +112,36 @@ def _corpus_sets(n: int, seed: int) -> dict[str, OrderingSet]:
 
 def _suite_roundtrip(n: int, seed: int, tol: float):
     size = factorial(n)
-    cases = {}
-    for i in range(5):
-        cases[f"uniform_{i}"] = random_payoff(n, seed=seed + i)
-    cases["sparse"] = random_payoff(n, seed=seed, dist="sparse", nonzero=min(3, size))
-    cases["point_mass"] = PayoffFn(n, np.eye(1, size)[0])
-    cases["constant"] = PayoffFn(n, np.ones(size))
+
+    def cases():
+        for i in range(5):
+            yield f"uniform_{i}", random_payoff(n, seed=seed + i)
+        yield "sparse", random_payoff(n, seed=seed, dist="sparse", nonzero=min(3, size))
+        yield "point_mass", PayoffFn(n, np.eye(1, size)[0])
+        yield "constant", PayoffFn(n, np.ones(size))
+
     rows = []
     passed = True
-    for label, f in cases.items():
-        spec = transform(f)
-        back = inverse(spec)
-        err = float(np.abs(back.values - f.values).max())
-        energy = float((f.values**2).sum())
-        spectral = sum(
-            dimension(s) * float(np.linalg.norm(m)) ** 2 for s, m in spec.blocks.items()
-        ) / size
-        rel = abs(energy - spectral) / energy
-        ok = err <= tol and rel <= tol
-        passed &= ok
-        rows.append(
-            {
-                "payoff": label,
-                "max_abs_error": err,
-                "parseval_rel_error": rel,
-                "ok": ok,
-            }
-        )
+    for stack in _stacks(cases(), size):
+        spectra = transform_stack([f for _, f in stack])
+        backs = inverse_stack(spectra)
+        for (label, f), spec, back in zip(stack, spectra, backs):
+            err = float(np.abs(back.values - f.values).max())
+            energy = float((f.values**2).sum())
+            spectral = sum(
+                dimension(s) * float(np.linalg.norm(m)) ** 2 for s, m in spec.blocks.items()
+            ) / size
+            rel = abs(energy - spectral) / energy
+            ok = err <= tol and rel <= tol
+            passed &= ok
+            rows.append(
+                {
+                    "payoff": label,
+                    "max_abs_error": err,
+                    "parseval_rel_error": rel,
+                    "ok": ok,
+                }
+            )
     return passed, rows
 
 
@@ -117,28 +152,30 @@ def _suite_uncertainty(n: int, seed: int, tol: float):
     passed = True
     order = factorial(n)
 
-    def cases():  # built one at a time, as each is checked
+    def cases():  # built one stack at a time, as each is checked
         for i in range(100):
             yield f"uniform_{i}", random_payoff(n, seed=seed + i)
         yield from _corpus_payoffs(n, seed)
         yield "point_mass", PayoffFn(n, np.eye(1, order)[0])
         yield "constant", PayoffFn(n, np.ones(order))
 
-    for label, f in cases():
-        check = uncertainty_check(f)
-        holds = check.holds
-        if label in ("point_mass", "constant"):  # the equality cases
-            holds = holds and abs(check.product - order) <= 1e-12 * order
-        passed &= holds
-        rows.append(
-            {
-                "payoff": label,
-                "support_ratio": check.support_ratio,
-                "spread_ratio": check.spread_ratio,
-                "product": check.product,
-                "holds": holds,
-            }
-        )
+    for stack in _stacks(cases(), order):
+        summaries = schatten_stack(transform_stack([f for _, f in stack]))
+        for (label, f), summary in zip(stack, summaries):
+            check = uncertainty_check(f, summary=summary)
+            holds = check.holds
+            if label in ("point_mass", "constant"):  # the equality cases
+                holds = holds and abs(check.product - order) <= 1e-12 * order
+            passed &= holds
+            rows.append(
+                {
+                    "payoff": label,
+                    "support_ratio": check.support_ratio,
+                    "spread_ratio": check.spread_ratio,
+                    "product": check.product,
+                    "holds": holds,
+                }
+            )
     return passed, rows
 
 
@@ -164,43 +201,46 @@ def _suite_eigenvalue(n: int, seed: int, tol: float):
 
     rows = []
     passed = True
-    for label, conn in sets.items():
-        if n <= 4:
-            dense = dense_operator(conn)
-            brute = np.sort(np.linalg.eigvalsh(dense))
-            blockwise = np.sort(
-                np.concatenate(
-                    [
-                        np.repeat(
-                            np.linalg.eigvalsh(block_operator(conn, s)), dimension(s)
-                        )
-                        for s in partitions_of(n)
-                    ]
+    for stack in _stacks(sets.items(), 2 * factorial(n)):
+        # both scalings of every set in one pass: normalized, then raw
+        blocks = block_operator_stack(
+            [(conn, normalized) for _, conn in stack for normalized in (True, False)]
+        )
+        for (label, conn), scaled, raw in zip(stack, blocks[::2], blocks[1::2]):
+            if n <= 4:
+                dense = dense_operator(conn)
+                brute = np.sort(np.linalg.eigvalsh(dense))
+                blockwise = np.sort(
+                    np.concatenate(
+                        [
+                            np.repeat(np.linalg.eigvalsh(scaled[s]), dimension(s))
+                            for s in partitions_of(n)
+                        ]
+                    )
                 )
+                residual = float(np.abs(brute - blockwise).max())
+                consistent = residual <= 1e-8
+            else:
+                residual = None
+                consistent = True
+            normalized_bad = bound_violations(conn, normalized=True, blocks=scaled)
+            raw_bad = bound_violations(conn, normalized=False, blocks=raw)
+            satisfied = "normalized" if not normalized_bad else (
+                "unnormalized" if not raw_bad else "neither"
             )
-            residual = float(np.abs(brute - blockwise).max())
-            consistent = residual <= 1e-8
-        else:
-            residual = None
-            consistent = True
-        normalized_bad = bound_violations(conn, normalized=True)
-        raw_bad = bound_violations(conn, normalized=False)
-        satisfied = "normalized" if not normalized_bad else (
-            "unnormalized" if not raw_bad else "neither"
-        )
-        ok = consistent and satisfied != "neither"
-        passed &= ok
-        rows.append(
-            {
-                "set": label,
-                "size": len(conn),
-                "block_residual": residual,
-                "normalized_violations": len(normalized_bad),
-                "unnormalized_violations": len(raw_bad),
-                "bound_satisfied_by": satisfied,
-                "ok": ok,
-            }
-        )
+            ok = consistent and satisfied != "neither"
+            passed &= ok
+            rows.append(
+                {
+                    "set": label,
+                    "size": len(conn),
+                    "block_residual": residual,
+                    "normalized_violations": len(normalized_bad),
+                    "unnormalized_violations": len(raw_bad),
+                    "bound_satisfied_by": satisfied,
+                    "ok": ok,
+                }
+            )
     return passed, rows
 
 
@@ -223,19 +263,21 @@ def _suite_indicator_degree(n: int, seed: int, tol: float):
 
     rows = []
     passed = True
-    for label, members in sets.items():
-        report = verify_indicator_degree(members, tol=tol)
-        passed &= report.claim_holds
-        rows.append(
-            {
-                "set": label,
-                "size": len(members),
-                "t_max": report.t_max,
-                "degree": report.deg_indicator,
-                "size_gate": report.size_gate,
-                "claim_holds": report.claim_holds,
-            }
-        )
+    for stack in _stacks(sets.items(), factorial(n)):
+        spectra = transform_stack([indicator_payoff(members) for _, members in stack])
+        for (label, members), spec in zip(stack, spectra):
+            report = verify_indicator_degree(members, tol=tol, spectrum=spec)
+            passed &= report.claim_holds
+            rows.append(
+                {
+                    "set": label,
+                    "size": len(members),
+                    "t_max": report.t_max,
+                    "degree": report.deg_indicator,
+                    "size_gate": report.size_gate,
+                    "claim_holds": report.claim_holds,
+                }
+            )
     return passed, rows
 
 
@@ -244,13 +286,28 @@ def _suite_claim1(n: int, seed: int, tol: float):
         raise ValueError("claim1 suite needs n >= 2 for its two-slot corpus cases")
     rows = []
     passed = True
-    sets = _corpus_sets(n, seed)
-    for p_label, f in _corpus_payoffs(n, seed):
-        spectrum = None  # transformed once, by the first pair that needs it
-        for s_label, members in sets.items():
-            if len(members) == 0:
-                continue
-            pair = Analysis(f, members, spectrum=spectrum)
+    size = factorial(n)
+    sets = {label: members for label, members in _corpus_sets(n, seed).items() if len(members)}
+    for stack in _stacks(_corpus_payoffs(n, seed), size):
+        pairs = [
+            (p_label, s_label, Analysis(f, members))
+            for p_label, f in stack
+            for s_label, members in sets.items()
+        ]
+        bounded = [pair for _, _, pair in pairs if pair.bounds_note is None]
+        # A payoff is transformed once, and only when some pair bounds it;
+        # its pairs share its spectrum and Schatten summary.
+        shared = {}
+        for sub in _stacks({id(pair.f): pair.f for pair in bounded}.values(), size):
+            spectra = transform_stack(sub)
+            shared.update(zip(map(id, sub), zip(spectra, schatten_stack(spectra))))
+        for pair in bounded:
+            pair.spectrum, pair.schatten = shared[id(pair.f)]
+        for sub in _stacks(bounded, size):
+            summaries = schatten_stack(transform_stack([pair.restriction() for pair in sub]))
+            for pair, summary in zip(sub, summaries):
+                pair.restricted_schatten = summary
+        for p_label, s_label, pair in pairs:
             if pair.bounds_note is not None:
                 rows.append(
                     {
@@ -266,7 +323,6 @@ def _suite_claim1(n: int, seed: int, tol: float):
                 )
                 continue
             ub, upper = pair.uncertainty, pair.upper
-            spectrum = pair.spectrum
             ok = ub.slack >= -tol
             passed &= ok
             rows.append(
@@ -292,27 +348,29 @@ def _suite_claim2(n: int, seed: int, tol: float):
         instances.append((2, 4))
     rows = []
     passed = True
-    for outer, inner in instances:
-        f, members = nested_stabilizer_instance(n, outer, inner)
-        report = lower_bound_report(f, members)
-        finite_positive = (
-            report.implied_constant is not None
-            and np.isfinite(report.implied_constant)
-            and report.implied_constant > 0.0
-        )
-        ok = report.applicable and finite_positive
-        passed &= ok
-        rows.append(
-            {
-                "instance": f"outer{outer}_inner{inner}",
-                "degree": report.degree,
-                "t_max": report.t_max,
-                "applicable": report.applicable,
-                "gap_ratio": report.gap_ratio,
-                "implied_constant": report.implied_constant,
-                "ok": ok,
-            }
-        )
+    for stack in _stacks(instances, factorial(n)):
+        built = [nested_stabilizer_instance(n, outer, inner) for outer, inner in stack]
+        spectra = transform_stack([f for f, _ in built])
+        for (outer, inner), (f, members), spec in zip(stack, built, spectra):
+            report = Analysis(f, members, spectrum=spec).lower
+            finite_positive = (
+                report.implied_constant is not None
+                and np.isfinite(report.implied_constant)
+                and report.implied_constant > 0.0
+            )
+            ok = report.applicable and finite_positive
+            passed &= ok
+            rows.append(
+                {
+                    "instance": f"outer{outer}_inner{inner}",
+                    "degree": report.degree,
+                    "t_max": report.t_max,
+                    "applicable": report.applicable,
+                    "gap_ratio": report.gap_ratio,
+                    "implied_constant": report.implied_constant,
+                    "ok": ok,
+                }
+            )
     return passed, rows
 
 

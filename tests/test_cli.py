@@ -15,6 +15,7 @@ from hypothesis.extra import numpy as hnp
 
 import snfair.cli
 import snfair.fairness
+import snfair.verify
 from snfair.cli import EXIT_CHECK_FAILED, EXIT_OK, EXIT_USAGE, VERIFY_SUITES, _emit, main
 from snfair.intersecting import stabilizer_set
 from snfair.sets import OrderingSet
@@ -313,17 +314,25 @@ def test_verify_past_max_n_is_usage_error(tmp_path):
         (["analyze", "--payoff", "{path}", "--set", "{path}", "--tol", "nan"], None, "--tol"),
         (["verify", "--suite", "claim1", "--tol", "inf"], None, "--tol"),
         (["gen-payoff", "--model", "random", "--n", "3", "--tol", "-1"], None, "--tol"),
+        (["transform", "--payoff", "{dir}"], None, "Is a directory: {dir}"),
+        (["gen-payoff", "--model", "random", "--n", "3", "--out", "{dir}/missing/x.json"], None,
+         "No such file or directory: {dir}/missing/x.json"),
+        (["transform", "--payoff", "{path}", "--csv", "{dir}/missing/x.csv"],
+         {"n": 2, "values": [1.0, 2.0]}, "No such file or directory: {dir}/missing/x.csv"),
+        (["verify", "--suite", "claim2", "--n", "4", "--out", "{dir}"], None,
+         "Is a directory: {dir}"),
     ],
     ids=["no-n", "top-level-list", "float-n", "bool-n", "string-n", "huge-n", "verify-n0",
          "float-member", "bool-member", "scalar-members", "float-vote", "scalar-validators",
-         "string-value", "bool-value", "scalar-values", "tol-nan", "tol-inf", "tol-negative"],
+         "string-value", "bool-value", "scalar-values", "tol-nan", "tol-inf", "tol-negative",
+         "payoff-is-dir", "out-dir-missing", "csv-dir-missing", "verify-out-is-dir"],
 )
 def test_malformed_input_is_one_line_usage_error(argv, content, reason, tmp_path, capsys):
     path = tmp_path / "input.json"
     path.write_text(json.dumps(content))
-    assert run(*(arg.format(path=path) for arg in argv)) == EXIT_USAGE
+    assert run(*(arg.format(path=path, dir=tmp_path) for arg in argv)) == EXIT_USAGE
     err = capsys.readouterr().err.strip().splitlines()
-    assert len(err) == 1 and reason in err[0]
+    assert len(err) == 1 and reason.format(dir=tmp_path) in err[0]
 
 
 def test_analyze_tol_reaches_regime_reports(tmp_path):
@@ -456,20 +465,28 @@ def test_emit_of_a_full_n9_set_stays_well_below_its_list_form(tmp_path):
 
 
 def test_claim1_transforms_each_payoff_once(monkeypatch):
-    calls = {"transform": 0}
-    real = snfair.fairness.transform
+    calls = {"transform": 0, "passes": 0}
+    real, real_stack = snfair.fairness.transform, snfair.verify.transform_stack
 
     def counted(f):
         calls["transform"] += 1
         return real(f)
 
+    def counted_stack(payoffs):
+        calls["transform"] += len(payoffs)
+        calls["passes"] += 1
+        return real_stack(payoffs)
+
     monkeypatch.setattr(snfair.fairness, "transform", counted)
+    monkeypatch.setattr(snfair.verify, "transform_stack", counted_stack)
     passed, rows = SUITES["claim1"](5, 5, 1e-9)
     bounded = [row for row in rows if row["bound"] is not None]
     payoffs = {row["payoff"] for row in bounded}
     assert passed and len(rows) == 25 and len(payoffs) == 5
     # one restriction per bounded row, one spectrum per payoff (was one per row)
     assert calls["transform"] == len(bounded) + len(payoffs)
+    # at n = 5 one stack holds them all: one pass for the payoffs, one for the restrictions
+    assert calls["passes"] == 2
 
 
 def test_stdout_when_no_out_flag(capsys):

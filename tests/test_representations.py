@@ -5,6 +5,10 @@ the implementation's factorization route: Schur orthogonality of
 characters, the fixed-point character of the (n-1,1) module, and direct
 matrix checks on generators.
 """
+import gc
+import sys
+import tracemalloc
+from functools import lru_cache
 from math import factorial
 
 import numpy as np
@@ -15,7 +19,6 @@ from hypothesis import strategies as st
 from snfair.partitions import dimension, partitions_of, standard_tableaux
 from snfair.permutations import Permutation, enumerate_group, group_matrix
 from snfair.representations import (
-    _coset_matrices,
     _coset_order,
     _young,
     adjacent_generator,
@@ -86,11 +89,75 @@ def test_coset_order_matches_relabelling(n):
 
 
 def test_fft_builds_no_dense_generator():
-    for cached in (adjacent_generator, _young, _coset_matrices, _coset_order):
+    for cached in (adjacent_generator, _young, _coset_order):
         cached.cache_clear()
     blocks = fft(6, np.arange(720.0))
     fft_adjoint(6, blocks)
     assert adjacent_generator.cache_info().currsize == 0
+
+
+def test_finished_transform_keeps_only_group_matrix_coset_order_and_young():
+    # Coset matrices live for one pass: after an n = 8 transform and its
+    # adjoint, what stays allocated is the cached group matrix, coset
+    # order and sparse generators, plus the caches' own entries (the
+    # coset matrices were 2.8 MB, the largest shape's alone 0.5 MB).
+    f = np.random.default_rng(8).random(factorial(8))
+    fft(8, f)  # fills the small partition caches outside the trace
+    for cached in (group_matrix, _young, _coset_order):
+        cached.cache_clear()
+    gc.collect()
+    tracemalloc.start()
+    try:
+        fft_adjoint(8, fft(8, f))
+        gc.collect()
+        held, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    young = [a for k in range(1, 9) for s in partitions_of(k) for a in _young(s)]
+    cached = sum(sys.getsizeof(a) for a in [group_matrix(8), _coset_order(8), *young])
+    assert cached <= held <= cached + 64 * 1024
+
+
+@lru_cache(maxsize=8)
+def _all_matrices(n):
+    """evaluate(shape, p) for every p in rank order, as n! x d x d per shape."""
+    group = list(enumerate_group(n))
+    return {s: np.array([evaluate(s, p) for p in group]) for s in partitions_of(n)}
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(1, 5), st.integers(1, 6), st.integers(0, 2**32 - 1))
+def test_stacked_fft_and_adjoint_match_single_calls_and_evaluate(n, batch, seed):
+    rng = np.random.default_rng(seed)
+    values = rng.standard_normal((batch, factorial(n)))
+    grams = {s: rng.standard_normal((batch, dimension(s), dimension(s))) for s in partitions_of(n)}
+    stacked, adjoint = fft(n, values), fft_adjoint(n, grams)
+    assert adjoint.shape == values.shape
+    mats = _all_matrices(n)
+    for b, f in enumerate(values):
+        tol = 1e-12 * np.linalg.norm(f)
+        single = fft(n, f)
+        for s, m in mats.items():
+            assert stacked[s].shape == (batch, dimension(s), dimension(s))
+            assert np.abs(stacked[s][b] - single[s]).max() <= tol
+            assert np.abs(stacked[s][b] - np.tensordot(f, m, 1)).max() <= tol
+        g = {s: m[b] for s, m in grams.items()}
+        tol = 1e-12 * np.sqrt(sum(np.linalg.norm(m) ** 2 for m in g.values()))
+        oracle = sum(np.tensordot(m, g[s], 2) for s, m in mats.items())
+        assert np.abs(adjoint[b] - fft_adjoint(n, g)).max() <= tol
+        assert np.abs(adjoint[b] - oracle).max() <= tol
+
+
+@pytest.mark.parametrize("n", range(1, 8))
+def test_stack_of_one_is_bit_identical_to_the_single_call(n):
+    f = np.random.default_rng(n).standard_normal(factorial(n))
+    single, stacked = fft(n, f), fft(n, f[None])
+    for s, m in single.items():
+        assert stacked[s].shape == (1, *m.shape)
+        assert stacked[s][0].tobytes() == m.tobytes()
+    back = fft_adjoint(n, stacked)
+    assert back.shape == (1, factorial(n))
+    assert back[0].tobytes() == fft_adjoint(n, single).tobytes()
 
 
 def test_evaluate_identity_is_identity_matrix():

@@ -86,6 +86,9 @@ def _commands() -> list[list[str]]:
         # blocks up to 216 x 216, from generators built above n = 8
         ["transform", "--payoff", "random9.json", "--max-n", "9", "--out", "spec9.json",
          "--csv", "spec9.csv"],
+        # one payoff per pass at n = 9, where no pass reuses another's set-up
+        ["analyze", "--payoff", "random9.json", "--set", "cycle9.json", "--max-n", "9",
+         "--out", "an_random9.json", "--csv", "an_random9.csv"],
         ["analyze", "--payoff", "cfmm6.json", "--set", "iid6.json", "--out", "an_cfmm6.json",
          "--csv", "an_cfmm6.csv"],
         ["analyze", "--payoff", "random6.json", "--set", "cycle6.json", "--out", "an_random6.json"],
