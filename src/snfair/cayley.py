@@ -73,24 +73,24 @@ def symmetrize(members: OrderingSet) -> SymmetricSet:
 
 
 def block_operator_stack(
-    jobs: Sequence[tuple[SymmetricSet, bool]],
+    conns: Sequence[SymmetricSet], normalized: bool = True
 ) -> list[dict[tuple[int, ...], np.ndarray]]:
-    """B_shape for every shape of each (set, normalized) job, all sets on
-    one S_n: the transforms of the sets' (scaled) indicators, in one
+    """B_shape for every shape of each set, all sets on one S_n: the
+    transforms of the sets' (optionally averaged) indicators, in one
     stacked pass."""
-    n = jobs[0][0].n
-    if any(conn.n != n for conn, _ in jobs):
+    n = conns[0].n
+    if any(conn.n != n for conn in conns):
         raise ValueError("a stack needs connection sets of one n")
-    weights = [conn.mask() / (len(conn) if norm else 1.0) for conn, norm in jobs]
-    blocks = fft(n, np.stack(weights))
-    return [{s: m[b] for s, m in blocks.items()} for b in range(len(jobs))]
+    scale = np.array([len(conn) if normalized else 1.0 for conn in conns])
+    blocks = fft(n, np.stack([conn.mask() for conn in conns]) / scale[:, None])
+    return [{s: m[b] for s, m in blocks.items()} for b in range(len(conns))]
 
 
 def block_operator(
     conn: SymmetricSet, shape: tuple[int, ...], normalized: bool = True
 ) -> np.ndarray:
     """Sum (optionally averaged) of the representation matrices over the set."""
-    return block_operator_stack([(conn, normalized)])[0][shape]
+    return block_operator_stack([conn], normalized)[0][shape]
 
 
 @dataclass(frozen=True)
@@ -114,7 +114,7 @@ def spectrum_report(
     them (from ``block_operator_stack``); the bound does not depend on it.
     """
     if blocks is None:
-        (blocks,) = block_operator_stack([(conn, normalized)])
+        (blocks,) = block_operator_stack([conn], normalized)
     out = {}
     for shape, b in blocks.items():
         eig = np.linalg.eigvalsh(b.T @ b)[::-1]

@@ -529,9 +529,12 @@ def main(argv=None) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except OSError as exc:  # a path that cannot be read or written
-        where = f": {exc.filename}" if exc.filename is not None else ""
-        print(f"error: {exc.strerror or exc}{where}", file=sys.stderr)
+    except OSError as exc:
+        # Only a path that cannot be opened is a usage error; a failed write
+        # to an open stream (a closed pipe, a full disk) propagates as is.
+        if exc.filename is None:
+            raise
+        print(f"error: {exc.strerror or exc}: {exc.filename}", file=sys.stderr)
         return EXIT_USAGE
 
 

@@ -30,9 +30,9 @@ constants.
 The ``*_stack`` functions take several payoffs (or spectra) of one n and
 do the work of one call per item in one stacked pass: one FFT pass for
 the transforms or inverses, one batched SVD per shape for the Schatten
-sums.  A stack of one gives the same bits as the single call; larger
-stacks change the shapes of the BLAS calls, so block entries may move
-in their last bits.
+sums.  ``transform``, ``inverse`` and ``schatten_summary`` are stacks of
+one.  Larger stacks change the shapes of the BLAS calls, so block
+entries may move in their last bits.
 
 The only size limit is :func:`snfair.permutations.check_enumerable`,
 which every :class:`~snfair.payoffs.PayoffFn` passes on construction.
@@ -105,13 +105,17 @@ def _common_n(items) -> int:
 
 def transform(f: PayoffFn) -> FourierSpectrum:
     """Forward transform: one dim x dim block per partition."""
-    return FourierSpectrum(f.n, fft(f.n, f.values))
+    return transform_stack([f])[0]
 
 
 def transform_stack(payoffs: Sequence[PayoffFn]) -> list[FourierSpectrum]:
     """transform(f) for each payoff of one n, in one stacked pass."""
     n = _common_n(payoffs)
-    blocks = fft(n, np.stack([f.values for f in payoffs]))
+    if len(payoffs) == 1:  # a view: at n = 10 a copy would add 29 MB to the pass
+        values = payoffs[0].values[None]
+    else:
+        values = np.stack([f.values for f in payoffs])
+    blocks = fft(n, values)
     return [
         FourierSpectrum(n, {s: m[b] for s, m in blocks.items()}) for b in range(len(payoffs))
     ]
@@ -161,20 +165,8 @@ class SchattenSummary:
     per_block: dict[tuple[int, ...], np.ndarray] = field(repr=False)
 
 
-def _summarize(per_block: dict[tuple[int, ...], np.ndarray]) -> SchattenSummary:
-    s1 = 0.0
-    sinf = 0.0
-    for s, sv in per_block.items():
-        s1 += dimension(s) * float(sv.sum())
-        if sv.size:
-            sinf = max(sinf, float(sv[0]))
-    return SchattenSummary(s1=s1, sinf=sinf, per_block=per_block)
-
-
 def schatten_summary(spec: FourierSpectrum) -> SchattenSummary:
-    return _summarize(
-        {s: np.linalg.svd(mat, compute_uv=False) for s, mat in spec.blocks.items()}
-    )
+    return schatten_stack([spec])[0]
 
 
 def schatten_stack(spectra: Sequence[FourierSpectrum]) -> list[SchattenSummary]:
@@ -184,7 +176,16 @@ def schatten_stack(spectra: Sequence[FourierSpectrum]) -> list[SchattenSummary]:
         s: np.linalg.svd(np.stack([spec.blocks[s] for spec in spectra]), compute_uv=False)
         for s in partitions_of(n)
     }
-    return [_summarize({s: v[b] for s, v in sv.items()}) for b in range(len(spectra))]
+    out = []
+    for b in range(len(spectra)):
+        per_block = {s: v[b] for s, v in sv.items()}
+        s1 = sinf = 0.0
+        for s, v in per_block.items():
+            s1 += dimension(s) * float(v.sum())
+            if v.size:
+                sinf = max(sinf, float(v[0]))
+        out.append(SchattenSummary(s1=s1, sinf=sinf, per_block=per_block))
+    return out
 
 
 @dataclass(frozen=True)

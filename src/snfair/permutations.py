@@ -127,8 +127,8 @@ def check_enumerable(n: int) -> None:
     Xeon, numpy float64) and take about 2 s.  Whole ``snfair`` commands
     at n = 10 on that machine: ``simulate --latency adversarial_cycle``
     peaks at 200 MB, ``gen-payoff --model random`` at 91 MB, ``--model
-    cfmm`` at 678 MB, ``transform`` at 328 MB, ``analyze`` at 321 MB,
-    and ``verify --suite claim1`` and ``--suite uncertainty`` at 1.05 and
+    cfmm`` at 678 MB, ``transform`` at 328 MB, ``analyze`` at 324 MB,
+    and ``verify --suite claim1`` and ``--suite uncertainty`` at 1.11 and
     0.85 GB.
     """
     if n < 1:

@@ -21,10 +21,12 @@ naming the suite and its smallest n before any work.
 A suite that transforms several payoffs of one n runs them through the
 ``*_stack`` entry points of :mod:`snfair.fourier` (and
 ``cayley.block_operator_stack``), in stacks of at most STACK_FLOATS
-payoff values per pass and never fewer than one payoff.
+payoff values per pass and never fewer than one payoff.  claim2, with
+at most two instances, transforms one at a time.
 """
 from __future__ import annotations
 
+from itertools import chain
 from math import factorial
 
 import numpy as np
@@ -36,7 +38,7 @@ from .cayley import (
     dense_operator,
     symmetrize,
 )
-from .fairness import Analysis, nested_stabilizer_instance
+from .fairness import Analysis, lower_bound_report, nested_stabilizer_instance
 from .fourier import inverse_stack, schatten_stack, transform_stack, uncertainty_check
 from .intersecting import stabilizer_set, verify_indicator_degree
 from .partitions import dimension, partitions_of
@@ -57,8 +59,9 @@ from .sets import OrderingSet
 
 # Payoff values one stacked pass may hold: 34 payoffs at n = 5, 5 at
 # n = 6, one from n = 7 on.  A pass allocates about six times this in
-# levels, copies and temporaries, 0.2 MB, which keeps the peak RSS of a
-# verify process flat; stacks of 45 at n = 6 (2**15) raised it by 1 MB.
+# levels, copies and temporaries, 0.2 MB.  Stacks of 45 at n = 6 (2**15)
+# raised the peak RSS of a verify process by 1 MB, this size by 0.17 MB
+# (0.4%) against one payoff per pass with the set-up cached.
 STACK_FLOATS = 2**12
 
 
@@ -201,12 +204,10 @@ def _suite_eigenvalue(n: int, seed: int, tol: float):
 
     rows = []
     passed = True
-    for stack in _stacks(sets.items(), 2 * factorial(n)):
-        # both scalings of every set in one pass: normalized, then raw
-        blocks = block_operator_stack(
-            [(conn, normalized) for _, conn in stack for normalized in (True, False)]
-        )
-        for (label, conn), scaled, raw in zip(stack, blocks[::2], blocks[1::2]):
+    for stack in _stacks(sets.items(), factorial(n)):
+        raws = block_operator_stack([conn for _, conn in stack], normalized=False)
+        for (label, conn), raw in zip(stack, raws):
+            scaled = {s: m / len(conn) for s, m in raw.items()}  # the transform is linear
             if n <= 4:
                 dense = dense_operator(conn)
                 brute = np.sort(np.linalg.eigvalsh(dense))
@@ -288,26 +289,22 @@ def _suite_claim1(n: int, seed: int, tol: float):
     passed = True
     size = factorial(n)
     sets = {label: members for label, members in _corpus_sets(n, seed).items() if len(members)}
-    for stack in _stacks(_corpus_payoffs(n, seed), size):
-        pairs = [
-            (p_label, s_label, Analysis(f, members))
-            for p_label, f in stack
-            for s_label, members in sets.items()
-        ]
-        bounded = [pair for _, _, pair in pairs if pair.bounds_note is None]
-        # A payoff is transformed once, and only when some pair bounds it;
-        # its pairs share its spectrum and Schatten summary.
-        shared = {}
-        for sub in _stacks({id(pair.f): pair.f for pair in bounded}.values(), size):
-            spectra = transform_stack(sub)
-            shared.update(zip(map(id, sub), zip(spectra, schatten_stack(spectra))))
-        for pair in bounded:
-            pair.spectrum, pair.schatten = shared[id(pair.f)]
-        for sub in _stacks(bounded, size):
-            summaries = schatten_stack(transform_stack([pair.restriction() for pair in sub]))
-            for pair, summary in zip(sub, summaries):
-                pair.restricted_schatten = summary
-        for p_label, s_label, pair in pairs:
+    for p_label, f in _corpus_payoffs(n, seed):
+        pairs = {s_label: Analysis(f, members) for s_label, members in sets.items()}
+        bounded = [pair for pair in pairs.values() if pair.bounds_note is None]
+        # The payoff, transformed only when some pair bounds it, shares its
+        # passes with the restrictions of its bounded pairs.
+        jobs = chain([f], (pair.restriction() for pair in bounded)) if bounded else ()
+        spectrum, summaries = None, []
+        for stack in _stacks(jobs, size):
+            spectra = transform_stack(stack)
+            spectrum = spectra[0] if spectrum is None else spectrum
+            summaries += schatten_stack(spectra)
+            del stack, spectra  # before the next stack's restrictions are built
+        for pair, restricted in zip(bounded, summaries[1:]):
+            pair.spectrum, pair.schatten = spectrum, summaries[0]
+            pair.restricted_schatten = restricted
+        for s_label, pair in pairs.items():
             if pair.bounds_note is not None:
                 rows.append(
                     {
@@ -348,29 +345,27 @@ def _suite_claim2(n: int, seed: int, tol: float):
         instances.append((2, 4))
     rows = []
     passed = True
-    for stack in _stacks(instances, factorial(n)):
-        built = [nested_stabilizer_instance(n, outer, inner) for outer, inner in stack]
-        spectra = transform_stack([f for f, _ in built])
-        for (outer, inner), (f, members), spec in zip(stack, built, spectra):
-            report = Analysis(f, members, spectrum=spec).lower
-            finite_positive = (
-                report.implied_constant is not None
-                and np.isfinite(report.implied_constant)
-                and report.implied_constant > 0.0
-            )
-            ok = report.applicable and finite_positive
-            passed &= ok
-            rows.append(
-                {
-                    "instance": f"outer{outer}_inner{inner}",
-                    "degree": report.degree,
-                    "t_max": report.t_max,
-                    "applicable": report.applicable,
-                    "gap_ratio": report.gap_ratio,
-                    "implied_constant": report.implied_constant,
-                    "ok": ok,
-                }
-            )
+    for outer, inner in instances:
+        f, members = nested_stabilizer_instance(n, outer, inner)
+        report = lower_bound_report(f, members)
+        finite_positive = (
+            report.implied_constant is not None
+            and np.isfinite(report.implied_constant)
+            and report.implied_constant > 0.0
+        )
+        ok = report.applicable and finite_positive
+        passed &= ok
+        rows.append(
+            {
+                "instance": f"outer{outer}_inner{inner}",
+                "degree": report.degree,
+                "t_max": report.t_max,
+                "applicable": report.applicable,
+                "gap_ratio": report.gap_ratio,
+                "implied_constant": report.implied_constant,
+                "ok": ok,
+            }
+        )
     return passed, rows
 
 

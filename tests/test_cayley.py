@@ -183,12 +183,12 @@ def test_block_operator_matches_evaluate_sum_at_n7():
 
 def test_block_operator_stack_matches_per_set_blocks():
     conns = [all_transpositions(5), symmetrize(OrderingSet.from_ranks(5, [3, 17, 40]))]
-    jobs = [(conn, normalized) for conn in conns for normalized in (True, False)]
-    for (conn, normalized), blocks in zip(jobs, block_operator_stack(jobs)):
-        for s in partitions_of(5):
-            np.testing.assert_allclose(
-                blocks[s], block_operator(conn, s, normalized=normalized), rtol=0, atol=1e-12
+    for normalized in (True, False):
+        for conn, blocks in zip(conns, block_operator_stack(conns, normalized)):
+            for s in partitions_of(5):
+                np.testing.assert_allclose(
+                    blocks[s], block_operator(conn, s, normalized=normalized), rtol=0, atol=1e-12
+                )
+            assert bound_violations(conn, normalized, blocks=blocks) == bound_violations(
+                conn, normalized
             )
-        assert bound_violations(conn, normalized, blocks=blocks) == bound_violations(
-            conn, normalized
-        )

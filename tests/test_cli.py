@@ -1,5 +1,6 @@
 """End-to-end checks of the command-line interface via its main() entry."""
 import contextlib
+import errno
 import io
 import json
 import subprocess
@@ -485,8 +486,8 @@ def test_claim1_transforms_each_payoff_once(monkeypatch):
     assert passed and len(rows) == 25 and len(payoffs) == 5
     # one restriction per bounded row, one spectrum per payoff (was one per row)
     assert calls["transform"] == len(bounded) + len(payoffs)
-    # at n = 5 one stack holds them all: one pass for the payoffs, one for the restrictions
-    assert calls["passes"] == 2
+    # at n = 5 one pass carries a payoff and all its restrictions
+    assert calls["passes"] == len(payoffs)
 
 
 def test_stdout_when_no_out_flag(capsys):
@@ -495,6 +496,18 @@ def test_stdout_when_no_out_flag(capsys):
     data = json.loads(captured.out)
     assert data["n"] == 3
     assert "orderings=6" in captured.err
+
+
+def test_write_to_closed_stdout_is_not_a_usage_error(monkeypatch):
+    # A failed write to an open stream names no path, so it is not mapped
+    # to EXIT_USAGE and cannot hide a verify suite's check-failed code.
+    class ClosedPipe(io.StringIO):
+        def write(self, text):
+            raise BrokenPipeError(errno.EPIPE, "Broken pipe")
+
+    monkeypatch.setattr(sys, "stdout", ClosedPipe())
+    with pytest.raises(BrokenPipeError):
+        run("gen-payoff", "--model", "junta", "--n", "3", "--pairs", "1:1")
 
 
 def test_console_script_entry_point():
