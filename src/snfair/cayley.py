@@ -27,7 +27,6 @@ ranks come from the argsort of the member words, ranked in one batch.
 """
 from __future__ import annotations
 
-from collections.abc import Sequence
 from dataclasses import dataclass
 from math import factorial
 
@@ -72,25 +71,20 @@ def symmetrize(members: OrderingSet) -> SymmetricSet:
     return SymmetricSet.from_ranks(members.n, both)
 
 
-def block_operator_stack(
-    conns: Sequence[SymmetricSet], normalized: bool = True
-) -> list[dict[tuple[int, ...], np.ndarray]]:
-    """B_shape for every shape of each set, all sets on one S_n: the
-    transforms of the sets' (optionally averaged) indicators, in one
-    stacked pass."""
-    n = conns[0].n
-    if any(conn.n != n for conn in conns):
-        raise ValueError("a stack needs connection sets of one n")
-    scale = np.array([len(conn) if normalized else 1.0 for conn in conns])
-    blocks = fft(n, np.stack([conn.mask() for conn in conns]) / scale[:, None])
-    return [{s: m[b] for s, m in blocks.items()} for b in range(len(conns))]
+def block_operators(
+    conn: SymmetricSet, normalized: bool = True
+) -> dict[tuple[int, ...], np.ndarray]:
+    """B_shape for every shape: the transform of the set's (optionally
+    averaged) indicator."""
+    weights = conn.mask() / (len(conn) if normalized else 1.0)
+    return fft(conn.n, weights)
 
 
 def block_operator(
     conn: SymmetricSet, shape: tuple[int, ...], normalized: bool = True
 ) -> np.ndarray:
     """Sum (optionally averaged) of the representation matrices over the set."""
-    return block_operator_stack([conn], normalized)[0][shape]
+    return block_operators(conn, normalized)[shape]
 
 
 @dataclass(frozen=True)
@@ -110,11 +104,11 @@ def spectrum_report(
 ) -> dict[tuple[int, ...], BlockSpectrum]:
     """Per-shape gram eigenvalues and bound flags for the chosen scaling.
 
-    `blocks` are the set's B_shape in that scaling when the caller has
-    them (from ``block_operator_stack``); the bound does not depend on it.
+    `blocks` are the set's ``block_operators`` in that scaling when the
+    caller has them; the bound does not depend on it.
     """
     if blocks is None:
-        (blocks,) = block_operator_stack([conn], normalized)
+        blocks = block_operators(conn, normalized)
     out = {}
     for shape, b in blocks.items():
         eig = np.linalg.eigvalsh(b.T @ b)[::-1]

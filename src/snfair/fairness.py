@@ -124,13 +124,10 @@ class Analysis:
 
     The pointwise statistics of the restriction are computed on
     construction.  The spectral values (payoff spectrum, its Schatten
-    summary, the restriction's Schatten summary, degree at `tol`,
-    agreement profile) and the bound reports built from them are
-    computed on first use and then kept.  A caller that pairs one payoff
-    with several sets may pass the payoff's `spectrum` so that it is
-    transformed only once, and may assign `schatten` and
-    `restricted_schatten` before first use, as computed for several
-    pairs in one stacked pass.
+    summary, degree at `tol`, agreement profile) and the bound reports
+    built from them are computed on first use and then kept.  A caller
+    that pairs one payoff with several sets may pass the payoff's
+    `spectrum` so that it is transformed only once.
     """
 
     def __init__(
@@ -197,21 +194,13 @@ class Analysis:
             raise DegenerateError("restriction is identically zero")
         return self.linf
 
-    def restriction(self) -> PayoffFn:
-        """f * 1_A, the payoff zeroed off the set."""
-        restricted = np.zeros_like(self.f.values)
-        restricted[self.members.members] = self.on_set
-        return PayoffFn(self.f.n, restricted)
-
-    @cached_property
-    def restricted_schatten(self) -> SchattenSummary:
-        return schatten_summary(transform(self.restriction()))
-
     @cached_property
     def uncertainty(self) -> UncertaintyBound:
         """gap_plus <= (1 - sinf/s1) * ||f * 1_A||_inf, sinf and s1 of f * 1_A."""
         linf = self._nonzero_restriction()
-        summary = self.restricted_schatten
+        restricted = np.zeros_like(self.f.values)
+        restricted[self.members.members] = self.on_set
+        summary = schatten_summary(transform(PayoffFn(self.f.n, restricted)))
         bound = (1.0 - summary.sinf / summary.s1) * linf
         gap = self.fairness.additive_gap
         return UncertaintyBound(bound=bound, additive_gap=gap, slack=bound - gap)

@@ -27,19 +27,11 @@ sinf = max over all blocks of sigma_max.  The support-spread inequality
 holds for every nonzero payoff, with equality for point masses and for
 constants.
 
-The ``*_stack`` functions take several payoffs (or spectra) of one n and
-do the work of one call per item in one stacked pass: one FFT pass for
-the transforms or inverses, one batched SVD per shape for the Schatten
-sums.  ``transform``, ``inverse`` and ``schatten_summary`` are stacks of
-one.  Larger stacks change the shapes of the BLAS calls, so block
-entries may move in their last bits.
-
 The only size limit is :func:`snfair.permutations.check_enumerable`,
 which every :class:`~snfair.payoffs.PayoffFn` passes on construction.
 """
 from __future__ import annotations
 
-from collections.abc import Sequence
 from dataclasses import dataclass, field
 from math import factorial
 
@@ -95,44 +87,15 @@ class FourierSpectrum:
         }
 
 
-def _common_n(items) -> int:
-    """The n shared by a nonempty sequence of payoffs or spectra."""
-    sizes = {item.n for item in items}
-    if len(sizes) != 1:
-        raise ValueError(f"a stack needs items of one n, got {sorted(sizes) or 'none'}")
-    return sizes.pop()
-
-
 def transform(f: PayoffFn) -> FourierSpectrum:
     """Forward transform: one dim x dim block per partition."""
-    return transform_stack([f])[0]
-
-
-def transform_stack(payoffs: Sequence[PayoffFn]) -> list[FourierSpectrum]:
-    """transform(f) for each payoff of one n, in one stacked pass."""
-    n = _common_n(payoffs)
-    if len(payoffs) == 1:  # a view: at n = 10 a copy would add 29 MB to the pass
-        values = payoffs[0].values[None]
-    else:
-        values = np.stack([f.values for f in payoffs])
-    blocks = fft(n, values)
-    return [
-        FourierSpectrum(n, {s: m[b] for s, m in blocks.items()}) for b in range(len(payoffs))
-    ]
+    return FourierSpectrum(f.n, fft(f.n, f.values))
 
 
 def inverse(spec: FourierSpectrum) -> PayoffFn:
     """Invert a full spectrum: (1/n!) sum_shape dim * trace(block @ rho(p).T)."""
-    return inverse_stack([spec])[0]
-
-
-def inverse_stack(spectra: Sequence[FourierSpectrum]) -> list[PayoffFn]:
-    """inverse(spec) for each spectrum of one n, in one stacked pass."""
-    n = _common_n(spectra)
-    weighted = {
-        s: dimension(s) * np.stack([spec.blocks[s] for spec in spectra]) for s in partitions_of(n)
-    }
-    return [PayoffFn(n, v) for v in fft_adjoint(n, weighted) / factorial(n)]
+    weighted = {s: dimension(s) * np.asarray(m) for s, m in spec.blocks.items()}
+    return PayoffFn(spec.n, fft_adjoint(spec.n, weighted) / factorial(spec.n))
 
 
 def degree(
@@ -166,26 +129,16 @@ class SchattenSummary:
 
 
 def schatten_summary(spec: FourierSpectrum) -> SchattenSummary:
-    return schatten_stack([spec])[0]
-
-
-def schatten_stack(spectra: Sequence[FourierSpectrum]) -> list[SchattenSummary]:
-    """schatten_summary(spec) for each spectrum of one n, one SVD call per shape."""
-    n = _common_n(spectra)
-    sv = {
-        s: np.linalg.svd(np.stack([spec.blocks[s] for spec in spectra]), compute_uv=False)
-        for s in partitions_of(n)
-    }
-    out = []
-    for b in range(len(spectra)):
-        per_block = {s: v[b] for s, v in sv.items()}
-        s1 = sinf = 0.0
-        for s, v in per_block.items():
-            s1 += dimension(s) * float(v.sum())
-            if v.size:
-                sinf = max(sinf, float(v[0]))
-        out.append(SchattenSummary(s1=s1, sinf=sinf, per_block=per_block))
-    return out
+    per_block = {}
+    s1 = 0.0
+    sinf = 0.0
+    for s, mat in spec.blocks.items():
+        sv = np.linalg.svd(mat, compute_uv=False)
+        per_block[s] = sv
+        s1 += dimension(s) * float(sv.sum())
+        if sv.size:
+            sinf = max(sinf, float(sv[0]))
+    return SchattenSummary(s1=s1, sinf=sinf, per_block=per_block)
 
 
 @dataclass(frozen=True)
@@ -199,23 +152,19 @@ class UncertaintyCheck:
     holds: bool
 
 
-def uncertainty_check(
-    f: PayoffFn, rel_tol: float = 1e-9, summary: SchattenSummary | None = None
-) -> UncertaintyCheck:
+def uncertainty_check(f: PayoffFn, rel_tol: float = 1e-9) -> UncertaintyCheck:
     """Check (||f||_1/||f||_inf) * (s1/sinf) >= n! for a nonzero payoff.
 
     rel_tol is relative to n!: the product may fall short of n! by at most
     rel_tol * n!.  The equality cases (point mass, constant) land within
-    3.1e-15 * n! of it at n = 8 and 9.  `summary` is the Schatten summary
-    of f's spectrum when the caller already has it.
+    3.1e-15 * n! of it at n = 8 and 9.
     """
     abs_vals = np.abs(f.values)
     linf = float(abs_vals.max())
     if linf == 0.0:
         raise DegenerateError("support-spread product undefined for the zero function")
     l1 = float(abs_vals.sum())
-    if summary is None:
-        summary = schatten_summary(transform(f))
+    summary = schatten_summary(transform(f))
     support_ratio = l1 / linf
     spread_ratio = summary.s1 / summary.sinf
     product = support_ratio * spread_ratio

@@ -32,16 +32,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import factorial
-from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .errors import EmptySetError
 from .permutations import group_matrix
 from .sets import OrderingSet
-
-if TYPE_CHECKING:
-    from .fourier import FourierSpectrum
 
 # Rows and columns of one agreement tile: a 512 x 2048 float32 product is 4 MB.
 ROW_TILE = 512
@@ -118,17 +114,14 @@ class IndicatorDegreeReport:
 
 
 def verify_indicator_degree(
-    members: OrderingSet,
-    tol: float | None = None,
-    spectrum: FourierSpectrum | None = None,
+    members: OrderingSet, tol: float | None = None
 ) -> IndicatorDegreeReport:
     """Check that a large high-agreement set has a high-degree indicator.
 
     The comparison level is min(t_max, n - 1) because degrees cap at
     n - 1; the clamp only matters for singletons (see module docstring).
     Sets below the (n - t_max)! size gate satisfy the claim vacuously.
-    `tol` is the degree threshold, ``fourier.DEGREE_TOL`` when None, and
-    `spectrum` the indicator's spectrum when the caller has it.
+    `tol` is the degree threshold, ``fourier.DEGREE_TOL`` when None.
     """
     # Imported here so that the agreement scan, which simulate runs, does
     # not load the Fourier stack.
@@ -136,9 +129,7 @@ def verify_indicator_degree(
     from .payoffs import indicator_payoff
 
     profile = intersection_profile(members)
-    deg = degree(
-        indicator_payoff(members), tol=DEGREE_TOL if tol is None else tol, spectrum=spectrum
-    )
+    deg = degree(indicator_payoff(members), tol=DEGREE_TOL if tol is None else tol)
     required = min(profile.t_max, members.n - 1)
     holds = (not profile.size_gate) or deg >= required
     return IndicatorDegreeReport(

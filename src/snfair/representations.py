@@ -32,12 +32,9 @@ removing a corner, top row first), so
 
 with F_{k-1,j} the transform of q -> f(c_j * q).  Level k = 2..n builds
 the S_k spectra of all n!/k! cosets at once, without ever forming the n!
-representation matrices.  Both functions also take a stack of B payoffs
-(values of shape (B, n!), blocks of shape (B, d, d)) and run them through
-one pass: the stack axis joins the coset axis, so the set-up below is
-paid once for all B.  A level holds its B * n! input and output floats
-plus tensordot temporaries of at most B * n! each.  ``fft_adjoint`` is
-the same recursion transposed, sum_shape <G(shape), evaluate(shape, p)>_F
+representation matrices; a level holds its n! input and n! output floats
+plus tensordot temporaries of at most n! each.  ``fft_adjoint`` is the
+same recursion transposed, sum_shape <G(shape), evaluate(shape, p)>_F
 for every p, which is the inverse transform for G = dim * F / n!.
 
 The recursion's set-up uses no tableau objects and no dense generators:
@@ -62,10 +59,10 @@ The recursion's set-up uses no tableau objects and no dense generators:
 
 The per-shape row words and generators (O(k * d) numbers) and the per-n
 rank-to-coset-digit index are cached read-only arrays, safe to share
-across threads.  The coset matrices, k * d^2 floats per shape (305 MB
-over every shape of n = 10), are not: a pass builds a shape's when its
-level reaches it and drops them after that shape's contraction, so at
-most one shape's are held at a time.
+across threads.  So are the coset matrices of shapes with at most
+_CACHED_LEVEL boxes, k * d^2 floats per shape.  A larger shape's coset
+matrices are built when a pass reaches its level and dropped after that
+shape's contraction, so at most one such shape's are held at a time.
 """
 from __future__ import annotations
 
@@ -76,6 +73,15 @@ import numpy as np
 
 from .partitions import dimension, partitions_of, standard_tableaux
 from .permutations import Permutation, group_matrix
+
+# Shapes of at most this many boxes keep their coset matrices for the
+# process.  Level k holds k * k! floats over all its shapes, so levels
+# k <= 7 hold 0.31 MiB in all; level 8 would add 2.5 MiB, 9 adds 25 MiB
+# and 10 adds 277 MiB.  Caching level 8 as well raised the peak RSS of
+# `snfair analyze` at n = 8 from 37.9 to 40.5 MB (+6.9%; 7 interleaved
+# runs, os.wait4, 2-core Xeon), so levels 8 and up are built per pass.
+_CACHED_LEVEL = 7
+_coset_cache: dict[tuple[int, ...], tuple[np.ndarray, tuple]] = {}
 
 
 @lru_cache(maxsize=4096)
@@ -180,8 +186,11 @@ def _young(shape: tuple[int, ...]):
 
 def _coset_matrices(shape: tuple[int, ...]):
     """evaluate(shape, c_j) for j = 1..k stacked, and the (mu, offset) of each
-    block of the restriction to S_{k-1}, top row's corner first.  Built
-    afresh on every call."""
+    block of the restriction to S_{k-1}, top row's corner first.  Kept
+    read-only for the process when k <= _CACHED_LEVEL, built afresh on
+    every call otherwise."""
+    if shape in _coset_cache:
+        return _coset_cache[shape]
     k, d = sum(shape), dimension(shape)
     _, diag, partner, weight = _young(shape)
     mats = np.empty((k, d, d))
@@ -195,7 +204,11 @@ def _coset_matrices(shape: tuple[int, ...]):
     for _, mu in _corners(shape):
         corners.append((mu, offset))
         offset += dimension(mu)
-    return mats, tuple(corners)
+    built = mats, tuple(corners)
+    if k <= _CACHED_LEVEL:
+        mats.setflags(write=False)
+        _coset_cache[shape] = built
+    return built
 
 
 @lru_cache(maxsize=3)
@@ -224,17 +237,11 @@ def _coset_order(n: int) -> np.ndarray:
 
 
 def fft(n: int, values: np.ndarray) -> dict[tuple[int, ...], np.ndarray]:
-    """sum_p values[rank(p)] * evaluate(shape, p) for every shape of n.
-
-    values of shape (n!,) give d x d blocks; a stack of shape (B, n!)
-    gives B x d x d blocks from one pass."""
-    values = np.asarray(values)
-    stack = values.reshape(-1, factorial(n))
-    batch = len(stack)
-    level = {(1,): np.empty((batch * factorial(n), 1, 1))}
-    level[(1,)].reshape(batch, -1)[:, _coset_order(n)] = stack
+    """sum_p values[rank(p)] * evaluate(shape, p) for every shape of n."""
+    level = {(1,): np.empty((factorial(n), 1, 1))}
+    level[(1,)][_coset_order(n), 0, 0] = values
     for k in range(2, n + 1):
-        cosets = batch * factorial(n) // factorial(k)
+        cosets = factorial(n) // factorial(k)
         built = {}
         for shape in partitions_of(k):
             mats, corners = _coset_matrices(shape)
@@ -248,24 +255,15 @@ def fft(n: int, values: np.ndarray) -> dict[tuple[int, ...], np.ndarray]:
             built[shape] = out
             del mats  # before the next shape's are built
         level = built
-    if values.ndim == 1:
-        return {shape: blocks[0] for shape, blocks in level.items()}
-    return level
+    return {shape: stack[0] for shape, stack in level.items()}
 
 
 def fft_adjoint(n: int, blocks: dict[tuple[int, ...], np.ndarray]) -> np.ndarray:
     """sum_shape <blocks[shape], evaluate(shape, p)>_F for every rank; missing
-    shapes count as zero blocks.
-
-    d x d blocks give n! values; B x d x d blocks give B x n! values from
-    one pass."""
-    level = {s: np.asarray(m, dtype=float) for s, m in blocks.items()}
-    single = all(g.ndim == 2 for g in level.values())
-    if single:
-        level = {s: g[None] for s, g in level.items()}
-    batch = len(next(iter(level.values()))) if level else 1
+    shapes count as zero blocks."""
+    level = {s: np.asarray(m, dtype=float)[None] for s, m in blocks.items()}
     for k in range(n, 1, -1):
-        cosets = batch * factorial(n) // factorial(k)
+        cosets = factorial(n) // factorial(k)
         spread = {}
         for shape, g in level.items():
             mats, corners = _coset_matrices(shape)
@@ -279,7 +277,5 @@ def fft_adjoint(n: int, blocks: dict[tuple[int, ...], np.ndarray]) -> np.ndarray
             del mats
         level = spread
     if (1,) not in level:
-        values = np.zeros((batch, factorial(n)))
-    else:
-        values = level[(1,)].reshape(batch, -1)[:, _coset_order(n)]
-    return values[0] if single else values
+        return np.zeros(factorial(n))
+    return level[(1,)].reshape(-1)[_coset_order(n)]

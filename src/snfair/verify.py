@@ -18,28 +18,20 @@ naming the suite and its smallest n before any work.
   payoff over every corpus set.
 - claim2: the lower-bound regime on nested stabilizer instances.
 
-A suite that transforms several payoffs of one n runs them through the
-``*_stack`` entry points of :mod:`snfair.fourier` (and
-``cayley.block_operator_stack``), in stacks of at most STACK_FLOATS
-payoff values per pass and never fewer than one payoff.  claim2, with
-at most two instances, transforms one at a time.
+Every suite builds and transforms its cases one at a time.  eigenvalue
+transforms each set once and rescales the blocks for the other scaling
+(the transform is linear); claim1 transforms each corpus payoff once and
+shares the spectrum among that payoff's pairs.
 """
 from __future__ import annotations
 
-from itertools import chain
 from math import factorial
 
 import numpy as np
 
-from .cayley import (
-    SymmetricSet,
-    block_operator_stack,
-    bound_violations,
-    dense_operator,
-    symmetrize,
-)
+from .cayley import SymmetricSet, block_operators, bound_violations, dense_operator, symmetrize
 from .fairness import Analysis, lower_bound_report, nested_stabilizer_instance
-from .fourier import inverse_stack, schatten_stack, transform_stack, uncertainty_check
+from .fourier import inverse, transform, uncertainty_check
 from .intersecting import stabilizer_set, verify_indicator_degree
 from .partitions import dimension, partitions_of
 from .payoffs import (
@@ -48,7 +40,6 @@ from .payoffs import (
     LiquidationModel,
     PayoffFn,
     cfmm_payoff,
-    indicator_payoff,
     junta_payoff,
     liquidation_payoff,
     random_payoff,
@@ -56,27 +47,6 @@ from .payoffs import (
 from .permutations import Permutation
 from .sequencing import majority_graph, simulate, valid_orderings
 from .sets import OrderingSet
-
-# Payoff values one stacked pass may hold: 34 payoffs at n = 5, 5 at
-# n = 6, one from n = 7 on.  A pass allocates about six times this in
-# levels, copies and temporaries, 0.2 MB.  Stacks of 45 at n = 6 (2**15)
-# raised the peak RSS of a verify process by 1 MB, this size by 0.17 MB
-# (0.4%) against one payoff per pass with the set-up cached.
-STACK_FLOATS = 2**12
-
-
-def _stacks(items, floats_each: int):
-    """The items in order, as lists holding at most STACK_FLOATS floats at
-    floats_each floats per item, and at least one item."""
-    size = max(1, STACK_FLOATS // floats_each)
-    stack = []
-    for item in items:
-        stack.append(item)
-        if len(stack) == size:
-            yield stack
-            stack = []
-    if stack:
-        yield stack
 
 
 def _corpus_payoffs(n: int, seed: int):
@@ -125,26 +95,25 @@ def _suite_roundtrip(n: int, seed: int, tol: float):
 
     rows = []
     passed = True
-    for stack in _stacks(cases(), size):
-        spectra = transform_stack([f for _, f in stack])
-        backs = inverse_stack(spectra)
-        for (label, f), spec, back in zip(stack, spectra, backs):
-            err = float(np.abs(back.values - f.values).max())
-            energy = float((f.values**2).sum())
-            spectral = sum(
-                dimension(s) * float(np.linalg.norm(m)) ** 2 for s, m in spec.blocks.items()
-            ) / size
-            rel = abs(energy - spectral) / energy
-            ok = err <= tol and rel <= tol
-            passed &= ok
-            rows.append(
-                {
-                    "payoff": label,
-                    "max_abs_error": err,
-                    "parseval_rel_error": rel,
-                    "ok": ok,
-                }
-            )
+    for label, f in cases():
+        spec = transform(f)
+        back = inverse(spec)
+        err = float(np.abs(back.values - f.values).max())
+        energy = float((f.values**2).sum())
+        spectral = sum(
+            dimension(s) * float(np.linalg.norm(m)) ** 2 for s, m in spec.blocks.items()
+        ) / size
+        rel = abs(energy - spectral) / energy
+        ok = err <= tol and rel <= tol
+        passed &= ok
+        rows.append(
+            {
+                "payoff": label,
+                "max_abs_error": err,
+                "parseval_rel_error": rel,
+                "ok": ok,
+            }
+        )
     return passed, rows
 
 
@@ -155,30 +124,28 @@ def _suite_uncertainty(n: int, seed: int, tol: float):
     passed = True
     order = factorial(n)
 
-    def cases():  # built one stack at a time, as each is checked
+    def cases():  # built one at a time, as each is checked
         for i in range(100):
             yield f"uniform_{i}", random_payoff(n, seed=seed + i)
         yield from _corpus_payoffs(n, seed)
         yield "point_mass", PayoffFn(n, np.eye(1, order)[0])
         yield "constant", PayoffFn(n, np.ones(order))
 
-    for stack in _stacks(cases(), order):
-        summaries = schatten_stack(transform_stack([f for _, f in stack]))
-        for (label, f), summary in zip(stack, summaries):
-            check = uncertainty_check(f, summary=summary)
-            holds = check.holds
-            if label in ("point_mass", "constant"):  # the equality cases
-                holds = holds and abs(check.product - order) <= 1e-12 * order
-            passed &= holds
-            rows.append(
-                {
-                    "payoff": label,
-                    "support_ratio": check.support_ratio,
-                    "spread_ratio": check.spread_ratio,
-                    "product": check.product,
-                    "holds": holds,
-                }
-            )
+    for label, f in cases():
+        check = uncertainty_check(f)
+        holds = check.holds
+        if label in ("point_mass", "constant"):  # the equality cases
+            holds = holds and abs(check.product - order) <= 1e-12 * order
+        passed &= holds
+        rows.append(
+            {
+                "payoff": label,
+                "support_ratio": check.support_ratio,
+                "spread_ratio": check.spread_ratio,
+                "product": check.product,
+                "holds": holds,
+            }
+        )
     return passed, rows
 
 
@@ -204,44 +171,43 @@ def _suite_eigenvalue(n: int, seed: int, tol: float):
 
     rows = []
     passed = True
-    for stack in _stacks(sets.items(), factorial(n)):
-        raws = block_operator_stack([conn for _, conn in stack], normalized=False)
-        for (label, conn), raw in zip(stack, raws):
-            scaled = {s: m / len(conn) for s, m in raw.items()}  # the transform is linear
-            if n <= 4:
-                dense = dense_operator(conn)
-                brute = np.sort(np.linalg.eigvalsh(dense))
-                blockwise = np.sort(
-                    np.concatenate(
-                        [
-                            np.repeat(np.linalg.eigvalsh(scaled[s]), dimension(s))
-                            for s in partitions_of(n)
-                        ]
-                    )
+    for label, conn in sets.items():
+        raw = block_operators(conn, normalized=False)
+        scaled = {s: m / len(conn) for s, m in raw.items()}  # the transform is linear
+        if n <= 4:
+            dense = dense_operator(conn)
+            brute = np.sort(np.linalg.eigvalsh(dense))
+            blockwise = np.sort(
+                np.concatenate(
+                    [
+                        np.repeat(np.linalg.eigvalsh(scaled[s]), dimension(s))
+                        for s in partitions_of(n)
+                    ]
                 )
-                residual = float(np.abs(brute - blockwise).max())
-                consistent = residual <= 1e-8
-            else:
-                residual = None
-                consistent = True
-            normalized_bad = bound_violations(conn, normalized=True, blocks=scaled)
-            raw_bad = bound_violations(conn, normalized=False, blocks=raw)
-            satisfied = "normalized" if not normalized_bad else (
-                "unnormalized" if not raw_bad else "neither"
             )
-            ok = consistent and satisfied != "neither"
-            passed &= ok
-            rows.append(
-                {
-                    "set": label,
-                    "size": len(conn),
-                    "block_residual": residual,
-                    "normalized_violations": len(normalized_bad),
-                    "unnormalized_violations": len(raw_bad),
-                    "bound_satisfied_by": satisfied,
-                    "ok": ok,
-                }
-            )
+            residual = float(np.abs(brute - blockwise).max())
+            consistent = residual <= 1e-8
+        else:
+            residual = None
+            consistent = True
+        normalized_bad = bound_violations(conn, normalized=True, blocks=scaled)
+        raw_bad = bound_violations(conn, normalized=False, blocks=raw)
+        satisfied = "normalized" if not normalized_bad else (
+            "unnormalized" if not raw_bad else "neither"
+        )
+        ok = consistent and satisfied != "neither"
+        passed &= ok
+        rows.append(
+            {
+                "set": label,
+                "size": len(conn),
+                "block_residual": residual,
+                "normalized_violations": len(normalized_bad),
+                "unnormalized_violations": len(raw_bad),
+                "bound_satisfied_by": satisfied,
+                "ok": ok,
+            }
+        )
     return passed, rows
 
 
@@ -264,21 +230,19 @@ def _suite_indicator_degree(n: int, seed: int, tol: float):
 
     rows = []
     passed = True
-    for stack in _stacks(sets.items(), factorial(n)):
-        spectra = transform_stack([indicator_payoff(members) for _, members in stack])
-        for (label, members), spec in zip(stack, spectra):
-            report = verify_indicator_degree(members, tol=tol, spectrum=spec)
-            passed &= report.claim_holds
-            rows.append(
-                {
-                    "set": label,
-                    "size": len(members),
-                    "t_max": report.t_max,
-                    "degree": report.deg_indicator,
-                    "size_gate": report.size_gate,
-                    "claim_holds": report.claim_holds,
-                }
-            )
+    for label, members in sets.items():
+        report = verify_indicator_degree(members, tol=tol)
+        passed &= report.claim_holds
+        rows.append(
+            {
+                "set": label,
+                "size": len(members),
+                "t_max": report.t_max,
+                "degree": report.deg_indicator,
+                "size_gate": report.size_gate,
+                "claim_holds": report.claim_holds,
+            }
+        )
     return passed, rows
 
 
@@ -287,24 +251,13 @@ def _suite_claim1(n: int, seed: int, tol: float):
         raise ValueError("claim1 suite needs n >= 2 for its two-slot corpus cases")
     rows = []
     passed = True
-    size = factorial(n)
-    sets = {label: members for label, members in _corpus_sets(n, seed).items() if len(members)}
+    sets = _corpus_sets(n, seed)
     for p_label, f in _corpus_payoffs(n, seed):
-        pairs = {s_label: Analysis(f, members) for s_label, members in sets.items()}
-        bounded = [pair for pair in pairs.values() if pair.bounds_note is None]
-        # The payoff, transformed only when some pair bounds it, shares its
-        # passes with the restrictions of its bounded pairs.
-        jobs = chain([f], (pair.restriction() for pair in bounded)) if bounded else ()
-        spectrum, summaries = None, []
-        for stack in _stacks(jobs, size):
-            spectra = transform_stack(stack)
-            spectrum = spectra[0] if spectrum is None else spectrum
-            summaries += schatten_stack(spectra)
-            del stack, spectra  # before the next stack's restrictions are built
-        for pair, restricted in zip(bounded, summaries[1:]):
-            pair.spectrum, pair.schatten = spectrum, summaries[0]
-            pair.restricted_schatten = restricted
-        for s_label, pair in pairs.items():
+        spectrum = None  # transformed once, by the first pair that needs it
+        for s_label, members in sets.items():
+            if len(members) == 0:
+                continue
+            pair = Analysis(f, members, spectrum=spectrum)
             if pair.bounds_note is not None:
                 rows.append(
                     {
@@ -320,6 +273,7 @@ def _suite_claim1(n: int, seed: int, tol: float):
                 )
                 continue
             ub, upper = pair.uncertainty, pair.upper
+            spectrum = pair.spectrum
             ok = ub.slack >= -tol
             passed &= ok
             rows.append(

@@ -466,28 +466,20 @@ def test_emit_of_a_full_n9_set_stays_well_below_its_list_form(tmp_path):
 
 
 def test_claim1_transforms_each_payoff_once(monkeypatch):
-    calls = {"transform": 0, "passes": 0}
-    real, real_stack = snfair.fairness.transform, snfair.verify.transform_stack
+    calls = {"transform": 0}
+    real = snfair.fairness.transform
 
     def counted(f):
         calls["transform"] += 1
         return real(f)
 
-    def counted_stack(payoffs):
-        calls["transform"] += len(payoffs)
-        calls["passes"] += 1
-        return real_stack(payoffs)
-
     monkeypatch.setattr(snfair.fairness, "transform", counted)
-    monkeypatch.setattr(snfair.verify, "transform_stack", counted_stack)
     passed, rows = SUITES["claim1"](5, 5, 1e-9)
     bounded = [row for row in rows if row["bound"] is not None]
     payoffs = {row["payoff"] for row in bounded}
     assert passed and len(rows) == 25 and len(payoffs) == 5
     # one restriction per bounded row, one spectrum per payoff (was one per row)
     assert calls["transform"] == len(bounded) + len(payoffs)
-    # at n = 5 one pass carries a payoff and all its restrictions
-    assert calls["passes"] == len(payoffs)
 
 
 def test_stdout_when_no_out_flag(capsys):

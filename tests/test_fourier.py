@@ -13,11 +13,8 @@ from snfair.fourier import (
     PayoffFn,
     degree,
     inverse,
-    inverse_stack,
-    schatten_stack,
     schatten_summary,
     transform,
-    transform_stack,
     uncertainty_check,
 )
 from snfair.partitions import dimension, partitions_of
@@ -315,31 +312,3 @@ def test_capacity_guard():
         OrderingSet.full_group(11)
     with pytest.raises(ValueError):
         PayoffFn(0, np.zeros(1))
-
-
-def _bits(arrays):
-    return [np.asarray(a).tobytes() for a in arrays]
-
-
-def test_stacked_entry_points_match_single_calls():
-    payoffs = [random_payoff(6, seed=s) for s in range(5)]
-    spectra = transform_stack(payoffs)
-    backs = inverse_stack(spectra)
-    summaries = schatten_stack(spectra)
-    for f, spec, back, summary in zip(payoffs, spectra, backs, summaries):
-        ref = transform(f)
-        for s, m in ref.blocks.items():
-            np.testing.assert_allclose(spec.blocks[s], m, rtol=0, atol=1e-12 * np.linalg.norm(m))
-        np.testing.assert_allclose(back.values, f.values, rtol=0, atol=1e-12)
-        single = schatten_summary(spec)  # same blocks, so the same bits
-        assert (summary.s1, summary.sinf) == (single.s1, single.sinf)
-        assert _bits(summary.per_block.values()) == _bits(single.per_block.values())
-        check = uncertainty_check(f, summary=summary)
-        assert check.holds and check.product == pytest.approx(uncertainty_check(f).product)
-    # a stack of one gives the single calls' bits
-    (one,) = transform_stack(payoffs[:1])
-    ref = transform(payoffs[0])
-    assert _bits(one.blocks.values()) == _bits(ref.blocks.values())
-    assert _bits([inverse_stack([ref])[0].values]) == _bits([inverse(ref).values])
-    with pytest.raises(ValueError, match="one n"):
-        transform_stack([random_payoff(4, seed=0), random_payoff(5, seed=0)])

@@ -18,7 +18,9 @@ from hypothesis import strategies as st
 
 from snfair.partitions import dimension, partitions_of, standard_tableaux
 from snfair.permutations import Permutation, enumerate_group, group_matrix
+import snfair.representations
 from snfair.representations import (
+    _coset_cache,
     _coset_order,
     _young,
     adjacent_generator,
@@ -96,15 +98,17 @@ def test_fft_builds_no_dense_generator():
     assert adjacent_generator.cache_info().currsize == 0
 
 
-def test_finished_transform_keeps_only_group_matrix_coset_order_and_young():
-    # Coset matrices live for one pass: after an n = 8 transform and its
-    # adjoint, what stays allocated is the cached group matrix, coset
-    # order and sparse generators, plus the caches' own entries (the
-    # coset matrices were 2.8 MB, the largest shape's alone 0.5 MB).
+def test_finished_transform_keeps_only_caches_and_small_coset_matrices():
+    # After an n = 8 transform and its adjoint, what stays allocated is the
+    # cached group matrix, coset order and sparse generators, the coset
+    # matrices of levels k <= 7 (8 * sum k * k! bytes, 0.31 MiB), and the
+    # caches' own entries.  Level 8's coset matrices (2.5 MiB, the largest
+    # shape's alone 0.5 MiB) live for one pass.
     f = np.random.default_rng(8).random(factorial(8))
     fft(8, f)  # fills the small partition caches outside the trace
     for cached in (group_matrix, _young, _coset_order):
         cached.cache_clear()
+    _coset_cache.clear()
     gc.collect()
     tracemalloc.start()
     try:
@@ -115,7 +119,31 @@ def test_finished_transform_keeps_only_group_matrix_coset_order_and_young():
         tracemalloc.stop()
     young = [a for k in range(1, 9) for s in partitions_of(k) for a in _young(s)]
     cached = sum(sys.getsizeof(a) for a in [group_matrix(8), _coset_order(8), *young])
-    assert cached <= held <= cached + 64 * 1024
+    coset_bytes = 8 * sum(k * factorial(k) for k in range(2, 8))
+    assert sum(mats.nbytes for mats, _ in _coset_cache.values()) == coset_bytes
+    assert cached <= held <= cached + coset_bytes + 64 * 1024
+
+
+def test_coset_matrices_of_levels_up_to_seven_are_cached_read_only(monkeypatch):
+    _coset_cache.clear()
+    f = np.random.default_rng(0).standard_normal(factorial(8))
+    fft_adjoint(8, fft(8, f))
+    small = {s for k in range(2, 8) for s in partitions_of(k)}
+    assert set(_coset_cache) == small
+    assert all(mats.flags.writeable is False for mats, _ in _coset_cache.values())
+    held = {s: mats for s, (mats, _) in _coset_cache.items()}
+    f7 = f[: factorial(7)]
+    blocks = fft(7, f7)
+
+    def build(shape):
+        raise AssertionError(f"rebuilt the set-up of {shape}")
+
+    # an n = 7 pass builds no set-up: every shape comes from the cache
+    monkeypatch.setattr(snfair.representations, "_young", build)
+    assert all(fft(7, f7)[s].tobytes() == m.tobytes() for s, m in blocks.items())
+    fft_adjoint(7, blocks)
+    assert all(_coset_cache[s][0] is mats for s, mats in held.items())
+    assert set(_coset_cache) == small
 
 
 @lru_cache(maxsize=8)
@@ -126,38 +154,21 @@ def _all_matrices(n):
 
 
 @settings(max_examples=40, deadline=None)
-@given(st.integers(1, 5), st.integers(1, 6), st.integers(0, 2**32 - 1))
-def test_stacked_fft_and_adjoint_match_single_calls_and_evaluate(n, batch, seed):
+@given(st.integers(1, 5), st.integers(0, 2**32 - 1))
+def test_fft_and_adjoint_match_evaluate(n, seed):
     rng = np.random.default_rng(seed)
-    values = rng.standard_normal((batch, factorial(n)))
-    grams = {s: rng.standard_normal((batch, dimension(s), dimension(s))) for s in partitions_of(n)}
-    stacked, adjoint = fft(n, values), fft_adjoint(n, grams)
-    assert adjoint.shape == values.shape
+    f = rng.standard_normal(factorial(n))
+    grams = {s: rng.standard_normal((dimension(s), dimension(s))) for s in partitions_of(n)}
+    blocks, adjoint = fft(n, f), fft_adjoint(n, grams)
     mats = _all_matrices(n)
-    for b, f in enumerate(values):
-        tol = 1e-12 * np.linalg.norm(f)
-        single = fft(n, f)
-        for s, m in mats.items():
-            assert stacked[s].shape == (batch, dimension(s), dimension(s))
-            assert np.abs(stacked[s][b] - single[s]).max() <= tol
-            assert np.abs(stacked[s][b] - np.tensordot(f, m, 1)).max() <= tol
-        g = {s: m[b] for s, m in grams.items()}
-        tol = 1e-12 * np.sqrt(sum(np.linalg.norm(m) ** 2 for m in g.values()))
-        oracle = sum(np.tensordot(m, g[s], 2) for s, m in mats.items())
-        assert np.abs(adjoint[b] - fft_adjoint(n, g)).max() <= tol
-        assert np.abs(adjoint[b] - oracle).max() <= tol
-
-
-@pytest.mark.parametrize("n", range(1, 8))
-def test_stack_of_one_is_bit_identical_to_the_single_call(n):
-    f = np.random.default_rng(n).standard_normal(factorial(n))
-    single, stacked = fft(n, f), fft(n, f[None])
-    for s, m in single.items():
-        assert stacked[s].shape == (1, *m.shape)
-        assert stacked[s][0].tobytes() == m.tobytes()
-    back = fft_adjoint(n, stacked)
-    assert back.shape == (1, factorial(n))
-    assert back[0].tobytes() == fft_adjoint(n, single).tobytes()
+    tol = 1e-12 * np.linalg.norm(f)
+    for s, m in mats.items():
+        assert blocks[s].shape == (dimension(s), dimension(s))
+        assert np.abs(blocks[s] - np.tensordot(f, m, 1)).max() <= tol
+    tol = 1e-12 * np.sqrt(sum(np.linalg.norm(g) ** 2 for g in grams.values()))
+    oracle = sum(np.tensordot(m, grams[s], 2) for s, m in mats.items())
+    assert adjoint.shape == f.shape
+    assert np.abs(adjoint - oracle).max() <= tol
 
 
 def test_evaluate_identity_is_identity_matrix():
