@@ -99,7 +99,6 @@ class BlockSpectrum:
 def spectrum_report(
     conn: SymmetricSet,
     normalized: bool = True,
-    tol: float = BOUND_TOL,
     blocks: dict[tuple[int, ...], np.ndarray] | None = None,
 ) -> dict[tuple[int, ...], BlockSpectrum]:
     """Per-shape gram eigenvalues and bound flags for the chosen scaling.
@@ -116,7 +115,7 @@ def spectrum_report(
         out[shape] = BlockSpectrum(
             eigenvalues=eig,
             bound=bound,
-            within_bound=bool(eig[0] <= bound + tol),
+            within_bound=bool(eig[0] <= bound + BOUND_TOL),
         )
     return out
 
@@ -124,12 +123,11 @@ def spectrum_report(
 def bound_violations(
     conn: SymmetricSet,
     normalized: bool = True,
-    tol: float = BOUND_TOL,
     blocks: dict[tuple[int, ...], np.ndarray] | None = None,
 ) -> tuple[tuple[int, ...], ...]:
     """Shapes whose gram eigenvalues exceed the reference bound
     (`blocks` as in ``spectrum_report``)."""
-    report = spectrum_report(conn, normalized=normalized, tol=tol, blocks=blocks)
+    report = spectrum_report(conn, normalized=normalized, blocks=blocks)
     return tuple(s for s, spec in report.items() if not spec.within_bound)
 
 

@@ -71,8 +71,9 @@ def _check_size(n, max_n: int) -> None:
         )
 
 
-def _load_json(path: str, what: str, max_n: int, size_key: str, *keys: str) -> dict:
-    """A JSON object with the given fields whose group size passes --max-n."""
+def _load_json(path: str, what: str, max_n: int, from_dict, size_key: str, *keys: str):
+    """from_dict of a JSON object with the given fields whose group size
+    passes --max-n; a malformed file raises a ValueError that names it."""
     try:
         with open(path) as fh:
             data = json.load(fh)
@@ -82,11 +83,18 @@ def _load_json(path: str, what: str, max_n: int, size_key: str, *keys: str) -> d
         raise ValueError(
             f"malformed {what} file {path}: {exc.msg} at line {exc.lineno} column {exc.colno}"
         )
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"malformed {what} file {path}: {exc}")
+    except RecursionError:
+        raise ValueError(f"malformed {what} file {path}: nested too deeply")
     if not isinstance(data, dict) or not {size_key, *keys} <= data.keys():
         fields = ", ".join((size_key, *keys))
         raise ValueError(f"malformed {what} file {path}: need an object with {fields}")
     _check_size(data[size_key], max_n)
-    return data
+    try:
+        return from_dict(data)
+    except ValueError as exc:
+        raise ValueError(f"malformed {what} file {path}: {exc}")
 
 
 def _metadata(args: argparse.Namespace, inputs: dict[str, str]) -> dict:
@@ -221,15 +229,13 @@ def _spectrum_rows(spec, summary) -> list[dict]:
 def _load_payoff(args: argparse.Namespace):
     from .payoffs import PayoffFn
 
-    data = _load_json(args.payoff, "payoff", args.max_n, "n", "values")
-    return PayoffFn.from_dict(data)
+    return _load_json(args.payoff, "payoff", args.max_n, PayoffFn.from_dict, "n", "values")
 
 
 def _load_set(args: argparse.Namespace):
     from .sets import OrderingSet
 
-    data = _load_json(args.set, "ordering set", args.max_n, "n", "members")
-    return OrderingSet.from_dict(data)
+    return _load_json(args.set, "ordering set", args.max_n, OrderingSet.from_dict, "n", "members")
 
 
 # ---------------------------------------------------------------- commands
@@ -262,7 +268,7 @@ def cmd_gen_payoff(args: argparse.Namespace) -> int:
     elif args.model == "liquidation":
         if args.k is None or args.c is None:
             raise ValueError("liquidation model needs --k and --c")
-        model = LiquidationModel(k=args.k, c=args.c, p0=args.p0)
+        model = LiquidationModel(k=args.k, c=args.c)
         _check_size(model.n, args.max_n)
         payoff = liquidation_payoff(model)
     elif args.model == "junta":
@@ -356,8 +362,8 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     inputs = {}
     if args.votes:
         inputs["votes"] = args.votes
-        votes = VoteProfile.from_dict(
-            _load_json(args.votes, "votes", args.max_n, "n_tx", "validators")
+        votes = _load_json(
+            args.votes, "votes", args.max_n, VoteProfile.from_dict, "n_tx", "validators"
         )
     else:
         _check_size(args.n_tx, args.max_n)

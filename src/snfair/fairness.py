@@ -111,10 +111,10 @@ class LowerBoundReport:
     implied_constant: float | None  # c making rhs(c) equal the measured gap
 
 
-def _classify(gap: float, extreme: float, tol: float) -> str:
-    if abs(gap) <= tol:
+def _classify(gap: float, extreme: float) -> str:
+    if abs(gap) <= CLASSIFY_TOL:
         return "perfectly_fair"
-    if abs(gap - extreme) <= tol:
+    if abs(gap - extreme) <= CLASSIFY_TOL:
         return "maximally_unfair"
     return "other"
 
@@ -157,7 +157,7 @@ class Analysis:
             additive_gap=top - mean,
             multiplicative_gap=top / mean if mean > 0.0 else None,
             conditional_gap=float(self.on_set.max() - self.on_set.mean()),
-            classification=_classify(top - mean, trivial, CLASSIFY_TOL),
+            classification=_classify(top - mean, trivial),
             trivial_bound=trivial,
         )
 
@@ -254,12 +254,9 @@ def multiplicative_gap(f: PayoffFn, members: OrderingSet) -> float:
     return ratio
 
 
-def classify_fairness(
-    f: PayoffFn, members: OrderingSet, tol: float = CLASSIFY_TOL
-) -> str:
+def classify_fairness(f: PayoffFn, members: OrderingSet) -> str:
     """'perfectly_fair', 'maximally_unfair', or 'other'."""
-    report = Analysis(f, members).fairness
-    return _classify(report.additive_gap, report.trivial_bound, tol)
+    return Analysis(f, members).fairness.classification
 
 
 def uncertainty_bound(f: PayoffFn, members: OrderingSet) -> UncertaintyBound:

@@ -55,6 +55,11 @@ from .representations import fft, fft_adjoint
 # weighting would rescale what a user's --tol means by up to sqrt(n!).
 DEGREE_TOL = 1e-9
 
+# Relative to n!: the support-spread product holds when it falls short of
+# n! by at most SUPPORT_SPREAD_TOL * n!.  The equality cases (point mass,
+# constant) land within 3.1e-15 * n! of n! at n = 8 and 9.
+SUPPORT_SPREAD_TOL = 1e-9
+
 
 @dataclass(frozen=True, eq=False)
 class FourierSpectrum:
@@ -76,15 +81,6 @@ class FourierSpectrum:
             d = dimension(s)
             if np.asarray(mat).shape != (d, d):
                 raise ValueError(f"block {s} must be {d}x{d}")
-
-    def to_dict(self) -> dict:
-        return {
-            "n": self.n,
-            "blocks": [
-                {"lambda": list(s), "matrix": np.asarray(m, dtype=float).tolist()}
-                for s, m in self.blocks.items()
-            ],
-        }
 
 
 def transform(f: PayoffFn) -> FourierSpectrum:
@@ -152,13 +148,9 @@ class UncertaintyCheck:
     holds: bool
 
 
-def uncertainty_check(f: PayoffFn, rel_tol: float = 1e-9) -> UncertaintyCheck:
-    """Check (||f||_1/||f||_inf) * (s1/sinf) >= n! for a nonzero payoff.
-
-    rel_tol is relative to n!: the product may fall short of n! by at most
-    rel_tol * n!.  The equality cases (point mass, constant) land within
-    3.1e-15 * n! of it at n = 8 and 9.
-    """
+def uncertainty_check(f: PayoffFn) -> UncertaintyCheck:
+    """Check (||f||_1/||f||_inf) * (s1/sinf) >= n! for a nonzero payoff,
+    within SUPPORT_SPREAD_TOL."""
     abs_vals = np.abs(f.values)
     linf = float(abs_vals.max())
     if linf == 0.0:
@@ -174,5 +166,5 @@ def uncertainty_check(f: PayoffFn, rel_tol: float = 1e-9) -> UncertaintyCheck:
         spread_ratio=spread_ratio,
         product=product,
         group_order=order,
-        holds=product >= order * (1.0 - rel_tol),
+        holds=product >= order * (1.0 - SUPPORT_SPREAD_TOL),
     )

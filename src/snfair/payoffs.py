@@ -65,7 +65,11 @@ class PayoffFn:
         # JSON strings and booleans would be coerced to numbers.
         if not isinstance(values, list) or not set(map(type, values)) <= {int, float}:
             raise ValueError("values must be a list of numbers")
-        return cls(int(data["n"]), np.asarray(values, dtype=float))
+        try:
+            values = np.asarray(values, dtype=float)
+        except OverflowError:  # an int past the float range, as 1e400 is inf
+            raise ValueError("payoff values must be finite")
+        return cls(int(data["n"]), values)
 
 
 @dataclass(frozen=True)
@@ -129,7 +133,6 @@ class LiquidationModel:
 
     k: int
     c: int
-    p0: float = 100.0
 
     def __post_init__(self) -> None:
         if self.k < 1:

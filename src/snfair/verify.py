@@ -1,30 +1,39 @@
-"""The six ``snfair verify`` suites and the corpora they share.
+"""The six ``snfair verify`` suites, their runner, and the corpora they share.
 
-Each suite takes (n, seed, tol) and returns (passed, rows): passed is
-True exactly when every theorem-backed check holds, and rows hold one
-dict per case, trend quantities included, which are reported but never
-gate.  A suite whose cases need a larger group than n raises ValueError
-naming the suite and its smallest n before any work.
+``SUITES[name](n, seed, tol)`` runs one suite and returns (passed, rows).
+Each suite is a generator of one (ok, row) pair per case, built and
+checked one case at a time; :func:`run` is the one loop around them.  It
+rejects an n below the suite's smallest n (``SMALLEST_N``) with a
+ValueError naming the suite before any work, keeps the rows in order,
+one dict per case with trend quantities that are reported but never
+gate, and passes the suite exactly when every case's theorem-backed
+check holds.
 
 - roundtrip: transform then inverse returns the payoff, and Parseval
-  holds, for uniform, sparse, point-mass and constant payoffs.
+  holds, for uniform, sparse, point-mass and constant payoffs.  ``tol``
+  bounds both the largest round-trip error and Parseval's relative error.
 - uncertainty: the support-spread inequality for 100 uniform payoffs and
   the corpus, with equality for the point mass and the constant.
+  ``tol`` is not read (see ``fourier.SUPPORT_SPREAD_TOL``).
 - eigenvalue: the per-shape averaging blocks of symmetric connection sets
   against the dense operator (n <= 4), and the spectral bound flags.
+  ``tol`` is not read (see ``cayley.BOUND_TOL``).
 - indicator_degree: large high-agreement sets have high-degree
-  indicators (stabilizer and admissible sets).
+  indicators (stabilizer and admissible sets).  ``tol`` is the degree
+  threshold, relative to ||f||_2 (see ``fourier.DEGREE_TOL``).
 - claim1: the spectral upper bound on the additive gap for every corpus
-  payoff over every corpus set.
-- claim2: the lower-bound regime on nested stabilizer instances.
+  payoff over every corpus set.  ``tol`` is the negative slack allowed.
+- claim2: the lower-bound regime on nested stabilizer instances.  ``tol``
+  is not read (degrees use ``fourier.DEGREE_TOL``).
 
-Every suite builds and transforms its cases one at a time.  eigenvalue
-transforms each set once and rescales the blocks for the other scaling
-(the transform is linear); claim1 transforms each corpus payoff once and
-shares the spectrum among that payoff's pairs.
+eigenvalue transforms each set once and rescales the blocks for the
+other scaling (the transform is linear); claim1 transforms each corpus
+payoff once and shares the spectrum among that payoff's pairs.
 """
 from __future__ import annotations
 
+from functools import partial
+from itertools import chain
 from math import factorial
 
 import numpy as np
@@ -48,6 +57,26 @@ from .permutations import Permutation
 from .sequencing import majority_graph, simulate, valid_orderings
 from .sets import OrderingSet
 
+# The smallest n of each suite whose cases need more than S_1, and why.
+SMALLEST_N = {
+    "uncertainty": (2, "for its two-slot corpus cases"),
+    "eigenvalue": (2, "for a transposition set"),
+    "claim1": (2, "for its two-slot corpus cases"),
+    "claim2": (4, "for a non-degenerate instance"),
+}
+
+
+def _uniform_payoffs(n: int, seed: int, count: int):
+    for i in range(count):
+        yield f"uniform_{i}", random_payoff(n, seed=seed + i)
+
+
+def _equality_payoffs(n: int):
+    """The point mass and the constant, the support-spread equality cases."""
+    size = factorial(n)
+    yield "point_mass", PayoffFn(n, np.eye(1, size)[0])
+    yield "constant", PayoffFn(n, np.ones(size))
+
 
 def _corpus_payoffs(n: int, seed: int):
     """Deterministic generator-family corpus used by the verify suites,
@@ -69,14 +98,18 @@ def _corpus_payoffs(n: int, seed: int):
         yield "liquidation", liquidation_payoff(LiquidationModel(k=n // 2, c=1))
 
 
+def _iid_admissible(n: int, seed: int) -> OrderingSet:
+    """The admissible set of five validators' iid-shuffled votes."""
+    return valid_orderings(majority_graph(simulate(n, 5, "iid_shuffle", seed=seed)))
+
+
 def _corpus_sets(n: int, seed: int) -> dict[str, OrderingSet]:
     sets = {
         "full_group": OrderingSet.full_group(n),
         "stabilizer_t1": stabilizer_set(n, [(1, 1)]),
         "stabilizer_t2": stabilizer_set(n, [(1, 1), (2, 2)]),
+        "fair_ordering_iid": _iid_admissible(n, seed),
     }
-    votes = simulate(n, 5, "iid_shuffle", seed=seed)
-    sets["fair_ordering_iid"] = valid_orderings(majority_graph(votes))
     if n >= 3:
         votes = simulate(n, n, "adversarial_cycle")
         sets["fair_ordering_cycle"] = valid_orderings(majority_graph(votes))
@@ -87,14 +120,10 @@ def _suite_roundtrip(n: int, seed: int, tol: float):
     size = factorial(n)
 
     def cases():
-        for i in range(5):
-            yield f"uniform_{i}", random_payoff(n, seed=seed + i)
+        yield from _uniform_payoffs(n, seed, 5)
         yield "sparse", random_payoff(n, seed=seed, dist="sparse", nonzero=min(3, size))
-        yield "point_mass", PayoffFn(n, np.eye(1, size)[0])
-        yield "constant", PayoffFn(n, np.ones(size))
+        yield from _equality_payoffs(n)
 
-    rows = []
-    passed = True
     for label, f in cases():
         spec = transform(f)
         back = inverse(spec)
@@ -105,48 +134,24 @@ def _suite_roundtrip(n: int, seed: int, tol: float):
         ) / size
         rel = abs(energy - spectral) / energy
         ok = err <= tol and rel <= tol
-        passed &= ok
-        rows.append(
-            {
-                "payoff": label,
-                "max_abs_error": err,
-                "parseval_rel_error": rel,
-                "ok": ok,
-            }
-        )
-    return passed, rows
+        yield ok, {"payoff": label, "max_abs_error": err, "parseval_rel_error": rel, "ok": ok}
 
 
 def _suite_uncertainty(n: int, seed: int, tol: float):
-    if n < 2:
-        raise ValueError("uncertainty suite needs n >= 2 for its two-slot corpus cases")
-    rows = []
-    passed = True
     order = factorial(n)
-
-    def cases():  # built one at a time, as each is checked
-        for i in range(100):
-            yield f"uniform_{i}", random_payoff(n, seed=seed + i)
-        yield from _corpus_payoffs(n, seed)
-        yield "point_mass", PayoffFn(n, np.eye(1, order)[0])
-        yield "constant", PayoffFn(n, np.ones(order))
-
-    for label, f in cases():
+    cases = chain(_uniform_payoffs(n, seed, 100), _corpus_payoffs(n, seed), _equality_payoffs(n))
+    for label, f in cases:
         check = uncertainty_check(f)
         holds = check.holds
         if label in ("point_mass", "constant"):  # the equality cases
             holds = holds and abs(check.product - order) <= 1e-12 * order
-        passed &= holds
-        rows.append(
-            {
-                "payoff": label,
-                "support_ratio": check.support_ratio,
-                "spread_ratio": check.spread_ratio,
-                "product": check.product,
-                "holds": holds,
-            }
-        )
-    return passed, rows
+        yield holds, {
+            "payoff": label,
+            "support_ratio": check.support_ratio,
+            "spread_ratio": check.spread_ratio,
+            "product": check.product,
+            "holds": holds,
+        }
 
 
 def _random_symmetric_set(n: int, rng: np.random.Generator) -> SymmetricSet:
@@ -156,8 +161,6 @@ def _random_symmetric_set(n: int, rng: np.random.Generator) -> SymmetricSet:
 
 
 def _suite_eigenvalue(n: int, seed: int, tol: float):
-    if n < 2:
-        raise ValueError("eigenvalue suite needs n >= 2 for a transposition set")
     rng = np.random.default_rng(seed)
     sets = {"identity": SymmetricSet(n, (0,))}
     transpositions = [
@@ -169,8 +172,6 @@ def _suite_eigenvalue(n: int, seed: int, tol: float):
     for i in range(3):
         sets[f"random_{i}"] = _random_symmetric_set(n, rng)
 
-    rows = []
-    passed = True
     for label, conn in sets.items():
         raw = block_operators(conn, normalized=False)
         scaled = {s: m / len(conn) for s, m in raw.items()}  # the transform is linear
@@ -196,19 +197,15 @@ def _suite_eigenvalue(n: int, seed: int, tol: float):
             "unnormalized" if not raw_bad else "neither"
         )
         ok = consistent and satisfied != "neither"
-        passed &= ok
-        rows.append(
-            {
-                "set": label,
-                "size": len(conn),
-                "block_residual": residual,
-                "normalized_violations": len(normalized_bad),
-                "unnormalized_violations": len(raw_bad),
-                "bound_satisfied_by": satisfied,
-                "ok": ok,
-            }
-        )
-    return passed, rows
+        yield ok, {
+            "set": label,
+            "size": len(conn),
+            "block_residual": residual,
+            "normalized_violations": len(normalized_bad),
+            "unnormalized_violations": len(raw_bad),
+            "bound_satisfied_by": satisfied,
+            "ok": ok,
+        }
 
 
 def _suite_indicator_degree(n: int, seed: int, tol: float):
@@ -225,80 +222,53 @@ def _suite_indicator_degree(n: int, seed: int, tol: float):
             sets[f"pin_random_t{t}_{rep}"] = stabilizer_set(
                 n, list(zip(slots.tolist(), items.tolist()))
             )
-    votes = simulate(n, 5, "iid_shuffle", seed=seed)
-    sets["fair_ordering_iid"] = valid_orderings(majority_graph(votes))
+    sets["fair_ordering_iid"] = _iid_admissible(n, seed)
 
-    rows = []
-    passed = True
     for label, members in sets.items():
         report = verify_indicator_degree(members, tol=tol)
-        passed &= report.claim_holds
-        rows.append(
-            {
-                "set": label,
-                "size": len(members),
-                "t_max": report.t_max,
-                "degree": report.deg_indicator,
-                "size_gate": report.size_gate,
-                "claim_holds": report.claim_holds,
-            }
-        )
-    return passed, rows
+        yield report.claim_holds, {
+            "set": label,
+            "size": len(members),
+            "t_max": report.t_max,
+            "degree": report.deg_indicator,
+            "size_gate": report.size_gate,
+            "claim_holds": report.claim_holds,
+        }
 
 
 def _suite_claim1(n: int, seed: int, tol: float):
-    if n < 2:
-        raise ValueError("claim1 suite needs n >= 2 for its two-slot corpus cases")
-    rows = []
-    passed = True
     sets = _corpus_sets(n, seed)
     for p_label, f in _corpus_payoffs(n, seed):
         spectrum = None  # transformed once, by the first pair that needs it
         for s_label, members in sets.items():
-            if len(members) == 0:
-                continue
             pair = Analysis(f, members, spectrum=spectrum)
-            if pair.bounds_note is not None:
-                rows.append(
-                    {
-                        "payoff": p_label,
-                        "set": s_label,
-                        "additive_gap": pair.fairness.additive_gap,
-                        "bound": None,
-                        "slack": None,
-                        "applicable": None,
-                        "dim_sq_sum": None,
-                        "ok": True,
-                    }
+            row = {
+                "payoff": p_label,
+                "set": s_label,
+                "additive_gap": pair.fairness.additive_gap,
+                "bound": None,
+                "slack": None,
+                "applicable": None,
+                "dim_sq_sum": None,
+                "ok": True,
+            }
+            if pair.bounds_note is None:
+                ub, upper = pair.uncertainty, pair.upper
+                spectrum = pair.spectrum
+                row.update(
+                    bound=ub.bound,
+                    slack=ub.slack,
+                    applicable=upper.applicable,
+                    dim_sq_sum=upper.dim_sq_sum,
+                    ok=ub.slack >= -tol,
                 )
-                continue
-            ub, upper = pair.uncertainty, pair.upper
-            spectrum = pair.spectrum
-            ok = ub.slack >= -tol
-            passed &= ok
-            rows.append(
-                {
-                    "payoff": p_label,
-                    "set": s_label,
-                    "additive_gap": ub.additive_gap,
-                    "bound": ub.bound,
-                    "slack": ub.slack,
-                    "applicable": upper.applicable,
-                    "dim_sq_sum": upper.dim_sq_sum,
-                    "ok": ok,
-                }
-            )
-    return passed, rows
+            yield row["ok"], row
 
 
 def _suite_claim2(n: int, seed: int, tol: float):
-    if n < 4:
-        raise ValueError("claim2 suite needs n >= 4 for a non-degenerate instance")
     instances = [(1, 3)]
     if n >= 5:
         instances.append((2, 4))
-    rows = []
-    passed = True
     for outer, inner in instances:
         f, members = nested_stabilizer_instance(n, outer, inner)
         report = lower_bound_report(f, members)
@@ -308,22 +278,18 @@ def _suite_claim2(n: int, seed: int, tol: float):
             and report.implied_constant > 0.0
         )
         ok = report.applicable and finite_positive
-        passed &= ok
-        rows.append(
-            {
-                "instance": f"outer{outer}_inner{inner}",
-                "degree": report.degree,
-                "t_max": report.t_max,
-                "applicable": report.applicable,
-                "gap_ratio": report.gap_ratio,
-                "implied_constant": report.implied_constant,
-                "ok": ok,
-            }
-        )
-    return passed, rows
+        yield ok, {
+            "instance": f"outer{outer}_inner{inner}",
+            "degree": report.degree,
+            "t_max": report.t_max,
+            "applicable": report.applicable,
+            "gap_ratio": report.gap_ratio,
+            "implied_constant": report.implied_constant,
+            "ok": ok,
+        }
 
 
-SUITES = {
+_CASES = {
     "roundtrip": _suite_roundtrip,
     "uncertainty": _suite_uncertainty,
     "eigenvalue": _suite_eigenvalue,
@@ -331,3 +297,20 @@ SUITES = {
     "claim1": _suite_claim1,
     "claim2": _suite_claim2,
 }
+
+
+def run(name: str, n: int, seed: int, tol: float) -> tuple[bool, list[dict]]:
+    """Run the named suite: (passed, rows), passed the AND of every case's ok."""
+    if name in SMALLEST_N:
+        smallest, why = SMALLEST_N[name]
+        if n < smallest:
+            raise ValueError(f"{name} suite needs n >= {smallest} {why}")
+    passed = True
+    rows = []
+    for ok, row in _CASES[name](n, seed, tol):
+        passed &= ok
+        rows.append(row)
+    return passed, rows
+
+
+SUITES = {name: partial(run, name) for name in _CASES}

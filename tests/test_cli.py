@@ -19,6 +19,7 @@ import snfair.fairness
 import snfair.verify
 from snfair.cli import EXIT_CHECK_FAILED, EXIT_OK, EXIT_USAGE, VERIFY_SUITES, _emit, main
 from snfair.intersecting import stabilizer_set
+from snfair.payoffs import PayoffFn
 from snfair.sets import OrderingSet
 from snfair.verify import SUITES
 
@@ -237,6 +238,32 @@ def test_verify_csv_rows_mirror_cases(tmp_path):
     assert len(lines) == len(report["cases"]) + 1
 
 
+def test_a_failing_case_fails_the_suite_and_keeps_every_row(monkeypatch, tmp_path, capsys):
+    real = snfair.verify.inverse
+
+    def off_for_the_constant(spec):
+        back = real(spec)
+        if np.ptp(back.values) > 1e-9:
+            return back
+        return PayoffFn(back.n, back.values + 1e-6)
+
+    monkeypatch.setattr(snfair.verify, "inverse", off_for_the_constant)
+    passed, rows = SUITES["roundtrip"](4, 0, 1e-9)
+    assert passed is False
+    assert [row["payoff"] for row in rows] == [
+        "uniform_0", "uniform_1", "uniform_2", "uniform_3", "uniform_4",
+        "sparse", "point_mass", "constant",
+    ]
+    assert [row["payoff"] for row in rows if not row["ok"]] == ["constant"]
+
+    out = tmp_path / "r.json"
+    code = run("verify", "--suite", "roundtrip", "--n", "4", "--out", str(out))
+    assert code == EXIT_CHECK_FAILED
+    report = json.loads(out.read_text())
+    assert report["passed"] is False and report["cases"] == rows
+    assert capsys.readouterr().err.strip().endswith("passed=NO")
+
+
 def test_simulate_adversarial_cycle(tmp_path):
     out = tmp_path / "sim.json"
     assert run(
@@ -322,18 +349,42 @@ def test_verify_past_max_n_is_usage_error(tmp_path):
          {"n": 2, "values": [1.0, 2.0]}, "No such file or directory: {dir}/missing/x.csv"),
         (["verify", "--suite", "claim2", "--n", "4", "--out", "{dir}"], None,
          "Is a directory: {dir}"),
+        (["transform", "--payoff", "{path}"], b'{"n": 2, "values": [1e400, 1]}',
+         "malformed payoff file {path}: payoff values must be finite"),
+        (["transform", "--payoff", "{path}"], b'{"n": 2, "values": [1' + b"0" * 400 + b", 1]}",
+         "malformed payoff file {path}: payoff values must be finite"),
+        (["transform", "--payoff", "{path}"],
+         b'{"n": 2, "values": [1, 2], "x": ' + b"[" * 100000 + b"]" * 100000 + b"}",
+         "malformed payoff file {path}: nested too deeply"),
+        (["simulate", "--votes", "{path}"],
+         b'{"n_tx": 2, "validators": ' + b"[" * 100000 + b"]" * 100000 + b"}",
+         "malformed votes file {path}: nested too deeply"),
+        (["gen-payoff", "--model", "indicator", "--set", "{path}"],
+         b'{"n": 2, "members": [0], "x": "\xff"}',
+         "malformed ordering set file {path}: 'utf-8' codec can't decode byte 0xff"),
     ],
     ids=["no-n", "top-level-list", "float-n", "bool-n", "string-n", "huge-n", "verify-n0",
          "float-member", "bool-member", "scalar-members", "float-vote", "scalar-validators",
          "string-value", "bool-value", "scalar-values", "tol-nan", "tol-inf", "tol-negative",
-         "payoff-is-dir", "out-dir-missing", "csv-dir-missing", "verify-out-is-dir"],
+         "payoff-is-dir", "out-dir-missing", "csv-dir-missing", "verify-out-is-dir",
+         "float-past-range-value", "int-past-float-value", "deep-payoff", "deep-votes", "non-utf8-set"],
 )
 def test_malformed_input_is_one_line_usage_error(argv, content, reason, tmp_path, capsys):
+    # bytes are the file's raw text; anything else is written as JSON
     path = tmp_path / "input.json"
-    path.write_text(json.dumps(content))
+    if isinstance(content, bytes):
+        path.write_bytes(content)
+    else:
+        path.write_text(json.dumps(content))
     assert run(*(arg.format(path=path, dir=tmp_path) for arg in argv)) == EXIT_USAGE
     err = capsys.readouterr().err.strip().splitlines()
-    assert len(err) == 1 and reason.format(dir=tmp_path) in err[0]
+    assert len(err) == 1 and reason.format(path=path, dir=tmp_path) in err[0]
+
+
+def test_integer_values_past_2_53_stay_valid(tmp_path):
+    payoff = tmp_path / "f.json"
+    payoff.write_text(json.dumps({"n": 2, "values": [2**60, 1]}))
+    assert run("transform", "--payoff", str(payoff), "--out", str(tmp_path / "s.json")) == EXIT_OK
 
 
 def test_analyze_tol_reaches_regime_reports(tmp_path):

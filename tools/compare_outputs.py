@@ -109,6 +109,11 @@ def _commands() -> list[list[str]]:
         ["analyze", "--payoff", "cfmm6.json", "--set", "iid7.json"],
         ["analyze", "--payoff", "missing.json", "--set", "iid6.json"],
         ["verify", "--suite", "roundtrip", "--n", "0"],
+        # each below its suite's smallest n
+        ["verify", "--suite", "uncertainty", "--n", "1"],
+        ["verify", "--suite", "eigenvalue", "--n", "1"],
+        ["verify", "--suite", "claim1", "--n", "1"],
+        ["verify", "--suite", "claim2", "--n", "3"],
     ]
     suites = ("roundtrip", "uncertainty", "eigenvalue", "indicator_degree", "claim1", "claim2")
     for n in (4, 5, 6):
