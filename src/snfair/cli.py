@@ -2,10 +2,15 @@
 
 Five commands: gen-payoff, transform, analyze, verify, simulate.  Every
 output file embeds the tool version, the full flag configuration, the
-seed, and content hashes of all file inputs; nothing time-dependent is
+seed, and the SHA-256 of each input file; nothing time-dependent is
 written, so identical invocations produce byte-identical files.  The
 verify command exits 0 exactly when every theorem-backed check in the
 chosen suite passes; trend quantities are reported but never gate.
+
+The input files (payoffs, ordering sets, vote profiles) are JSON in
+UTF-8 whatever the locale, and only this module knows their formats
+(``INPUT_FORMATS``).  Each is read once: ``input_hashes`` holds the
+SHA-256 of the very bytes that were parsed.
 
 This module parses arguments and formats results; the analysis is in the
 layers and the verify suites in :mod:`snfair.verify`.  It imports none
@@ -28,6 +33,7 @@ whole array is ever built.
 from __future__ import annotations
 
 import argparse
+import io
 import json
 import re
 import sys
@@ -56,13 +62,6 @@ def _numpy_to_builtin(obj):
     raise TypeError(f"{type(obj).__name__} is not JSON serializable")
 
 
-def _hash_file(path: str) -> str:
-    import hashlib
-
-    with open(path, "rb") as fh:
-        return hashlib.sha256(fh.read()).hexdigest()
-
-
 def _check_size(n, max_n: int) -> None:
     """The --max-n check, made once per group size before n!-sized work."""
     if type(n) is not int or not 1 <= n <= max_n:
@@ -71,14 +70,69 @@ def _check_size(n, max_n: int) -> None:
         )
 
 
-def _load_json(path: str, what: str, max_n: int, from_dict, size_key: str, *keys: str):
-    """from_dict of a JSON object with the given fields whose group size
-    passes --max-n; a malformed file raises a ValueError that names it."""
+def _payoff_from_json(n: int, values):
+    from .payoffs import PayoffFn
+
+    # JSON strings and booleans would be coerced to numbers.
+    if not isinstance(values, list) or not set(map(type, values)) <= {int, float}:
+        raise ValueError("values must be a list of numbers")
     try:
-        with open(path) as fh:
-            data = json.load(fh)
+        return PayoffFn(n, values)
+    except OverflowError:  # an int past the float range, as 1e400 is inf
+        raise ValueError("payoff values must be finite")
+
+
+def _set_from_json(n: int, members):
+    from .sets import OrderingSet
+
+    # JSON booleans would pass as 0/1 and floats would truncate.
+    if not isinstance(members, list) or any(type(r) is not int for r in members):
+        raise ValueError("members must be a list of integer ranks")
+    return OrderingSet(n, members)
+
+
+def _votes_from_json(n_tx: int, validators):
+    from .sequencing import VoteProfile
+
+    # JSON booleans would pass as 0/1 and floats would truncate.
+    if not isinstance(validators, list) or not all(
+        isinstance(o, list) and all(type(x) is int for x in o) for o in validators
+    ):
+        raise ValueError("validators must be a list of lists of integer labels")
+    return VoteProfile(n_tx, tuple(tuple(o) for o in validators))
+
+
+# The input files, keyed by the flag that names one: what a message calls
+# the file, its group-size field, its items field, and the function that
+# makes its object from those two fields.
+INPUT_FORMATS = {
+    "payoff": ("payoff", "n", "values", _payoff_from_json),
+    "set": ("ordering set", "n", "members", _set_from_json),
+    "votes": ("votes", "n_tx", "validators", _votes_from_json),
+}
+
+
+def _load_json(args: argparse.Namespace, label: str):
+    """The object in the input file that flag --<label> names, whose group
+    size passes --max-n; a malformed file raises a ValueError naming it."""
+    import hashlib
+
+    what, size_key, key, build = INPUT_FORMATS[label]
+    path = getattr(args, label)
+    try:
+        with open(path, "rb") as fh:
+            raw = fh.read()
     except FileNotFoundError:
         raise ValueError(f"{what} file not found: {path}")
+    args.input_hashes[label] = hashlib.sha256(raw).hexdigest()
+    try:
+        # json.loads(raw) would sniff UTF-16/32 and accept a BOM, and a bare
+        # decode keeps lone CRs, moving a parse error's line and column.
+        # Each copy is dropped once the next exists, to lower the peak.
+        text = io.TextIOWrapper(io.BytesIO(raw), encoding="utf-8").read()
+        del raw
+        data = json.loads(text)
+        del text
     except json.JSONDecodeError as exc:
         raise ValueError(
             f"malformed {what} file {path}: {exc.msg} at line {exc.lineno} column {exc.colno}"
@@ -87,20 +141,19 @@ def _load_json(path: str, what: str, max_n: int, from_dict, size_key: str, *keys
         raise ValueError(f"malformed {what} file {path}: {exc}")
     except RecursionError:
         raise ValueError(f"malformed {what} file {path}: nested too deeply")
-    if not isinstance(data, dict) or not {size_key, *keys} <= data.keys():
-        fields = ", ".join((size_key, *keys))
-        raise ValueError(f"malformed {what} file {path}: need an object with {fields}")
-    _check_size(data[size_key], max_n)
+    if not isinstance(data, dict) or not {size_key, key} <= data.keys():
+        raise ValueError(f"malformed {what} file {path}: need an object with {size_key}, {key}")
+    _check_size(data[size_key], args.max_n)
     try:
-        return from_dict(data)
+        return build(data[size_key], data[key])
     except ValueError as exc:
         raise ValueError(f"malformed {what} file {path}: {exc}")
 
 
-def _metadata(args: argparse.Namespace, inputs: dict[str, str]) -> dict:
+def _metadata(args: argparse.Namespace) -> dict:
     # Destination paths are routing, not analysis configuration; leaving
     # them out keeps file content independent of where it is written.
-    skip = {"func", "out", "csv"}
+    skip = {"func", "out", "csv", "input_hashes"}
     config = {
         k: v
         for k, v in sorted(vars(args).items())
@@ -111,7 +164,7 @@ def _metadata(args: argparse.Namespace, inputs: dict[str, str]) -> dict:
         "tool_version": __version__,
         "command": args.command,
         "config": config,
-        "input_hashes": {label: _hash_file(path) for label, path in inputs.items()},
+        "input_hashes": args.input_hashes,
     }
 
 
@@ -226,18 +279,6 @@ def _spectrum_rows(spec, summary) -> list[dict]:
     return rows
 
 
-def _load_payoff(args: argparse.Namespace):
-    from .payoffs import PayoffFn
-
-    return _load_json(args.payoff, "payoff", args.max_n, PayoffFn.from_dict, "n", "values")
-
-
-def _load_set(args: argparse.Namespace):
-    from .sets import OrderingSet
-
-    return _load_json(args.set, "ordering set", args.max_n, OrderingSet.from_dict, "n", "members")
-
-
 # ---------------------------------------------------------------- commands
 
 
@@ -253,7 +294,6 @@ def cmd_gen_payoff(args: argparse.Namespace) -> int:
         random_payoff,
     )
 
-    inputs = {}
     if args.model == "cfmm":
         if args.deltas is None:
             raise ValueError("cfmm model needs --deltas")
@@ -280,8 +320,7 @@ def cmd_gen_payoff(args: argparse.Namespace) -> int:
     elif args.model == "indicator":
         if args.set is None:
             raise ValueError("indicator model needs --set")
-        inputs["set"] = args.set
-        payoff = indicator_payoff(_load_set(args))
+        payoff = indicator_payoff(_load_json(args, "set"))
     elif args.model == "random":
         if args.n is None:
             raise ValueError("random model needs --n")
@@ -289,10 +328,8 @@ def cmd_gen_payoff(args: argparse.Namespace) -> int:
         payoff = random_payoff(
             args.n, seed=args.seed, dist=args.dist, nonzero=args.nonzero
         )
-    else:  # pragma: no cover - argparse already restricts choices
-        raise ValueError(f"unknown model {args.model!r}")
 
-    payload = {"n": payoff.n, "values": payoff.values, "metadata": _metadata(args, inputs)}
+    payload = {"n": payoff.n, "values": payoff.values, "metadata": _metadata(args)}
     _emit(payload, args.out)
     vals = payoff.values
     print(
@@ -306,12 +343,12 @@ def cmd_gen_payoff(args: argparse.Namespace) -> int:
 def cmd_transform(args: argparse.Namespace) -> int:
     from .fourier import schatten_summary, transform
 
-    payoff = _load_payoff(args)
+    payoff = _load_json(args, "payoff")
     spec = transform(payoff)
     payload = {
         "n": spec.n,
         "blocks": [{"lambda": list(s), "matrix": m} for s, m in spec.blocks.items()],
-        "metadata": _metadata(args, {"payoff": args.payoff}),
+        "metadata": _metadata(args),
     }
     _emit(payload, args.out)
     if args.csv:
@@ -322,8 +359,8 @@ def cmd_transform(args: argparse.Namespace) -> int:
 def cmd_analyze(args: argparse.Namespace) -> int:
     from .fairness import Analysis
 
-    payoff = _load_payoff(args)
-    members = _load_set(args)
+    payoff = _load_json(args, "payoff")
+    members = _load_json(args, "set")
     pair = Analysis(payoff, members, tol=args.tol)
     report = {
         "n": payoff.n,
@@ -342,7 +379,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
         report["upper_regime"] = None
         report["lower_regime"] = None
         report["note"] = pair.bounds_note
-    report["metadata"] = _metadata(args, {"payoff": args.payoff, "set": args.set})
+    report["metadata"] = _metadata(args)
     _emit(report, args.out)
     if args.csv:
         _emit_csv(_spectrum_rows(pair.spectrum, pair.schatten), args.csv)
@@ -351,20 +388,10 @@ def cmd_analyze(args: argparse.Namespace) -> int:
 
 def cmd_simulate(args: argparse.Namespace) -> int:
     from .intersecting import intersection_profile
-    from .sequencing import (
-        VoteProfile,
-        condorcet_stats,
-        majority_graph,
-        simulate,
-        valid_orderings,
-    )
+    from .sequencing import condorcet_stats, majority_graph, simulate, valid_orderings
 
-    inputs = {}
     if args.votes:
-        inputs["votes"] = args.votes
-        votes = _load_json(
-            args.votes, "votes", args.max_n, VoteProfile.from_dict, "n_tx", "validators"
-        )
+        votes = _load_json(args, "votes")
     else:
         _check_size(args.n_tx, args.max_n)
         votes = simulate(
@@ -377,7 +404,8 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     admissible = valid_orderings(graph)
     stats = condorcet_stats(graph)
     profile = intersection_profile(admissible)
-    payload = {"n": admissible.n, "members": admissible.members, "votes": votes.to_dict()}
+    written = {"n_tx": votes.n_tx, "validators": [list(o) for o in votes.validators]}
+    payload = {"n": admissible.n, "members": admissible.members, "votes": written}
     payload["stats"] = {
         "num_sccs": stats.num_sccs,
         "largest_scc": stats.largest_scc,
@@ -388,7 +416,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         "common_pairs": [list(p) for p in profile.common_pairs],
         "set_size": len(admissible),
     }
-    payload["metadata"] = _metadata(args, inputs)
+    payload["metadata"] = _metadata(args)
     _emit(payload, args.out)
     print(
         f"n_tx={votes.n_tx} validators={len(votes.validators)} "
@@ -412,7 +440,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
         "n": args.n,
         "passed": passed,
         "cases": rows,
-        "metadata": _metadata(args, {}),
+        "metadata": _metadata(args),
     }
     _emit(report, args.out)
     if args.csv:
@@ -528,6 +556,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(
         _join_negative_deltas(sys.argv[1:] if argv is None else argv)
     )
+    args.input_hashes = {}  # filled by _load_json: label -> SHA-256 of the bytes read
     try:
         if not 0.0 <= args.tol < float("inf"):
             raise ValueError(f"--tol must be a finite number >= 0, got {args.tol!r}")

@@ -225,7 +225,7 @@ class Analysis:
         linf = self._nonzero_restriction()
         n, s, t = self.f.n, self.degree, self.profile.t_max
         gap = self.fairness.additive_gap
-        coeff = (s - t - 1) / factorial(n - t) if s - t - 1 != 0 else 0.0
+        coeff = (s - t - 1) / factorial(n - t)
         implied = None
         if s - t - 1 > 0:
             implied = (1.0 - gap / linf) * factorial(n - t) / (s - t - 1)

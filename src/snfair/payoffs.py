@@ -56,21 +56,6 @@ class PayoffFn:
         vals.setflags(write=False)
         object.__setattr__(self, "values", vals)
 
-    def to_dict(self) -> dict:
-        return {"n": self.n, "values": self.values.tolist()}
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "PayoffFn":
-        values = data["values"]
-        # JSON strings and booleans would be coerced to numbers.
-        if not isinstance(values, list) or not set(map(type, values)) <= {int, float}:
-            raise ValueError("values must be a list of numbers")
-        try:
-            values = np.asarray(values, dtype=float)
-        except OverflowError:  # an int past the float range, as 1e400 is inf
-            raise ValueError("payoff values must be finite")
-        return cls(int(data["n"]), values)
-
 
 @dataclass(frozen=True)
 class CfmmModel:

@@ -127,9 +127,9 @@ def check_enumerable(n: int) -> None:
     Xeon, numpy float64) and take about 2 s.  Whole ``snfair`` commands
     at n = 10 on that machine: ``simulate --latency adversarial_cycle``
     peaks at 200 MB, ``gen-payoff --model random`` at 91 MB, ``--model
-    cfmm`` at 678 MB, ``transform`` at 328 MB, ``analyze`` at 324 MB,
-    and ``verify --suite claim1`` and ``--suite uncertainty`` at 0.98 and
-    0.85 GB.
+    cfmm`` at 678 MB, ``transform`` at 285 MB, ``analyze`` of a CFMM
+    payoff on all 3628800 orders at 410 MB, and ``verify --suite claim1``
+    and ``--suite uncertainty`` at 0.98 and 0.85 GB.
     """
     if n < 1:
         raise ValueError("n must be positive")

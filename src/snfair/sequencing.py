@@ -42,19 +42,6 @@ class VoteProfile:
                     f"validator {v} order {order!r} is not a permutation of 1..{self.n_tx}"
                 )
 
-    def to_dict(self) -> dict:
-        return {"n_tx": self.n_tx, "validators": [list(o) for o in self.validators]}
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "VoteProfile":
-        validators = data["validators"]
-        # JSON booleans would pass as 0/1 and floats would truncate.
-        if not isinstance(validators, list) or not all(
-            isinstance(o, list) and all(type(x) is int for x in o) for o in validators
-        ):
-            raise ValueError("validators must be a list of lists of integer labels")
-        return cls(int(data["n_tx"]), tuple(tuple(o) for o in validators))
-
 
 @dataclass(frozen=True)
 class MajorityGraph:

@@ -76,14 +76,3 @@ class OrderingSet:
 
     def permutations(self) -> tuple[Permutation, ...]:
         return tuple(lehmer_unrank(self.n, r) for r in self.members.tolist())
-
-    def to_dict(self) -> dict:
-        return {"n": self.n, "members": self.members.tolist()}
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "OrderingSet":
-        members = data["members"]
-        # JSON booleans would pass as 0/1 and floats would truncate.
-        if not isinstance(members, list) or any(type(r) is not int for r in members):
-            raise ValueError("members must be a list of integer ranks")
-        return cls(int(data["n"]), members)

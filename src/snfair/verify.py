@@ -14,10 +14,10 @@ check holds.
   bounds both the largest round-trip error and Parseval's relative error.
 - uncertainty: the support-spread inequality for 100 uniform payoffs and
   the corpus, with equality for the point mass and the constant.
-  ``tol`` is not read (see ``fourier.SUPPORT_SPREAD_TOL``).
+  ``tol`` is not read (see ``fourier.SUPPORT_SPREAD_TOL``, ``EQUALITY_RTOL``).
 - eigenvalue: the per-shape averaging blocks of symmetric connection sets
   against the dense operator (n <= 4), and the spectral bound flags.
-  ``tol`` is not read (see ``cayley.BOUND_TOL``).
+  ``tol`` is not read (see ``cayley.BOUND_TOL``, ``DENSE_BLOCK_TOL``).
 - indicator_degree: large high-agreement sets have high-degree
   indicators (stabilizer and admissible sets).  ``tol`` is the degree
   threshold, relative to ||f||_2 (see ``fourier.DEGREE_TOL``).
@@ -64,6 +64,14 @@ SMALLEST_N = {
     "claim1": (2, "for its two-slot corpus cases"),
     "claim2": (4, "for a non-degenerate instance"),
 }
+
+# uncertainty: the point mass's and the constant's support-spread product
+# against its equality value n!, relative to n!.  Both land within
+# 1.9e-15 * n! for n = 2-9 (seed 0).
+EQUALITY_RTOL = 1e-12
+# eigenvalue: the dense operator's sorted eigenvalues against the blocks'
+# (n <= 4), largest difference.  At most 1.1e-15 for n = 2-4, seeds 0-19.
+DENSE_BLOCK_TOL = 1e-8
 
 
 def _uniform_payoffs(n: int, seed: int, count: int):
@@ -144,7 +152,7 @@ def _suite_uncertainty(n: int, seed: int, tol: float):
         check = uncertainty_check(f)
         holds = check.holds
         if label in ("point_mass", "constant"):  # the equality cases
-            holds = holds and abs(check.product - order) <= 1e-12 * order
+            holds = holds and abs(check.product - order) <= EQUALITY_RTOL * order
         yield holds, {
             "payoff": label,
             "support_ratio": check.support_ratio,
@@ -187,7 +195,7 @@ def _suite_eigenvalue(n: int, seed: int, tol: float):
                 )
             )
             residual = float(np.abs(brute - blockwise).max())
-            consistent = residual <= 1e-8
+            consistent = residual <= DENSE_BLOCK_TOL
         else:
             residual = None
             consistent = True

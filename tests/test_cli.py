@@ -1,8 +1,10 @@
 """End-to-end checks of the command-line interface via its main() entry."""
 import contextlib
 import errno
+import hashlib
 import io
 import json
+import os
 import subprocess
 import sys
 import tracemalloc
@@ -29,8 +31,8 @@ def run(*argv):
 
 
 def write_stabilizer(path, n, pairs):
-    data = stabilizer_set(n, pairs).to_dict()
-    path.write_text(json.dumps(data))
+    members = stabilizer_set(n, pairs).members
+    path.write_text(json.dumps({"n": n, "members": members.tolist()}))
     return str(path)
 
 
@@ -379,6 +381,70 @@ def test_malformed_input_is_one_line_usage_error(argv, content, reason, tmp_path
     assert run(*(arg.format(path=path, dir=tmp_path) for arg in argv)) == EXIT_USAGE
     err = capsys.readouterr().err.strip().splitlines()
     assert len(err) == 1 and reason.format(path=path, dir=tmp_path) in err[0]
+
+
+@pytest.mark.parametrize(
+    "argv, labels",
+    [
+        (["analyze", "--payoff", "{payoff}", "--set", "{set}"], {"payoff", "set"}),
+        (["gen-payoff", "--model", "indicator", "--set", "{set}"], {"set"}),
+        (["simulate", "--votes", "{votes}"], {"votes"}),
+    ],
+    ids=["analyze", "gen-payoff-indicator", "simulate-votes"],
+)
+def test_each_input_file_is_opened_once_and_hashed_from_its_bytes(argv, labels, tmp_path):
+    # CRLF line ends and a non-ASCII note: the bytes differ from their text
+    documents = {
+        "payoff": {"n": 3, "values": [1.0, 2.0, 0.5, 3.0, 0.0, 1.5], "note": "café"},
+        "set": {"n": 3, "members": [0, 1, 4], "note": "café"},
+        "votes": {"n_tx": 3, "validators": [[1, 2, 3], [2, 1, 3], [1, 3, 2]], "note": "café"},
+    }
+    paths = {}
+    for label, document in documents.items():
+        paths[label] = str(tmp_path / f"{label}.json")
+        text = json.dumps(document, indent=1, ensure_ascii=False).replace("\n", "\r\n")
+        with open(paths[label], "wb") as fh:
+            fh.write(text.encode("utf-8"))
+    out = tmp_path / "out.json"
+    opened = []
+    real_open = open
+
+    def counting_open(file, *args, **kwargs):
+        opened.append(str(file))
+        return real_open(file, *args, **kwargs)
+
+    with mock.patch("builtins.open", counting_open):
+        code = run(*(arg.format(**paths) for arg in argv), "--out", str(out))
+    assert code == EXIT_OK
+    hashes = json.loads(out.read_text())["metadata"]["input_hashes"]
+    assert set(hashes) == labels
+    for label in labels:
+        assert opened.count(paths[label]) == 1
+        with open(paths[label], "rb") as fh:
+            assert hashes[label] == hashlib.sha256(fh.read()).hexdigest()
+
+
+@pytest.mark.parametrize(
+    "content, code",
+    [
+        ('{"n": 3, "members": [0, 2], "note": "café"}'.encode("utf-8"), EXIT_OK),
+        (b'{"n": 2, "members": [0], "x": "\xff"}', EXIT_USAGE),
+    ],
+    ids=["utf8", "not-utf8"],
+)
+def test_input_files_are_utf8_whatever_the_locale(content, code, tmp_path):
+    path = tmp_path / "set.json"
+    path.write_bytes(content)
+    env = dict(os.environ, PYTHONUTF8="0", LC_ALL="POSIX", PYTHONCOERCECLOCALE="0")
+    proc = subprocess.run(
+        [sys.executable, "-m", "snfair.cli", "gen-payoff", "--model", "indicator",
+         "--set", str(path), "--out", str(tmp_path / "ind.json")],
+        env=env, capture_output=True,
+    )
+    assert proc.returncode == code
+    if code == EXIT_USAGE:
+        err = proc.stderr.decode("ascii", "backslashreplace").strip().splitlines()
+        assert len(err) == 1 and f"malformed ordering set file {path}" in err[0]
 
 
 def test_integer_values_past_2_53_stay_valid(tmp_path):

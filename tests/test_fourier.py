@@ -288,12 +288,6 @@ def test_payoff_validation():
         f.values[0] = 1.0  # stored values are read-only
 
 
-def test_payoff_dict_roundtrip():
-    f = random_payoff(4, seed=10)
-    again = PayoffFn.from_dict(f.to_dict())
-    np.testing.assert_array_equal(again.values, f.values)
-
-
 def test_spectrum_block_order_is_canonical():
     f = random_payoff(4, seed=11)
     spec = transform(f)

@@ -245,8 +245,6 @@ def test_vote_profile_validation():
         VoteProfile(3, ((1, 2, 2),))
     with pytest.raises(ValueError):
         VoteProfile(3, ())
-    roundtrip = VoteProfile.from_dict(CYCLE_3.to_dict())
-    assert roundtrip == CYCLE_3
 
 
 def test_capacity_guard_on_enumeration():

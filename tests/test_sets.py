@@ -57,11 +57,6 @@ def test_permutations_roundtrip():
     assert again == s
 
 
-def test_dict_roundtrip():
-    s = OrderingSet(4, (0, 5, 11))
-    assert OrderingSet.from_dict(s.to_dict()) == s
-
-
 def test_members_are_a_read_only_int64_array():
     s = OrderingSet(4, (0, 5, 11))
     assert isinstance(s.members, np.ndarray)
@@ -79,12 +74,6 @@ def test_from_ranks_takes_unsorted_numpy_input_with_duplicates():
     s = OrderingSet.from_ranks(4, ranks)
     assert s.members.tolist() == [0, 4, 7, 23]
     assert OrderingSet.from_ranks(4, np.array([], dtype=np.int64)).members.size == 0
-
-
-def test_to_dict_members_are_python_ints():
-    members = OrderingSet.full_group(3).to_dict()["members"]
-    assert members == [0, 1, 2, 3, 4, 5]
-    assert all(type(r) is int for r in members)
 
 
 def test_equal_sets_hash_alike_and_subclasses_stay_distinct():

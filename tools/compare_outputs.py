@@ -23,6 +23,16 @@ import tempfile
 from pathlib import Path
 
 
+def _json(document) -> bytes:
+    return json.dumps(document).encode()
+
+
+def _crlf(document) -> bytes:
+    """Indented UTF-8 JSON with CRLF line ends, non-ASCII text kept as is."""
+    text = json.dumps(document, indent=1, ensure_ascii=False)
+    return text.replace("\n", "\r\n").encode("utf-8")
+
+
 def _two_of_first_three_fixed(n: int) -> dict:
     """The orderings of S_n that fix at least two of slots 1-3.
 
@@ -34,15 +44,24 @@ def _two_of_first_three_fixed(n: int) -> dict:
     return {"n": n, "members": members}
 
 
-# Input files written into both work directories before the commands run.
+# Input files written byte for byte into both work directories before the
+# commands run.  The CRLF files carry non-ASCII text in an unused key, and
+# the lone-CR payoff is malformed: its error names a line and column.
 INPUTS = {
-    "votes_unanimous6.json": {"n_tx": 6, "validators": [[2, 1, 3, 4, 5, 6]] * 3},
-    "votes_split5.json": {
+    "votes_unanimous6.json": _json({"n_tx": 6, "validators": [[2, 1, 3, 4, 5, 6]] * 3}),
+    "votes_split5.json": _json({
         "n_tx": 5,
         "validators": [[1, 2, 3, 4, 5], [2, 1, 3, 5, 4], [1, 3, 2, 4, 5]],
-    },
-    "family6.json": _two_of_first_three_fixed(6),
-    "family7.json": _two_of_first_three_fixed(7),
+    }),
+    "family6.json": _json(_two_of_first_three_fixed(6)),
+    "family7.json": _json(_two_of_first_three_fixed(7)),
+    "votes_crlf4.json": _crlf({
+        "n_tx": 4,
+        "validators": [[1, 2, 3, 4], [2, 3, 1, 4], [3, 1, 2, 4], [4, 1, 2, 3]],
+        "note": "café, naïve ☕",
+    }),
+    "set_crlf4.json": _crlf({"n": 4, "members": [0, 3, 5, 17, 22], "note": "Zürich"}),
+    "payoff_cr.json": b'{"n": 2,\r "note": "\xc3\xa9",\r "values": [1.0,\r 2.0,]}',
 }
 
 
@@ -74,6 +93,8 @@ def _commands() -> list[list[str]]:
         ["simulate", "--n-tx", "5", "--validators", "7", "--seed", "2"],
         ["simulate", "--votes", "votes_unanimous6.json", "--out", "single6.json"],
         ["simulate", "--votes", "votes_split5.json", "--out", "split5.json"],
+        ["simulate", "--votes", "votes_crlf4.json", "--out", "crlf4.json"],
+        ["gen-payoff", "--model", "indicator", "--set", "set_crlf4.json", "--out", "ind_crlf4.json"],
         ["gen-payoff", "--model", "indicator", "--set", "iid6.json", "--out", "ind6.json"],
         ["gen-payoff", "--model", "indicator", "--set", "cycle8.json", "--out", "ind8.json"],
         ["gen-payoff", "--model", "indicator", "--set", "family6.json", "--out", "ind_family6.json"],
@@ -81,6 +102,7 @@ def _commands() -> list[list[str]]:
         ["transform", "--payoff", "random6.json", "--out", "spec6.json", "--csv", "spec6.csv"],
         ["transform", "--payoff", "cfmm7.json", "--out", "spec7.json", "--csv", "spec7.csv"],
         ["transform", "--payoff", "sparse5.json"],
+        ["transform", "--payoff", "payoff_cr.json"],
         # 2-D blocks up to 90 x 90
         ["transform", "--payoff", "cfmm8.json", "--out", "spec8.json", "--csv", "spec8.csv"],
         # blocks up to 216 x 216, from generators built above n = 8
@@ -108,6 +130,9 @@ def _commands() -> list[list[str]]:
          "--out", "an_family7.json"],
         ["analyze", "--payoff", "cfmm6.json", "--set", "iid7.json"],
         ["analyze", "--payoff", "missing.json", "--set", "iid6.json"],
+        ["analyze", "--payoff", "ind_crlf4.json", "--set", "set_crlf4.json",
+         "--out", "an_crlf4.json"],
+        ["analyze", "--payoff", "ind_crlf4.json", "--set", "crlf4.json"],
         ["verify", "--suite", "roundtrip", "--n", "0"],
         # each below its suite's smallest n
         ["verify", "--suite", "uncertainty", "--n", "1"],
@@ -130,7 +155,7 @@ def _commands() -> list[list[str]]:
 def _run_tree(src: Path, work: Path) -> dict[str, bytes]:
     """Every output of one tree, keyed by a label that names where it came from."""
     for name, content in INPUTS.items():
-        (work / name).write_text(json.dumps(content))
+        (work / name).write_bytes(content)
     env = dict(os.environ, PYTHONPATH=str(src))
     runs = [(" ".join(argv), [sys.executable, "-m", "snfair.cli", *argv])
             for argv in _commands()]
