@@ -17,8 +17,8 @@ N = 5
 
 
 def show_pair(p_label, f, s_label, members):
-    pair = Analysis(f, members)  # one transform per spectrum, one agreement scan
-    base, ub, t = pair.fairness, pair.uncertainty, pair.profile.t_max
+    pair = Analysis(f, members)  # f keeps its spectrum, members its agreement profile
+    base, ub, t = pair.fairness, pair.uncertainty, members.profile.t_max
     print(
         f"  {p_label:<18} over {s_label:<22} "
         f"gap={base.additive_gap:8.4f}  bound={ub.bound:8.4f}  "

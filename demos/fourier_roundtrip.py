@@ -7,7 +7,7 @@ machine precision.
 """
 import numpy as np
 
-from snfair.fourier import PayoffFn, degree, inverse, schatten_summary, transform
+from snfair.fourier import PayoffFn, degree, inverse
 from snfair.intersecting import stabilizer_set
 from snfair.partitions import dimension
 from snfair.payoffs import CfmmModel, cfmm_payoff, indicator_payoff
@@ -16,7 +16,7 @@ N = 5
 
 
 def describe(label, f):
-    spec = transform(f)
+    spec = f.spectrum
     print(f"\n{label}  (degree {degree(f)})")
     print(f"  {'shape':<14} {'dim':>4} {'frobenius':>12}")
     for shape, block in spec.blocks.items():
@@ -25,7 +25,7 @@ def describe(label, f):
         print(f"  {str(shape):<14} {dimension(shape):>4} {norm:>12.4f}  {bar}")
     back = inverse(spec)
     err = np.abs(back.values - f.values).max()
-    summary = schatten_summary(spec)
+    summary = spec.schatten
     print(f"  round-trip max error {err:.2e};  s1={summary.s1:.3f}, sinf={summary.sinf:.3f}")
 
 

@@ -5,29 +5,20 @@ Three profiles on four transactions: unanimity (one admissible order),
 a full rotation attack (every order admissible), and an honest-latency
 profile somewhere in between.
 """
-from snfair.intersecting import intersection_profile
-from snfair.sequencing import (
-    VoteProfile,
-    condorcet_stats,
-    majority_graph,
-    simulate,
-    valid_orderings,
-)
+from snfair.sequencing import VoteProfile, majority_graph, simulate, valid_orderings
 
 
 def show(label, votes):
     graph = majority_graph(votes)
-    stats = condorcet_stats(graph)
     members = valid_orderings(graph)
-    profile = intersection_profile(members)
     print(f"\n{label}")
     for order in votes.validators:
         print(f"  saw: {order}")
     print(f"  majority edges: {sorted(graph.edges) or 'none'}")
-    print(f"  components: {graph.sccs}  (cycle: {stats.has_cycle})")
+    print(f"  components: {graph.sccs}  (cycle: {graph.has_cycle})")
     print(
         f"  admissible orderings: {len(members)} of 24,"
-        f" pairwise agreement floor t_max={profile.t_max}"
+        f" pairwise agreement floor t_max={members.profile.t_max}"
     )
     if len(members) <= 6:
         for p in members.permutations():

@@ -24,15 +24,20 @@ one satisfied the bound.
 A connection set is a :class:`SymmetricSet`: an ordering set that checks
 on construction that it is nonempty and closed under inversion.  Inverse
 ranks come from the argsort of the member words, ranked in one batch.
+It keeps its raw blocks sum_{t in F} rho_shape(t), read-only; the
+normalized ones divide them by |F|, so both scalings share one transform.
 """
 from __future__ import annotations
 
+from collections.abc import Mapping
 from dataclasses import dataclass
+from functools import cached_property
 from math import factorial
 
 import numpy as np
 
 from .errors import EmptySetError
+from .fourier import FourierSpectrum
 from .partitions import dimension
 from .permutations import group_matrix, rank_of_word
 from .representations import fft
@@ -49,6 +54,9 @@ def _inverse_ranks(members: OrderingSet) -> np.ndarray:
     return rank_of_word(np.argsort(members.matrix(), axis=1) + 1)
 
 
+# Frozen again, or the kept blocks could be replaced: a frozen parent
+# does not stop a subclass's instances from gaining attributes.
+@dataclass(frozen=True, eq=False)
 class SymmetricSet(OrderingSet):
     """A nonempty ordering set closed under inversion."""
 
@@ -64,6 +72,12 @@ class SymmetricSet(OrderingSet):
                 f"set is not closed under inversion: rank {self.members[i]} lacks {inv[i]}"
             )
 
+    @cached_property
+    def blocks(self) -> Mapping[tuple[int, ...], np.ndarray]:
+        """sum_{t in F} rho_shape(t) for every shape: the transform of the
+        set's indicator."""
+        return FourierSpectrum(self.n, fft(self.n, self.mask().astype(float))).blocks
+
 
 def symmetrize(members: OrderingSet) -> SymmetricSet:
     """Close an ordering set under inversion."""
@@ -73,11 +87,12 @@ def symmetrize(members: OrderingSet) -> SymmetricSet:
 
 def block_operators(
     conn: SymmetricSet, normalized: bool = True
-) -> dict[tuple[int, ...], np.ndarray]:
-    """B_shape for every shape: the transform of the set's (optionally
-    averaged) indicator."""
-    weights = conn.mask() / (len(conn) if normalized else 1.0)
-    return fft(conn.n, weights)
+) -> Mapping[tuple[int, ...], np.ndarray]:
+    """B_shape for every shape: the set's blocks, averaged over |F| when
+    normalized."""
+    if not normalized:
+        return conn.blocks
+    return {s: b / len(conn) for s, b in conn.blocks.items()}
 
 
 def block_operator(
@@ -97,19 +112,11 @@ class BlockSpectrum:
 
 
 def spectrum_report(
-    conn: SymmetricSet,
-    normalized: bool = True,
-    blocks: dict[tuple[int, ...], np.ndarray] | None = None,
+    conn: SymmetricSet, normalized: bool = True
 ) -> dict[tuple[int, ...], BlockSpectrum]:
-    """Per-shape gram eigenvalues and bound flags for the chosen scaling.
-
-    `blocks` are the set's ``block_operators`` in that scaling when the
-    caller has them; the bound does not depend on it.
-    """
-    if blocks is None:
-        blocks = block_operators(conn, normalized)
+    """Per-shape gram eigenvalues and bound flags for the chosen scaling."""
     out = {}
-    for shape, b in blocks.items():
+    for shape, b in block_operators(conn, normalized).items():
         eig = np.linalg.eigvalsh(b.T @ b)[::-1]
         bound = factorial(conn.n) / (len(conn) * dimension(shape))
         out[shape] = BlockSpectrum(
@@ -121,13 +128,10 @@ def spectrum_report(
 
 
 def bound_violations(
-    conn: SymmetricSet,
-    normalized: bool = True,
-    blocks: dict[tuple[int, ...], np.ndarray] | None = None,
+    conn: SymmetricSet, normalized: bool = True
 ) -> tuple[tuple[int, ...], ...]:
-    """Shapes whose gram eigenvalues exceed the reference bound
-    (`blocks` as in ``spectrum_report``)."""
-    report = spectrum_report(conn, normalized=normalized, blocks=blocks)
+    """Shapes whose gram eigenvalues exceed the reference bound."""
+    report = spectrum_report(conn, normalized=normalized)
     return tuple(s for s, spec in report.items() if not spec.within_bound)
 
 

@@ -258,15 +258,15 @@ def _fields(report, *skip: str) -> dict:
     return {k: v for k, v in asdict(report).items() if k not in skip}
 
 
-def _spectrum_rows(spec, summary) -> list[dict]:
-    """One CSV row per block of a FourierSpectrum and its SchattenSummary."""
+def _spectrum_rows(spec) -> list[dict]:
+    """One CSV row per block of a FourierSpectrum and its Schatten summary."""
     import numpy as np
 
     from .partitions import dimension
 
     rows = []
     for shape, mat in spec.blocks.items():
-        sv = summary.per_block[shape]
+        sv = spec.schatten.per_block[shape]
         rows.append(
             {
                 "lambda": "+".join(str(p) for p in shape),
@@ -341,10 +341,7 @@ def cmd_gen_payoff(args: argparse.Namespace) -> int:
 
 
 def cmd_transform(args: argparse.Namespace) -> int:
-    from .fourier import schatten_summary, transform
-
-    payoff = _load_json(args, "payoff")
-    spec = transform(payoff)
+    spec = _load_json(args, "payoff").spectrum
     payload = {
         "n": spec.n,
         "blocks": [{"lambda": list(s), "matrix": m} for s, m in spec.blocks.items()],
@@ -352,7 +349,7 @@ def cmd_transform(args: argparse.Namespace) -> int:
     }
     _emit(payload, args.out)
     if args.csv:
-        _emit_csv(_spectrum_rows(spec, schatten_summary(spec)), args.csv)
+        _emit_csv(_spectrum_rows(spec), args.csv)
     return EXIT_OK
 
 
@@ -367,8 +364,11 @@ def cmd_analyze(args: argparse.Namespace) -> int:
         "set_size": len(members),
         "fairness": _fields(pair.fairness, "n", "set_size"),
         "degree": pair.degree,
-        "intersection": _fields(pair.profile, "size"),
-        "schatten": {"s1": pair.schatten.s1, "sinf": pair.schatten.sinf},
+        "intersection": _fields(members.profile, "size"),
+        "schatten": {
+            "s1": payoff.spectrum.schatten.s1,
+            "sinf": payoff.spectrum.schatten.sinf,
+        },
     }
     if pair.bounds_note is None:
         report["uncertainty_bound"] = _fields(pair.uncertainty)
@@ -382,13 +382,12 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     report["metadata"] = _metadata(args)
     _emit(report, args.out)
     if args.csv:
-        _emit_csv(_spectrum_rows(pair.spectrum, pair.schatten), args.csv)
+        _emit_csv(_spectrum_rows(payoff.spectrum), args.csv)
     return EXIT_OK
 
 
 def cmd_simulate(args: argparse.Namespace) -> int:
-    from .intersecting import intersection_profile
-    from .sequencing import condorcet_stats, majority_graph, simulate, valid_orderings
+    from .sequencing import majority_graph, simulate, valid_orderings
 
     if args.votes:
         votes = _load_json(args, "votes")
@@ -402,14 +401,14 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         )
     graph = majority_graph(votes)
     admissible = valid_orderings(graph)
-    stats = condorcet_stats(graph)
-    profile = intersection_profile(admissible)
+    largest_scc = max(map(len, graph.sccs))
+    profile = admissible.profile
     written = {"n_tx": votes.n_tx, "validators": [list(o) for o in votes.validators]}
     payload = {"n": admissible.n, "members": admissible.members, "votes": written}
     payload["stats"] = {
-        "num_sccs": stats.num_sccs,
-        "largest_scc": stats.largest_scc,
-        "has_cycle": stats.has_cycle,
+        "num_sccs": len(graph.sccs),
+        "largest_scc": largest_scc,
+        "has_cycle": graph.has_cycle,
         "edges": [list(e) for e in sorted(graph.edges)],
         "sccs": [list(c) for c in graph.sccs],
         "t_max": profile.t_max,
@@ -420,8 +419,8 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     _emit(payload, args.out)
     print(
         f"n_tx={votes.n_tx} validators={len(votes.validators)} "
-        f"admissible={len(admissible)} sccs={stats.num_sccs} "
-        f"largest_scc={stats.largest_scc} cycle={stats.has_cycle} t_max={profile.t_max}",
+        f"admissible={len(admissible)} sccs={len(graph.sccs)} "
+        f"largest_scc={largest_scc} cycle={graph.has_cycle} t_max={profile.t_max}",
         file=sys.stderr,
     )
     return EXIT_OK

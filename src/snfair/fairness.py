@@ -26,11 +26,12 @@ bound regime, low agreement (t_max < s) the lower bound regime whose
 template rhs(c) = (1 - c * (s - t_max - 1)/(n - t_max)!) * ||g||_inf is
 solved for the constant that would make it tight.
 
-An :class:`Analysis` holds one (payoff, set) pair and computes the
-payoff's spectrum, the restriction's spectrum, the set's agreement
-profile and the payoff's degree at most once each; every report reads
-those shared values, and the module-level functions are one-report
-shortcuts over a fresh analysis.
+A payoff keeps its spectrum and that spectrum's Schatten summary, and a
+set its agreement profile, so analyses that share a payoff or a set share
+those values; a kept spectrum costs n! more floats for as long as the
+payoff lives.  An :class:`Analysis` keeps the restriction's statistics,
+the degree at its `tol` and the bound reports; the module-level
+functions are one-report shortcuts over a fresh analysis.
 """
 from __future__ import annotations
 
@@ -41,15 +42,8 @@ from math import factorial
 import numpy as np
 
 from .errors import DegenerateError, EmptySetError
-from .fourier import (
-    DEGREE_TOL,
-    FourierSpectrum,
-    SchattenSummary,
-    degree as spectral_degree,
-    schatten_summary,
-    transform,
-)
-from .intersecting import IntersectionProfile, intersection_profile, stabilizer_set
+from .fourier import DEGREE_TOL, degree as spectral_degree
+from .intersecting import stabilizer_set
 from .partitions import dimension, partitions_of
 from .payoffs import PayoffFn, indicator_payoff
 from .sets import OrderingSet
@@ -123,27 +117,18 @@ class Analysis:
     """The fairness trade-off of one payoff over one ordering set.
 
     The pointwise statistics of the restriction are computed on
-    construction.  The spectral values (payoff spectrum, its Schatten
-    summary, degree at `tol`, agreement profile) and the bound reports
-    built from them are computed on first use and then kept.  A caller
-    that pairs one payoff with several sets may pass the payoff's
-    `spectrum` so that it is transformed only once.
+    construction.  The degree at `tol` and the bound reports are computed
+    on first use and then kept; they read the spectrum that `f` keeps and
+    the agreement profile that `members` keeps, so analyses that share a
+    payoff or a set share those values too.
     """
 
-    def __init__(
-        self,
-        f: PayoffFn,
-        members: OrderingSet,
-        tol: float = DEGREE_TOL,
-        spectrum: FourierSpectrum | None = None,
-    ):
+    def __init__(self, f: PayoffFn, members: OrderingSet, tol: float = DEGREE_TOL):
         if f.n != members.n:
             raise ValueError(f"payoff on S_{f.n} but set in S_{members.n}")
         if len(members) == 0:
             raise EmptySetError("fairness gaps over the empty set are undefined")
         self.f, self.members, self.tol = f, members, tol
-        if spectrum is not None:
-            self.spectrum = spectrum  # fills the cached property
         self.on_set = f.values[members.members]
         self.linf = float(np.abs(self.on_set).max())  # ||f * 1_A||_inf
         top = float(self.on_set.max())
@@ -162,20 +147,8 @@ class Analysis:
         )
 
     @cached_property
-    def spectrum(self) -> FourierSpectrum:
-        return transform(self.f)
-
-    @cached_property
-    def schatten(self) -> SchattenSummary:
-        return schatten_summary(self.spectrum)
-
-    @cached_property
     def degree(self) -> int:
-        return spectral_degree(self.f, tol=self.tol, spectrum=self.spectrum)
-
-    @cached_property
-    def profile(self) -> IntersectionProfile:
-        return intersection_profile(self.members)
+        return spectral_degree(self.f, tol=self.tol)
 
     @cached_property
     def bounds_note(self) -> str | None:
@@ -200,14 +173,15 @@ class Analysis:
         linf = self._nonzero_restriction()
         restricted = np.zeros_like(self.f.values)
         restricted[self.members.members] = self.on_set
-        summary = schatten_summary(transform(PayoffFn(self.f.n, restricted)))
+        summary = PayoffFn(self.f.n, restricted).spectrum.schatten
         bound = (1.0 - summary.sinf / summary.s1) * linf
         gap = self.fairness.additive_gap
         return UncertaintyBound(bound=bound, additive_gap=gap, slack=bound - gap)
 
     @cached_property
     def upper(self) -> UpperBoundReport:
-        n, s, t = self.f.n, self.degree, self.profile.t_max
+        n, s, t = self.f.n, self.degree, self.members.profile.t_max
+        schatten = self.f.spectrum.schatten
         dim_sq = sum(
             dimension(shape) ** 2 for shape in partitions_of(n) if shape[0] >= n - s
         )
@@ -215,7 +189,7 @@ class Analysis:
             degree=s,
             t_max=t,
             applicable=t >= s,
-            schatten_ratio=self.schatten.sinf / self.schatten.s1,
+            schatten_ratio=schatten.sinf / schatten.s1,
             dim_sq_sum=dim_sq,
             bound_value=(1.0 - 1.0 / dim_sq) * self.linf,
         )
@@ -223,7 +197,7 @@ class Analysis:
     @cached_property
     def lower(self) -> LowerBoundReport:
         linf = self._nonzero_restriction()
-        n, s, t = self.f.n, self.degree, self.profile.t_max
+        n, s, t = self.f.n, self.degree, self.members.profile.t_max
         gap = self.fairness.additive_gap
         coeff = (s - t - 1) / factorial(n - t)
         implied = None
@@ -232,7 +206,7 @@ class Analysis:
         return LowerBoundReport(
             degree=s,
             t_max=t,
-            applicable=t < s and self.profile.size_gate,
+            applicable=t < s and self.members.profile.size_gate,
             additive_gap=gap,
             max_on_set=linf,
             gap_ratio=gap / linf,

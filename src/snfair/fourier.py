@@ -27,13 +27,19 @@ sinf = max over all blocks of sigma_max.  The support-spread inequality
 holds for every nonzero payoff, with equality for point masses and for
 constants.
 
+A payoff keeps its transform (``PayoffFn.spectrum``) and a spectrum its
+Schatten summary (``FourierSpectrum.schatten``), both read-only.
+
 The only size limit is :func:`snfair.permutations.check_enumerable`,
 which every :class:`~snfair.payoffs.PayoffFn` passes on construction.
 """
 from __future__ import annotations
 
+from collections.abc import Mapping
 from dataclasses import dataclass, field
+from functools import cached_property
 from math import factorial
+from types import MappingProxyType
 
 import numpy as np
 
@@ -63,24 +69,28 @@ SUPPORT_SPREAD_TOL = 1e-9
 
 @dataclass(frozen=True, eq=False)
 class FourierSpectrum:
-    """One matrix per partition of n, in canonical partition order."""
+    """Read-only blocks, one per partition of n in canonical order; its
+    `schatten` summary is computed on first use and kept."""
 
     n: int
-    blocks: dict[tuple[int, ...], np.ndarray]
+    blocks: Mapping[tuple[int, ...], np.ndarray]
 
     def __post_init__(self) -> None:
-        expected = partitions_of(self.n)
-        if tuple(self.blocks.keys()) != expected:
-            ordered = {}
-            for s in expected:
-                if s not in self.blocks:
-                    raise ValueError(f"missing block for shape {s}")
-                ordered[s] = self.blocks[s]
-            object.__setattr__(self, "blocks", ordered)
-        for s, mat in self.blocks.items():
+        blocks = {}
+        for s in partitions_of(self.n):
+            if s not in self.blocks:
+                raise ValueError(f"missing block for shape {s}")
+            mat = np.asarray(self.blocks[s]).view()  # the caller's array stays writable
             d = dimension(s)
-            if np.asarray(mat).shape != (d, d):
+            if mat.shape != (d, d):
                 raise ValueError(f"block {s} must be {d}x{d}")
+            mat.setflags(write=False)
+            blocks[s] = mat
+        object.__setattr__(self, "blocks", MappingProxyType(blocks))
+
+    @cached_property
+    def schatten(self) -> SchattenSummary:
+        return schatten_summary(self)
 
 
 def transform(f: PayoffFn) -> FourierSpectrum:
@@ -94,11 +104,7 @@ def inverse(spec: FourierSpectrum) -> PayoffFn:
     return PayoffFn(spec.n, fft_adjoint(spec.n, weighted) / factorial(spec.n))
 
 
-def degree(
-    f: PayoffFn,
-    tol: float = DEGREE_TOL,
-    spectrum: FourierSpectrum | None = None,
-) -> int:
+def degree(f: PayoffFn, tol: float = DEGREE_TOL) -> int:
     """Largest n - (largest part) over shapes carrying spectral mass.
 
     The threshold is relative: a block counts when its Frobenius norm
@@ -107,9 +113,8 @@ def degree(
     norm = float(np.linalg.norm(f.values))
     if norm == 0.0:
         raise DegenerateError("degree of the zero function is undefined")
-    spec = spectrum if spectrum is not None else transform(f)
     deg = 0
-    for s, mat in spec.blocks.items():
+    for s, mat in f.spectrum.blocks.items():
         if np.linalg.norm(mat) > tol * norm:
             deg = max(deg, f.n - s[0])
     return deg
@@ -121,7 +126,7 @@ class SchattenSummary:
 
     s1: float
     sinf: float
-    per_block: dict[tuple[int, ...], np.ndarray] = field(repr=False)
+    per_block: Mapping[tuple[int, ...], np.ndarray] = field(repr=False)
 
 
 def schatten_summary(spec: FourierSpectrum) -> SchattenSummary:
@@ -130,11 +135,12 @@ def schatten_summary(spec: FourierSpectrum) -> SchattenSummary:
     sinf = 0.0
     for s, mat in spec.blocks.items():
         sv = np.linalg.svd(mat, compute_uv=False)
+        sv.setflags(write=False)
         per_block[s] = sv
         s1 += dimension(s) * float(sv.sum())
         if sv.size:
             sinf = max(sinf, float(sv[0]))
-    return SchattenSummary(s1=s1, sinf=sinf, per_block=per_block)
+    return SchattenSummary(s1=s1, sinf=sinf, per_block=MappingProxyType(per_block))
 
 
 @dataclass(frozen=True)
@@ -156,7 +162,7 @@ def uncertainty_check(f: PayoffFn) -> UncertaintyCheck:
     if linf == 0.0:
         raise DegenerateError("support-spread product undefined for the zero function")
     l1 = float(abs_vals.sum())
-    summary = schatten_summary(transform(f))
+    summary = f.spectrum.schatten
     support_ratio = l1 / linf
     spread_ratio = summary.s1 / summary.sinf
     product = support_ratio * spread_ratio

@@ -128,7 +128,7 @@ def verify_indicator_degree(
     from .fourier import DEGREE_TOL, degree
     from .payoffs import indicator_payoff
 
-    profile = intersection_profile(members)
+    profile = members.profile
     deg = degree(indicator_payoff(members), tol=DEGREE_TOL if tol is None else tol)
     required = min(profile.t_max, members.n - 1)
     holds = (not profile.size_gate) or deg >= required

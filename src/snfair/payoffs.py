@@ -24,6 +24,7 @@ runs before anything of size n! is allocated.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from math import factorial
 from typing import TYPE_CHECKING
 
@@ -33,12 +34,13 @@ from .errors import ModelValidityError
 from .permutations import check_enumerable, group_matrix
 
 if TYPE_CHECKING:
+    from .fourier import FourierSpectrum
     from .sets import OrderingSet
 
 
 @dataclass(frozen=True, eq=False)
 class PayoffFn:
-    """A real-valued function on S_n, dense in rank order."""
+    """A real-valued function on S_n, dense in rank order; keeps its spectrum."""
 
     n: int
     values: np.ndarray
@@ -55,6 +57,15 @@ class PayoffFn:
         vals = vals.copy()
         vals.setflags(write=False)
         object.__setattr__(self, "values", vals)
+
+    @cached_property
+    def spectrum(self) -> FourierSpectrum:
+        """:func:`snfair.fourier.transform` of this payoff: n! more floats,
+        kept for as long as the payoff lives."""
+        # Imported here: fourier imports this module; gen-payoff loads no Fourier code.
+        from .fourier import transform
+
+        return transform(self)
 
 
 @dataclass(frozen=True)

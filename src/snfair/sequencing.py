@@ -84,20 +84,6 @@ def majority_graph(votes: VoteProfile) -> MajorityGraph:
     return MajorityGraph(n_tx=n, edges=frozenset(edges), sccs=sccs)
 
 
-@dataclass(frozen=True)
-class CondorcetStats:
-    num_sccs: int
-    largest_scc: int
-    has_cycle: bool
-
-
-def condorcet_stats(graph: MajorityGraph) -> CondorcetStats:
-    sizes = [len(c) for c in graph.sccs]
-    return CondorcetStats(
-        num_sccs=len(sizes), largest_scc=max(sizes), has_cycle=graph.has_cycle
-    )
-
-
 def valid_orderings(graph: MajorityGraph) -> OrderingSet:
     """Orderings respecting every edge between different components.
 

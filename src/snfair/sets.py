@@ -2,16 +2,22 @@
 
 An :class:`OrderingSet` holds its members as one read-only int64 array of
 strictly increasing Lehmer ranks, so masks, word matrices and payoff
-restrictions index with it directly.
+restrictions index with it directly.  It keeps its agreement `profile`,
+scanned on first use.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from math import factorial
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .permutations import Permutation, check_enumerable, group_matrix, lehmer_unrank
+
+if TYPE_CHECKING:
+    from .intersecting import IntersectionProfile
 
 
 @dataclass(frozen=True, eq=False)
@@ -63,6 +69,14 @@ class OrderingSet:
     def __contains__(self, rank: int) -> bool:
         i = np.searchsorted(self.members, rank)
         return bool(i < len(self.members) and self.members[i] == rank)
+
+    @cached_property
+    def profile(self) -> IntersectionProfile:
+        """:func:`snfair.intersecting.intersection_profile` of this set."""
+        # Imported here: intersecting imports this module.
+        from .intersecting import intersection_profile
+
+        return intersection_profile(self)
 
     def mask(self) -> np.ndarray:
         """Dense boolean membership vector of length n!."""

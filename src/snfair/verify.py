@@ -26,9 +26,10 @@ check holds.
 - claim2: the lower-bound regime on nested stabilizer instances.  ``tol``
   is not read (degrees use ``fourier.DEGREE_TOL``).
 
-eigenvalue transforms each set once and rescales the blocks for the
-other scaling (the transform is linear); claim1 transforms each corpus
-payoff once and shares the spectrum among that payoff's pairs.
+Payoffs and sets keep what is derived from them, so claim1 transforms
+each corpus payoff and profiles each corpus set once, and eigenvalue
+transforms each connection set once for both scalings, building the
+sets one at a time so that no set's blocks outlive its case.
 """
 from __future__ import annotations
 
@@ -150,6 +151,7 @@ def _suite_uncertainty(n: int, seed: int, tol: float):
     cases = chain(_uniform_payoffs(n, seed, 100), _corpus_payoffs(n, seed), _equality_payoffs(n))
     for label, f in cases:
         check = uncertainty_check(f)
+        del f  # and the spectrum it keeps, before the next payoff is built
         holds = check.holds
         if label in ("point_mass", "constant"):  # the equality cases
             holds = holds and abs(check.product - order) <= EQUALITY_RTOL * order
@@ -168,24 +170,26 @@ def _random_symmetric_set(n: int, rng: np.random.Generator) -> SymmetricSet:
     return symmetrize(OrderingSet.from_ranks(n, picks))
 
 
-def _suite_eigenvalue(n: int, seed: int, tol: float):
-    rng = np.random.default_rng(seed)
-    sets = {"identity": SymmetricSet(n, (0,))}
+def _connection_sets(n: int, seed: int):
+    """The eigenvalue suite's (label, SymmetricSet) pairs, built one at a time."""
+    yield "identity", SymmetricSet(n, (0,))
     transpositions = [
         Permutation.transposition(n, i, j).rank()
         for i in range(1, n + 1)
         for j in range(i + 1, n + 1)
     ]
-    sets["transpositions"] = SymmetricSet(n, tuple(sorted(transpositions)))
+    yield "transpositions", SymmetricSet(n, tuple(sorted(transpositions)))
+    rng = np.random.default_rng(seed)
     for i in range(3):
-        sets[f"random_{i}"] = _random_symmetric_set(n, rng)
+        yield f"random_{i}", _random_symmetric_set(n, rng)
 
-    for label, conn in sets.items():
-        raw = block_operators(conn, normalized=False)
-        scaled = {s: m / len(conn) for s, m in raw.items()}  # the transform is linear
+
+def _suite_eigenvalue(n: int, seed: int, tol: float):
+    for label, conn in _connection_sets(n, seed):
         if n <= 4:
             dense = dense_operator(conn)
             brute = np.sort(np.linalg.eigvalsh(dense))
+            scaled = block_operators(conn)
             blockwise = np.sort(
                 np.concatenate(
                     [
@@ -199,8 +203,8 @@ def _suite_eigenvalue(n: int, seed: int, tol: float):
         else:
             residual = None
             consistent = True
-        normalized_bad = bound_violations(conn, normalized=True, blocks=scaled)
-        raw_bad = bound_violations(conn, normalized=False, blocks=raw)
+        normalized_bad = bound_violations(conn, normalized=True)
+        raw_bad = bound_violations(conn, normalized=False)
         satisfied = "normalized" if not normalized_bad else (
             "unnormalized" if not raw_bad else "neither"
         )
@@ -247,9 +251,8 @@ def _suite_indicator_degree(n: int, seed: int, tol: float):
 def _suite_claim1(n: int, seed: int, tol: float):
     sets = _corpus_sets(n, seed)
     for p_label, f in _corpus_payoffs(n, seed):
-        spectrum = None  # transformed once, by the first pair that needs it
         for s_label, members in sets.items():
-            pair = Analysis(f, members, spectrum=spectrum)
+            pair = Analysis(f, members)
             row = {
                 "payoff": p_label,
                 "set": s_label,
@@ -262,7 +265,6 @@ def _suite_claim1(n: int, seed: int, tol: float):
             }
             if pair.bounds_note is None:
                 ub, upper = pair.uncertainty, pair.upper
-                spectrum = pair.spectrum
                 row.update(
                     bound=ub.bound,
                     slack=ub.slack,

@@ -4,7 +4,9 @@ from math import factorial
 import numpy as np
 import pytest
 
+import snfair.cayley
 from snfair.cayley import (
+    BOUND_TOL,
     SymmetricSet,
     block_operator,
     bound_violations,
@@ -180,14 +182,22 @@ def test_block_operator_matches_evaluate_sum_at_n7():
             )
 
 
-def test_bound_violations_of_given_blocks_match_the_sets_own_transform():
-    # the eigenvalue suite transforms a set once and rescales the blocks
+def test_bound_violations_of_given_blocks_match_the_sets_own_transform(monkeypatch):
+    # a set's kept blocks serve both scalings, and their verdicts match
+    # those of blocks transformed afresh
+    calls = []
+    monkeypatch.setattr(snfair.cayley, "fft", lambda n, w: calls.append(n) or fft(n, w))
     flagged = set()
     for conn in (all_transpositions(5), symmetrize(OrderingSet.from_ranks(5, [3, 17, 40]))):
         for normalized in (True, False):
             scale = len(conn) if normalized else 1.0
-            blocks = {s: m / scale for s, m in fft(5, conn.mask()).items()}
-            bad = bound_violations(conn, normalized, blocks=blocks)
-            assert bad == bound_violations(conn, normalized)
+            bad = tuple(
+                s
+                for s, m in fft(5, conn.mask()).items()
+                if np.linalg.eigvalsh((m / scale).T @ (m / scale))[-1]
+                > factorial(5) / (len(conn) * dimension(s)) + BOUND_TOL
+            )
+            assert bound_violations(conn, normalized) == bad
             flagged.update(bad)
+    assert len(calls) == 2  # one transform per set
     assert flagged  # some shape exceeds its bound, so the comparison can fail

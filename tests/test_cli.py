@@ -1,6 +1,7 @@
 """End-to-end checks of the command-line interface via its main() entry."""
 import contextlib
 import errno
+import gc
 import hashlib
 import io
 import json
@@ -16,9 +17,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+import snfair.cayley
 import snfair.cli
-import snfair.fairness
+import snfair.fourier
+import snfair.intersecting
 import snfair.verify
+from snfair.cayley import SymmetricSet
 from snfair.cli import EXIT_CHECK_FAILED, EXIT_OK, EXIT_USAGE, VERIFY_SUITES, _emit, main
 from snfair.intersecting import stabilizer_set
 from snfair.payoffs import PayoffFn
@@ -582,21 +586,56 @@ def test_emit_of_a_full_n9_set_stays_well_below_its_list_form(tmp_path):
     assert emit_peak < list_peak / 4
 
 
+def _count_calls(monkeypatch, module, name, calls):
+    real = getattr(module, name)
+
+    def counted(*args, **kwargs):
+        calls[name] = calls.get(name, 0) + 1
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, counted)
+
+
 def test_claim1_transforms_each_payoff_once(monkeypatch):
-    calls = {"transform": 0}
-    real = snfair.fairness.transform
-
-    def counted(f):
-        calls["transform"] += 1
-        return real(f)
-
-    monkeypatch.setattr(snfair.fairness, "transform", counted)
+    calls = {}
+    _count_calls(monkeypatch, snfair.fourier, "transform", calls)
     passed, rows = SUITES["claim1"](5, 5, 1e-9)
     bounded = [row for row in rows if row["bound"] is not None]
     payoffs = {row["payoff"] for row in bounded}
     assert passed and len(rows) == 25 and len(payoffs) == 5
     # one restriction per bounded row, one spectrum per payoff (was one per row)
     assert calls["transform"] == len(bounded) + len(payoffs)
+
+
+def test_claim1_profiles_each_set_and_summarizes_each_spectrum_once(monkeypatch):
+    calls = {}
+    _count_calls(monkeypatch, snfair.intersecting, "intersection_profile", calls)
+    _count_calls(monkeypatch, snfair.fourier, "schatten_summary", calls)
+    passed, rows = SUITES["claim1"](5, 5, 1e-9)
+    bounded = [row for row in rows if row["bound"] is not None]
+    sets = {row["set"] for row in rows}
+    payoffs = {row["payoff"] for row in bounded}
+    assert passed and (len(sets), len(payoffs), len(bounded)) == (5, 5, 23)
+    # one profile per set (was one per row), one summary per payoff
+    # spectrum (was one per bounded row) and one per restriction
+    assert calls == {"intersection_profile": 5, "schatten_summary": 5 + 23}
+
+
+def test_eigenvalue_suite_transforms_each_set_once_holding_one_set(monkeypatch):
+    def live_sets():
+        return sum(isinstance(o, SymmetricSet) for o in gc.get_objects())
+
+    gc.collect()
+    before = live_sets()
+    held = []
+    real = snfair.cayley.fft
+    monkeypatch.setattr(
+        snfair.cayley, "fft", lambda n, w: held.append(live_sets() - before) or real(n, w)
+    )
+    passed, rows = SUITES["eigenvalue"](5, 0, 1e-9)
+    # one transform per set serves both scalings, and the sets are built
+    # one at a time, so no earlier set and its blocks are still alive
+    assert passed and held == [1] * len(rows) == [1] * 5
 
 
 def test_stdout_when_no_out_flag(capsys):
@@ -646,9 +685,11 @@ def _modules_loaded_by(*argv):
 
 
 def test_simulate_loads_neither_the_fourier_stack_nor_openssl(tmp_path):
+    out = tmp_path / "sim.json"
     loaded = _modules_loaded_by(
-        "simulate", "--latency", "adversarial_cycle", "--out", str(tmp_path / "sim.json")
+        "simulate", "--latency", "adversarial_cycle", "--validators", "4", "--out", str(out)
     )
+    assert out.exists()  # the command ran to its end
     assert {"snfair.sequencing", "snfair.intersecting"} <= loaded
     heavy = {
         "snfair.fourier",

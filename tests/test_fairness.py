@@ -6,7 +6,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import snfair.fairness
+import snfair.fourier
+import snfair.intersecting
+from snfair.cayley import symmetrize
 from snfair.errors import DegenerateError, EmptySetError
 from snfair.fairness import (
     Analysis,
@@ -223,15 +225,15 @@ def test_analysis_with_a_given_spectrum_transforms_only_the_restriction(monkeypa
     members = stabilizer_set(5, [(1, 1)])
     fresh = Analysis(f, members)
     expected = (fresh.uncertainty, fresh.upper, fresh.lower)
-    spectrum = snfair.fairness.transform(f)
+    spectrum = f.spectrum  # kept by the payoff since the first analysis
     calls = []
-    real = snfair.fairness.transform
+    real = snfair.fourier.transform
     monkeypatch.setattr(
-        snfair.fairness, "transform", lambda g: calls.append(g) or real(g)
+        snfair.fourier, "transform", lambda g: calls.append(g) or real(g)
     )
-    pair = Analysis(f, members, spectrum=spectrum)
+    pair = Analysis(f, members)
     assert (pair.uncertainty, pair.upper, pair.lower) == expected
-    assert pair.spectrum is spectrum and len(calls) == 1
+    assert f.spectrum is spectrum and len(calls) == 1 and calls[0] is not f
 
 
 def test_analysis_computes_each_spectrum_and_profile_once(monkeypatch):
@@ -245,12 +247,12 @@ def test_analysis_computes_each_spectrum_and_profile_once(monkeypatch):
         return wrapper
 
     monkeypatch.setattr(
-        snfair.fairness, "transform", counted("transform", snfair.fairness.transform)
+        snfair.fourier, "transform", counted("transform", snfair.fourier.transform)
     )
     monkeypatch.setattr(
-        snfair.fairness,
+        snfair.intersecting,
         "intersection_profile",
-        counted("profile", snfair.fairness.intersection_profile),
+        counted("profile", snfair.intersecting.intersection_profile),
     )
     f = cfmm_payoff(CfmmModel(deltas=(1.0, 2.0, -1.0, -2.0, 0.5)))
     members = stabilizer_set(5, [(1, 1)])
@@ -264,6 +266,33 @@ def test_analysis_computes_each_spectrum_and_profile_once(monkeypatch):
         uncertainty_bound(f, members),
         lower_bound_report(f, members),
     )
+
+
+def test_kept_values_are_computed_once_and_read_only():
+    # payoffs, spectra and sets are shared between analyses, so what they
+    # keep must not be replaced or written into by any one reader
+    f = random_payoff(5, seed=3)
+    members = stabilizer_set(5, [(1, 1)])
+    conn = symmetrize(OrderingSet.from_ranks(5, [3, 17, 40]))
+    for obj, name in (
+        (f, "spectrum"),
+        (f.spectrum, "schatten"),
+        (members, "profile"),
+        (conn, "profile"),
+        (conn, "blocks"),
+    ):
+        first = getattr(obj, name)
+        assert getattr(obj, name) is first
+        with pytest.raises(AttributeError):
+            setattr(obj, name, first)
+    shape = (4, 1)
+    kept = (f.spectrum.blocks[shape], f.spectrum.schatten.per_block[shape], conn.blocks[shape])
+    for array in kept:
+        with pytest.raises(ValueError):
+            array[...] = 0.0
+    for mapping in (f.spectrum.blocks, f.spectrum.schatten.per_block, conn.blocks):
+        with pytest.raises(TypeError):
+            mapping[shape] = np.zeros_like(mapping[shape])
 
 
 def test_size_mismatch_and_empty_set_errors():

@@ -8,15 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from snfair.errors import CapacityError
-from snfair.intersecting import intersection_profile
 from snfair.permutations import group_matrix
-from snfair.sequencing import (
-    VoteProfile,
-    condorcet_stats,
-    majority_graph,
-    simulate,
-    valid_orderings,
-)
+from snfair.sequencing import VoteProfile, majority_graph, simulate, valid_orderings
 
 CYCLE_3 = VoteProfile(3, ((1, 2, 3), (2, 3, 1), (3, 1, 2)))
 
@@ -67,29 +60,25 @@ def test_condorcet_cycle_builds_one_big_scc():
     graph = majority_graph(CYCLE_3)
     assert graph.edges == frozenset({(1, 2), (2, 3), (3, 1)})
     assert graph.sccs == ((1, 2, 3),)
-    stats = condorcet_stats(graph)
-    assert stats.num_sccs == 1
-    assert stats.largest_scc == 3
-    assert stats.has_cycle
+    assert graph.has_cycle
 
 
 def test_condorcet_cycle_admits_all_orderings():
     members = valid_orderings(majority_graph(CYCLE_3))
     assert len(members) == 6
-    assert intersection_profile(members).t_max == 0
+    assert members.profile.t_max == 0
 
 
 def test_unanimity_pins_single_ordering():
     n = 4
     votes = VoteProfile(n, ((2, 4, 1, 3),) * 5)
     graph = majority_graph(votes)
-    stats = condorcet_stats(graph)
-    assert stats.num_sccs == n
-    assert not stats.has_cycle
+    assert graph.sccs == tuple((tx,) for tx in range(1, n + 1))
+    assert not graph.has_cycle
     members = valid_orderings(graph)
     assert len(members) == 1
     assert members.permutations()[0].mapping == (2, 4, 1, 3)
-    assert intersection_profile(members).t_max == n
+    assert members.profile.t_max == n
 
 
 def test_single_unanimous_edge_leaves_half():
@@ -169,9 +158,7 @@ def test_mixed_profile_two_components():
         ),
     )
     graph = majority_graph(votes)
-    stats = condorcet_stats(graph)
-    assert stats.num_sccs == 2
-    assert stats.largest_scc == 3
+    assert graph.sccs == ((1,), (2, 3, 4))
     members = valid_orderings(graph)
     assert len(members) == 6  # tx 1 pinned first, cycle block free
     for p in members.permutations():
@@ -191,8 +178,7 @@ def test_two_separate_cycles():
     )
     graph = majority_graph(votes)
     assert graph.sccs == ((1, 4, 5), (2, 3, 6))
-    stats = condorcet_stats(graph)
-    assert (stats.num_sccs, stats.largest_scc, stats.has_cycle) == (2, 3, True)
+    assert graph.has_cycle
     members = valid_orderings(graph)
     assert len(members) == 36
     assert {p.mapping for p in members.permutations()} == admissible_oracle(votes)

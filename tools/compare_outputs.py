@@ -149,6 +149,10 @@ def _commands() -> list[list[str]]:
     for suite in ("roundtrip", "uncertainty", "indicator_degree", "claim1", "claim2",
                   "eigenvalue"):
         cmds.append(["verify", "--suite", suite, "--n", "7", "--out", f"verify_{suite}_7.json"])
+    # the largest default --max-n size of the suites that share kept spectra,
+    # profiles and connection-set blocks
+    for suite in ("claim1", "eigenvalue"):
+        cmds.append(["verify", "--suite", suite, "--n", "8", "--out", f"verify_{suite}_8.json"])
     return cmds
 
 
