@@ -9,7 +9,7 @@ import numpy as np
 
 from snfair.cayley import (
     SymmetricSet,
-    block_operator,
+    block_operators,
     dense_operator,
     spectrum_report,
     symmetrize,
@@ -30,10 +30,11 @@ def show(label, conn):
         print(f"  {str(shape):<14} gram eigs [{eigs}]  bound {spec.bound:7.3f}  {flag}")
 
     dense = np.sort(np.linalg.eigvalsh(dense_operator(conn)))
+    scaled = block_operators(conn)
     blocks = np.sort(
         np.concatenate(
             [
-                np.repeat(np.linalg.eigvalsh(block_operator(conn, s)), dimension(s))
+                np.repeat(np.linalg.eigvalsh(scaled[s]), dimension(s))
                 for s in partitions_of(N)
             ]
         )

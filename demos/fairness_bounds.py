@@ -4,11 +4,7 @@ Compares the measured additive gap against the spectral upper bound for
 several payoff/set pairs on S_5, then shows both bound regimes: high
 set agreement versus payoff degree, and the low-agreement template.
 """
-from snfair.fairness import (
-    Analysis,
-    lower_bound_report,
-    nested_stabilizer_instance,
-)
+from snfair.fairness import Analysis, nested_stabilizer_instance
 from snfair.intersecting import stabilizer_set
 from snfair.payoffs import CfmmModel, JuntaTerm, cfmm_payoff, junta_payoff
 from snfair.sets import OrderingSet
@@ -50,7 +46,7 @@ def main():
 
     print("\nlow-agreement regime (degree outruns agreement):")
     f, members = nested_stabilizer_instance(N, 1, 3)
-    lower = lower_bound_report(f, members)
+    lower = Analysis(f, members).lower
     print(
         f"  degree={lower.degree}, t_max={lower.t_max}, applicable={lower.applicable},"
         f" gap/max={lower.gap_ratio:.4f}, implied constant={lower.implied_constant:.4f}"

@@ -21,8 +21,8 @@ def show(label, votes):
         f" pairwise agreement floor t_max={members.profile.t_max}"
     )
     if len(members) <= 6:
-        for p in members.permutations():
-            print(f"    {p.mapping}")
+        for word in members.matrix().tolist():
+            print(f"    {tuple(word)}")
 
 
 def main():

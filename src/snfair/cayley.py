@@ -17,9 +17,10 @@ reference bound checked here is
 
     eig_max(B.T @ B) <= n! / (|F| * dim(shape))
 
-for the normalized operator; the raw-sum variant (no 1/|F|) is exposed as
-well since either scaling appears in practice, and reports record which
-one satisfied the bound.
+for the normalized operator.  The raw-sum variant (no 1/|F|) is exposed as
+well since either scaling appears in practice; its gram eigenvalues are
+the normalized ones times |F|^2 >= 1 against the same bound, so every
+shape that breaks the normalized bound breaks the raw one too.
 
 A connection set is a :class:`SymmetricSet`: an ordering set that checks
 on construction that it is nonempty and closed under inversion.  Inverse
@@ -93,13 +94,6 @@ def block_operators(
     if not normalized:
         return conn.blocks
     return {s: b / len(conn) for s, b in conn.blocks.items()}
-
-
-def block_operator(
-    conn: SymmetricSet, shape: tuple[int, ...], normalized: bool = True
-) -> np.ndarray:
-    """Sum (optionally averaged) of the representation matrices over the set."""
-    return block_operators(conn, normalized)[shape]
 
 
 @dataclass(frozen=True)

@@ -22,7 +22,7 @@ it starts, so ``--version`` and ``--help`` load no numpy and
 library's own limit of n <= 10: every command checks each group size
 against it once, as soon as the size is known (from a flag, a model, or
 the raw JSON of an input file) and before any n!-sized work.  ``--tol``
-must be a finite number >= 0.
+must be a finite number >= 0 and ``--seed`` an integer >= 0.
 
 Payloads hand numpy arrays (payoff values, spectrum blocks, set members)
 straight to the JSON writer, which streams them to the output in chunks
@@ -251,13 +251,6 @@ def _parse_pairs(text: str) -> tuple[tuple[int, int], ...]:
     return tuple(pairs)
 
 
-def _fields(report, *skip: str) -> dict:
-    """A report dataclass as a dict, without the named fields."""
-    from dataclasses import asdict
-
-    return {k: v for k, v in asdict(report).items() if k not in skip}
-
-
 def _spectrum_rows(spec) -> list[dict]:
     """One CSV row per block of a FourierSpectrum and its Schatten summary."""
     import numpy as np
@@ -354,6 +347,8 @@ def cmd_transform(args: argparse.Namespace) -> int:
 
 
 def cmd_analyze(args: argparse.Namespace) -> int:
+    from dataclasses import asdict
+
     from .fairness import Analysis
 
     payoff = _load_json(args, "payoff")
@@ -362,18 +357,18 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     report = {
         "n": payoff.n,
         "set_size": len(members),
-        "fairness": _fields(pair.fairness, "n", "set_size"),
+        "fairness": asdict(pair.fairness),
         "degree": pair.degree,
-        "intersection": _fields(members.profile, "size"),
+        "intersection": asdict(members.profile),
         "schatten": {
             "s1": payoff.spectrum.schatten.s1,
             "sinf": payoff.spectrum.schatten.sinf,
         },
     }
     if pair.bounds_note is None:
-        report["uncertainty_bound"] = _fields(pair.uncertainty)
-        report["upper_regime"] = _fields(pair.upper)
-        report["lower_regime"] = _fields(pair.lower, "additive_gap", "max_on_set")
+        report["uncertainty_bound"] = asdict(pair.uncertainty)
+        report["upper_regime"] = asdict(pair.upper)
+        report["lower_regime"] = asdict(pair.lower)
     else:
         report["uncertainty_bound"] = None
         report["upper_regime"] = None
@@ -559,6 +554,8 @@ def main(argv=None) -> int:
     try:
         if not 0.0 <= args.tol < float("inf"):
             raise ValueError(f"--tol must be a finite number >= 0, got {args.tol!r}")
+        if args.seed < 0:
+            raise ValueError(f"--seed must be an integer >= 0, got {args.seed}")
         return args.func(args)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)

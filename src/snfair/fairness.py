@@ -30,8 +30,8 @@ A payoff keeps its spectrum and that spectrum's Schatten summary, and a
 set its agreement profile, so analyses that share a payoff or a set share
 those values; a kept spectrum costs n! more floats for as long as the
 payoff lives.  An :class:`Analysis` keeps the restriction's statistics,
-the degree at its `tol` and the bound reports; the module-level
-functions are one-report shortcuts over a fresh analysis.
+the degree at its `tol` and the bound reports, and is the one way to
+reach each of them.
 """
 from __future__ import annotations
 
@@ -59,8 +59,6 @@ CLASSIFY_TOL = 1e-12
 class FairnessReport:
     """All headline fairness statistics for one (payoff, set) pair."""
 
-    n: int
-    set_size: int
     max_value: float
     mean_value: float  # whole-group mean of the restriction
     additive_gap: float
@@ -98,9 +96,7 @@ class LowerBoundReport:
     degree: int
     t_max: int
     applicable: bool  # t_max < degree and the size gate holds
-    additive_gap: float
-    max_on_set: float
-    gap_ratio: float  # additive_gap / max_on_set
+    gap_ratio: float  # additive gap / ||f * 1_A||_inf
     rhs_coefficient: float  # (degree - t_max - 1) / (n - t_max)!
     implied_constant: float | None  # c making rhs(c) equal the measured gap
 
@@ -116,11 +112,13 @@ def _classify(gap: float, extreme: float) -> str:
 class Analysis:
     """The fairness trade-off of one payoff over one ordering set.
 
-    The pointwise statistics of the restriction are computed on
-    construction.  The degree at `tol` and the bound reports are computed
-    on first use and then kept; they read the spectrum that `f` keeps and
-    the agreement profile that `members` keeps, so analyses that share a
-    payoff or a set share those values too.
+    The pointwise statistics of the restriction (`fairness`, and `linf`
+    = ||f * 1_A||_inf) are computed on construction; the multiplicative
+    gap is None when the restricted mean is not positive.  The degree at
+    `tol` and the bound reports are computed on first use and then kept;
+    they read the spectrum that `f` keeps and the agreement profile that
+    `members` keeps, so analyses that share a payoff or a set share those
+    values too.  The group size and set size are `f.n` and `len(members)`.
     """
 
     def __init__(self, f: PayoffFn, members: OrderingSet, tol: float = DEGREE_TOL):
@@ -135,8 +133,6 @@ class Analysis:
         mean = float(self.on_set.sum() / factorial(f.n))
         trivial = (1.0 - 1.0 / factorial(f.n)) * top
         self.fairness = FairnessReport(
-            n=f.n,
-            set_size=len(members),
             max_value=top,
             mean_value=mean,
             additive_gap=top - mean,
@@ -207,39 +203,10 @@ class Analysis:
             degree=s,
             t_max=t,
             applicable=t < s and self.members.profile.size_gate,
-            additive_gap=gap,
-            max_on_set=linf,
             gap_ratio=gap / linf,
             rhs_coefficient=coeff,
             implied_constant=implied,
         )
-
-
-def additive_gap(f: PayoffFn, members: OrderingSet) -> float:
-    """Best member payoff minus the whole-group mean of the restriction."""
-    return Analysis(f, members).fairness.additive_gap
-
-
-def multiplicative_gap(f: PayoffFn, members: OrderingSet) -> float:
-    """Best member payoff over the whole-group mean of the restriction."""
-    ratio = Analysis(f, members).fairness.multiplicative_gap
-    if ratio is None:
-        raise DegenerateError("multiplicative gap needs a positive restricted mean")
-    return ratio
-
-
-def classify_fairness(f: PayoffFn, members: OrderingSet) -> str:
-    """'perfectly_fair', 'maximally_unfair', or 'other'."""
-    return Analysis(f, members).fairness.classification
-
-
-def uncertainty_bound(f: PayoffFn, members: OrderingSet) -> UncertaintyBound:
-    """Evaluate gap_plus <= (1 - sinf/s1) * ||f * 1_A||_inf."""
-    return Analysis(f, members).uncertainty
-
-
-def lower_bound_report(f: PayoffFn, members: OrderingSet) -> LowerBoundReport:
-    return Analysis(f, members).lower
 
 
 def nested_stabilizer_instance(

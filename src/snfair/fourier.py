@@ -150,7 +150,6 @@ class UncertaintyCheck:
     support_ratio: float  # ||f||_1 / ||f||_inf
     spread_ratio: float  # s1 / sinf
     product: float
-    group_order: int
     holds: bool
 
 
@@ -166,11 +165,9 @@ def uncertainty_check(f: PayoffFn) -> UncertaintyCheck:
     support_ratio = l1 / linf
     spread_ratio = summary.s1 / summary.sinf
     product = support_ratio * spread_ratio
-    order = factorial(f.n)
     return UncertaintyCheck(
         support_ratio=support_ratio,
         spread_ratio=spread_ratio,
         product=product,
-        group_order=order,
-        holds=product >= order * (1.0 - SUPPORT_SPREAD_TOL),
+        holds=product >= factorial(f.n) * (1.0 - SUPPORT_SPREAD_TOL),
     )

@@ -50,8 +50,7 @@ class IntersectionProfile:
 
     t_max: int
     common_pairs: tuple[tuple[int, int], ...]
-    size: int
-    size_gate: bool  # size >= (n - t_max)!
+    size_gate: bool  # the set has at least (n - t_max)! members
 
 
 def intersection_profile(members: OrderingSet) -> IntersectionProfile:
@@ -74,9 +73,7 @@ def intersection_profile(members: OrderingSet) -> IntersectionProfile:
         t_max = _tiled_minimum(words, t_max, floor)
 
     gate = m >= factorial(n - t_max)
-    return IntersectionProfile(
-        t_max=t_max, common_pairs=common_pairs, size=m, size_gate=gate
-    )
+    return IntersectionProfile(t_max=t_max, common_pairs=common_pairs, size_gate=gate)
 
 
 def _tiled_minimum(words: np.ndarray, t_max: int, floor: int) -> int:
@@ -105,11 +102,10 @@ def _one_hot(words: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class IndicatorDegreeReport:
-    """Measured agreement level versus the indicator's spectral degree."""
+    """The indicator's spectral degree against the set's agreement level,
+    which the set's `profile` holds."""
 
-    t_max: int
     deg_indicator: int
-    size_gate: bool
     claim_holds: bool
 
 
@@ -132,12 +128,7 @@ def verify_indicator_degree(
     deg = degree(indicator_payoff(members), tol=DEGREE_TOL if tol is None else tol)
     required = min(profile.t_max, members.n - 1)
     holds = (not profile.size_gate) or deg >= required
-    return IndicatorDegreeReport(
-        t_max=profile.t_max,
-        deg_indicator=deg,
-        size_gate=profile.size_gate,
-        claim_holds=holds,
-    )
+    return IndicatorDegreeReport(deg_indicator=deg, claim_holds=holds)
 
 
 def stabilizer_set(n: int, pairs) -> OrderingSet:

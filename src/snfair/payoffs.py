@@ -1,8 +1,9 @@
 """Payoff generators: concrete families of functions on orderings.
 
 Every generator returns a dense :class:`PayoffFn` whose entry at rank r
-is the payoff of the ordering with that rank, and every family produces
-nonnegative values.
+is the payoff of the ordering with that rank.  The CFMM, liquidation and
+random families produce nonnegative values; a junta payoff is negative
+wherever a term with a negative coefficient holds.
 
 CFMM sandwich-style model: n labeled trades with signed sizes; executing
 trade with size D against price p books extraction beta * D^2 * p and
@@ -37,6 +38,13 @@ if TYPE_CHECKING:
     from .fourier import FourierSpectrum
     from .sets import OrderingSet
 
+# Largest |value| a payoff may hold.  Transform block entries reach
+# n! * max|v| and Frobenius norms square them, so n! * max|v| must stay
+# below sqrt(float max) ~ 1.3e154 for every n <= 10 (10! ~ 3.6e6): a
+# constant 1e150 already overflows at n = 8 and 1e145 does not, so 1e100
+# leaves a wide margin.
+MAX_MAGNITUDE = 1e100
+
 
 @dataclass(frozen=True, eq=False)
 class PayoffFn:
@@ -54,6 +62,8 @@ class PayoffFn:
             )
         if not np.all(np.isfinite(vals)):
             raise ValueError("payoff values must be finite")
+        if max(vals.max(), -vals.min()) > MAX_MAGNITUDE:
+            raise ValueError(f"payoff values must not exceed {MAX_MAGNITUDE:g} in magnitude")
         vals = vals.copy()
         vals.setflags(write=False)
         object.__setattr__(self, "values", vals)
@@ -103,18 +113,21 @@ def cfmm_payoff(model: CfmmModel) -> PayoffFn:
     n = model.n
     perms = group_matrix(n)
     sizes = np.asarray(model.deltas)[perms - 1]  # (n!, n) trade size per slot
-    # prior[:, k] = price before slot k: the price factors, their running
-    # product times p0, then shifted one slot right behind p0, all in place
-    prior = model.gamma * sizes
-    prior += 1.0
-    np.cumprod(prior, axis=1, out=prior)
-    prior *= model.p0
-    for k in range(n - 1, 0, -1):
-        prior[:, k] = prior[:, k - 1]
-    prior[:, 0] = model.p0
-    sizes *= sizes
-    sizes *= prior
-    values = model.beta * sizes.sum(axis=1)
+    # Values past the float range become inf or nan silently here; the
+    # PayoffFn check then rejects them with one message.
+    with np.errstate(over="ignore", invalid="ignore"):
+        # prior[:, k] = price before slot k: the price factors, their running
+        # product times p0, then shifted one slot right behind p0, all in place
+        prior = model.gamma * sizes
+        prior += 1.0
+        np.cumprod(prior, axis=1, out=prior)
+        prior *= model.p0
+        for k in range(n - 1, 0, -1):
+            prior[:, k] = prior[:, k - 1]
+        prior[:, 0] = model.p0
+        sizes *= sizes
+        sizes *= prior
+        values = model.beta * sizes.sum(axis=1)
     return PayoffFn(n, values)
 
 

@@ -2,7 +2,8 @@
 
 An :class:`OrderingSet` holds its members as one read-only int64 array of
 strictly increasing Lehmer ranks, so masks, word matrices and payoff
-restrictions index with it directly.  It keeps its agreement `profile`,
+restrictions index with it directly; the rows of :meth:`OrderingSet.matrix`
+are the members' one-line words.  It keeps its agreement `profile`,
 scanned on first use.
 """
 from __future__ import annotations
@@ -14,7 +15,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .permutations import Permutation, check_enumerable, group_matrix, lehmer_unrank
+from .permutations import check_enumerable, group_matrix
 
 if TYPE_CHECKING:
     from .intersecting import IntersectionProfile
@@ -87,6 +88,3 @@ class OrderingSet:
     def matrix(self) -> np.ndarray:
         """Members as one-line words, one row per member (int8)."""
         return group_matrix(self.n)[self.members]
-
-    def permutations(self) -> tuple[Permutation, ...]:
-        return tuple(lehmer_unrank(self.n, r) for r in self.members.tolist())

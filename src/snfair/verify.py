@@ -16,15 +16,19 @@ check holds.
   the corpus, with equality for the point mass and the constant.
   ``tol`` is not read (see ``fourier.SUPPORT_SPREAD_TOL``, ``EQUALITY_RTOL``).
 - eigenvalue: the per-shape averaging blocks of symmetric connection sets
-  against the dense operator (n <= 4), and the spectral bound flags.
+  against the dense operator (n <= 4), and the spectral bound flags.  A
+  case's bound is satisfied by the "normalized" scaling or by "neither":
+  the raw scaling breaks every bound the normalized one breaks.
   ``tol`` is not read (see ``cayley.BOUND_TOL``, ``DENSE_BLOCK_TOL``).
 - indicator_degree: large high-agreement sets have high-degree
-  indicators (stabilizer and admissible sets).  ``tol`` is the degree
+  indicators (stabilizer and admissible sets), with each set's agreement
+  level and size gate read from its profile.  ``tol`` is the degree
   threshold, relative to ||f||_2 (see ``fourier.DEGREE_TOL``).
 - claim1: the spectral upper bound on the additive gap for every corpus
   payoff over every corpus set.  ``tol`` is the negative slack allowed.
-- claim2: the lower-bound regime on nested stabilizer instances.  ``tol``
-  is not read (degrees use ``fourier.DEGREE_TOL``).
+- claim2: the lower-bound regime (``Analysis.lower``) on nested
+  stabilizer instances.  ``tol`` is not read (degrees use
+  ``fourier.DEGREE_TOL``).
 
 Payoffs and sets keep what is derived from them, so claim1 transforms
 each corpus payoff and profiles each corpus set once, and eigenvalue
@@ -40,7 +44,7 @@ from math import factorial
 import numpy as np
 
 from .cayley import SymmetricSet, block_operators, bound_violations, dense_operator, symmetrize
-from .fairness import Analysis, lower_bound_report, nested_stabilizer_instance
+from .fairness import Analysis, nested_stabilizer_instance
 from .fourier import inverse, transform, uncertainty_check
 from .intersecting import stabilizer_set, verify_indicator_degree
 from .partitions import dimension, partitions_of
@@ -205,9 +209,7 @@ def _suite_eigenvalue(n: int, seed: int, tol: float):
             consistent = True
         normalized_bad = bound_violations(conn, normalized=True)
         raw_bad = bound_violations(conn, normalized=False)
-        satisfied = "normalized" if not normalized_bad else (
-            "unnormalized" if not raw_bad else "neither"
-        )
+        satisfied = "neither" if normalized_bad else "normalized"
         ok = consistent and satisfied != "neither"
         yield ok, {
             "set": label,
@@ -241,9 +243,9 @@ def _suite_indicator_degree(n: int, seed: int, tol: float):
         yield report.claim_holds, {
             "set": label,
             "size": len(members),
-            "t_max": report.t_max,
+            "t_max": members.profile.t_max,
             "degree": report.deg_indicator,
-            "size_gate": report.size_gate,
+            "size_gate": members.profile.size_gate,
             "claim_holds": report.claim_holds,
         }
 
@@ -281,7 +283,7 @@ def _suite_claim2(n: int, seed: int, tol: float):
         instances.append((2, 4))
     for outer, inner in instances:
         f, members = nested_stabilizer_instance(n, outer, inner)
-        report = lower_bound_report(f, members)
+        report = Analysis(f, members).lower
         finite_positive = (
             report.implied_constant is not None
             and np.isfinite(report.implied_constant)

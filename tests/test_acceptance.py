@@ -11,17 +11,10 @@ from math import factorial
 
 import numpy as np
 
-from snfair.cayley import SymmetricSet, block_operator, bound_violations, dense_operator, symmetrize
+from snfair.cayley import SymmetricSet, block_operators, bound_violations, dense_operator, symmetrize
 from snfair.cli import main
 from snfair.errors import DegenerateError
-from snfair.fairness import (
-    additive_gap,
-    classify_fairness,
-    lower_bound_report,
-    multiplicative_gap,
-    nested_stabilizer_instance,
-    uncertainty_bound,
-)
+from snfair.fairness import Analysis, nested_stabilizer_instance
 from snfair.fourier import PayoffFn, degree, inverse, transform, uncertainty_check
 from snfair.intersecting import stabilizer_set, intersection_profile, verify_indicator_degree
 from snfair.partitions import dimension, partitions_of
@@ -173,13 +166,15 @@ def test_criterion_06_fairness_exact_cases():
         whole = OrderingSet.full_group(n)
         delta = PayoffFn(n, np.eye(factorial(n))[0])
         const = PayoffFn(n, np.full(factorial(n), 2.0))
+        delta_fair = Analysis(delta, whole).fairness
+        const_fair = Analysis(const, whole).fairness
         worst = max(
             worst,
-            abs(additive_gap(delta, whole) - (1 - 1 / factorial(n))),
-            abs(additive_gap(const, whole)),
+            abs(delta_fair.additive_gap - (1 - 1 / factorial(n))),
+            abs(const_fair.additive_gap),
         )
-        assert classify_fairness(delta, whole) == "maximally_unfair"
-        assert classify_fairness(const, whole) == "perfectly_fair"
+        assert delta_fair.classification == "maximally_unfair"
+        assert const_fair.classification == "perfectly_fair"
     # Connecting identity on a mixed corpus of analyses.
     rng = np.random.default_rng(6)
     identity_worst = 0.0
@@ -200,8 +195,9 @@ def test_criterion_06_fairness_exact_cases():
                 vals = f.values[list(members.members)]
                 if vals.sum() <= 0.0:
                     continue
-                gap = additive_gap(f, members)
-                star = multiplicative_gap(f, members)
+                fair = Analysis(f, members).fairness
+                gap = fair.additive_gap
+                star = fair.multiplicative_gap
                 identity_worst = max(
                     identity_worst,
                     abs(gap - float(vals.max()) * (1 - 1 / star)),
@@ -279,7 +275,7 @@ def test_criterion_09_uncertainty_fairness_bound():
                 vals = f.values[list(members.members)]
                 if float(np.abs(vals).max()) == 0.0:
                     continue  # bound degenerate: nothing to extract on the set
-                rep = uncertainty_bound(f, members)
+                rep = Analysis(f, members).uncertainty
                 checked += 1
                 if rep.additive_gap > rep.bound + 1e-9:
                     violations.append((p_label, s_label))
@@ -315,11 +311,12 @@ def test_criterion_10_cayley_blocks():
             conns[f"random_{trial}"] = symmetrize(OrderingSet.from_ranks(n, picks))
         for label, conn in conns.items():
             dense = np.sort(np.linalg.eigvalsh(dense_operator(conn)))
+            scaled = block_operators(conn)
             blocks = np.sort(
                 np.concatenate(
                     [
                         np.repeat(
-                            np.linalg.eigvalsh(block_operator(conn, s)), dimension(s)
+                            np.linalg.eigvalsh(scaled[s]), dimension(s)
                         )
                         for s in partitions_of(n)
                     ]
@@ -340,7 +337,7 @@ def test_criterion_11_low_agreement_constant():
     results = {}
     for n in (5, 6):
         f, members = nested_stabilizer_instance(n, 1, 3)
-        rep = lower_bound_report(f, members)
+        rep = Analysis(f, members).lower
         results[n] = rep
     hard = all(
         rep.applicable

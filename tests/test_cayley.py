@@ -3,12 +3,14 @@ from math import factorial
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import snfair.cayley
 from snfair.cayley import (
     BOUND_TOL,
     SymmetricSet,
-    block_operator,
+    block_operators,
     bound_violations,
     dense_operator,
     spectrum_report,
@@ -18,7 +20,7 @@ from snfair.errors import EmptySetError
 from snfair.fourier import PayoffFn, transform
 from snfair.partitions import dimension, partitions_of
 from snfair.payoffs import random_payoff
-from snfair.permutations import Permutation, enumerate_group, lehmer_unrank
+from snfair.permutations import Permutation, lehmer_unrank
 from snfair.representations import evaluate, fft
 from snfair.sets import OrderingSet
 
@@ -77,19 +79,17 @@ def test_closure_and_symmetrize_match_per_element_inverses(n):
 
 
 def test_identity_connection_gives_identity_blocks():
-    conn = SymmetricSet(4, (0,))
+    blocks = block_operators(SymmetricSet(4, (0,)))
     for shape in partitions_of(4):
-        np.testing.assert_array_equal(
-            block_operator(conn, shape), np.eye(dimension(shape))
-        )
+        np.testing.assert_array_equal(blocks[shape], np.eye(dimension(shape)))
 
 
 def test_full_group_connection_annihilates_nontrivial_blocks():
     n = 4
-    conn = SymmetricSet(n, tuple(range(factorial(n))))
-    np.testing.assert_allclose(block_operator(conn, (n,)), [[1.0]], atol=1e-12)
+    blocks = block_operators(SymmetricSet(n, tuple(range(factorial(n)))))
+    np.testing.assert_allclose(blocks[(n,)], [[1.0]], atol=1e-12)
     for shape in partitions_of(n)[1:]:
-        assert np.abs(block_operator(conn, shape)).max() < 1e-12
+        assert np.abs(blocks[shape]).max() < 1e-12
 
 
 def test_frozen_two_element_example():
@@ -114,11 +114,12 @@ def test_dense_spectrum_equals_block_union():
         sets["random"] = symmetrize(OrderingSet.from_ranks(n, picks))
         for conn in sets.values():
             dense = np.sort(np.linalg.eigvalsh(dense_operator(conn)))
+            scaled = block_operators(conn)
             blocks = np.sort(
                 np.concatenate(
                     [
                         np.repeat(
-                            np.linalg.eigvalsh(block_operator(conn, s)),
+                            np.linalg.eigvalsh(scaled[s]),
                             dimension(s),
                         )
                         for s in partitions_of(n)
@@ -146,8 +147,9 @@ def test_averaging_acts_blockwise_on_transforms():
     g_vals = dense_operator(conn) @ f.values
     g_spec = transform(PayoffFn(n, g_vals))
     f_spec = transform(f)
+    scaled = block_operators(conn)
     for shape in partitions_of(n):
-        expect = block_operator(conn, shape) @ f_spec.blocks[shape]
+        expect = scaled[shape] @ f_spec.blocks[shape]
         np.testing.assert_allclose(g_spec.blocks[shape], expect, atol=1e-9)
 
 
@@ -166,20 +168,29 @@ def test_unnormalized_bound_can_fail_where_normalized_holds():
     assert len(bound_violations(conn, normalized=False)) > 0
 
 
+@settings(max_examples=60, deadline=None)
+@given(st.integers(2, 5), st.data())
+def test_normalized_violations_are_raw_violations(n, data):
+    # raw gram eigenvalues are the normalized ones times |F|^2 >= 1, against
+    # the same bound, so the raw scaling never passes where the normalized fails
+    ranks = data.draw(st.lists(st.integers(0, factorial(n) - 1), min_size=1, max_size=12))
+    conn = symmetrize(OrderingSet.from_ranks(n, ranks))
+    normalized = bound_violations(conn, normalized=True)
+    assert set(normalized) <= set(bound_violations(conn, normalized=False))
+
+
 def test_block_operator_matches_evaluate_sum_at_n7():
     n = 7
     rng = np.random.default_rng(17)
     picks = rng.choice(factorial(n), size=4, replace=False)
     for conn in (all_transpositions(n), symmetrize(OrderingSet.from_ranks(n, picks))):
         perms = [lehmer_unrank(n, r) for r in conn.members]
+        raw_blocks = block_operators(conn, normalized=False)
+        scaled = block_operators(conn)
         for shape in partitions_of(n):
             raw = sum(evaluate(shape, p) for p in perms)
-            np.testing.assert_allclose(
-                block_operator(conn, shape, normalized=False), raw, atol=1e-12
-            )
-            np.testing.assert_allclose(
-                block_operator(conn, shape), raw / len(conn), atol=1e-12
-            )
+            np.testing.assert_allclose(raw_blocks[shape], raw, atol=1e-12)
+            np.testing.assert_allclose(scaled[shape], raw / len(conn), atol=1e-12)
 
 
 def test_bound_violations_of_given_blocks_match_the_sets_own_transform(monkeypatch):

@@ -9,6 +9,7 @@ import os
 import subprocess
 import sys
 import tracemalloc
+import warnings
 from unittest import mock
 
 import numpy as np
@@ -348,6 +349,8 @@ def test_verify_past_max_n_is_usage_error(tmp_path):
         (["analyze", "--payoff", "{path}", "--set", "{path}", "--tol", "nan"], None, "--tol"),
         (["verify", "--suite", "claim1", "--tol", "inf"], None, "--tol"),
         (["gen-payoff", "--model", "random", "--n", "3", "--tol", "-1"], None, "--tol"),
+        (["gen-payoff", "--model", "random", "--n", "3", "--seed", "-1"], None,
+         "--seed must be an integer >= 0, got -1"),
         (["transform", "--payoff", "{dir}"], None, "Is a directory: {dir}"),
         (["gen-payoff", "--model", "random", "--n", "3", "--out", "{dir}/missing/x.json"], None,
          "No such file or directory: {dir}/missing/x.json"),
@@ -359,6 +362,15 @@ def test_verify_past_max_n_is_usage_error(tmp_path):
          "malformed payoff file {path}: payoff values must be finite"),
         (["transform", "--payoff", "{path}"], b'{"n": 2, "values": [1' + b"0" * 400 + b", 1]}",
          "malformed payoff file {path}: payoff values must be finite"),
+        # finite, but the transform's norms would overflow
+        (["analyze", "--payoff", "{path}", "--set", "{path}"],
+         {"n": 4, "values": [1e160] + [0.0] * 23},
+         "malformed payoff file {path}: payoff values must not exceed 1e+100 in magnitude"),
+        (["transform", "--payoff", "{path}", "--out", "{dir}/spec.json"],
+         {"n": 3, "values": [1e308] * 6},
+         "malformed payoff file {path}: payoff values must not exceed 1e+100 in magnitude"),
+        (["gen-payoff", "--model", "cfmm", "--deltas", "1e200,1,2"], None,
+         "payoff values must be finite"),
         (["transform", "--payoff", "{path}"],
          b'{"n": 2, "values": [1, 2], "x": ' + b"[" * 100000 + b"]" * 100000 + b"}",
          "malformed payoff file {path}: nested too deeply"),
@@ -372,8 +384,10 @@ def test_verify_past_max_n_is_usage_error(tmp_path):
     ids=["no-n", "top-level-list", "float-n", "bool-n", "string-n", "huge-n", "verify-n0",
          "float-member", "bool-member", "scalar-members", "float-vote", "scalar-validators",
          "string-value", "bool-value", "scalar-values", "tol-nan", "tol-inf", "tol-negative",
-         "payoff-is-dir", "out-dir-missing", "csv-dir-missing", "verify-out-is-dir",
-         "float-past-range-value", "int-past-float-value", "deep-payoff", "deep-votes", "non-utf8-set"],
+         "seed-negative", "payoff-is-dir", "out-dir-missing", "csv-dir-missing",
+         "verify-out-is-dir", "float-past-range-value", "int-past-float-value",
+         "point-mass-past-limit", "constant-past-limit", "cfmm-overflow", "deep-payoff",
+         "deep-votes", "non-utf8-set"],
 )
 def test_malformed_input_is_one_line_usage_error(argv, content, reason, tmp_path, capsys):
     # bytes are the file's raw text; anything else is written as JSON
@@ -382,9 +396,14 @@ def test_malformed_input_is_one_line_usage_error(argv, content, reason, tmp_path
         path.write_bytes(content)
     else:
         path.write_text(json.dumps(content))
-    assert run(*(arg.format(path=path, dir=tmp_path) for arg in argv)) == EXIT_USAGE
+    # pytest records warnings in-process, so capsys would never see one
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert run(*(arg.format(path=path, dir=tmp_path) for arg in argv)) == EXIT_USAGE
+    assert [str(w.message) for w in caught] == []
     err = capsys.readouterr().err.strip().splitlines()
     assert len(err) == 1 and reason.format(path=path, dir=tmp_path) in err[0]
+    assert not (tmp_path / "spec.json").exists()
 
 
 @pytest.mark.parametrize(

@@ -10,15 +10,7 @@ import snfair.fourier
 import snfair.intersecting
 from snfair.cayley import symmetrize
 from snfair.errors import DegenerateError, EmptySetError
-from snfair.fairness import (
-    Analysis,
-    additive_gap,
-    classify_fairness,
-    lower_bound_report,
-    multiplicative_gap,
-    nested_stabilizer_instance,
-    uncertainty_bound,
-)
+from snfair.fairness import Analysis, nested_stabilizer_instance
 from snfair.fourier import PayoffFn
 from snfair.intersecting import stabilizer_set
 from snfair.payoffs import CfmmModel, cfmm_payoff, indicator_payoff, random_payoff
@@ -28,35 +20,35 @@ from snfair.sets import OrderingSet
 def test_two_member_indicator_gaps():
     n = 3
     members = OrderingSet(n, (0, 1))
-    f = indicator_payoff(members)
-    assert additive_gap(f, members) == pytest.approx(2.0 / 3.0)
-    assert multiplicative_gap(f, members) == pytest.approx(3.0)
-    assert Analysis(f, members).fairness.conditional_gap == pytest.approx(0.0)
+    fair = Analysis(indicator_payoff(members), members).fairness
+    assert fair.additive_gap == pytest.approx(2.0 / 3.0)
+    assert fair.multiplicative_gap == pytest.approx(3.0)
+    assert fair.conditional_gap == pytest.approx(0.0)
 
 
-def test_indicator_multiplicative_gap_is_group_order_over_size():
+def test_indicator_multiplicative_gap_is_factorial_over_size():
     n = 4
     for size in (1, 6, 24):
         members = OrderingSet(n, tuple(range(size)))
-        f = indicator_payoff(members)
-        assert multiplicative_gap(f, members) == pytest.approx(factorial(n) / size)
+        fair = Analysis(indicator_payoff(members), members).fairness
+        assert fair.multiplicative_gap == pytest.approx(factorial(n) / size)
 
 
 def test_constant_payoff_is_perfectly_fair():
     n = 4
     f = PayoffFn(n, 2.5 * np.ones(factorial(n)))
-    members = OrderingSet.full_group(n)
-    assert additive_gap(f, members) == pytest.approx(0.0, abs=1e-12)
-    assert multiplicative_gap(f, members) == pytest.approx(1.0)
-    assert classify_fairness(f, members) == "perfectly_fair"
+    fair = Analysis(f, OrderingSet.full_group(n)).fairness
+    assert fair.additive_gap == pytest.approx(0.0, abs=1e-12)
+    assert fair.multiplicative_gap == pytest.approx(1.0)
+    assert fair.classification == "perfectly_fair"
 
 
 def test_point_mass_is_maximally_unfair():
     n = 4
     f = PayoffFn(n, np.eye(factorial(n))[3])
-    members = OrderingSet.full_group(n)
-    assert additive_gap(f, members) == pytest.approx(1.0 - 1.0 / factorial(n))
-    assert classify_fairness(f, members) == "maximally_unfair"
+    fair = Analysis(f, OrderingSet.full_group(n)).fairness
+    assert fair.additive_gap == pytest.approx(1.0 - 1.0 / factorial(n))
+    assert fair.classification == "maximally_unfair"
 
 
 def test_connecting_identity_between_gaps():
@@ -68,9 +60,9 @@ def test_connecting_identity_between_gaps():
         size = int(rng.integers(1, 25))
         members = OrderingSet.from_ranks(n, rng.choice(24, size=size, replace=False))
         vals = f.values[list(members.members)]
-        gap = additive_gap(f, members)
-        star = multiplicative_gap(f, members)
-        assert gap == pytest.approx(vals.max() * (1.0 - 1.0 / star), abs=1e-12)
+        fair = Analysis(f, members).fairness
+        star = fair.multiplicative_gap
+        assert fair.additive_gap == pytest.approx(vals.max() * (1.0 - 1.0 / star), abs=1e-12)
 
 
 def test_gap_never_exceeds_trivial_bound():
@@ -78,19 +70,19 @@ def test_gap_never_exceeds_trivial_bound():
     for trial in range(20):
         f = random_payoff(4, seed=100 + trial)
         members = OrderingSet.from_ranks(4, rng.choice(24, size=8, replace=False))
-        trivial = Analysis(f, members).fairness.trivial_bound
-        assert additive_gap(f, members) <= trivial + 1e-12
+        fair = Analysis(f, members).fairness
+        assert fair.additive_gap <= fair.trivial_bound + 1e-12
 
 
 def test_classification_generic_cfmm():
     f = cfmm_payoff(CfmmModel(deltas=(1.0, 2.0, -1.0, -2.0)))
-    assert classify_fairness(f, OrderingSet.full_group(4)) == "other"
+    assert Analysis(f, OrderingSet.full_group(4)).fairness.classification == "other"
 
 
 def test_uncertainty_bound_point_mass_is_tight():
     n = 4
     f = PayoffFn(n, np.eye(factorial(n))[7])
-    report = uncertainty_bound(f, OrderingSet.full_group(n))
+    report = Analysis(f, OrderingSet.full_group(n)).uncertainty
     assert report.slack == pytest.approx(0.0, abs=1e-12)
     assert report.bound == pytest.approx(1.0 - 1.0 / factorial(n))
 
@@ -98,7 +90,7 @@ def test_uncertainty_bound_point_mass_is_tight():
 def test_uncertainty_bound_constant_is_zero():
     n = 4
     f = PayoffFn(n, np.ones(factorial(n)))
-    report = uncertainty_bound(f, OrderingSet.full_group(n))
+    report = Analysis(f, OrderingSet.full_group(n)).uncertainty
     assert report.bound == pytest.approx(0.0, abs=1e-12)
     assert report.additive_gap == pytest.approx(0.0, abs=1e-12)
 
@@ -109,7 +101,7 @@ def test_uncertainty_bound_holds_on_random_corpus():
         f = random_payoff(4, seed=200 + trial)
         size = int(rng.integers(1, 25))
         members = OrderingSet.from_ranks(4, rng.choice(24, size=size, replace=False))
-        report = uncertainty_bound(f, members)
+        report = Analysis(f, members).uncertainty
         assert report.slack >= -1e-9
 
 
@@ -118,14 +110,14 @@ def test_uncertainty_bound_holds_on_random_corpus():
 def test_gap_never_exceeds_uncertainty_bound_on_random_sets(n, seed, data):
     f = random_payoff(n, seed=seed)
     ranks = data.draw(st.lists(st.integers(0, factorial(n) - 1), min_size=1, max_size=50))
-    report = uncertainty_bound(f, OrderingSet.from_ranks(n, ranks))
+    report = Analysis(f, OrderingSet.from_ranks(n, ranks)).uncertainty
     assert report.slack >= -1e-9
 
 
 def test_uncertainty_bound_cfmm_on_stabilizer():
     f = cfmm_payoff(CfmmModel(deltas=(1.0, 2.0, -1.0, -2.0, 0.5)))
     members = stabilizer_set(5, [(1, 1)])
-    report = uncertainty_bound(f, members)
+    report = Analysis(f, members).uncertainty
     assert report.slack >= 0.0
 
 
@@ -133,7 +125,7 @@ def test_uncertainty_bound_zero_restriction_rejected():
     n = 3
     f = PayoffFn(n, np.eye(6)[5])
     with pytest.raises(DegenerateError):
-        uncertainty_bound(f, OrderingSet(n, (0, 1)))
+        Analysis(f, OrderingSet(n, (0, 1))).uncertainty
 
 
 def test_upper_regime_constant_payoff():
@@ -171,19 +163,20 @@ def test_lower_regime_point_mass_closed_form():
     # so the implied constant collapses to 1/(n-2).
     for n in (4, 5):
         f = PayoffFn(n, np.eye(factorial(n))[0])
-        report = lower_bound_report(f, OrderingSet.full_group(n))
+        pair = Analysis(f, OrderingSet.full_group(n))
+        report = pair.lower
         assert report.degree == n - 1
         assert report.t_max == 0
         assert report.applicable
         assert report.implied_constant == pytest.approx(1.0 / (n - 2))
         # rhs at the implied constant reproduces the measured gap
-        rhs = (1.0 - report.implied_constant * report.rhs_coefficient) * report.max_on_set
-        assert rhs == pytest.approx(report.additive_gap)
+        rhs = (1.0 - report.implied_constant * report.rhs_coefficient) * pair.linf
+        assert rhs == pytest.approx(pair.fairness.additive_gap)
 
 
 def test_nested_stabilizer_instances_frozen_values():
     f5, a5 = nested_stabilizer_instance(5, 1, 3)
-    r5 = lower_bound_report(f5, a5)
+    r5 = Analysis(f5, a5).lower
     assert r5.applicable
     assert r5.t_max == 1
     assert r5.degree == 3
@@ -191,7 +184,7 @@ def test_nested_stabilizer_instances_frozen_values():
     assert r5.gap_ratio >= 0.9
 
     f6, a6 = nested_stabilizer_instance(6, 1, 3)
-    r6 = lower_bound_report(f6, a6)
+    r6 = Analysis(f6, a6).lower
     assert r6.applicable
     assert r6.implied_constant == pytest.approx(1.0)
     ratio = r6.implied_constant / r5.implied_constant
@@ -212,12 +205,10 @@ def test_fairness_report_bundles_consistently():
     members = stabilizer_set(4, [(2, 2)])
     report = Analysis(f, members).fairness
     on_set = f.values[members.members]
-    assert report.n == 4
-    assert report.set_size == 6
-    assert report.additive_gap == pytest.approx(additive_gap(f, members))
+    assert report.additive_gap == pytest.approx(on_set.max() - on_set.sum() / 24)
     assert report.conditional_gap == pytest.approx(on_set.max() - on_set.mean())
     assert report.trivial_bound == pytest.approx((1.0 - 1.0 / 24) * on_set.max())
-    assert report.classification == classify_fairness(f, members) == "other"
+    assert report.classification == "other"
 
 
 def test_analysis_with_a_given_spectrum_transforms_only_the_restriction(monkeypatch):
@@ -257,15 +248,9 @@ def test_analysis_computes_each_spectrum_and_profile_once(monkeypatch):
     f = cfmm_payoff(CfmmModel(deltas=(1.0, 2.0, -1.0, -2.0, 0.5)))
     members = stabilizer_set(5, [(1, 1)])
     pair = Analysis(f, members)
-    reports = (pair.fairness, pair.uncertainty, pair.upper, pair.lower)
+    pair.uncertainty, pair.upper, pair.lower  # every report, each computed once
     assert pair.degree == pair.upper.degree == pair.lower.degree
     assert calls == {"transform": 2, "profile": 1}
-    # the one-report shortcuts give the same answers as the shared pass
-    assert (reports[0].additive_gap, reports[1], reports[3]) == (
-        additive_gap(f, members),
-        uncertainty_bound(f, members),
-        lower_bound_report(f, members),
-    )
 
 
 def test_kept_values_are_computed_once_and_read_only():
@@ -298,9 +283,8 @@ def test_kept_values_are_computed_once_and_read_only():
 def test_size_mismatch_and_empty_set_errors():
     f = random_payoff(4, seed=0)
     with pytest.raises(ValueError):
-        additive_gap(f, OrderingSet.full_group(3))
+        Analysis(f, OrderingSet.full_group(3))
     with pytest.raises(EmptySetError):
-        additive_gap(f, OrderingSet(4, ()))
+        Analysis(f, OrderingSet(4, ()))
     zero = PayoffFn(3, np.zeros(6))
-    with pytest.raises(DegenerateError):
-        multiplicative_gap(zero, OrderingSet.full_group(3))
+    assert Analysis(zero, OrderingSet.full_group(3)).fairness.multiplicative_gap is None

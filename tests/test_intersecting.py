@@ -36,7 +36,6 @@ def test_slot1_stabilizer_in_s3():
     profile = intersection_profile(members)
     assert profile.t_max == 1
     assert profile.common_pairs == ((1, 1),)
-    assert profile.size == 2
     assert profile.size_gate  # 2 >= (3-1)! is exactly met
 
 
@@ -156,28 +155,31 @@ def test_indicator_degree_two_pin_stabilizer():
     members = stabilizer_set(4, [(1, 1), (2, 2)])
     assert len(members) == 2
     report = verify_indicator_degree(members)
-    assert report.t_max == 2
+    assert members.profile.t_max == 2
     assert report.deg_indicator == 2
     assert report.claim_holds
 
 
 def test_indicator_degree_one_pin_s5():
-    report = verify_indicator_degree(stabilizer_set(5, [(1, 1)]))
-    assert report.t_max == 1
+    members = stabilizer_set(5, [(1, 1)])
+    report = verify_indicator_degree(members)
+    assert members.profile.t_max == 1
     assert report.deg_indicator == 1
     assert report.claim_holds
 
 
 def test_indicator_degree_full_group_vacuous():
-    report = verify_indicator_degree(OrderingSet.full_group(4))
-    assert report.t_max == 0
+    members = OrderingSet.full_group(4)
+    report = verify_indicator_degree(members)
+    assert members.profile.t_max == 0
     assert report.deg_indicator == 0
     assert report.claim_holds
 
 
 def test_indicator_degree_singleton_clamps_to_max_degree():
-    report = verify_indicator_degree(OrderingSet(4, (11,)))
-    assert report.t_max == 4
+    members = OrderingSet(4, (11,))
+    report = verify_indicator_degree(members)
+    assert members.profile.t_max == 4
     assert report.deg_indicator == 3  # point masses carry every shape
     assert report.claim_holds
 
@@ -190,8 +192,8 @@ def test_stabilizer_sizes():
 
 def test_stabilizer_members_satisfy_pins():
     members = stabilizer_set(4, [(2, 3), (4, 1)])
-    for p in members.permutations():
-        assert p(2) == 3 and p(4) == 1
+    for word in members.matrix():
+        assert word[1] == 3 and word[3] == 1
     assert len(members) == 2
 
 

@@ -65,7 +65,7 @@ def test_dimension_frozen_values():
     assert dimension((1, 1, 1, 1)) == 1
 
 
-def test_dimension_squares_sum_to_group_order():
+def test_dimension_squares_sum_to_factorial():
     for n in range(1, 11):
         assert sum(dimension(s) ** 2 for s in partitions_of(n)) == factorial(n)
 

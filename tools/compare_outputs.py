@@ -46,7 +46,8 @@ def _two_of_first_three_fixed(n: int) -> dict:
 
 # Input files written byte for byte into both work directories before the
 # commands run.  The CRLF files carry non-ASCII text in an unused key, and
-# the lone-CR payoff is malformed: its error names a line and column.
+# the lone-CR payoff is malformed: its error names a line and column.  The
+# two huge payoffs are finite but past the magnitude a transform can take.
 INPUTS = {
     "votes_unanimous6.json": _json({"n_tx": 6, "validators": [[2, 1, 3, 4, 5, 6]] * 3}),
     "votes_split5.json": _json({
@@ -62,6 +63,8 @@ INPUTS = {
     }),
     "set_crlf4.json": _crlf({"n": 4, "members": [0, 3, 5, 17, 22], "note": "Zürich"}),
     "payoff_cr.json": b'{"n": 2,\r "note": "\xc3\xa9",\r "values": [1.0,\r 2.0,]}',
+    "payoff_huge4.json": _json({"n": 4, "values": [1e160] + [0.0] * 23}),
+    "payoff_huge3.json": _json({"n": 3, "values": [1e308] * 6}),
 }
 
 
@@ -83,6 +86,9 @@ def _commands() -> list[list[str]]:
         ["gen-payoff", "--model", "random", "--n", "7", "--seed", "1", "--out", "random7.json"],
         # float arrays longer than one chunk of the streaming writer
         ["gen-payoff", "--model", "random", "--n", "9", "--max-n", "9", "--out", "random9.json"],
+        # rejected: trade sizes whose payoff overflows, and a negative seed
+        ["gen-payoff", "--model", "cfmm", "--deltas", "1e200,1,2"],
+        ["gen-payoff", "--model", "random", "--n", "3", "--seed", "-1"],
     ]
     for n in (4, 6, 7, 8):
         cmds.append(["simulate", "--n-tx", str(n), "--seed", str(n), "--out", f"iid{n}.json"])
@@ -103,6 +109,9 @@ def _commands() -> list[list[str]]:
         ["transform", "--payoff", "cfmm7.json", "--out", "spec7.json", "--csv", "spec7.csv"],
         ["transform", "--payoff", "sparse5.json"],
         ["transform", "--payoff", "payoff_cr.json"],
+        ["transform", "--payoff", "payoff_huge4.json", "--csv", "spec_huge4.csv"],
+        ["transform", "--payoff", "payoff_huge3.json", "--out", "spec_huge3.json",
+         "--csv", "spec_huge3.csv"],
         # 2-D blocks up to 90 x 90
         ["transform", "--payoff", "cfmm8.json", "--out", "spec8.json", "--csv", "spec8.csv"],
         # blocks up to 216 x 216, from generators built above n = 8
@@ -130,6 +139,7 @@ def _commands() -> list[list[str]]:
          "--out", "an_family7.json"],
         ["analyze", "--payoff", "cfmm6.json", "--set", "iid7.json"],
         ["analyze", "--payoff", "missing.json", "--set", "iid6.json"],
+        ["analyze", "--payoff", "payoff_huge4.json", "--set", "set_crlf4.json"],
         ["analyze", "--payoff", "ind_crlf4.json", "--set", "set_crlf4.json",
          "--out", "an_crlf4.json"],
         ["analyze", "--payoff", "ind_crlf4.json", "--set", "crlf4.json"],
