@@ -24,7 +24,7 @@ shape that breaks the normalized bound breaks the raw one too.
 
 A connection set is a :class:`SymmetricSet`: an ordering set that checks
 on construction that it is nonempty and closed under inversion.  Inverse
-ranks come from the argsort of the member words, ranked in one batch.
+ranks come from the argsort of the member words, ranked in row chunks.
 It keeps its raw blocks sum_{t in F} rho_shape(t), read-only; the
 normalized ones divide them by |F|, so both scalings share one transform.
 """
@@ -40,7 +40,7 @@ import numpy as np
 from .errors import EmptySetError
 from .fourier import FourierSpectrum
 from .partitions import dimension
-from .permutations import group_matrix, rank_of_word
+from .permutations import group_matrix, rank_of_word, row_chunks
 from .representations import fft
 from .sets import OrderingSet
 
@@ -51,8 +51,13 @@ BOUND_TOL = 1e-9
 
 
 def _inverse_ranks(members: OrderingSet) -> np.ndarray:
-    """Rank of each member's inverse: its word's argsort, ranked in one batch."""
-    return rank_of_word(np.argsort(members.matrix(), axis=1) + 1)
+    """Rank of each member's inverse: its word's argsort, ranked ROW_CHUNK
+    members at a time."""
+    perms = group_matrix(members.n)
+    inv = np.empty(len(members), dtype=np.int64)
+    for rows in row_chunks(len(members)):
+        inv[rows] = rank_of_word(np.argsort(perms[members.members[rows]], axis=1) + 1)
+    return inv
 
 
 # Frozen again, or the kept blocks could be replaced: a frozen parent

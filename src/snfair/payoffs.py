@@ -32,7 +32,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from .errors import ModelValidityError
-from .permutations import check_enumerable, group_matrix
+from .permutations import check_enumerable, group_matrix, row_chunks
 
 if TYPE_CHECKING:
     from .fourier import FourierSpectrum
@@ -109,25 +109,30 @@ class CfmmModel:
 
 
 def cfmm_payoff(model: CfmmModel) -> PayoffFn:
-    """Total extraction of every ordering of the model's trades."""
+    """Total extraction of every ordering of the model's trades, built
+    ROW_CHUNK orderings at a time."""
     n = model.n
     perms = group_matrix(n)
-    sizes = np.asarray(model.deltas)[perms - 1]  # (n!, n) trade size per slot
+    deltas = np.asarray(model.deltas)
+    values = np.empty(len(perms))
     # Values past the float range become inf or nan silently here; the
     # PayoffFn check then rejects them with one message.
     with np.errstate(over="ignore", invalid="ignore"):
-        # prior[:, k] = price before slot k: the price factors, their running
-        # product times p0, then shifted one slot right behind p0, all in place
-        prior = model.gamma * sizes
-        prior += 1.0
-        np.cumprod(prior, axis=1, out=prior)
-        prior *= model.p0
-        for k in range(n - 1, 0, -1):
-            prior[:, k] = prior[:, k - 1]
-        prior[:, 0] = model.p0
-        sizes *= sizes
-        sizes *= prior
-        values = model.beta * sizes.sum(axis=1)
+        for rows in row_chunks(len(perms)):
+            sizes = deltas[perms[rows] - 1]  # trade size per slot
+            # prior[:, k] = price before slot k: the price factors, their
+            # running product times p0, then shifted one slot right behind
+            # p0, all in place
+            prior = model.gamma * sizes
+            prior += 1.0
+            np.cumprod(prior, axis=1, out=prior)
+            prior *= model.p0
+            for k in range(n - 1, 0, -1):
+                prior[:, k] = prior[:, k - 1]
+            prior[:, 0] = model.p0
+            sizes *= sizes
+            sizes *= prior
+            values[rows] = model.beta * sizes.sum(axis=1)
     return PayoffFn(n, values)
 
 
@@ -162,12 +167,17 @@ class LiquidationModel:
 
 
 def liquidation_payoff(model: LiquidationModel) -> PayoffFn:
-    """Indicator of orderings whose running move total ever reaches -c."""
+    """Indicator of orderings whose running move total ever reaches -c,
+    built ROW_CHUNK orderings at a time."""
     n = model.n
     perms = group_matrix(n)
-    steps = np.asarray(model.moves)[perms - 1]
-    running = np.cumsum(steps, axis=1)
-    values = (running <= -model.c).any(axis=1).astype(float)
+    moves = np.asarray(model.moves, dtype=np.int8)
+    values = np.empty(len(perms))
+    for rows in row_chunks(len(perms)):
+        # int8 holds every running total: it stays within -k..k
+        running = moves[perms[rows] - 1]
+        np.cumsum(running, axis=1, dtype=np.int8, out=running)
+        values[rows] = (running <= -model.c).any(axis=1)
     return PayoffFn(n, values)
 
 

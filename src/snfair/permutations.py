@@ -13,6 +13,12 @@ Conventions used throughout the package:
 
 Exhaustive enumeration is capped at n <= 10 by :func:`check_enumerable`,
 the package's one size limit (see its docstring for the memory cost).
+Scans that would otherwise make n!-row temporaries (ranking a stack of
+words, the CFMM and liquidation payoffs, admissible and stabilizer sets,
+agreement profiles) take the rows :data:`ROW_CHUNK` at a time
+(:func:`row_chunks`).  Their temporaries then stay a few MB at any n,
+and each row goes through the same operations in the same order as in
+one whole-array pass, so every value comes out the same.
 """
 from __future__ import annotations
 
@@ -26,6 +32,16 @@ import numpy as np
 from .errors import CapacityError
 
 MAX_ENUMERABLE_N = 10
+
+# Rows per chunk of a scan over S_n: one float64 per entry of 65536
+# ten-item words is 5 MB.
+ROW_CHUNK = 65536
+
+
+def row_chunks(rows: int):
+    """Consecutive slices of at most ROW_CHUNK rows that cover range(rows)."""
+    for start in range(0, rows, ROW_CHUNK):
+        yield slice(start, min(start + ROW_CHUNK, rows))
 
 
 @dataclass(frozen=True)
@@ -87,12 +103,19 @@ def rank_of_word(words) -> np.ndarray:
     """Lehmer ranks of 1-based one-line words along the last axis (no validation).
 
     Digit i counts the later entries smaller than entry i; a single word
-    gives a 0-d array, a stack of words one rank per word.
+    gives a 0-d array, a stack of words one rank per word, ranked
+    ROW_CHUNK words at a time.
     """
     w = np.asarray(words)
     n = w.shape[-1]
-    digits = np.triu(w[..., :, None] > w[..., None, :], 1).sum(-1)
-    return digits @ np.array([factorial(n - 1 - i) for i in range(n)], dtype=np.int64)
+    weights = np.array([factorial(n - 1 - i) for i in range(n)], dtype=np.int64)
+    stack = w.reshape(-1, n)
+    ranks = np.empty(len(stack), dtype=np.int64)
+    for rows in row_chunks(len(stack)):
+        chunk = stack[rows]
+        digits = np.triu(chunk[:, :, None] > chunk[:, None, :], 1).sum(-1)
+        ranks[rows] = digits @ weights
+    return ranks.reshape(w.shape[:-1])
 
 
 def lehmer_unrank(n: int, r: int) -> Permutation:
@@ -126,10 +149,11 @@ def check_enumerable(n: int) -> None:
     resident (whole process, measured with getrusage on a 2-core Intel
     Xeon, numpy float64) and take about 2 s.  Whole ``snfair`` commands
     at n = 10 on that machine: ``simulate --latency adversarial_cycle``
-    peaks at 200 MB, ``gen-payoff --model random`` at 91 MB, ``--model
-    cfmm`` at 678 MB, ``transform`` at 285 MB, ``analyze`` of a CFMM
-    payoff on all 3628800 orders at 410 MB, and ``verify --suite claim1``
-    and ``--suite uncertainty`` at 0.98 and 0.85 GB.
+    peaks at 99 MB, ``gen-payoff --model random`` at 90 MB, ``--model
+    cfmm`` at 135 MB, ``--model liquidation`` at 120 MB, ``transform``
+    at 290 MB, ``analyze`` of a CFMM payoff on all 3628800 orders at
+    440 MB, and ``verify --suite claim1`` and ``--suite uncertainty`` at
+    509 and 327 MB.
     """
     if n < 1:
         raise ValueError("n must be positive")

@@ -19,7 +19,7 @@ from math import factorial
 
 import numpy as np
 
-from .permutations import group_matrix
+from .permutations import group_matrix, row_chunks
 from .sets import OrderingSet
 
 
@@ -88,8 +88,11 @@ def valid_orderings(graph: MajorityGraph) -> OrderingSet:
     """Orderings respecting every edge between different components.
 
     The ordering word lists transaction labels by execution slot, so tx i
-    precedes tx j when i appears earlier in the word.  Enumerating S_n
-    bounds n_tx by :func:`snfair.permutations.check_enumerable`.
+    precedes tx j when i appears earlier in the word.  S_n is scanned in
+    row chunks: for each chunk the int8 slot of every item on a cross
+    edge, then each cross edge's precedence ANDed into one n! boolean
+    mask, whose True ranks become the set.  Enumerating S_n bounds n_tx by
+    :func:`snfair.permutations.check_enumerable`.
     """
     n = graph.n_tx
     component = {}
@@ -99,17 +102,17 @@ def valid_orderings(graph: MajorityGraph) -> OrderingSet:
     cross_edges = [
         (i, j) for (i, j) in sorted(graph.edges) if component[i] != component[j]
     ]
+    items = sorted({v for edge in cross_edges for v in edge})
     perms = group_matrix(n)
-    # slot_of[v][r] = 0-based execution slot of item v under ordering r,
-    # found only for the items on cross edges
-    slot_of = {
-        v: (perms == v).argmax(axis=1).astype(np.int8)
-        for v in sorted({v for edge in cross_edges for v in edge})
-    }
     keep = np.ones(factorial(n), dtype=bool)
-    for i, j in cross_edges:
-        keep &= slot_of[i] < slot_of[j]
-    return OrderingSet.from_ranks(n, np.nonzero(keep)[0])
+    for rows in row_chunks(len(keep)):
+        words = perms[rows]
+        # slot_of[v][r] = 0-based execution slot of item v under ordering r
+        slot_of = {v: (words == v).argmax(axis=1).astype(np.int8) for v in items}
+        part = keep[rows]
+        for i, j in cross_edges:
+            part &= slot_of[i] < slot_of[j]
+    return OrderingSet.from_mask(n, keep)
 
 
 def simulate(

@@ -5,6 +5,15 @@ strictly increasing Lehmer ranks, so masks, word matrices and payoff
 restrictions index with it directly; the rows of :meth:`OrderingSet.matrix`
 are the members' one-line words.  It keeps its agreement `profile`,
 scanned on first use.
+
+The members array is made at most once.  A read-only int64 array that
+owns its memory is kept as given: nothing can write to it without first
+clearing its read-only flag, as is true of any array the set keeps.
+Any other input (a sequence, a writable array, a view that a writable
+array may alias, another dtype) is copied once, so later writes by the
+caller cannot reach the set.  :meth:`OrderingSet.from_ranks`,
+:meth:`OrderingSet.from_mask` and :meth:`OrderingSet.full_group` build
+their rank arrays themselves and hand them over that way.
 """
 from __future__ import annotations
 
@@ -15,7 +24,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .permutations import check_enumerable, group_matrix
+from .permutations import check_enumerable, group_matrix, row_chunks
 
 if TYPE_CHECKING:
     from .intersecting import IntersectionProfile
@@ -34,7 +43,8 @@ class OrderingSet:
         raw = np.asarray(self.members)
         if raw.ndim != 1 or (raw.size and raw.dtype.kind not in "iu"):
             raise ValueError("members must be a 1-D sequence of integer ranks")
-        ranks = raw.astype(np.int64)
+        owned = raw.base is None and not raw.flags.writeable
+        ranks = raw.astype(np.int64, copy=not owned)
         if ranks.size and (
             ranks[0] < 0 or ranks[-1] >= size or np.any(ranks[1:] <= ranks[:-1])
         ):
@@ -46,15 +56,34 @@ class OrderingSet:
 
     @classmethod
     def from_ranks(cls, n: int, ranks) -> "OrderingSet":
+        """The set of the given ranks, in any order and with repeats."""
         ranks = np.sort(np.asarray(ranks, dtype=np.int64))
         keep = np.ones(ranks.shape, dtype=bool)
         keep[1:] = ranks[1:] != ranks[:-1]
-        return cls(n, ranks[keep])
+        ranks = ranks[keep]
+        ranks.setflags(write=False)
+        return cls(n, ranks)
+
+    @classmethod
+    def from_mask(cls, n: int, keep: np.ndarray) -> "OrderingSet":
+        """The ranks where a length-n! boolean mask is True (see :meth:`mask`),
+        gathered ROW_CHUNK entries at a time into the one members array."""
+        ranks = np.empty(np.count_nonzero(keep), dtype=np.int64)
+        filled = 0
+        for rows in row_chunks(len(keep)):
+            found = np.flatnonzero(keep[rows])
+            found += rows.start
+            ranks[filled : filled + len(found)] = found
+            filled += len(found)
+        ranks.setflags(write=False)
+        return cls(n, ranks)
 
     @classmethod
     def full_group(cls, n: int) -> "OrderingSet":
         check_enumerable(n)
-        return cls(n, np.arange(factorial(n)))
+        ranks = np.arange(factorial(n))
+        ranks.setflags(write=False)
+        return cls(n, ranks)
 
     def __eq__(self, other) -> bool:
         if other.__class__ is not self.__class__:

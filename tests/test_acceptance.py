@@ -13,7 +13,6 @@ import numpy as np
 
 from snfair.cayley import SymmetricSet, block_operators, bound_violations, dense_operator, symmetrize
 from snfair.cli import main
-from snfair.errors import DegenerateError
 from snfair.fairness import Analysis, nested_stabilizer_instance
 from snfair.fourier import PayoffFn, degree, inverse, transform, uncertainty_check
 from snfair.intersecting import stabilizer_set, intersection_profile, verify_indicator_degree
@@ -27,7 +26,7 @@ from snfair.payoffs import (
     liquidation_payoff,
     random_payoff,
 )
-from snfair.permutations import Permutation, lehmer_unrank
+from snfair.permutations import Permutation
 from snfair.representations import evaluate
 from snfair.sequencing import VoteProfile, majority_graph, simulate, valid_orderings
 from snfair.sets import OrderingSet

@@ -2,12 +2,14 @@
 import itertools
 import tracemalloc
 from math import factorial
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from snfair import permutations
 from snfair.errors import EmptySetError
 from snfair.intersecting import (
     COL_TILE,
@@ -79,21 +81,26 @@ def ordering_sets(draw):
 
 
 @settings(max_examples=300, deadline=None)
-@given(ordering_sets())
-def test_profile_matches_oracle_on_random_sets(members):
+@given(ordering_sets(), st.sampled_from([permutations.ROW_CHUNK, 11]))
+def test_profile_matches_oracle_on_random_sets(members, chunk):
+    # 11 divides no n!, so up to 40 members span up to four chunks
     n, words = members.n, members.matrix().tolist()
     t = t_max_oracle(members)
     shared = tuple(
         (i + 1, words[0][i]) for i in range(n) if all(w[i] == words[0][i] for w in words)
     )
-    profile = intersection_profile(members)
+    with mock.patch.object(permutations, "ROW_CHUNK", chunk):
+        profile = intersection_profile(members)
     assert profile.t_max == t
     assert profile.common_pairs == shared
     assert profile.size_gate == (len(members) >= factorial(n - t))
 
 
 @pytest.mark.parametrize("n", [4, 5, 6, 7])
-def test_intersecting_family_sits_above_its_floor(n):
+def test_intersecting_family_sits_above_its_floor(monkeypatch, n):
+    # no slot is shared, so the floor lies below t_max and the tiles run;
+    # 11 divides no n!, so the member-0 scan crosses chunk boundaries
+    monkeypatch.setattr(permutations, "ROW_CHUNK", 11)
     members = OrderingSet(n, two_of_first_three_fixed(n))
     profile = intersection_profile(members)
     assert profile.common_pairs == ()
@@ -190,11 +197,17 @@ def test_stabilizer_sizes():
     assert len(stabilizer_set(5, [(3, 3)])) == 24
 
 
-def test_stabilizer_members_satisfy_pins():
+def test_stabilizer_members_satisfy_pins(monkeypatch):
+    monkeypatch.setattr(permutations, "ROW_CHUNK", 11)  # divides no n!
     members = stabilizer_set(4, [(2, 3), (4, 1)])
     for word in members.matrix():
         assert word[1] == 3 and word[3] == 1
     assert len(members) == 2
+    words = group_matrix(7)
+    members = stabilizer_set(7, [(3, 1), (1, 2)])
+    pinned = (words[:, 0] == 2) & (words[:, 2] == 1)
+    assert members.members.tolist() == np.flatnonzero(pinned).tolist()
+    assert members.profile.common_pairs == ((1, 2), (3, 1))
 
 
 def test_stabilizer_no_pairs_is_full_group():

@@ -4,6 +4,7 @@ from math import factorial
 import numpy as np
 import pytest
 
+from snfair import permutations
 from snfair.errors import CapacityError, ModelValidityError
 from snfair.payoffs import (
     CfmmModel,
@@ -15,7 +16,7 @@ from snfair.payoffs import (
     liquidation_payoff,
     random_payoff,
 )
-from snfair.permutations import enumerate_group
+from snfair.permutations import enumerate_group, group_matrix
 from snfair.sets import OrderingSet
 
 
@@ -100,6 +101,36 @@ def test_liquidation_matches_prefix_walk_oracle():
         f = liquidation_payoff(model)
         for p in enumerate_group(2 * k):
             assert f.values[p.rank()] == liquidation_oracle(model, p)
+
+
+def cfmm_whole(model):
+    """The generator's operations applied to all n! orderings at once."""
+    sizes = np.asarray(model.deltas)[group_matrix(model.n) - 1]
+    prior = model.gamma * sizes
+    prior += 1.0
+    np.cumprod(prior, axis=1, out=prior)
+    prior *= model.p0
+    prior = np.concatenate([np.full((len(prior), 1), model.p0), prior[:, :-1]], axis=1)
+    return model.beta * (sizes * sizes * prior).sum(axis=1)
+
+
+def liquidation_whole(model):
+    steps = np.asarray(model.moves)[group_matrix(model.n) - 1]
+    return (np.cumsum(steps, axis=1) <= -model.c).any(axis=1).astype(float)
+
+
+def test_chunked_payoffs_equal_the_whole_array_formulas(monkeypatch):
+    # 11 divides no n!, so every chunk boundary splits a block of orderings;
+    # n = 8 also reaches the unrolled pairwise sum of eight or more slots
+    monkeypatch.setattr(permutations, "ROW_CHUNK", 11)
+    rng = np.random.default_rng(31)
+    for n in range(1, 9):
+        model = CfmmModel(tuple(float(d) for d in rng.integers(-5, 6, n)), gamma=0.01, beta=1.5)
+        assert np.array_equal(cfmm_payoff(model).values, cfmm_whole(model))
+    for k in range(1, 4):
+        for c in range(1, k + 1):
+            model = LiquidationModel(k, c)
+            assert np.array_equal(liquidation_payoff(model).values, liquidation_whole(model))
 
 
 def test_liquidation_depth_validation():

@@ -5,6 +5,7 @@ from math import factorial
 import numpy as np
 import pytest
 
+from snfair import permutations
 from snfair.errors import CapacityError
 from snfair.permutations import (
     Permutation,
@@ -82,11 +83,17 @@ def test_rank_of_word_agrees_with_permutation_rank():
         assert rank_of_word(word) == Permutation(word).rank()
 
 
-def test_rank_of_word_ranks_a_stack_of_words():
+def test_rank_of_word_ranks_a_stack_of_words(monkeypatch):
     words = group_matrix(5)
     ranks = rank_of_word(words)
     assert ranks.tolist() == list(range(120))
     assert ranks.tolist() == [p.rank() for p in enumerate_group(5)]
+    assert rank_of_word(words.reshape(12, 10, 5)).tolist() == ranks.reshape(12, 10).tolist()
+    # 11 is a prime above 10, so it divides no n! the package enumerates
+    # and every chunk boundary falls inside a block of the group matrix
+    monkeypatch.setattr(permutations, "ROW_CHUNK", 11)
+    for n in range(1, 8):
+        assert rank_of_word(group_matrix(n)).tolist() == list(range(factorial(n)))
     assert rank_of_word(words.reshape(12, 10, 5)).tolist() == ranks.reshape(12, 10).tolist()
 
 

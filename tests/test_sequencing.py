@@ -1,12 +1,15 @@
 """Vote profiles, majority graphs, and admissible-ordering enumeration."""
 import itertools
+import tracemalloc
 from math import factorial
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from snfair import permutations
 from snfair.errors import CapacityError
 from snfair.permutations import group_matrix
 from snfair.sequencing import VoteProfile, majority_graph, simulate, valid_orderings
@@ -141,10 +144,30 @@ def vote_profiles(draw):
 
 
 @settings(max_examples=80, deadline=None)
-@given(vote_profiles())
-def test_valid_orderings_matches_argsort_formulation(votes):
+@given(vote_profiles(), st.sampled_from([permutations.ROW_CHUNK, 11]))
+def test_valid_orderings_matches_argsort_formulation(votes, chunk):
+    # 11 divides no n!, so chunk boundaries fall inside blocks of S_n
     graph = majority_graph(votes)
-    assert np.array_equal(valid_orderings(graph).members, argsort_orderings(graph))
+    with mock.patch.object(permutations, "ROW_CHUNK", chunk):
+        members = valid_orderings(graph)
+    assert np.array_equal(members.members, argsort_orderings(graph))
+    assert {tuple(w) for w in members.matrix().tolist()} == admissible_oracle(votes)
+
+
+def test_n9_cycle_scans_hold_no_copy_of_the_group():
+    # The set's 9! ranks take 2.8 MiB.  Chunked scans add a few MiB more;
+    # whole-array ones add n! x n compares (3.3 MiB each) and rank copies.
+    group_matrix(9)  # cached; only the scans' own memory is traced
+    graph = majority_graph(simulate(9, 9, "adversarial_cycle"))
+    tracemalloc.start()
+    try:
+        members = valid_orderings(graph)
+        profile = members.profile
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(members) == factorial(9) and profile.t_max == 0
+    assert peak < 10 * 2**20
 
 
 def test_mixed_profile_two_components():

@@ -69,6 +69,41 @@ def test_members_are_a_read_only_int64_array():
         OrderingSet(3, np.array([[0, 1]]))  # not 1-D
 
 
+def test_no_array_the_caller_holds_can_write_the_members():
+    # A writable array, and a read-only view of one, are copied: the
+    # caller's later writes through either do not reach the set.
+    ranks = np.array([0, 5, 11])
+    view = ranks.view()
+    view.setflags(write=False)
+    for given in (ranks, view):
+        s = OrderingSet(4, given)
+        ranks[0] = 3
+        assert s.members.tolist() == [0, 5, 11]
+        ranks[0] = 0
+    # A read-only array that owns its memory is kept as given, as is what
+    # the constructors build for themselves.  Nothing writes to such an
+    # array unless its read-only flag is cleared first, as for any copy.
+    frozen = np.array([0, 5, 11])
+    frozen.setflags(write=False)
+    assert OrderingSet(4, frozen).members is frozen
+    keep = np.zeros(24, dtype=bool)
+    keep[[0, 5, 11]] = True
+    sets = (
+        OrderingSet.from_mask(4, keep),
+        OrderingSet.from_ranks(4, ranks[::-1]),
+        OrderingSet.full_group(4),
+    )
+    keep[:] = True
+    ranks[:] = 1
+    for s in sets:
+        assert s.members.base is None and not s.members.flags.writeable
+        with pytest.raises(ValueError):
+            s.members[0] = 1
+    assert sets[0].members.tolist() == sets[1].members.tolist() == [0, 5, 11]
+    assert OrderingSet.from_mask(4, sets[0].mask()) == sets[0]
+    assert sets[2].members.tolist() == list(range(24))
+
+
 def test_from_ranks_takes_unsorted_numpy_input_with_duplicates():
     ranks = np.array([23, 4, 4, 0, 23, 7, 0], dtype=np.int32)
     s = OrderingSet.from_ranks(4, ranks)

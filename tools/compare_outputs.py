@@ -44,6 +44,13 @@ def _two_of_first_three_fixed(n: int) -> dict:
     return {"n": n, "members": members}
 
 
+def _winner_cycle9() -> dict:
+    """n = 9 votes: a Condorcet winner, the seven rotations of a 7-cycle,
+    then one loser, so 7! of the 9! orderings are admissible."""
+    winner, cycle, loser = 4, [9, 2, 7, 1, 5, 8, 3], 6
+    return {"n_tx": 9, "validators": [[winner, *cycle[v:], *cycle[:v], loser] for v in range(7)]}
+
+
 # Input files written byte for byte into both work directories before the
 # commands run.  The CRLF files carry non-ASCII text in an unused key, and
 # the lone-CR payoff is malformed: its error names a line and column.  The
@@ -56,6 +63,7 @@ INPUTS = {
     }),
     "family6.json": _json(_two_of_first_three_fixed(6)),
     "family7.json": _json(_two_of_first_three_fixed(7)),
+    "votes_winner_cycle9.json": _json(_winner_cycle9()),
     "votes_crlf4.json": _crlf({
         "n_tx": 4,
         "validators": [[1, 2, 3, 4], [2, 3, 1, 4], [3, 1, 2, 4], [4, 1, 2, 3]],
@@ -86,6 +94,11 @@ def _commands() -> list[list[str]]:
         ["gen-payoff", "--model", "random", "--n", "7", "--seed", "1", "--out", "random7.json"],
         # float arrays longer than one chunk of the streaming writer
         ["gen-payoff", "--model", "random", "--n", "9", "--max-n", "9", "--out", "random9.json"],
+        # S_9 and S_10 span several row chunks of the payoff scans
+        ["gen-payoff", "--model", "cfmm", "--deltas=2,-5,1,3,-1,4,-2,1,5", "--max-n", "9",
+         "--out", "cfmm9.json"],
+        ["gen-payoff", "--model", "liquidation", "--k", "5", "--c", "3", "--max-n", "10",
+         "--out", "liq10.json"],
         # rejected: trade sizes whose payoff overflows, and a negative seed
         ["gen-payoff", "--model", "cfmm", "--deltas", "1e200,1,2"],
         ["gen-payoff", "--model", "random", "--n", "3", "--seed", "-1"],
@@ -98,6 +111,8 @@ def _commands() -> list[list[str]]:
     cmds += [
         ["simulate", "--n-tx", "5", "--validators", "7", "--seed", "2"],
         ["simulate", "--votes", "votes_unanimous6.json", "--out", "single6.json"],
+        ["simulate", "--votes", "votes_winner_cycle9.json", "--max-n", "9",
+         "--out", "winner_cycle9.json"],
         ["simulate", "--votes", "votes_split5.json", "--out", "split5.json"],
         ["simulate", "--votes", "votes_crlf4.json", "--out", "crlf4.json"],
         ["gen-payoff", "--model", "indicator", "--set", "set_crlf4.json", "--out", "ind_crlf4.json"],
