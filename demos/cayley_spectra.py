@@ -7,13 +7,7 @@ route against the dense 24 x 24 operator.
 """
 import numpy as np
 
-from snfair.cayley import (
-    SymmetricSet,
-    block_operators,
-    dense_operator,
-    spectrum_report,
-    symmetrize,
-)
+from snfair.cayley import SymmetricSet, dense_operator, spectrum_report, symmetrize
 from snfair.partitions import dimension, partitions_of
 from snfair.permutations import Permutation
 from snfair.sets import OrderingSet
@@ -30,11 +24,10 @@ def show(label, conn):
         print(f"  {str(shape):<14} gram eigs [{eigs}]  bound {spec.bound:7.3f}  {flag}")
 
     dense = np.sort(np.linalg.eigvalsh(dense_operator(conn)))
-    scaled = block_operators(conn)
     blocks = np.sort(
         np.concatenate(
             [
-                np.repeat(np.linalg.eigvalsh(scaled[s]), dimension(s))
+                np.repeat(np.linalg.eigvalsh(conn.blocks[s]), dimension(s))
                 for s in partitions_of(N)
             ]
         )

@@ -17,16 +17,15 @@ reference bound checked here is
 
     eig_max(B.T @ B) <= n! / (|F| * dim(shape))
 
-for the normalized operator.  The raw-sum variant (no 1/|F|) is exposed as
-well since either scaling appears in practice; its gram eigenvalues are
-the normalized ones times |F|^2 >= 1 against the same bound, so every
-shape that breaks the normalized bound breaks the raw one too.
+for the normalized operator.  The raw sum (no 1/|F|) appears in practice
+too; its gram eigenvalues are the normalized ones times |F|^2 >= 1
+against the same bound, so :func:`spectrum_report` flags it from the
+normalized eigenvalues, and every shape that breaks the normalized bound
+breaks the raw one too.
 
 A connection set is a :class:`SymmetricSet`: an ordering set that checks
-on construction that it is nonempty and closed under inversion.  Inverse
-ranks come from the argsort of the member words, ranked in row chunks.
-It keeps its raw blocks sum_{t in F} rho_shape(t), read-only; the
-normalized ones divide them by |F|, so both scalings share one transform.
+on construction that it is nonempty and closed under inversion.  It keeps
+its blocks B_shape, read-only: its indicator's transform divided by |F|.
 """
 from __future__ import annotations
 
@@ -34,14 +33,14 @@ from collections.abc import Mapping
 from dataclasses import dataclass
 from functools import cached_property
 from math import factorial
+from types import MappingProxyType
 
 import numpy as np
 
 from .errors import EmptySetError
-from .fourier import FourierSpectrum
 from .partitions import dimension
+from .payoffs import indicator_payoff
 from .permutations import group_matrix, rank_of_word, row_chunks
-from .representations import fft
 from .sets import OrderingSet
 
 # Absolute: a shape is within the bound when the largest eigenvalue of
@@ -80,9 +79,13 @@ class SymmetricSet(OrderingSet):
 
     @cached_property
     def blocks(self) -> Mapping[tuple[int, ...], np.ndarray]:
-        """sum_{t in F} rho_shape(t) for every shape: the transform of the
-        set's indicator."""
-        return FourierSpectrum(self.n, fft(self.n, self.mask().astype(float))).blocks
+        """B_shape = (1/|F|) sum_{t in F} rho_shape(t) for every shape: the
+        averaging blocks, from the transform of the set's indicator."""
+        blocks = {}
+        for shape, raw in indicator_payoff(self).spectrum.blocks.items():
+            blocks[shape] = raw / len(self)
+            blocks[shape].setflags(write=False)
+        return MappingProxyType(blocks)
 
 
 def symmetrize(members: OrderingSet) -> SymmetricSet:
@@ -91,60 +94,42 @@ def symmetrize(members: OrderingSet) -> SymmetricSet:
     return SymmetricSet.from_ranks(members.n, both)
 
 
-def block_operators(
-    conn: SymmetricSet, normalized: bool = True
-) -> Mapping[tuple[int, ...], np.ndarray]:
-    """B_shape for every shape: the set's blocks, averaged over |F| when
-    normalized."""
-    if not normalized:
-        return conn.blocks
-    return {s: b / len(conn) for s, b in conn.blocks.items()}
-
-
 @dataclass(frozen=True)
 class BlockSpectrum:
-    """Eigenvalues of B.T @ B for one shape, with the reference bound."""
+    """Eigenvalues of B.T @ B for one shape, with the reference bound and
+    whether B and the raw sum |F| * B are within it."""
 
     eigenvalues: np.ndarray  # descending
     bound: float
     within_bound: bool
+    raw_within_bound: bool
 
 
-def spectrum_report(
-    conn: SymmetricSet, normalized: bool = True
-) -> dict[tuple[int, ...], BlockSpectrum]:
-    """Per-shape gram eigenvalues and bound flags for the chosen scaling."""
+def spectrum_report(conn: SymmetricSet) -> dict[tuple[int, ...], BlockSpectrum]:
+    """Per-shape gram eigenvalues and bound flags of both scalings."""
     out = {}
-    for shape, b in block_operators(conn, normalized).items():
+    for shape, b in conn.blocks.items():
         eig = np.linalg.eigvalsh(b.T @ b)[::-1]
         bound = factorial(conn.n) / (len(conn) * dimension(shape))
         out[shape] = BlockSpectrum(
             eigenvalues=eig,
             bound=bound,
             within_bound=bool(eig[0] <= bound + BOUND_TOL),
+            raw_within_bound=bool(eig[0] * len(conn) ** 2 <= bound + BOUND_TOL),
         )
     return out
 
 
-def bound_violations(
-    conn: SymmetricSet, normalized: bool = True
-) -> tuple[tuple[int, ...], ...]:
-    """Shapes whose gram eigenvalues exceed the reference bound."""
-    report = spectrum_report(conn, normalized=normalized)
-    return tuple(s for s, spec in report.items() if not spec.within_bound)
-
-
-def dense_operator(conn: SymmetricSet, normalized: bool = True) -> np.ndarray:
+def dense_operator(conn: SymmetricSet) -> np.ndarray:
     """The full n! x n! averaging matrix, built from group multiplication only.
 
     Independent of the representation machinery; used to cross-check the
-    block route.  Row p holds weight at column rank(t * p) for each t.
+    block route.  Row p holds weight 1/|F| at column rank(t * p) for each t.
     """
     size = factorial(conn.n)
     perms = group_matrix(conn.n)
     mat = np.zeros((size, size))
-    weight = 1.0 / len(conn) if normalized else 1.0
     for t in perms[conn.members]:
         # column rank(t * p) for every row p; p -> t * p is a bijection
-        mat[np.arange(size), rank_of_word(t[perms - 1])] += weight
+        mat[np.arange(size), rank_of_word(t[perms - 1])] += 1.0 / len(conn)
     return mat

@@ -169,6 +169,7 @@ class Analysis:
         linf = self._nonzero_restriction()
         restricted = np.zeros_like(self.f.values)
         restricted[self.members.members] = self.on_set
+        restricted.setflags(write=False)  # handed over to the payoff, not copied
         summary = PayoffFn(self.f.n, restricted).spectrum.schatten
         bound = (1.0 - summary.sinf / summary.s1) * linf
         gap = self.fairness.additive_gap

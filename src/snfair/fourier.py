@@ -47,6 +47,7 @@ from .errors import DegenerateError
 from .partitions import dimension, partitions_of
 from .payoffs import PayoffFn
 from .representations import fft, fft_adjoint
+from .sets import owned_read_only
 
 # Relative: a block counts toward the degree when its Frobenius norm
 # exceeds DEGREE_TOL * ||f||_2.  Blocks that are zero in exact arithmetic
@@ -69,8 +70,9 @@ SUPPORT_SPREAD_TOL = 1e-9
 
 @dataclass(frozen=True, eq=False)
 class FourierSpectrum:
-    """Read-only blocks, one per partition of n in canonical order; its
-    `schatten` summary is computed on first use and kept."""
+    """Read-only blocks (:func:`snfair.sets.owned_read_only`), one per
+    partition of n in canonical order; its `schatten` summary is computed
+    on first use and kept."""
 
     n: int
     blocks: Mapping[tuple[int, ...], np.ndarray]
@@ -80,11 +82,10 @@ class FourierSpectrum:
         for s in partitions_of(self.n):
             if s not in self.blocks:
                 raise ValueError(f"missing block for shape {s}")
-            mat = np.asarray(self.blocks[s]).view()  # the caller's array stays writable
+            mat = owned_read_only(self.blocks[s])
             d = dimension(s)
             if mat.shape != (d, d):
                 raise ValueError(f"block {s} must be {d}x{d}")
-            mat.setflags(write=False)
             blocks[s] = mat
         object.__setattr__(self, "blocks", MappingProxyType(blocks))
 
@@ -101,7 +102,10 @@ def transform(f: PayoffFn) -> FourierSpectrum:
 def inverse(spec: FourierSpectrum) -> PayoffFn:
     """Invert a full spectrum: (1/n!) sum_shape dim * trace(block @ rho(p).T)."""
     weighted = {s: dimension(s) * np.asarray(m) for s, m in spec.blocks.items()}
-    return PayoffFn(spec.n, fft_adjoint(spec.n, weighted) / factorial(spec.n))
+    values = fft_adjoint(spec.n, weighted)
+    values /= factorial(spec.n)
+    values.setflags(write=False)
+    return PayoffFn(spec.n, values)
 
 
 def degree(f: PayoffFn, tol: float = DEGREE_TOL) -> int:

@@ -141,8 +141,9 @@ def verify_indicator_degree(
 def stabilizer_set(n: int, pairs) -> OrderingSet:
     """All orderings placing item j at slot i for every (i, j) pair given.
 
-    Distinct slots must get distinct items; the result has (n - t)!
-    members for t pairs.
+    Distinct slots must get distinct items, all in 1..n; the result has
+    (n - t)! members for t pairs.  This is the one check of position pins:
+    each junta term's indicator is that of its stabilizer set.
     """
     pairs = [(int(i), int(j)) for i, j in pairs]
     if not pairs:

@@ -1,9 +1,10 @@
 """Payoff generators: concrete families of functions on orderings.
 
 Every generator returns a dense :class:`PayoffFn` whose entry at rank r
-is the payoff of the ordering with that rank.  The CFMM, liquidation and
-random families produce nonnegative values; a junta payoff is negative
-wherever a term with a negative coefficient holds.
+is the payoff of the ordering with that rank, handing its values over
+read-only so that the payoff keeps them without a copy.  The CFMM,
+liquidation and random families produce nonnegative values; a junta
+payoff is negative wherever a term with a negative coefficient holds.
 
 CFMM sandwich-style model: n labeled trades with signed sizes; executing
 trade with size D against price p books extraction beta * D^2 * p and
@@ -33,10 +34,10 @@ import numpy as np
 
 from .errors import ModelValidityError
 from .permutations import check_enumerable, group_matrix, row_chunks
+from .sets import OrderingSet, owned_read_only
 
 if TYPE_CHECKING:
     from .fourier import FourierSpectrum
-    from .sets import OrderingSet
 
 # Largest |value| a payoff may hold.  Transform block entries reach
 # n! * max|v| and Frobenius norms square them, so n! * max|v| must stay
@@ -55,7 +56,7 @@ class PayoffFn:
 
     def __post_init__(self) -> None:
         check_enumerable(self.n)
-        vals = np.asarray(self.values, dtype=float)
+        vals = owned_read_only(self.values, float)
         if vals.shape != (factorial(self.n),):
             raise ValueError(
                 f"need {factorial(self.n)} values for n={self.n}, got shape {vals.shape}"
@@ -64,8 +65,6 @@ class PayoffFn:
             raise ValueError("payoff values must be finite")
         if max(vals.max(), -vals.min()) > MAX_MAGNITUDE:
             raise ValueError(f"payoff values must not exceed {MAX_MAGNITUDE:g} in magnitude")
-        vals = vals.copy()
-        vals.setflags(write=False)
         object.__setattr__(self, "values", vals)
 
     @cached_property
@@ -113,7 +112,7 @@ def cfmm_payoff(model: CfmmModel) -> PayoffFn:
     ROW_CHUNK orderings at a time."""
     n = model.n
     perms = group_matrix(n)
-    deltas = np.asarray(model.deltas)
+    deltas = np.asarray(model.deltas, dtype=float)
     values = np.empty(len(perms))
     # Values past the float range become inf or nan silently here; the
     # PayoffFn check then rejects them with one message.
@@ -133,6 +132,7 @@ def cfmm_payoff(model: CfmmModel) -> PayoffFn:
             sizes *= sizes
             sizes *= prior
             values[rows] = model.beta * sizes.sum(axis=1)
+    values.setflags(write=False)
     return PayoffFn(n, values)
 
 
@@ -178,6 +178,7 @@ def liquidation_payoff(model: LiquidationModel) -> PayoffFn:
         running = moves[perms[rows] - 1]
         np.cumsum(running, axis=1, dtype=np.int8, out=running)
         values[rows] = (running <= -model.c).any(axis=1)
+    values.setflags(write=False)
     return PayoffFn(n, values)
 
 
@@ -188,36 +189,26 @@ class JuntaTerm:
     constraints: tuple[tuple[int, int], ...]
     coefficient: float = 1.0
 
-    def __post_init__(self) -> None:
-        slots = [i for i, _ in self.constraints]
-        items = [j for _, j in self.constraints]
-        if len(set(slots)) != len(slots):
-            raise ValueError(f"duplicate slot in constraints: {self.constraints!r}")
-        if len(set(items)) != len(items):
-            raise ValueError(f"duplicate item in constraints: {self.constraints!r}")
-        if any(i < 1 for i in slots) or any(j < 1 for j in items):
-            raise ValueError("slots and items are 1-based")
-
 
 def junta_payoff(terms, n: int) -> PayoffFn:
-    """Sum of the terms' weighted constraint indicators on S_n."""
-    terms = list(terms)
-    perms = group_matrix(n)
-    values = np.zeros(perms.shape[0])
+    """Sum of the terms' weighted constraint indicators on S_n, each the
+    indicator of its constraints' stabilizer set, which checks them."""
+    # Imported here, as PayoffFn.spectrum imports fourier: intersecting is above.
+    from .intersecting import stabilizer_set
+
+    check_enumerable(n)
+    values = np.zeros(factorial(n))
     for term in terms:
-        for i, j in term.constraints:
-            if i > n or j > n:
-                raise ValueError(f"constraint ({i}, {j}) outside 1..{n}")
-        hit = np.ones(values.shape[0], dtype=bool)
-        for i, j in term.constraints:
-            hit &= perms[:, i - 1] == j
-        values += term.coefficient * hit
+        values += term.coefficient * stabilizer_set(n, term.constraints).mask()
+    values.setflags(write=False)
     return PayoffFn(n, values)
 
 
 def indicator_payoff(members: OrderingSet) -> PayoffFn:
     """The 0/1 indicator of an ordering set."""
-    return PayoffFn(members.n, members.mask().astype(float))
+    values = members.mask().astype(float)
+    values.setflags(write=False)
+    return PayoffFn(members.n, values)
 
 
 def random_payoff(
@@ -235,12 +226,14 @@ def random_payoff(
     size = factorial(n)
     rng = np.random.default_rng(seed)
     if dist == "uniform01":
-        return PayoffFn(n, rng.random(size))
-    if dist == "sparse":
+        values = rng.random(size)
+    elif dist == "sparse":
         if nonzero is None or not 1 <= nonzero <= size:
             raise ValueError(f"sparse payoff needs 1 <= nonzero <= {size}")
         values = np.zeros(size)
         ranks = rng.choice(size, size=nonzero, replace=False)
         values[ranks] = 1.0 - rng.random(nonzero)  # in (0, 1]
-        return PayoffFn(n, values)
-    raise ValueError(f"unknown distribution {dist!r}")
+    else:
+        raise ValueError(f"unknown distribution {dist!r}")
+    values.setflags(write=False)
+    return PayoffFn(n, values)

@@ -237,25 +237,31 @@ def _coset_order(n: int) -> np.ndarray:
 
 
 def fft(n: int, values: np.ndarray) -> dict[tuple[int, ...], np.ndarray]:
-    """sum_p values[rank(p)] * evaluate(shape, p) for every shape of n."""
-    level = {(1,): np.empty((factorial(n), 1, 1))}
-    level[(1,)][_coset_order(n), 0, 0] = values
+    """sum_p values[rank(p)] * evaluate(shape, p) for every shape of n, each
+    block read-only and owning its memory."""
+    # Stacked as (cosets * d) x d rows, so the last level's blocks own their memory.
+    level = {(1,): np.empty((factorial(n), 1))}
+    level[(1,)][_coset_order(n), 0] = values
     for k in range(2, n + 1):
         cosets = factorial(n) // factorial(k)
         built = {}
         for shape in partitions_of(k):
             mats, corners = _coset_matrices(shape)
-            out = np.empty((cosets, dimension(shape), dimension(shape)))
+            d = dimension(shape)
+            stack = np.empty((cosets * d, d))
+            out = stack.reshape(cosets, d, d)
             for mu, off in corners:
                 e = dimension(mu)
                 sub = level[mu].reshape(cosets, k, e, e)
                 # out[o][:, mu cols] = sum_j mats[j][:, mu rows] @ sub[o, j]
                 part = np.tensordot(sub, mats[:, :, off : off + e], ([1, 2], [0, 2]))
                 out[:, :, off : off + e] = part.transpose(0, 2, 1)
-            built[shape] = out
+            built[shape] = stack
             del mats  # before the next shape's are built
         level = built
-    return {shape: stack[0] for shape, stack in level.items()}
+    for block in level.values():
+        block.setflags(write=False)
+    return level
 
 
 def fft_adjoint(n: int, blocks: dict[tuple[int, ...], np.ndarray]) -> np.ndarray:

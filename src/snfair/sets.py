@@ -11,7 +11,8 @@ owns its memory is kept as given: nothing can write to it without first
 clearing its read-only flag, as is true of any array the set keeps.
 Any other input (a sequence, a writable array, a view that a writable
 array may alias, another dtype) is copied once, so later writes by the
-caller cannot reach the set.  :meth:`OrderingSet.from_ranks`,
+caller cannot reach the set; payoffs and spectra keep their arrays by the
+same rule, :func:`owned_read_only`.  :meth:`OrderingSet.from_ranks`,
 :meth:`OrderingSet.from_mask` and :meth:`OrderingSet.full_group` build
 their rank arrays themselves and hand them over that way.
 """
@@ -30,6 +31,15 @@ if TYPE_CHECKING:
     from .intersecting import IntersectionProfile
 
 
+def owned_read_only(raw, dtype=None) -> np.ndarray:
+    """`raw` as a read-only array, kept as given when it is one that owns
+    its memory (and has the dtype), else converted or copied once."""
+    owned = isinstance(raw, np.ndarray) and raw.base is None and not raw.flags.writeable
+    out = np.asarray(raw, dtype=dtype) if owned else np.array(raw, dtype=dtype)
+    out.setflags(write=False)
+    return out
+
+
 @dataclass(frozen=True, eq=False)
 class OrderingSet:
     """A subset of S_n given by strictly increasing Lehmer ranks."""
@@ -43,15 +53,13 @@ class OrderingSet:
         raw = np.asarray(self.members)
         if raw.ndim != 1 or (raw.size and raw.dtype.kind not in "iu"):
             raise ValueError("members must be a 1-D sequence of integer ranks")
-        owned = raw.base is None and not raw.flags.writeable
-        ranks = raw.astype(np.int64, copy=not owned)
+        ranks = owned_read_only(raw, np.int64)
         if ranks.size and (
             ranks[0] < 0 or ranks[-1] >= size or np.any(ranks[1:] <= ranks[:-1])
         ):
             raise ValueError(
                 f"members must be strictly increasing ranks in [0, {size})"
             )
-        ranks.setflags(write=False)
         object.__setattr__(self, "members", ranks)
 
     @classmethod

@@ -32,8 +32,9 @@ check holds.
 
 Payoffs and sets keep what is derived from them, so claim1 transforms
 each corpus payoff and profiles each corpus set once, and eigenvalue
-transforms each connection set once for both scalings, building the
-sets one at a time so that no set's blocks outlive its case.
+transforms each connection set once and eigendecomposes each of its
+blocks' grams once for both scalings, building the sets one at a time
+so that no set's blocks outlive its case.
 """
 from __future__ import annotations
 
@@ -43,7 +44,7 @@ from math import factorial
 
 import numpy as np
 
-from .cayley import SymmetricSet, block_operators, bound_violations, dense_operator, symmetrize
+from .cayley import SymmetricSet, dense_operator, spectrum_report, symmetrize
 from .fairness import Analysis, nested_stabilizer_instance
 from .fourier import inverse, transform, uncertainty_check
 from .intersecting import stabilizer_set, verify_indicator_degree
@@ -193,11 +194,10 @@ def _suite_eigenvalue(n: int, seed: int, tol: float):
         if n <= 4:
             dense = dense_operator(conn)
             brute = np.sort(np.linalg.eigvalsh(dense))
-            scaled = block_operators(conn)
             blockwise = np.sort(
                 np.concatenate(
                     [
-                        np.repeat(np.linalg.eigvalsh(scaled[s]), dimension(s))
+                        np.repeat(np.linalg.eigvalsh(conn.blocks[s]), dimension(s))
                         for s in partitions_of(n)
                     ]
                 )
@@ -207,16 +207,16 @@ def _suite_eigenvalue(n: int, seed: int, tol: float):
         else:
             residual = None
             consistent = True
-        normalized_bad = bound_violations(conn, normalized=True)
-        raw_bad = bound_violations(conn, normalized=False)
+        report = spectrum_report(conn).values()
+        normalized_bad = sum(not spec.within_bound for spec in report)
         satisfied = "neither" if normalized_bad else "normalized"
         ok = consistent and satisfied != "neither"
         yield ok, {
             "set": label,
             "size": len(conn),
             "block_residual": residual,
-            "normalized_violations": len(normalized_bad),
-            "unnormalized_violations": len(raw_bad),
+            "normalized_violations": normalized_bad,
+            "unnormalized_violations": sum(not spec.raw_within_bound for spec in report),
             "bound_satisfied_by": satisfied,
             "ok": ok,
         }

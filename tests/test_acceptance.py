@@ -11,7 +11,7 @@ from math import factorial
 
 import numpy as np
 
-from snfair.cayley import SymmetricSet, block_operators, bound_violations, dense_operator, symmetrize
+from snfair.cayley import SymmetricSet, dense_operator, spectrum_report, symmetrize
 from snfair.cli import main
 from snfair.fairness import Analysis, nested_stabilizer_instance
 from snfair.fourier import PayoffFn, degree, inverse, transform, uncertainty_check
@@ -310,19 +310,18 @@ def test_criterion_10_cayley_blocks():
             conns[f"random_{trial}"] = symmetrize(OrderingSet.from_ranks(n, picks))
         for label, conn in conns.items():
             dense = np.sort(np.linalg.eigvalsh(dense_operator(conn)))
-            scaled = block_operators(conn)
             blocks = np.sort(
                 np.concatenate(
                     [
                         np.repeat(
-                            np.linalg.eigvalsh(scaled[s]), dimension(s)
+                            np.linalg.eigvalsh(conn.blocks[s]), dimension(s)
                         )
                         for s in partitions_of(n)
                     ]
                 )
             )
             worst = max(worst, float(np.abs(dense - blocks).max()))
-            if bound_violations(conn, normalized=True):
+            if not all(spec.within_bound for spec in spectrum_report(conn).values()):
                 flagged.append((n, label))
     report(
         10,

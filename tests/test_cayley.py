@@ -6,16 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import snfair.cayley
-from snfair.cayley import (
-    BOUND_TOL,
-    SymmetricSet,
-    block_operators,
-    bound_violations,
-    dense_operator,
-    spectrum_report,
-    symmetrize,
-)
+import snfair.fourier
+from snfair.cayley import BOUND_TOL, SymmetricSet, dense_operator, spectrum_report, symmetrize
 from snfair.errors import EmptySetError
 from snfair.fourier import PayoffFn, transform
 from snfair.partitions import dimension, partitions_of
@@ -79,14 +71,14 @@ def test_closure_and_symmetrize_match_per_element_inverses(n):
 
 
 def test_identity_connection_gives_identity_blocks():
-    blocks = block_operators(SymmetricSet(4, (0,)))
+    blocks = SymmetricSet(4, (0,)).blocks
     for shape in partitions_of(4):
         np.testing.assert_array_equal(blocks[shape], np.eye(dimension(shape)))
 
 
 def test_full_group_connection_annihilates_nontrivial_blocks():
     n = 4
-    blocks = block_operators(SymmetricSet(n, tuple(range(factorial(n)))))
+    blocks = SymmetricSet(n, tuple(range(factorial(n)))).blocks
     np.testing.assert_allclose(blocks[(n,)], [[1.0]], atol=1e-12)
     for shape in partitions_of(n)[1:]:
         assert np.abs(blocks[shape]).max() < 1e-12
@@ -114,12 +106,11 @@ def test_dense_spectrum_equals_block_union():
         sets["random"] = symmetrize(OrderingSet.from_ranks(n, picks))
         for conn in sets.values():
             dense = np.sort(np.linalg.eigvalsh(dense_operator(conn)))
-            scaled = block_operators(conn)
             blocks = np.sort(
                 np.concatenate(
                     [
                         np.repeat(
-                            np.linalg.eigvalsh(scaled[s]),
+                            np.linalg.eigvalsh(conn.blocks[s]),
                             dimension(s),
                         )
                         for s in partitions_of(n)
@@ -135,8 +126,9 @@ def test_dense_operator_row_structure():
     dense = dense_operator(conn)
     np.testing.assert_allclose(dense.sum(axis=1), 1.0, atol=1e-12)
     np.testing.assert_allclose(dense, dense.T, atol=1e-12)
-    raw = dense_operator(conn, normalized=False)
-    np.testing.assert_allclose(raw, len(conn) * dense, atol=1e-12)
+    # one weight 1/|F| per member in every row
+    assert np.all((dense != 0.0).sum(axis=1) == len(conn))
+    np.testing.assert_array_equal(dense[dense != 0.0], 1.0 / len(conn))
 
 
 def test_averaging_acts_blockwise_on_transforms():
@@ -147,9 +139,8 @@ def test_averaging_acts_blockwise_on_transforms():
     g_vals = dense_operator(conn) @ f.values
     g_spec = transform(PayoffFn(n, g_vals))
     f_spec = transform(f)
-    scaled = block_operators(conn)
     for shape in partitions_of(n):
-        expect = scaled[shape] @ f_spec.blocks[shape]
+        expect = conn.blocks[shape] @ f_spec.blocks[shape]
         np.testing.assert_allclose(g_spec.blocks[shape], expect, atol=1e-9)
 
 
@@ -159,24 +150,30 @@ def test_normalized_bound_holds_on_corpus():
         for trial in range(4):
             picks = rng.choice(factorial(n), size=3, replace=False)
             conn = symmetrize(OrderingSet.from_ranks(n, picks))
-            assert bound_violations(conn, normalized=True) == ()
+            assert all(spec.within_bound for spec in spectrum_report(conn).values())
 
 
 def test_unnormalized_bound_can_fail_where_normalized_holds():
-    conn = all_transpositions(4)
-    assert bound_violations(conn, normalized=True) == ()
-    assert len(bound_violations(conn, normalized=False)) > 0
+    report = spectrum_report(all_transpositions(4)).values()
+    assert all(spec.within_bound for spec in report)
+    assert not all(spec.raw_within_bound for spec in report)
 
 
 @settings(max_examples=60, deadline=None)
 @given(st.integers(2, 5), st.data())
 def test_normalized_violations_are_raw_violations(n, data):
-    # raw gram eigenvalues are the normalized ones times |F|^2 >= 1, against
-    # the same bound, so the raw scaling never passes where the normalized fails
+    # the raw sum's gram eigenvalues are the normalized ones times |F|^2 >= 1
+    # against the same bound: its flag, read off the normalized eigenvalues,
+    # matches the raw gram's own, and the raw scaling never passes where the
+    # normalized one fails
     ranks = data.draw(st.lists(st.integers(0, factorial(n) - 1), min_size=1, max_size=12))
     conn = symmetrize(OrderingSet.from_ranks(n, ranks))
-    normalized = bound_violations(conn, normalized=True)
-    assert set(normalized) <= set(bound_violations(conn, normalized=False))
+    perms = [lehmer_unrank(n, r) for r in conn.members]
+    for shape, spec in spectrum_report(conn).items():
+        raw = sum(evaluate(shape, p) for p in perms)
+        top = np.linalg.eigvalsh(raw.T @ raw)[-1]
+        assert spec.raw_within_bound == bool(top <= spec.bound + BOUND_TOL)
+        assert spec.within_bound or not spec.raw_within_bound
 
 
 def test_block_operator_matches_evaluate_sum_at_n7():
@@ -185,30 +182,31 @@ def test_block_operator_matches_evaluate_sum_at_n7():
     picks = rng.choice(factorial(n), size=4, replace=False)
     for conn in (all_transpositions(n), symmetrize(OrderingSet.from_ranks(n, picks))):
         perms = [lehmer_unrank(n, r) for r in conn.members]
-        raw_blocks = block_operators(conn, normalized=False)
-        scaled = block_operators(conn)
         for shape in partitions_of(n):
             raw = sum(evaluate(shape, p) for p in perms)
-            np.testing.assert_allclose(raw_blocks[shape], raw, atol=1e-12)
-            np.testing.assert_allclose(scaled[shape], raw / len(conn), atol=1e-12)
+            np.testing.assert_allclose(len(conn) * conn.blocks[shape], raw, atol=1e-12)
+            np.testing.assert_allclose(conn.blocks[shape], raw / len(conn), atol=1e-12)
 
 
 def test_bound_violations_of_given_blocks_match_the_sets_own_transform(monkeypatch):
     # a set's kept blocks serve both scalings, and their verdicts match
     # those of blocks transformed afresh
     calls = []
-    monkeypatch.setattr(snfair.cayley, "fft", lambda n, w: calls.append(n) or fft(n, w))
+    monkeypatch.setattr(snfair.fourier, "fft", lambda n, w: calls.append(n) or fft(n, w))
     flagged = set()
     for conn in (all_transpositions(5), symmetrize(OrderingSet.from_ranks(5, [3, 17, 40]))):
+        report = spectrum_report(conn)
+        fresh = fft(5, conn.mask())
         for normalized in (True, False):
             scale = len(conn) if normalized else 1.0
             bad = tuple(
                 s
-                for s, m in fft(5, conn.mask()).items()
+                for s, m in fresh.items()
                 if np.linalg.eigvalsh((m / scale).T @ (m / scale))[-1]
                 > factorial(5) / (len(conn) * dimension(s)) + BOUND_TOL
             )
-            assert bound_violations(conn, normalized) == bad
+            flag = "within_bound" if normalized else "raw_within_bound"
+            assert tuple(s for s, spec in report.items() if not getattr(spec, flag)) == bad
             flagged.update(bad)
     assert len(calls) == 2  # one transform per set
     assert flagged  # some shape exceeds its bound, so the comparison can fail

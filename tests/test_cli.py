@@ -18,7 +18,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-import snfair.cayley
 import snfair.cli
 import snfair.fourier
 import snfair.intersecting
@@ -26,6 +25,7 @@ import snfair.verify
 from snfair.cayley import SymmetricSet
 from snfair.cli import EXIT_CHECK_FAILED, EXIT_OK, EXIT_USAGE, VERIFY_SUITES, _emit, main
 from snfair.intersecting import stabilizer_set
+from snfair.partitions import partitions_of
 from snfair.payoffs import PayoffFn
 from snfair.sets import OrderingSet
 from snfair.verify import SUITES
@@ -380,6 +380,14 @@ def test_verify_past_max_n_is_usage_error(tmp_path):
         (["gen-payoff", "--model", "indicator", "--set", "{path}"],
          b'{"n": 2, "members": [0], "x": "\xff"}',
          "malformed ordering set file {path}: 'utf-8' codec can't decode byte 0xff"),
+        (["gen-payoff", "--model", "junta", "--n", "4", "--pairs", "1:1,1:2"], None,
+         "slots and items must each be distinct: [(1, 1), (1, 2)]"),
+        (["gen-payoff", "--model", "junta", "--n", "4", "--pairs", "1:2,3:2"], None,
+         "slots and items must each be distinct: [(1, 2), (3, 2)]"),
+        (["gen-payoff", "--model", "junta", "--n", "4", "--pairs", "0:1"], None,
+         "pair (0, 1) outside 1..4"),
+        (["gen-payoff", "--model", "junta", "--pairs", "5:1", "--n", "4"], None,
+         "pair (5, 1) outside 1..4"),
     ],
     ids=["no-n", "top-level-list", "float-n", "bool-n", "string-n", "huge-n", "verify-n0",
          "float-member", "bool-member", "scalar-members", "float-vote", "scalar-validators",
@@ -387,7 +395,8 @@ def test_verify_past_max_n_is_usage_error(tmp_path):
          "seed-negative", "payoff-is-dir", "out-dir-missing", "csv-dir-missing",
          "verify-out-is-dir", "float-past-range-value", "int-past-float-value",
          "point-mass-past-limit", "constant-past-limit", "cfmm-overflow", "deep-payoff",
-         "deep-votes", "non-utf8-set"],
+         "deep-votes", "non-utf8-set", "junta-repeated-slot", "junta-repeated-item",
+         "junta-slot-zero", "junta-slot-past-n"],
 )
 def test_malformed_input_is_one_line_usage_error(argv, content, reason, tmp_path, capsys):
     # bytes are the file's raw text; anything else is written as JSON
@@ -646,15 +655,18 @@ def test_eigenvalue_suite_transforms_each_set_once_holding_one_set(monkeypatch):
 
     gc.collect()
     before = live_sets()
-    held = []
-    real = snfair.cayley.fft
+    held, grams = [], []
+    real, real_eigvalsh = snfair.fourier.fft, np.linalg.eigvalsh
     monkeypatch.setattr(
-        snfair.cayley, "fft", lambda n, w: held.append(live_sets() - before) or real(n, w)
+        snfair.fourier, "fft", lambda n, w: held.append(live_sets() - before) or real(n, w)
     )
+    monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: grams.append(a.shape) or real_eigvalsh(a))
     passed, rows = SUITES["eigenvalue"](5, 0, 1e-9)
-    # one transform per set serves both scalings, and the sets are built
-    # one at a time, so no earlier set and its blocks are still alive
+    # one transform per set and one gram eigendecomposition per shape serve
+    # both scalings, and the sets are built one at a time, so no earlier set
+    # and its blocks are still alive
     assert passed and held == [1] * len(rows) == [1] * 5
+    assert len(grams) == len(rows) * len(partitions_of(5))
 
 
 def test_stdout_when_no_out_flag(capsys):

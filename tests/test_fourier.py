@@ -296,6 +296,22 @@ def test_spectrum_block_order_is_canonical():
     assert tuple(rebuilt.blocks.keys()) == partitions_of(4)
 
 
+def test_spectrum_keeps_owned_read_only_blocks_and_copies_the_rest():
+    spec = transform(random_payoff(4, seed=3))
+    # fft hands its blocks over, and a spectrum's blocks are kept as given
+    assert all(m.base is None and not m.flags.writeable for m in spec.blocks.values())
+    again = FourierSpectrum(4, spec.blocks)
+    assert all(again.blocks[s] is m for s, m in spec.blocks.items())
+    writable = {s: np.array(m) for s, m in spec.blocks.items()}
+    copied = FourierSpectrum(4, writable)
+    s1 = copied.schatten.s1
+    for m in writable.values():
+        m *= 2.0  # the caller's later writes reach neither blocks nor summary
+    for s, m in spec.blocks.items():
+        np.testing.assert_array_equal(copied.blocks[s], m)
+    assert schatten_summary(copied).s1 == s1
+
+
 def test_capacity_guard():
     # The one library limit, n <= 10, is checked before anything n!-sized.
     with pytest.raises(CapacityError):

@@ -10,6 +10,7 @@ from snfair.payoffs import (
     CfmmModel,
     JuntaTerm,
     LiquidationModel,
+    PayoffFn,
     cfmm_payoff,
     indicator_payoff,
     junta_payoff,
@@ -71,6 +72,12 @@ def test_cfmm_zero_extraction_is_zero():
     assert np.abs(cfmm_payoff(model).values).max() == 0.0
 
 
+def test_cfmm_integer_and_float_trade_sizes_agree():
+    ints = cfmm_payoff(CfmmModel((3, -1, 2)))
+    floats = cfmm_payoff(CfmmModel((3.0, -1.0, 2.0)))
+    assert np.array_equal(ints.values, floats.values)
+
+
 def test_cfmm_rejects_price_crashing_trade():
     with pytest.raises(ModelValidityError):
         CfmmModel(deltas=(1.0, -1001.0), gamma=0.001)
@@ -119,6 +126,17 @@ def liquidation_whole(model):
     return (np.cumsum(steps, axis=1) <= -model.c).any(axis=1).astype(float)
 
 
+def junta_whole(terms, n):
+    perms = group_matrix(n)
+    values = np.zeros(len(perms))
+    for term in terms:
+        hit = np.ones(len(perms), dtype=bool)
+        for i, j in term.constraints:
+            hit &= perms[:, i - 1] == j
+        values += term.coefficient * hit
+    return values
+
+
 def test_chunked_payoffs_equal_the_whole_array_formulas(monkeypatch):
     # 11 divides no n!, so every chunk boundary splits a block of orderings;
     # n = 8 also reaches the unrolled pairwise sum of eight or more slots
@@ -131,6 +149,8 @@ def test_chunked_payoffs_equal_the_whole_array_formulas(monkeypatch):
         for c in range(1, k + 1):
             model = LiquidationModel(k, c)
             assert np.array_equal(liquidation_payoff(model).values, liquidation_whole(model))
+    terms = [JuntaTerm(((1, 1), (4, 9)), -2.5), JuntaTerm(((7, 2),), 0.75)]
+    assert np.array_equal(junta_payoff(terms, 9).values, junta_whole(terms, 9))
 
 
 def test_liquidation_depth_validation():
@@ -165,14 +185,28 @@ def test_junta_terms_add_with_coefficients():
 
 
 def test_junta_validation():
-    with pytest.raises(ValueError):
-        JuntaTerm(((1, 1), (1, 2)))  # slot repeated
-    with pytest.raises(ValueError):
-        JuntaTerm(((1, 2), (3, 2)))  # item repeated
-    with pytest.raises(ValueError):
-        JuntaTerm(((0, 1),))
-    with pytest.raises(ValueError):
-        junta_payoff([JuntaTerm(((1, 5),))], 4)
+    # a slot repeated, an item repeated, and pins outside 1..n
+    for constraints in (((1, 1), (1, 2)), ((1, 2), (3, 2)), ((0, 1),), ((1, 5),)):
+        with pytest.raises(ValueError):
+            junta_payoff([JuntaTerm(constraints)], 4)
+
+
+def test_payoff_keeps_owned_read_only_values_and_copies_the_rest():
+    owned = np.arange(6.0)
+    owned.setflags(write=False)
+    assert PayoffFn(3, owned).values is owned
+    writable = np.arange(6.0)
+    f = PayoffFn(3, writable)
+    writable[0] = 9.0  # the caller's later write does not reach the payoff
+    assert f.values[0] == 0.0
+    # a read-only view, another dtype and a list are converted or copied
+    for given in (owned[:], np.arange(6), list(range(6))):
+        kept = PayoffFn(3, given).values
+        assert kept.base is None and kept.dtype == np.float64 and not kept.flags.writeable
+        assert np.array_equal(kept, owned)
+    # the generators hand their own arrays over
+    built = cfmm_payoff(FROZEN_CFMM).values
+    assert built.base is None and not built.flags.writeable
 
 
 def test_indicator_payoff_edges():

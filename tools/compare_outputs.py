@@ -99,9 +99,18 @@ def _commands() -> list[list[str]]:
          "--out", "cfmm9.json"],
         ["gen-payoff", "--model", "liquidation", "--k", "5", "--c", "3", "--max-n", "10",
          "--out", "liq10.json"],
+        # one three-pin term over the six row chunks of S_9
+        ["gen-payoff", "--model", "junta", "--n", "9", "--max-n", "9", "--pairs", "1:1,2:3,5:4",
+         "--coeff", "-2.5", "--out", "junta9.json"],
         # rejected: trade sizes whose payoff overflows, and a negative seed
         ["gen-payoff", "--model", "cfmm", "--deltas", "1e200,1,2"],
         ["gen-payoff", "--model", "random", "--n", "3", "--seed", "-1"],
+        # rejected junta pins: a slot repeated, an item repeated, a slot 0,
+        # and a slot past n
+        ["gen-payoff", "--model", "junta", "--n", "4", "--pairs", "1:1,1:2"],
+        ["gen-payoff", "--model", "junta", "--n", "4", "--pairs", "1:2,3:2"],
+        ["gen-payoff", "--model", "junta", "--n", "4", "--pairs", "0:1"],
+        ["gen-payoff", "--model", "junta", "--pairs", "5:1", "--n", "4"],
     ]
     for n in (4, 6, 7, 8):
         cmds.append(["simulate", "--n-tx", str(n), "--seed", str(n), "--out", f"iid{n}.json"])
@@ -165,6 +174,10 @@ def _commands() -> list[list[str]]:
         ["verify", "--suite", "claim1", "--n", "1"],
         ["verify", "--suite", "claim2", "--n", "3"],
     ]
+    # the dense cross-check of the eigenvalue suite at its smallest sizes
+    for n in (2, 3):
+        cmds.append(["verify", "--suite", "eigenvalue", "--n", str(n), "--seed", str(n), "--out",
+                     f"verify_eigenvalue_{n}.json", "--csv", f"verify_eigenvalue_{n}.csv"])
     suites = ("roundtrip", "uncertainty", "eigenvalue", "indicator_degree", "claim1", "claim2")
     for n in (4, 5, 6):
         for suite in suites:
