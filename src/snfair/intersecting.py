@@ -39,7 +39,7 @@ from math import factorial
 import numpy as np
 
 from .errors import EmptySetError
-from .permutations import group_matrix, row_chunks
+from .permutations import group_matrix, is_integer, row_chunks
 from .sets import OrderingSet
 
 # Rows and columns of one agreement tile: a 512 x 2048 float32 product is 4 MB.
@@ -145,6 +145,10 @@ def stabilizer_set(n: int, pairs) -> OrderingSet:
     (n - t)! members for t pairs.  This is the one check of position pins:
     each junta term's indicator is that of its stabilizer set.
     """
+    pairs = [tuple(pair) for pair in pairs]
+    for pair in pairs:
+        if not all(map(is_integer, pair)):
+            raise ValueError(f"pair {pair!r} must hold two integers")
     pairs = [(int(i), int(j)) for i, j in pairs]
     if not pairs:
         return OrderingSet.full_group(n)

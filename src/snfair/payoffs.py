@@ -61,9 +61,12 @@ class PayoffFn:
             raise ValueError(
                 f"need {factorial(self.n)} values for n={self.n}, got shape {vals.shape}"
             )
-        if not np.all(np.isfinite(vals)):
+        # min and max are NaN if any value is, so they see every non-finite
+        # value without an n!-sized mask.
+        low, high = vals.min(), vals.max()
+        if not (np.isfinite(low) and np.isfinite(high)):
             raise ValueError("payoff values must be finite")
-        if max(vals.max(), -vals.min()) > MAX_MAGNITUDE:
+        if max(high, -low) > MAX_MAGNITUDE:
             raise ValueError(f"payoff values must not exceed {MAX_MAGNITUDE:g} in magnitude")
         object.__setattr__(self, "values", vals)
 

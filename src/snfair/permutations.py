@@ -13,12 +13,13 @@ Conventions used throughout the package:
 
 Exhaustive enumeration is capped at n <= 10 by :func:`check_enumerable`,
 the package's one size limit (see its docstring for the memory cost).
-Scans that would otherwise make n!-row temporaries (ranking a stack of
-words, the CFMM and liquidation payoffs, admissible and stabilizer sets,
-agreement profiles) take the rows :data:`ROW_CHUNK` at a time
-(:func:`row_chunks`).  Their temporaries then stay a few MB at any n,
-and each row goes through the same operations in the same order as in
-one whole-array pass, so every value comes out the same.
+Scans that would otherwise make n!-row temporaries (ranking words, the
+FFT's coset order among them, the CFMM and liquidation payoffs,
+admissible and stabilizer sets, agreement profiles) take the rows
+:data:`ROW_CHUNK` at a time (:func:`row_chunks`).  Their temporaries
+then stay a few MB at any n, and each row goes through the same
+operations in the same order as in one whole-array pass, so every value
+comes out the same.
 """
 from __future__ import annotations
 
@@ -100,22 +101,28 @@ class Permutation:
 
 
 def rank_of_word(words) -> np.ndarray:
-    """Lehmer ranks of 1-based one-line words along the last axis (no validation).
+    """Lehmer ranks of 1-based one-line words along the last axis.
 
-    Digit i counts the later entries smaller than entry i; a single word
-    gives a 0-d array, a stack of words one rank per word, ranked
-    ROW_CHUNK words at a time.
+    Digit i counts the later entries smaller than entry i, and the digits
+    are summed in Horner form.  A single word gives a 0-d array, a stack
+    of words an owned array of ranks, ranked ROW_CHUNK words at a time.
+    Only the length is checked: ranks past 20 letters overflow int64.
     """
     w = np.asarray(words)
     n = w.shape[-1]
-    weights = np.array([factorial(n - 1 - i) for i in range(n)], dtype=np.int64)
+    if n > 20:
+        raise OverflowError(f"ranks of {n}-letter words do not fit in int64")
     stack = w.reshape(-1, n)
-    ranks = np.empty(len(stack), dtype=np.int64)
+    ranks = np.zeros(w.shape[:-1], dtype=np.int64)
+    flat = ranks.reshape(-1)
     for rows in row_chunks(len(stack)):
-        chunk = stack[rows]
-        digits = np.triu(chunk[:, :, None] > chunk[:, None, :], 1).sum(-1)
-        ranks[rows] = digits @ weights
-    return ranks.reshape(w.shape[:-1])
+        # One contiguous row per slot: S_10 in 0.11 s, not 1.2 s as columns.
+        slots = stack[rows].T.copy()
+        rank = flat[rows]
+        for i in range(n):
+            rank *= n - i
+            rank += (slots[i + 1 :] < slots[i]).sum(0, dtype=np.int8)
+    return ranks
 
 
 def lehmer_unrank(n: int, r: int) -> Permutation:
@@ -140,8 +147,13 @@ def enumerate_group(n: int):
         yield Permutation(word)
 
 
+def is_integer(value) -> bool:
+    """True for a Python or numpy integer; False for a bool, a float, a string."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
 def check_enumerable(n: int) -> None:
-    """Reject group sizes outside 1..MAX_ENUMERABLE_N.
+    """Reject group sizes that are not integers in 1..MAX_ENUMERABLE_N.
 
     The package's only size limit: payoffs, ordering sets and the group
     index check it before allocating anything of size n!.  At the cap,
@@ -155,6 +167,8 @@ def check_enumerable(n: int) -> None:
     440 MB, and ``verify --suite claim1`` and ``--suite uncertainty`` at
     509 and 327 MB.
     """
+    if not is_integer(n):
+        raise ValueError(f"n must be an integer, got {n!r}")
     if n < 1:
         raise ValueError("n must be positive")
     if n > MAX_ENUMERABLE_N:

@@ -55,7 +55,9 @@ The recursion's set-up uses no tableau objects and no dense generators:
   evaluate(shape, c_{j+1}) row by row, diag * M + weight * M[partner]:
   two products per entry where the dense product summed d of them.
 - Coset order.  Digit k of rank r's position is #{i < k : w_i < w_k}
-  for the word w of rank r, counted straight from ``group_matrix``.
+  for the word w of rank r, digit n - k of the reversed word's Lehmer
+  code.  So the order is ``rank_of_word`` of the reversed words, with no
+  transposed copy of ``group_matrix``, and it is an involution.
 
 The per-shape row words and generators (O(k * d) numbers) and the per-n
 rank-to-coset-digit index are cached read-only arrays, safe to share
@@ -72,7 +74,7 @@ from math import factorial, sqrt
 import numpy as np
 
 from .partitions import dimension, partitions_of, standard_tableaux
-from .permutations import Permutation, group_matrix
+from .permutations import Permutation, group_matrix, rank_of_word
 
 # Shapes of at most this many boxes keep their coset matrices for the
 # process.  Level k holds k * k! floats over all its shapes, so levels
@@ -217,21 +219,9 @@ def _coset_order(n: int) -> np.ndarray:
     j_n, j_{n-1}, ..., j_1 in mixed radix, most significant first.
 
     Digit k is #{i < k : w_i < w_k}, one less than the letter at slot k
-    once the letters after it are removed and the rest renumbered."""
-    # One contiguous int8 row per slot: comparing these is about twice as
-    # fast as comparing strided columns of group_matrix.
-    cols = group_matrix(n).T.copy()
-    size = cols.shape[1]
-    order = np.zeros(size, dtype=np.int64)
-    digit = np.empty(size, dtype=np.int8)
-    less = np.empty(size, dtype=bool)
-    for k in range(n, 0, -1):
-        digit.fill(0)
-        for i in range(k - 1):
-            np.less(cols[i], cols[k - 1], out=less)
-            digit += less
-        order *= k
-        order += digit
+    once the letters after it are removed and the rest renumbered: digit
+    n - k of the reversed word's Lehmer code, so the order is an involution."""
+    order = rank_of_word(group_matrix(n)[:, ::-1])
     order.setflags(write=False)
     return order
 
@@ -239,9 +229,9 @@ def _coset_order(n: int) -> np.ndarray:
 def fft(n: int, values: np.ndarray) -> dict[tuple[int, ...], np.ndarray]:
     """sum_p values[rank(p)] * evaluate(shape, p) for every shape of n, each
     block read-only and owning its memory."""
-    # Stacked as (cosets * d) x d rows, so the last level's blocks own their memory.
-    level = {(1,): np.empty((factorial(n), 1))}
-    level[(1,)][_coset_order(n), 0] = values
+    # Stacked as (cosets * d) x d rows, so the last level's blocks own their
+    # memory.  The order is its own inverse, so one gather puts it in place.
+    level = {(1,): values[_coset_order(n)[:, None]]}
     for k in range(2, n + 1):
         cosets = factorial(n) // factorial(k)
         built = {}

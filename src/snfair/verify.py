@@ -87,9 +87,16 @@ def _uniform_payoffs(n: int, seed: int, count: int):
 
 def _equality_payoffs(n: int):
     """The point mass and the constant, the support-spread equality cases."""
-    size = factorial(n)
-    yield "point_mass", PayoffFn(n, np.eye(1, size)[0])
-    yield "constant", PayoffFn(n, np.ones(size))
+    # Owned and read-only, so PayoffFn keeps each array instead of copying
+    # it, and each is built only once the caller has the one before.
+    point = np.zeros(factorial(n))
+    point[0] = 1.0
+    point.setflags(write=False)
+    yield "point_mass", PayoffFn(n, point)
+    del point
+    constant = np.ones(factorial(n))
+    constant.setflags(write=False)
+    yield "constant", PayoffFn(n, constant)
 
 
 def _corpus_payoffs(n: int, seed: int):

@@ -614,6 +614,20 @@ def test_emit_of_a_full_n9_set_stays_well_below_its_list_form(tmp_path):
     assert emit_peak < list_peak / 4
 
 
+def test_equality_payoffs_hand_their_arrays_over():
+    # Built owned and read-only, the point mass and the constant are kept
+    # by PayoffFn as they are: the peak is the two n! arrays it keeps.
+    list(snfair.verify._equality_payoffs(2))
+    tracemalloc.start()
+    try:
+        cases = list(snfair.verify._equality_payoffs(9))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert [label for label, _ in cases] == ["point_mass", "constant"]
+    assert peak <= 2 * 8 * 362880 + 64 * 1024
+
+
 def _count_calls(monkeypatch, module, name, calls):
     real = getattr(module, name)
 

@@ -214,6 +214,16 @@ def test_stabilizer_no_pairs_is_full_group():
     assert stabilizer_set(4, []) == OrderingSet.full_group(4)
 
 
+def test_stabilizer_pins_must_be_exact_integers():
+    # int() would turn each of these into a pin at slot 1 or 2.
+    for pair in ((1.7, 2.2), (True, 2), (1, 2.0), ("1", 2)):
+        with pytest.raises(ValueError, match=r"pair .* must hold two integers"):
+            stabilizer_set(4, [pair])
+    pinned = stabilizer_set(4, [(np.int64(1), np.uint8(2))])
+    assert pinned == stabilizer_set(4, [(1, 2)])
+    assert len(pinned) == 6
+
+
 def test_stabilizer_validation():
     with pytest.raises(ValueError):
         stabilizer_set(4, [(1, 1), (1, 2)])

@@ -184,6 +184,19 @@ def test_junta_terms_add_with_coefficients():
         assert f.values[p.rank()] == pytest.approx(expect)
 
 
+def test_payoff_sizes_must_be_exact_integers():
+    for n in (True, 2.0, "2"):
+        with pytest.raises(ValueError, match="n must be an integer"):
+            PayoffFn(n, [1.0, 2.0])
+        with pytest.raises(ValueError, match="n must be an integer"):
+            random_payoff(n, seed=0)
+    with pytest.raises(ValueError, match="n must be an integer"):
+        junta_payoff([JuntaTerm(((1, 1),))], 3.0)
+    assert PayoffFn(np.int64(2), [1.0, 2.0]).values.tolist() == [1.0, 2.0]
+    same = random_payoff(np.int32(3), seed=0).values == random_payoff(3, seed=0).values
+    assert same.all()
+
+
 def test_junta_validation():
     # a slot repeated, an item repeated, and pins outside 1..n
     for constraints in (((1, 1), (1, 2)), ((1, 2), (3, 2)), ((0, 1),), ((1, 5),)):

@@ -81,6 +81,9 @@ def test_rank_of_word_agrees_with_permutation_rank():
     for _ in range(50):
         word = tuple(int(x) for x in rng.permutation(6) + 1)
         assert rank_of_word(word) == Permutation(word).rank()
+    assert Permutation(tuple(range(20, 0, -1))).rank() == factorial(20) - 1
+    with pytest.raises(OverflowError):
+        Permutation(tuple(range(21, 0, -1))).rank()
 
 
 def test_rank_of_word_ranks_a_stack_of_words(monkeypatch):
@@ -95,6 +98,14 @@ def test_rank_of_word_ranks_a_stack_of_words(monkeypatch):
     for n in range(1, 8):
         assert rank_of_word(group_matrix(n)).tolist() == list(range(factorial(n)))
     assert rank_of_word(words.reshape(12, 10, 5)).tolist() == ranks.reshape(12, 10).tolist()
+    # Non-contiguous stacks: the reversed words, and every other word of
+    # every other block read through a strided 3-D view.
+    for stack in (group_matrix(6)[:, ::-1], group_matrix(6).reshape(24, 30, 6)[::2, ::3]):
+        words = [tuple(map(int, w)) for w in stack.reshape(-1, 6)]
+        got = rank_of_word(stack)
+        assert got.shape == stack.shape[:-1] and got.base is None
+        assert got.reshape(-1).tolist() == [Permutation(w).rank() for w in words]
+        assert [lehmer_unrank(6, int(r)).mapping for r in got.reshape(-1)] == words
 
 
 def test_enumeration_count_and_uniqueness():
@@ -106,6 +117,16 @@ def test_enumeration_count_and_uniqueness():
 def test_enumeration_guard():
     with pytest.raises(CapacityError):
         list(enumerate_group(11))
+
+
+def test_group_size_must_be_an_exact_integer():
+    for n in (True, False, 2.0, 2.5, "3", None):
+        with pytest.raises(ValueError, match="n must be an integer"):
+            group_matrix(n)
+        with pytest.raises(ValueError, match="n must be an integer"):
+            list(enumerate_group(n))
+    assert group_matrix(np.int64(3)).tobytes() == group_matrix(3).tobytes()
+    assert len(list(enumerate_group(np.uint8(3)))) == 6
 
 
 def test_group_matrix_rows_are_rank_ordered():

@@ -87,7 +87,11 @@ def _relabelled_coset_order(n):
 
 @pytest.mark.parametrize("n", range(1, 9))
 def test_coset_order_matches_relabelling(n):
-    np.testing.assert_array_equal(_coset_order(n), _relabelled_coset_order(n))
+    order = _coset_order(n)
+    np.testing.assert_array_equal(order, _relabelled_coset_order(n))
+    # Reversing a word twice gives it back, so the order is its own inverse.
+    np.testing.assert_array_equal(order[order], np.arange(factorial(n)))
+    assert not order.flags.writeable and order.base is None
 
 
 def test_fft_builds_no_dense_generator():

@@ -17,6 +17,13 @@ def test_members_must_be_increasing_in_range():
         OrderingSet(3, (-1,))
 
 
+def test_size_must_be_an_exact_integer():
+    for n in (True, 1.0, "1"):
+        with pytest.raises(ValueError, match="n must be an integer"):
+            OrderingSet(n, [0])
+    assert OrderingSet(np.int64(3), [0, 5]).members.tolist() == [0, 5]
+
+
 def test_from_ranks_sorts_and_dedups():
     s = OrderingSet.from_ranks(3, [5, 1, 5, 0])
     assert s.members.tolist() == [0, 1, 5]

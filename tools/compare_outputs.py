@@ -117,6 +117,9 @@ def _commands() -> list[list[str]]:
     for n in (6, 7, 8, 9):
         cmds.append(["simulate", "--n-tx", str(n), "--validators", str(n), "--latency",
                      "adversarial_cycle", "--max-n", "9", "--out", f"cycle{n}.json"])
+    # all of S_10, the admissible-set scan over every row chunk at the cap
+    cmds.append(["simulate", "--n-tx", "10", "--validators", "10", "--latency",
+                 "adversarial_cycle", "--max-n", "10", "--out", "cycle10.json"])
     cmds += [
         ["simulate", "--n-tx", "5", "--validators", "7", "--seed", "2"],
         ["simulate", "--votes", "votes_unanimous6.json", "--out", "single6.json"],
@@ -144,6 +147,9 @@ def _commands() -> list[list[str]]:
         # one payoff per pass at n = 9, where no pass reuses another's set-up
         ["analyze", "--payoff", "random9.json", "--set", "cycle9.json", "--max-n", "9",
          "--out", "an_random9.json", "--csv", "an_random9.csv"],
+        # the coset order, both transforms and the agreement profile at n = 10
+        ["analyze", "--payoff", "liq10.json", "--set", "cycle10.json", "--max-n", "10",
+         "--out", "an_liq10.json", "--csv", "an_liq10.csv"],
         ["analyze", "--payoff", "cfmm6.json", "--set", "iid6.json", "--out", "an_cfmm6.json",
          "--csv", "an_cfmm6.csv"],
         ["analyze", "--payoff", "random6.json", "--set", "cycle6.json", "--out", "an_random6.json"],
