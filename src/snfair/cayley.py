@@ -40,7 +40,7 @@ import numpy as np
 from .errors import EmptySetError
 from .partitions import dimension
 from .payoffs import indicator_payoff
-from .permutations import group_matrix, rank_of_word, row_chunks
+from .permutations import rank_of_word, row_chunks, words
 from .sets import OrderingSet
 
 # Absolute: a shape is within the bound when the largest eigenvalue of
@@ -52,10 +52,10 @@ BOUND_TOL = 1e-9
 def _inverse_ranks(members: OrderingSet) -> np.ndarray:
     """Rank of each member's inverse: its word's argsort, ranked ROW_CHUNK
     members at a time."""
-    perms = group_matrix(members.n)
     inv = np.empty(len(members), dtype=np.int64)
     for rows in row_chunks(len(members)):
-        inv[rows] = rank_of_word(np.argsort(perms[members.members[rows]], axis=1) + 1)
+        member_words = words(members.n, members.members[rows])
+        inv[rows] = rank_of_word(np.argsort(member_words, axis=1) + 1)
     return inv
 
 
@@ -127,9 +127,9 @@ def dense_operator(conn: SymmetricSet) -> np.ndarray:
     block route.  Row p holds weight 1/|F| at column rank(t * p) for each t.
     """
     size = factorial(conn.n)
-    perms = group_matrix(conn.n)
+    perms = words(conn.n, slice(None))
     mat = np.zeros((size, size))
-    for t in perms[conn.members]:
+    for t in words(conn.n, conn.members):
         # column rank(t * p) for every row p; p -> t * p is a bijection
         mat[np.arange(size), rank_of_word(t[perms - 1])] += 1.0 / len(conn)
     return mat

@@ -10,19 +10,20 @@ examples: t pinned slots leave (n - t)! members all sharing those slots.
 The scan is exact and stops as soon as the answer is known.  Every pair
 agrees on the slots all members share, so their number (the floor) is a
 lower bound on the level.  Member 0 is compared with all the others
-first, in O(m n), reading the members' words from
-:func:`snfair.permutations.group_matrix` ROW_CHUNK at a time.  That
-already reaches the floor for stabilizer sets,
-the full group and every admissible set whose majority graph orders all
+first, in O(m n), reading the members' words ROW_CHUNK at a time from
+:func:`snfair.permutations.words`, which builds them from the S_8 table
+above n = 8.  That already reaches the floor for stabilizer sets, the
+full group and every admissible set whose majority graph orders all
 its components (as a tournament's does): such a set permutes the items
 of each component freely, and every component of two or more items has
 a derangement.  Otherwise the remaining pairs are compared in tiles of
 ROW_TILE x COL_TILE: with each word one-hot encoded as n^2 (slot, item)
 float32 entries, the product of a row tile and a column tile counts
 agreements exactly, and the scan stops after the first tile that brings
-the minimum down to the floor.  Each tile's words are read from the
-group matrix as it comes, so the scan holds no copy of the members'
-words: its memory is one chunk, or one tile, beyond the set's ranks.
+the minimum down to the floor.  Each tile's words are read as it comes,
+so the scan holds no copy of the members' words, nor any table of S_n
+above n = 8: its memory is one chunk, or one tile, beyond the set's
+ranks.
 
 The structural link verified here: once a set's size clears (n - t)!, its
 indicator function must carry spectral mass at degree t or above.  The
@@ -39,7 +40,7 @@ from math import factorial
 import numpy as np
 
 from .errors import EmptySetError
-from .permutations import group_matrix, is_integer, row_chunks
+from .permutations import check_enumerable, is_integer, row_chunks, words
 from .sets import OrderingSet
 
 # Rows and columns of one agreement tile: a 512 x 2048 float32 product is 4 MB.
@@ -62,28 +63,28 @@ def intersection_profile(members: OrderingSet) -> IntersectionProfile:
     if m == 0:
         raise EmptySetError("intersection profile of the empty set is undefined")
     n = members.n
-    perms, ranks = group_matrix(n), members.members
-    first = perms[ranks[0]]
+    ranks = members.members
+    first = words(n, ranks[:1])[0]
 
     # Member 0 against every member, itself included: it agrees with
     # itself at all n slots, the level's starting value.
     shared = np.ones(n, dtype=bool)
     t_max = n
     for rows in row_chunks(m):
-        agree = perms[ranks[rows]] == first
+        agree = words(n, ranks[rows]) == first
         shared &= agree.all(axis=0)
         t_max = min(t_max, int(agree.sum(axis=1).min()))
     common_pairs = tuple((int(i) + 1, int(first[i])) for i in np.nonzero(shared)[0])
     floor = len(common_pairs)
 
     if t_max > floor:
-        t_max = _tiled_minimum(perms, ranks, t_max, floor)
+        t_max = _tiled_minimum(n, ranks, t_max, floor)
 
     gate = m >= factorial(n - t_max)
     return IntersectionProfile(t_max=t_max, common_pairs=common_pairs, size_gate=gate)
 
 
-def _tiled_minimum(perms: np.ndarray, ranks: np.ndarray, t_max: int, floor: int) -> int:
+def _tiled_minimum(n: int, ranks: np.ndarray, t_max: int, floor: int) -> int:
     """min(t_max, agreement of members i < j with i >= 1), stopping at floor.
 
     A tile may also hold (j, i) or (i, i), which add nothing below the
@@ -91,9 +92,9 @@ def _tiled_minimum(perms: np.ndarray, ranks: np.ndarray, t_max: int, floor: int)
     """
     m = len(ranks)
     for r0 in range(1, m - 1, ROW_TILE):
-        rows = _one_hot(perms[ranks[r0 : r0 + ROW_TILE]])
+        rows = _one_hot(words(n, ranks[r0 : r0 + ROW_TILE]))
         for c0 in range(r0, m, COL_TILE):
-            cols = _one_hot(perms[ranks[c0 : c0 + COL_TILE]])
+            cols = _one_hot(words(n, ranks[c0 : c0 + COL_TILE]))
             t_max = min(t_max, int((rows @ cols.T).min()))
             if t_max == floor:
                 return t_max
@@ -159,10 +160,10 @@ def stabilizer_set(n: int, pairs) -> OrderingSet:
     for i, j in pairs:
         if not (1 <= i <= n and 1 <= j <= n):
             raise ValueError(f"pair ({i}, {j}) outside 1..{n}")
-    perms = group_matrix(n)
-    keep = np.ones(len(perms), dtype=bool)
+    check_enumerable(n)
+    keep = np.ones(factorial(n), dtype=bool)
     for rows in row_chunks(len(keep)):
-        words, part = perms[rows], keep[rows]
+        chunk, part = words(n, rows), keep[rows]
         for i, j in pairs:
-            part &= words[:, i - 1] == j
+            part &= chunk[:, i - 1] == j
     return OrderingSet.from_mask(n, keep)

@@ -33,7 +33,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from .errors import ModelValidityError
-from .permutations import check_enumerable, group_matrix, row_chunks
+from .permutations import check_enumerable, row_chunks, words
 from .sets import OrderingSet, owned_read_only
 
 if TYPE_CHECKING:
@@ -114,14 +114,14 @@ def cfmm_payoff(model: CfmmModel) -> PayoffFn:
     """Total extraction of every ordering of the model's trades, built
     ROW_CHUNK orderings at a time."""
     n = model.n
-    perms = group_matrix(n)
+    check_enumerable(n)
     deltas = np.asarray(model.deltas, dtype=float)
-    values = np.empty(len(perms))
+    values = np.empty(factorial(n))
     # Values past the float range become inf or nan silently here; the
     # PayoffFn check then rejects them with one message.
     with np.errstate(over="ignore", invalid="ignore"):
-        for rows in row_chunks(len(perms)):
-            sizes = deltas[perms[rows] - 1]  # trade size per slot
+        for rows in row_chunks(len(values)):
+            sizes = deltas[words(n, rows) - 1]  # trade size per slot
             # prior[:, k] = price before slot k: the price factors, their
             # running product times p0, then shifted one slot right behind
             # p0, all in place
@@ -173,12 +173,12 @@ def liquidation_payoff(model: LiquidationModel) -> PayoffFn:
     """Indicator of orderings whose running move total ever reaches -c,
     built ROW_CHUNK orderings at a time."""
     n = model.n
-    perms = group_matrix(n)
+    check_enumerable(n)
     moves = np.asarray(model.moves, dtype=np.int8)
-    values = np.empty(len(perms))
-    for rows in row_chunks(len(perms)):
+    values = np.empty(factorial(n))
+    for rows in row_chunks(len(values)):
         # int8 holds every running total: it stays within -k..k
-        running = moves[perms[rows] - 1]
+        running = moves[words(n, rows) - 1]
         np.cumsum(running, axis=1, dtype=np.int8, out=running)
         values[rows] = (running <= -model.c).any(axis=1)
     values.setflags(write=False)

@@ -13,13 +13,18 @@ Conventions used throughout the package:
 
 Exhaustive enumeration is capped at n <= 10 by :func:`check_enumerable`,
 the package's one size limit (see its docstring for the memory cost).
-Scans that would otherwise make n!-row temporaries (ranking words, the
-FFT's coset order among them, the CFMM and liquidation payoffs,
-admissible and stabilizer sets, agreement profiles) take the rows
-:data:`ROW_CHUNK` at a time (:func:`row_chunks`).  Their temporaries
-then stay a few MB at any n, and each row goes through the same
-operations in the same order as in one whole-array pass, so every value
-comes out the same.
+Every scan over S_n reads its one-line words from one source,
+:func:`words`.  Up to n = WORD_TABLE_N = 8 that is the cached table of
+all of S_n (:func:`group_matrix`, 322 KB at n = 8).  Above, the ranks
+fall into blocks of 8! that share their first n - 8 letters, and each
+block's words are built on demand from the S_8 table, so no process
+holds an n! x n array.  Scans that would otherwise make n!-row
+temporaries (ranking words, the FFT's coset order among them, the CFMM
+and liquidation payoffs, admissible and stabilizer sets, agreement
+profiles) take the rows :data:`ROW_CHUNK` = 8! at a time
+(:func:`row_chunks`), one block per chunk.  Their temporaries then stay
+a few MB at any n, and each row goes through the same operations in the
+same order as in one whole-array pass, so every value comes out the same.
 """
 from __future__ import annotations
 
@@ -34,9 +39,15 @@ from .errors import CapacityError
 
 MAX_ENUMERABLE_N = 10
 
-# Rows per chunk of a scan over S_n: one float64 per entry of 65536
-# ten-item words is 5 MB.
-ROW_CHUNK = 65536
+# Largest n whose whole word table group_matrix builds; words builds
+# larger groups' words from this table.
+WORD_TABLE_N = 8
+
+# Rows per chunk of a scan over S_n.  Above WORD_TABLE_N, a block is the
+# 8! ranks that share their first n - 8 letters, whose words are one
+# relabelled copy of the S_8 table; a chunk of 8! rows is exactly one
+# block.  One float64 per entry of 40320 ten-item words is 3.2 MB.
+ROW_CHUNK = factorial(WORD_TABLE_N)
 
 
 def row_chunks(rows: int):
@@ -127,6 +138,8 @@ def rank_of_word(words) -> np.ndarray:
 
 def lehmer_unrank(n: int, r: int) -> Permutation:
     """Inverse of Permutation.rank for the group S_n."""
+    if not (is_integer(n) and is_integer(r)):
+        raise ValueError(f"n and r must be integers, got {n!r} and {r!r}")
     if n < 1:
         raise ValueError("n must be positive")
     if not 0 <= r < factorial(n):
@@ -157,15 +170,15 @@ def check_enumerable(n: int) -> None:
 
     The package's only size limit: payoffs, ordering sets and the group
     index check it before allocating anything of size n!.  At the cap,
-    one transform and inverse of a dense n = 10 payoff peak at 345 MB
+    one transform and inverse of a dense n = 10 payoff peak at 303 MB
     resident (whole process, measured with getrusage on a 2-core Intel
-    Xeon, numpy float64) and take about 2 s.  Whole ``snfair`` commands
+    Xeon, numpy float64) and take 2.2-2.3 s.  Whole ``snfair`` commands
     at n = 10 on that machine: ``simulate --latency adversarial_cycle``
-    peaks at 99 MB, ``gen-payoff --model random`` at 90 MB, ``--model
-    cfmm`` at 135 MB, ``--model liquidation`` at 120 MB, ``transform``
-    at 290 MB, ``analyze`` of a CFMM payoff on all 3628800 orders at
-    440 MB, and ``verify --suite claim1`` and ``--suite uncertainty`` at
-    509 and 327 MB.
+    peaks at 65 MB, ``gen-payoff --model random`` at 65 MB, ``--model
+    cfmm`` at 68 MB, ``--model liquidation`` at 59 MB, ``transform``
+    at 259 MB, ``analyze`` of a CFMM payoff on all 3628800 orders at
+    372 MB, and ``verify --suite claim1`` and ``--suite uncertainty`` at
+    433 and 289 MB.
     """
     if not is_integer(n):
         raise ValueError(f"n must be an integer, got {n!r}")
@@ -177,13 +190,81 @@ def check_enumerable(n: int) -> None:
         )
 
 
-@lru_cache(maxsize=8)
+def words(n: int, ranks) -> np.ndarray:
+    """One-line words of the given ranks of S_n as int8 rows, one per rank.
+
+    `ranks` is a slice of step 1 or a 1-D integer array of nondecreasing
+    ranks (an ordering set's members are sorted).  Up to WORD_TABLE_N the
+    rows are :func:`group_matrix`'s, a read-only view for a slice.  Above,
+    rank r = q * 8! + s is the q-th (n - 8)-letter prefix in lexicographic
+    order followed by row s of the S_8 table, relabelled in order onto the
+    8 letters the prefix leaves free: t += t >= a for each prefix letter a,
+    smallest first.  Each block's rows are copied into one contiguous
+    buffer, reused from block to block, relabelled there and written out:
+    beyond the result, a call holds one block's buffer at most.
+    """
+    check_enumerable(n)
+    size = factorial(n)
+    if isinstance(ranks, slice):
+        start, stop, step = ranks.indices(size)
+        if step != 1:
+            raise ValueError(f"a slice of ranks must have step 1, got {step}")
+        stop = max(start, stop)
+        count, first, last = stop - start, start, stop - 1
+    else:
+        ranks = np.asarray(ranks)
+        if ranks.ndim != 1 or ranks.dtype.kind not in "iu":
+            raise ValueError("ranks must be a slice or a 1-D integer array")
+        count = len(ranks)
+        if count and (ranks[0] < 0 or ranks[-1] >= size or np.any(ranks[1:] < ranks[:-1])):
+            raise ValueError(f"ranks must be nondecreasing and in [0, {size})")
+        first, last = (int(ranks[0]), int(ranks[-1])) if count else (0, -1)
+    if n <= WORD_TABLE_N:
+        return group_matrix(n)[ranks]
+    table, head = group_matrix(WORD_TABLE_N), n - WORD_TABLE_N
+    block = len(table)
+    out = np.empty((count, n), dtype=np.int8)
+    # Each row's last 8 letters as one unaligned 8-byte field, so that a
+    # block is written one row per element rather than one letter.
+    field = {"names": ["tail"], "formats": [f"V{WORD_TABLE_N}"], "offsets": [head], "itemsize": n}
+    tails = out.view(np.dtype(field))["tail"][:, 0]
+    buf = np.empty((min(count, block), WORD_TABLE_N), dtype=np.int8)
+    above = np.empty(buf.shape, dtype=bool)
+    q0, q1 = first // block, last // block
+    prefixes = itertools.islice(itertools.permutations(range(1, n + 1), head), q0, q1 + 1)
+    for q, prefix in enumerate(prefixes, q0):
+        base = q * block
+        if isinstance(ranks, slice):
+            i0, i1 = max(start, base) - start, min(stop, base + block) - start
+            tail = buf[: i1 - i0]
+            np.copyto(tail, table[start + i0 - base : start + i1 - base])
+        else:
+            i0, i1 = np.searchsorted(ranks, (base, base + block))
+            tail = buf[: i1 - i0]
+            np.take(table, ranks[i0:i1] - base, axis=0, out=tail)
+        mask = above[: i1 - i0]
+        for letter in sorted(prefix):
+            np.greater_equal(tail, letter, out=mask)
+            tail += mask.view(np.int8)
+        for slot, letter in enumerate(prefix):
+            out[i0:i1, slot] = letter
+        tails[i0:i1] = tail.view(tails.dtype)[:, 0]
+    return out
+
+
+@lru_cache(maxsize=WORD_TABLE_N)
 def group_matrix(n: int) -> np.ndarray:
-    """All of S_n as an int8 array of shape (n!, n), row r = word of rank r.
+    """All of S_n for n <= WORD_TABLE_N as an int8 array of shape (n!, n),
+    row r = word of rank r; larger groups' words come from :func:`words`.
 
     Cached and marked read-only; shared freely across callers.
     """
     check_enumerable(n)
+    if n > WORD_TABLE_N:
+        raise ValueError(
+            f"the word table is built only up to n = {WORD_TABLE_N}, got n = {n}; "
+            "read larger groups' words with words(n, ranks)"
+        )
     mat = np.empty((factorial(n), n), dtype=np.int8)
     # The top k! rows of the last k columns hold S_k on 1..k.  S_{k+1} is
     # k + 1 blocks of k! rows: block a puts a in the new column and S_k

@@ -56,8 +56,9 @@ The recursion's set-up uses no tableau objects and no dense generators:
   two products per entry where the dense product summed d of them.
 - Coset order.  Digit k of rank r's position is #{i < k : w_i < w_k}
   for the word w of rank r, digit n - k of the reversed word's Lehmer
-  code.  So the order is ``rank_of_word`` of the reversed words, with no
-  transposed copy of ``group_matrix``, and it is an involution.
+  code.  So the order is ``rank_of_word`` of the reversed words, ranked
+  one ROW_CHUNK of ``words`` at a time into the one int64 order, and it
+  is an involution.
 
 The per-shape row words and generators (O(k * d) numbers) and the per-n
 rank-to-coset-digit index are cached read-only arrays, safe to share
@@ -74,7 +75,7 @@ from math import factorial, sqrt
 import numpy as np
 
 from .partitions import dimension, partitions_of, standard_tableaux
-from .permutations import Permutation, group_matrix, rank_of_word
+from .permutations import Permutation, check_enumerable, rank_of_word, row_chunks, words
 
 # Shapes of at most this many boxes keep their coset matrices for the
 # process.  Level k holds k * k! floats over all its shapes, so levels
@@ -221,7 +222,10 @@ def _coset_order(n: int) -> np.ndarray:
     Digit k is #{i < k : w_i < w_k}, one less than the letter at slot k
     once the letters after it are removed and the rest renumbered: digit
     n - k of the reversed word's Lehmer code, so the order is an involution."""
-    order = rank_of_word(group_matrix(n)[:, ::-1])
+    check_enumerable(n)
+    order = np.empty(factorial(n), dtype=np.int64)
+    for rows in row_chunks(len(order)):
+        order[rows] = rank_of_word(words(n, rows)[:, ::-1])
     order.setflags(write=False)
     return order
 

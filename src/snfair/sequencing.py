@@ -19,7 +19,7 @@ from math import factorial
 
 import numpy as np
 
-from .permutations import group_matrix, row_chunks
+from .permutations import check_enumerable, row_chunks, words
 from .sets import OrderingSet
 
 
@@ -103,12 +103,12 @@ def valid_orderings(graph: MajorityGraph) -> OrderingSet:
         (i, j) for (i, j) in sorted(graph.edges) if component[i] != component[j]
     ]
     items = sorted({v for edge in cross_edges for v in edge})
-    perms = group_matrix(n)
+    check_enumerable(n)
     keep = np.ones(factorial(n), dtype=bool)
     for rows in row_chunks(len(keep)):
-        words = perms[rows]
+        chunk = words(n, rows)
         # slot_of[v][r] = 0-based execution slot of item v under ordering r
-        slot_of = {v: (words == v).argmax(axis=1).astype(np.int8) for v in items}
+        slot_of = {v: (chunk == v).argmax(axis=1).astype(np.int8) for v in items}
         part = keep[rows]
         for i, j in cross_edges:
             part &= slot_of[i] < slot_of[j]

@@ -25,7 +25,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .permutations import check_enumerable, group_matrix, row_chunks
+from .permutations import check_enumerable, row_chunks, words
 
 if TYPE_CHECKING:
     from .intersecting import IntersectionProfile
@@ -124,4 +124,4 @@ class OrderingSet:
 
     def matrix(self) -> np.ndarray:
         """Members as one-line words, one row per member (int8)."""
-        return group_matrix(self.n)[self.members]
+        return words(self.n, self.members)

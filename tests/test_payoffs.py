@@ -1,4 +1,5 @@
 """Payoff generators against slow per-ordering reference implementations."""
+import itertools
 from math import factorial
 
 import numpy as np
@@ -17,7 +18,7 @@ from snfair.payoffs import (
     liquidation_payoff,
     random_payoff,
 )
-from snfair.permutations import enumerate_group, group_matrix
+from snfair.permutations import enumerate_group
 from snfair.sets import OrderingSet
 
 
@@ -110,9 +111,15 @@ def test_liquidation_matches_prefix_walk_oracle():
             assert f.values[p.rank()] == liquidation_oracle(model, p)
 
 
+def all_words(n):
+    """Every word of S_n in rank order, from itertools rather than the package."""
+    letters = itertools.chain.from_iterable(itertools.permutations(range(1, n + 1)))
+    return np.fromiter(letters, dtype=np.int8, count=factorial(n) * n).reshape(-1, n)
+
+
 def cfmm_whole(model):
     """The generator's operations applied to all n! orderings at once."""
-    sizes = np.asarray(model.deltas)[group_matrix(model.n) - 1]
+    sizes = np.asarray(model.deltas)[all_words(model.n) - 1]
     prior = model.gamma * sizes
     prior += 1.0
     np.cumprod(prior, axis=1, out=prior)
@@ -122,12 +129,12 @@ def cfmm_whole(model):
 
 
 def liquidation_whole(model):
-    steps = np.asarray(model.moves)[group_matrix(model.n) - 1]
+    steps = np.asarray(model.moves)[all_words(model.n) - 1]
     return (np.cumsum(steps, axis=1) <= -model.c).any(axis=1).astype(float)
 
 
 def junta_whole(terms, n):
-    perms = group_matrix(n)
+    perms = all_words(n)
     values = np.zeros(len(perms))
     for term in terms:
         hit = np.ones(len(perms), dtype=bool)

@@ -1,9 +1,12 @@
 """Permutation arithmetic against hand oracles and brute-force enumeration."""
 import itertools
 from math import factorial
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from snfair import permutations
 from snfair.errors import CapacityError
@@ -13,6 +16,7 @@ from snfair.permutations import (
     group_matrix,
     lehmer_unrank,
     rank_of_word,
+    words,
 )
 
 
@@ -74,6 +78,13 @@ def test_unrank_is_inverse_of_rank():
         lehmer_unrank(3, 6)
     with pytest.raises(IndexError):
         lehmer_unrank(3, -1)
+    assert lehmer_unrank(np.int64(3), np.uint8(5)).mapping == (3, 2, 1)
+
+
+@pytest.mark.parametrize("n, r", [(True, 0), (3, True), (3, False), (3.0, 0), (3, 1.0), ("3", 0)])
+def test_unrank_rejects_bools_and_non_integers(n, r):
+    with pytest.raises(ValueError, match="must be integers"):
+        lehmer_unrank(n, r)
 
 
 def test_rank_of_word_agrees_with_permutation_rank():
@@ -140,6 +151,54 @@ def test_group_matrix_rows_are_rank_ordered():
     for n in range(1, 9):
         words = list(itertools.permutations(range(1, n + 1)))
         assert group_matrix(n).tobytes() == np.array(words, dtype=np.int8).tobytes()
+
+
+@st.composite
+def rank_requests(draw):
+    """A size n in {9, 10} and either an increasing rank array (repeats
+    allowed) or a slice that crosses a boundary between 8!-rank blocks."""
+    n = draw(st.sampled_from([9, 10]))
+    size, block = factorial(n), factorial(8)
+    if draw(st.booleans()):
+        ranks = draw(st.lists(st.integers(0, size - 1), max_size=60))
+        return n, np.array(sorted(ranks), dtype=np.int64)
+    edge = block * draw(st.integers(1, size // block - 1))
+    return n, slice(edge - draw(st.integers(1, 90)), edge + draw(st.integers(1, 90)))
+
+
+@settings(max_examples=120, deadline=None)
+@given(rank_requests(), st.sampled_from([permutations.ROW_CHUNK, 11]))
+def test_words_above_the_table_match_unranking(request, chunk):
+    n, ranks = request
+    with mock.patch.object(permutations, "ROW_CHUNK", chunk):
+        got = words(n, ranks)
+    expect = np.arange(ranks.start, ranks.stop) if isinstance(ranks, slice) else ranks
+    assert got.dtype == np.int8 and got.shape == (len(expect), n)
+    assert [tuple(w) for w in got.tolist()] == [lehmer_unrank(n, int(r)).mapping for r in expect]
+    assert rank_of_word(got).tolist() == expect.tolist()
+
+
+def test_words_up_to_the_table_are_its_rows():
+    mat = group_matrix(6)
+    assert words(6, slice(100, 300)).base is mat
+    ranks = np.array([0, 5, 5, 719])
+    np.testing.assert_array_equal(words(6, ranks), mat[ranks])
+    assert words(9, slice(5, 2)).shape == (0, 9)
+    assert words(9, np.array([], dtype=np.int64)).shape == (0, 9)
+
+
+def test_words_reject_what_they_cannot_read_in_blocks():
+    for n in (6, 9):
+        size = factorial(n)
+        for bad in ([3, 2], [-1, 0], [0, size], np.array([[0, 1]]), np.array([0.0, 1.0])):
+            with pytest.raises(ValueError):
+                words(n, bad)
+        with pytest.raises(ValueError, match="step 1"):
+            words(n, slice(0, 10, 2))
+    with pytest.raises(CapacityError):
+        words(11, slice(0, 1))
+    with pytest.raises(ValueError, match="only up to n = 8"):
+        group_matrix(9)
 
 
 def test_word_validation():

@@ -154,11 +154,11 @@ def test_valid_orderings_matches_argsort_formulation(votes, chunk):
     assert {tuple(w) for w in members.matrix().tolist()} == admissible_oracle(votes)
 
 
-def test_n9_cycle_scans_hold_no_copy_of_the_group():
-    # The set's 9! ranks take 2.8 MiB.  Chunked scans add a few MiB more;
-    # whole-array ones add n! x n compares (3.3 MiB each) and rank copies.
-    group_matrix(9)  # cached; only the scans' own memory is traced
-    graph = majority_graph(simulate(9, 9, "adversarial_cycle"))
+def cycle_scan_peak(n):
+    """Traced peak of the admissible-set scan and agreement profile of an
+    n-cycle, word source included: the word table cache starts empty."""
+    graph = majority_graph(simulate(n, n, "adversarial_cycle"))
+    group_matrix.cache_clear()
     tracemalloc.start()
     try:
         members = valid_orderings(graph)
@@ -166,8 +166,20 @@ def test_n9_cycle_scans_hold_no_copy_of_the_group():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert len(members) == factorial(9) and profile.t_max == 0
-    assert peak < 10 * 2**20
+    assert len(members) == factorial(n) and profile.t_max == 0
+    return peak
+
+
+def test_n9_cycle_scans_hold_no_copy_of_the_group():
+    # The set's 9! ranks take 2.8 MiB and the S_8 table 0.3 MiB.  Chunked
+    # scans add a few MiB more; a table of S_9 would add 3.3 MiB and
+    # whole-array scans n! x n compares (3.3 MiB each) and rank copies.
+    assert cycle_scan_peak(9) < 10 * 2**20
+
+
+def test_n10_cycle_scans_hold_no_copy_of_the_group():
+    # The set's 10! ranks take 27.7 MiB; a table of S_10 would add 34.6 MiB.
+    assert cycle_scan_peak(10) < 40 * 2**20
 
 
 def test_mixed_profile_two_components():

@@ -63,6 +63,7 @@ INPUTS = {
     }),
     "family6.json": _json(_two_of_first_three_fixed(6)),
     "family7.json": _json(_two_of_first_three_fixed(7)),
+    "family9.json": _json(_two_of_first_three_fixed(9)),
     "votes_winner_cycle9.json": _json(_winner_cycle9()),
     "votes_crlf4.json": _crlf({
         "n_tx": 4,
@@ -147,6 +148,10 @@ def _commands() -> list[list[str]]:
         # one payoff per pass at n = 9, where no pass reuses another's set-up
         ["analyze", "--payoff", "random9.json", "--set", "cycle9.json", "--max-n", "9",
          "--out", "an_random9.json", "--csv", "an_random9.csv"],
+        # 13680 members with floor 0 and t_max 1: the tiled agreement scan
+        # reads member words from all nine 8!-rank blocks of S_9
+        ["analyze", "--payoff", "random9.json", "--set", "family9.json", "--max-n", "9",
+         "--csv", "an_family9.csv"],
         # the coset order, both transforms and the agreement profile at n = 10
         ["analyze", "--payoff", "liq10.json", "--set", "cycle10.json", "--max-n", "10",
          "--out", "an_liq10.json", "--csv", "an_liq10.csv"],
@@ -197,6 +202,8 @@ def _commands() -> list[list[str]]:
     # profiles and connection-set blocks
     for suite in ("claim1", "eigenvalue"):
         cmds.append(["verify", "--suite", suite, "--n", "8", "--out", f"verify_{suite}_8.json"])
+    # inverse ranks of connection sets above the S_8 word table
+    cmds.append(["verify", "--suite", "eigenvalue", "--n", "9", "--max-n", "9"])
     return cmds
 
 
