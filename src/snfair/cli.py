@@ -1,11 +1,15 @@
 """Command-line front end: reproducible generation, analysis, and verification.
 
-Five commands: gen-payoff, transform, analyze, verify, simulate.  Every
-output file embeds the tool version, the full flag configuration, the
-seed, and the SHA-256 of each input file; nothing time-dependent is
-written, so identical invocations produce byte-identical files.  The
-verify command exits 0 exactly when every theorem-backed check in the
-chosen suite passes; trend quantities are reported but never gate.
+Five commands: gen-payoff, transform, analyze, verify, simulate.  Each
+accepts only the flags it reads: every command takes --out and --max-n,
+gen-payoff, simulate and verify take --seed, and analyze takes --tol,
+its degree threshold.  Every output file embeds the tool version, the
+full flag configuration and the SHA-256 of each input file; nothing
+time-dependent is written, so identical invocations produce
+byte-identical files.  The verify command exits 0 exactly when every
+theorem-backed check in the chosen suite passes, each against the
+suite's own fixed tolerance; trend quantities are reported but never
+gate.
 
 The input files (payoffs, ordering sets, vote profiles) are JSON in
 UTF-8 whatever the locale, and only this module knows their formats
@@ -22,7 +26,11 @@ it starts, so ``--version`` and ``--help`` load no numpy and
 library's own limit of n <= 10: every command checks each group size
 against it once, as soon as the size is known (from a flag, a model, or
 the raw JSON of an input file) and before any n!-sized work.  ``--tol``
-must be a finite number >= 0 and ``--seed`` an integer >= 0.
+must be a finite number >= 0 and ``--seed`` an integer >= 0.  A
+malformed command line (an unknown or missing flag, a bad value or
+choice, no command) ends like any other usage error: one ``error:``
+line on stderr and exit code 2.  ``--help`` and ``--version`` print and
+exit 0 as argparse makes them.
 
 Payloads hand numpy arrays (payoff values, spectrum blocks, set members)
 straight to the JSON writer, which streams them to the output in chunks
@@ -428,7 +436,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
     from .verify import SUITES
 
     _check_size(args.n, args.max_n)
-    passed, rows = SUITES[args.suite](args.n, args.seed, args.tol)
+    passed, rows = SUITES[args.suite](args.n, args.seed)
     report = {
         "suite": args.suite,
         "n": args.n,
@@ -450,12 +458,20 @@ def cmd_verify(args: argparse.Namespace) -> int:
 # ---------------------------------------------------------------- parser
 
 
-def _add_common(parser: argparse.ArgumentParser) -> None:
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose errors raise ValueError, so that main
+    reports them as one line with EXIT_USAGE; its subparsers are of this
+    class too."""
+
+    def error(self, message):
+        raise ValueError(message)
+
+
+def _add_common(parser: argparse.ArgumentParser, *, seed: bool) -> None:
+    """--out and --max-n, and --seed for the commands that draw random values."""
     parser.add_argument("--out", help="output file (default: stdout)")
-    parser.add_argument("--seed", type=int, default=0, help="random seed (default 0)")
-    parser.add_argument(
-        "--tol", type=float, default=1e-9, help="numeric tolerance (default 1e-9)"
-    )
+    if seed:
+        parser.add_argument("--seed", type=int, default=0, help="random seed (default 0)")
     parser.add_argument(
         "--max-n",
         type=int,
@@ -466,7 +482,7 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="snfair",
         description="Ordering-fairness analysis on the symmetric group",
     )
@@ -494,27 +510,33 @@ def build_parser() -> argparse.ArgumentParser:
         help="random payoff distribution",
     )
     p.add_argument("--nonzero", type=int, help="support size for sparse payoffs")
-    _add_common(p)
+    _add_common(p, seed=True)
     p.set_defaults(func=cmd_gen_payoff)
 
     p = sub.add_parser("transform", help="Fourier-transform a payoff file")
     p.add_argument("--payoff", required=True, help="payoff JSON file")
     p.add_argument("--csv", help="also write per-block stats as CSV")
-    _add_common(p)
+    _add_common(p, seed=False)
     p.set_defaults(func=cmd_transform)
 
     p = sub.add_parser("analyze", help="fairness analysis of a payoff over a set")
     p.add_argument("--payoff", required=True, help="payoff JSON file")
     p.add_argument("--set", required=True, help="ordering set JSON file")
     p.add_argument("--csv", help="also write per-block stats as CSV")
-    _add_common(p)
+    p.add_argument(
+        "--tol",
+        type=float,
+        default=1e-9,
+        help="degree threshold, relative to the payoff's 2-norm (default 1e-9)",
+    )
+    _add_common(p, seed=False)
     p.set_defaults(func=cmd_analyze)
 
     p = sub.add_parser("verify", help="run a verification suite")
     p.add_argument("--suite", required=True, choices=VERIFY_SUITES)
     p.add_argument("--n", type=int, default=4, help="group size (default 4)")
     p.add_argument("--csv", help="also write per-case rows as CSV")
-    _add_common(p)
+    _add_common(p, seed=True)
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("simulate", help="votes -> majority graph -> admissible set")
@@ -527,7 +549,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--n-tx", type=int, default=4, dest="n_tx", help="transaction count")
     p.add_argument("--validators", type=int, default=5, help="validator count")
-    _add_common(p)
+    _add_common(p, seed=True)
     p.set_defaults(func=cmd_simulate)
 
     return parser
@@ -546,15 +568,14 @@ def _join_negative_deltas(argv: list[str]) -> list[str]:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(
-        _join_negative_deltas(sys.argv[1:] if argv is None else argv)
-    )
-    args.input_hashes = {}  # filled by _load_json: label -> SHA-256 of the bytes read
     try:
-        if not 0.0 <= args.tol < float("inf"):
+        args = build_parser().parse_args(
+            _join_negative_deltas(sys.argv[1:] if argv is None else argv)
+        )
+        args.input_hashes = {}  # filled by _load_json: label -> SHA-256 of the bytes read
+        if "tol" in args and not 0.0 <= args.tol < float("inf"):
             raise ValueError(f"--tol must be a finite number >= 0, got {args.tol!r}")
-        if args.seed < 0:
+        if "seed" in args and args.seed < 0:
             raise ValueError(f"--seed must be an integer >= 0, got {args.seed}")
         return args.func(args)
     except ValueError as exc:

@@ -119,6 +119,8 @@ class Analysis:
     they read the spectrum that `f` keeps and the agreement profile that
     `members` keeps, so analyses that share a payoff or a set share those
     values too.  The group size and set size are `f.n` and `len(members)`.
+    Each bound report raises DegenerateError with `bounds_note` when the
+    note is set.
     """
 
     def __init__(self, f: PayoffFn, members: OrderingSet, tol: float = DEGREE_TOL):
@@ -158,25 +160,26 @@ class Analysis:
             return "restriction takes negative values; spectral bounds need it nonnegative"
         return None
 
-    def _nonzero_restriction(self) -> float:
-        if self.linf == 0.0:
-            raise DegenerateError("restriction is identically zero")
-        return self.linf
+    def _require_bounds(self) -> None:
+        """Raise DegenerateError with the note when the bounds do not apply."""
+        if self.bounds_note is not None:
+            raise DegenerateError(self.bounds_note)
 
     @cached_property
     def uncertainty(self) -> UncertaintyBound:
         """gap_plus <= (1 - sinf/s1) * ||f * 1_A||_inf, sinf and s1 of f * 1_A."""
-        linf = self._nonzero_restriction()
+        self._require_bounds()
         restricted = np.zeros_like(self.f.values)
         restricted[self.members.members] = self.on_set
         restricted.setflags(write=False)  # handed over to the payoff, not copied
         summary = PayoffFn(self.f.n, restricted).spectrum.schatten
-        bound = (1.0 - summary.sinf / summary.s1) * linf
+        bound = (1.0 - summary.sinf / summary.s1) * self.linf
         gap = self.fairness.additive_gap
         return UncertaintyBound(bound=bound, additive_gap=gap, slack=bound - gap)
 
     @cached_property
     def upper(self) -> UpperBoundReport:
+        self._require_bounds()
         n, s, t = self.f.n, self.degree, self.members.profile.t_max
         schatten = self.f.spectrum.schatten
         dim_sq = sum(
@@ -193,18 +196,18 @@ class Analysis:
 
     @cached_property
     def lower(self) -> LowerBoundReport:
-        linf = self._nonzero_restriction()
+        self._require_bounds()
         n, s, t = self.f.n, self.degree, self.members.profile.t_max
         gap = self.fairness.additive_gap
         coeff = (s - t - 1) / factorial(n - t)
         implied = None
         if s - t - 1 > 0:
-            implied = (1.0 - gap / linf) * factorial(n - t) / (s - t - 1)
+            implied = (1.0 - gap / self.linf) * factorial(n - t) / (s - t - 1)
         return LowerBoundReport(
             degree=s,
             t_max=t,
             applicable=t < s and self.members.profile.size_gate,
-            gap_ratio=gap / linf,
+            gap_ratio=gap / self.linf,
             rhs_coefficient=coeff,
             implied_constant=implied,
         )

@@ -117,23 +117,21 @@ class IndicatorDegreeReport:
     claim_holds: bool
 
 
-def verify_indicator_degree(
-    members: OrderingSet, tol: float | None = None
-) -> IndicatorDegreeReport:
+def verify_indicator_degree(members: OrderingSet) -> IndicatorDegreeReport:
     """Check that a large high-agreement set has a high-degree indicator.
 
     The comparison level is min(t_max, n - 1) because degrees cap at
     n - 1; the clamp only matters for singletons (see module docstring).
     Sets below the (n - t_max)! size gate satisfy the claim vacuously.
-    `tol` is the degree threshold, ``fourier.DEGREE_TOL`` when None.
+    The degree threshold is ``fourier.DEGREE_TOL``.
     """
     # Imported here so that the agreement scan, which simulate runs, does
     # not load the Fourier stack.
-    from .fourier import DEGREE_TOL, degree
+    from .fourier import degree
     from .payoffs import indicator_payoff
 
     profile = members.profile
-    deg = degree(indicator_payoff(members), tol=DEGREE_TOL if tol is None else tol)
+    deg = degree(indicator_payoff(members))
     required = min(profile.t_max, members.n - 1)
     holds = (not profile.size_gate) or deg >= required
     return IndicatorDegreeReport(deg_indicator=deg, claim_holds=holds)

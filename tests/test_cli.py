@@ -1,4 +1,5 @@
 """End-to-end checks of the command-line interface via its main() entry."""
+import argparse
 import contextlib
 import errno
 import gc
@@ -255,7 +256,7 @@ def test_a_failing_case_fails_the_suite_and_keeps_every_row(monkeypatch, tmp_pat
         return PayoffFn(back.n, back.values + 1e-6)
 
     monkeypatch.setattr(snfair.verify, "inverse", off_for_the_constant)
-    passed, rows = SUITES["roundtrip"](4, 0, 1e-9)
+    passed, rows = SUITES["roundtrip"](4, 0)
     assert passed is False
     assert [row["payoff"] for row in rows] == [
         "uniform_0", "uniform_1", "uniform_2", "uniform_3", "uniform_4",
@@ -269,6 +270,21 @@ def test_a_failing_case_fails_the_suite_and_keeps_every_row(monkeypatch, tmp_pat
     report = json.loads(out.read_text())
     assert report["passed"] is False and report["cases"] == rows
     assert capsys.readouterr().err.strip().endswith("passed=NO")
+
+
+@pytest.mark.parametrize(
+    "suite, constant", [("roundtrip", "ROUNDTRIP_TOL"), ("claim1", "GAP_BOUND_SLACK")]
+)
+def test_the_suite_constant_is_what_gates(suite, constant, monkeypatch):
+    # at n = 4 the round trip errs by up to 2.5e-16 and claim1's smallest
+    # slack is -1.1e-13, so a zero tolerance fails both suites
+    assert getattr(snfair.verify, constant) == 1e-9
+    passed, rows = SUITES[suite](4, 0)
+    assert passed
+    monkeypatch.setattr(snfair.verify, constant, 0.0)
+    failed, tight_rows = SUITES[suite](4, 0)
+    assert not failed and len(tight_rows) == len(rows)
+    assert not all(row["ok"] for row in tight_rows)
 
 
 def test_simulate_adversarial_cycle(tmp_path):
@@ -323,6 +339,38 @@ def test_verify_past_max_n_is_usage_error(tmp_path):
     assert not out.exists()
 
 
+def test_each_command_declares_exactly_the_flags_it_reads():
+    common = {"--out", "--max-n"}
+    expected = {
+        "gen-payoff": common | {
+            "--model", "--deltas", "--p0", "--gamma", "--beta", "--k", "--c", "--n",
+            "--pairs", "--coeff", "--set", "--dist", "--nonzero", "--seed",
+        },
+        "transform": common | {"--payoff", "--csv"},
+        "analyze": common | {"--payoff", "--set", "--csv", "--tol"},
+        "verify": common | {"--suite", "--n", "--csv", "--seed"},
+        "simulate": common | {"--votes", "--latency", "--n-tx", "--validators", "--seed"},
+    }
+    parser = snfair.cli.build_parser()
+    (commands,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    declared = {
+        name: {opt for a in sub._actions for opt in a.option_strings} - {"-h", "--help"}
+        for name, sub in commands.choices.items()
+    }
+    assert declared == expected
+    assert sum(map(len, declared.values())) == 39
+    analyze = commands.choices["analyze"]
+    assert analyze.get_default("tol") == snfair.fourier.DEGREE_TOL
+
+
+def test_transform_config_records_only_the_flags_it_reads(tmp_path):
+    payoff, out = tmp_path / "f.json", tmp_path / "spec.json"
+    payoff.write_text(json.dumps({"n": 2, "values": [1.0, 2.0]}))
+    assert run("transform", "--payoff", str(payoff), "--out", str(out)) == EXIT_OK
+    config = json.loads(out.read_text())["metadata"]["config"]
+    assert config == {"command": "transform", "max_n": 8, "payoff": str(payoff)}
+
+
 @pytest.mark.parametrize(
     "argv, content, reason",
     [
@@ -349,6 +397,10 @@ def test_verify_past_max_n_is_usage_error(tmp_path):
         (["analyze", "--payoff", "{path}", "--set", "{path}", "--tol", "nan"], None, "--tol"),
         (["verify", "--suite", "claim1", "--tol", "inf"], None, "--tol"),
         (["gen-payoff", "--model", "random", "--n", "3", "--tol", "-1"], None, "--tol"),
+        (["analyze", "--payoff", "{path}", "--set", "{path}", "--tol", "inf"], None,
+         "--tol must be a finite number >= 0, got inf"),
+        (["analyze", "--payoff", "{path}", "--set", "{path}", "--tol", "-1"], None,
+         "--tol must be a finite number >= 0, got -1.0"),
         (["gen-payoff", "--model", "random", "--n", "3", "--seed", "-1"], None,
          "--seed must be an integer >= 0, got -1"),
         (["transform", "--payoff", "{dir}"], None, "Is a directory: {dir}"),
@@ -388,15 +440,39 @@ def test_verify_past_max_n_is_usage_error(tmp_path):
          "pair (0, 1) outside 1..4"),
         (["gen-payoff", "--model", "junta", "--pairs", "5:1", "--n", "4"], None,
          "pair (5, 1) outside 1..4"),
+        (["transform", "--payoff", "{path}", "--csvv", "x.csv"], None,
+         "unrecognized arguments: --csvv x.csv"),
+        (["analyze", "--payoff", "{path}"], None,
+         "the following arguments are required: --set"),
+        (["verify", "--suite", "claim3"], None, "argument --suite: invalid choice: 'claim3'"),
+        (["verify", "--n", "x", "--suite", "claim1"], None, "argument --n: invalid int value: 'x'"),
+        ([], None, "the following arguments are required: command"),
+        # flags the command does not read
+        (["gen-payoff", "--model", "random", "--n", "3", "--tol", "1e-3"], None,
+         "error: unrecognized arguments: --tol 1e-3"),
+        (["transform", "--payoff", "{path}", "--seed", "7"], None,
+         "error: unrecognized arguments: --seed 7"),
+        (["transform", "--payoff", "{path}", "--tol", "123"], None,
+         "error: unrecognized arguments: --tol 123"),
+        (["analyze", "--payoff", "{path}", "--set", "{path}", "--seed", "1"], None,
+         "error: unrecognized arguments: --seed 1"),
+        (["simulate", "--n-tx", "3", "--tol", "1e-3"], None,
+         "error: unrecognized arguments: --tol 1e-3"),
+        (["verify", "--suite", "roundtrip", "--tol", "1e-9"], None,
+         "error: unrecognized arguments: --tol 1e-9"),
     ],
     ids=["no-n", "top-level-list", "float-n", "bool-n", "string-n", "huge-n", "verify-n0",
          "float-member", "bool-member", "scalar-members", "float-vote", "scalar-validators",
          "string-value", "bool-value", "scalar-values", "tol-nan", "tol-inf", "tol-negative",
-         "seed-negative", "payoff-is-dir", "out-dir-missing", "csv-dir-missing",
+         "analyze-tol-inf", "analyze-tol-negative", "seed-negative", "payoff-is-dir",
+         "out-dir-missing", "csv-dir-missing",
          "verify-out-is-dir", "float-past-range-value", "int-past-float-value",
          "point-mass-past-limit", "constant-past-limit", "cfmm-overflow", "deep-payoff",
          "deep-votes", "non-utf8-set", "junta-repeated-slot", "junta-repeated-item",
-         "junta-slot-zero", "junta-slot-past-n"],
+         "junta-slot-zero", "junta-slot-past-n", "unknown-flag", "missing-flag",
+         "bad-suite", "bad-int", "no-command", "unread-gen-payoff-tol", "unread-transform-seed",
+         "unread-transform-tol", "unread-analyze-seed", "unread-simulate-tol",
+         "unread-verify-tol"],
 )
 def test_malformed_input_is_one_line_usage_error(argv, content, reason, tmp_path, capsys):
     # bytes are the file's raw text; anything else is written as JSON
@@ -641,7 +717,7 @@ def _count_calls(monkeypatch, module, name, calls):
 def test_claim1_transforms_each_payoff_once(monkeypatch):
     calls = {}
     _count_calls(monkeypatch, snfair.fourier, "transform", calls)
-    passed, rows = SUITES["claim1"](5, 5, 1e-9)
+    passed, rows = SUITES["claim1"](5, 5)
     bounded = [row for row in rows if row["bound"] is not None]
     payoffs = {row["payoff"] for row in bounded}
     assert passed and len(rows) == 25 and len(payoffs) == 5
@@ -653,7 +729,7 @@ def test_claim1_profiles_each_set_and_summarizes_each_spectrum_once(monkeypatch)
     calls = {}
     _count_calls(monkeypatch, snfair.intersecting, "intersection_profile", calls)
     _count_calls(monkeypatch, snfair.fourier, "schatten_summary", calls)
-    passed, rows = SUITES["claim1"](5, 5, 1e-9)
+    passed, rows = SUITES["claim1"](5, 5)
     bounded = [row for row in rows if row["bound"] is not None]
     sets = {row["set"] for row in rows}
     payoffs = {row["payoff"] for row in bounded}
@@ -675,7 +751,7 @@ def test_eigenvalue_suite_transforms_each_set_once_holding_one_set(monkeypatch):
         snfair.fourier, "fft", lambda n, w: held.append(live_sets() - before) or real(n, w)
     )
     monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: grams.append(a.shape) or real_eigvalsh(a))
-    passed, rows = SUITES["eigenvalue"](5, 0, 1e-9)
+    passed, rows = SUITES["eigenvalue"](5, 0)
     # one transform per set and one gram eigendecomposition per shape serve
     # both scalings, and the sets are built one at a time, so no earlier set
     # and its blocks are still alive

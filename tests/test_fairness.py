@@ -128,6 +128,22 @@ def test_uncertainty_bound_zero_restriction_rejected():
         Analysis(f, OrderingSet(n, (0, 1))).uncertainty
 
 
+@pytest.mark.parametrize(
+    "values, ranks, reason",
+    [
+        ([-1.0, 2.0, 3.0, -4.0, 5.0, 6.0], (0, 1, 2), "negative values"),
+        ([0.0, 1.0, 2.0, 3.0, 4.0, 5.0], (0,), "identically zero"),
+    ],
+    ids=["negative", "zero"],
+)
+@pytest.mark.parametrize("bound", ["uncertainty", "upper", "lower"])
+def test_every_bound_raises_where_the_bounds_do_not_apply(values, ranks, reason, bound):
+    pair = Analysis(PayoffFn(3, values), OrderingSet(3, ranks))
+    assert reason in pair.bounds_note
+    with pytest.raises(DegenerateError, match=pair.bounds_note):
+        getattr(pair, bound)
+
+
 def test_upper_regime_constant_payoff():
     n = 4
     f = PayoffFn(n, np.ones(factorial(n)))

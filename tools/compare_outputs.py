@@ -204,6 +204,9 @@ def _commands() -> list[list[str]]:
         cmds.append(["verify", "--suite", suite, "--n", "8", "--out", f"verify_{suite}_8.json"])
     # inverse ranks of connection sets above the S_8 word table
     cmds.append(["verify", "--suite", "eigenvalue", "--n", "9", "--max-n", "9"])
+    # the rows that ROUNDTRIP_TOL and GAP_BOUND_SLACK gate, above the S_8 table
+    for suite in ("roundtrip", "claim1"):
+        cmds.append(["verify", "--suite", suite, "--n", "9", "--max-n", "9"])
     return cmds
 
 
