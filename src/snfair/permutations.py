@@ -176,8 +176,8 @@ def check_enumerable(n: int) -> None:
     at n = 10 on that machine: ``simulate --latency adversarial_cycle``
     peaks at 65 MB, ``gen-payoff --model random`` at 65 MB, ``--model
     cfmm`` at 68 MB, ``--model liquidation`` at 59 MB, ``transform``
-    at 259 MB, ``analyze`` of a CFMM payoff on all 3628800 orders at
-    372 MB, and ``verify --suite claim1`` and ``--suite uncertainty`` at
+    at 251 MB, ``analyze`` of a CFMM payoff on all 3628800 orders at
+    368 MB, and ``verify --suite claim1`` and ``--suite uncertainty`` at
     433 and 289 MB.
     """
     if not is_integer(n):

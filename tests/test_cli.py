@@ -15,7 +15,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
@@ -34,6 +34,10 @@ from snfair.verify import SUITES
 
 def run(*argv):
     return main(list(argv))
+
+
+# A valid three-transaction vote profile.
+VOTES3 = {"n_tx": 3, "validators": [[1, 2, 3], [2, 1, 3], [1, 3, 2]]}
 
 
 def write_stabilizer(path, n, pairs):
@@ -314,6 +318,20 @@ def test_simulate_accepts_vote_file(tmp_path):
     assert "votes" in data["metadata"]["input_hashes"]
 
 
+def test_simulate_config_records_generation_flags_only_when_it_generates(tmp_path):
+    votes, a, b = tmp_path / "votes.json", tmp_path / "a.json", tmp_path / "b.json"
+    votes.write_text(json.dumps(VOTES3))
+    assert run("simulate", "--votes", str(votes), "--out", str(a)) == EXIT_OK
+    assert json.loads(a.read_text())["metadata"]["config"] == {
+        "command": "simulate", "max_n": 8, "votes": str(votes),
+    }
+    assert run("simulate", "--out", str(b)) == EXIT_OK
+    assert json.loads(b.read_text())["metadata"]["config"] == {
+        "command": "simulate", "latency": "iid_shuffle", "max_n": 8, "n_tx": 4, "seed": 0,
+        "validators": 5,
+    }
+
+
 def test_simulate_seed_changes_output(tmp_path):
     a, b = tmp_path / "a.json", tmp_path / "b.json"
     run("simulate", "--n-tx", "4", "--validators", "3", "--seed", "1", "--out", str(a))
@@ -460,6 +478,15 @@ def test_transform_config_records_only_the_flags_it_reads(tmp_path):
          "error: unrecognized arguments: --tol 1e-3"),
         (["verify", "--suite", "roundtrip", "--tol", "1e-9"], None,
          "error: unrecognized arguments: --tol 1e-9"),
+        # generation flags next to a votes file, which replaces generation
+        (["simulate", "--votes", "{path}", "--n-tx", "3"], VOTES3,
+         "error: argument --n-tx: not allowed with argument --votes"),
+        (["simulate", "--votes", "{path}", "--validators", "3"], VOTES3,
+         "error: argument --validators: not allowed with argument --votes"),
+        (["simulate", "--latency", "iid_shuffle", "--votes", "{path}"], VOTES3,
+         "error: argument --latency: not allowed with argument --votes"),
+        (["simulate", "--votes", "{path}", "--seed", "0"], VOTES3,
+         "error: argument --seed: not allowed with argument --votes"),
     ],
     ids=["no-n", "top-level-list", "float-n", "bool-n", "string-n", "huge-n", "verify-n0",
          "float-member", "bool-member", "scalar-members", "float-vote", "scalar-validators",
@@ -472,7 +499,8 @@ def test_transform_config_records_only_the_flags_it_reads(tmp_path):
          "junta-slot-zero", "junta-slot-past-n", "unknown-flag", "missing-flag",
          "bad-suite", "bad-int", "no-command", "unread-gen-payoff-tol", "unread-transform-seed",
          "unread-transform-tol", "unread-analyze-seed", "unread-simulate-tol",
-         "unread-verify-tol"],
+         "unread-verify-tol", "votes-with-n-tx", "votes-with-validators",
+         "votes-with-latency", "votes-with-seed"],
 )
 def test_malformed_input_is_one_line_usage_error(argv, content, reason, tmp_path, capsys):
     # bytes are the file's raw text; anything else is written as JSON
@@ -530,6 +558,22 @@ def test_each_input_file_is_opened_once_and_hashed_from_its_bytes(argv, labels, 
         assert opened.count(paths[label]) == 1
         with open(paths[label], "rb") as fh:
             assert hashes[label] == hashlib.sha256(fh.read()).hexdigest()
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.binary(max_size=300))
+@example(bytes(range(55)))
+@example(bytes(range(56)))
+@example(bytes(range(64)))
+@example(bytes(range(65)))
+def test_input_digest_is_hashlib_sha256(data):
+    # 55, 56, 64 and 65 bytes sit at the edges of SHA-256's length padding
+    assert snfair.cli._sha256(data).hexdigest() == hashlib.sha256(data).hexdigest()
+
+
+def test_input_digest_of_a_buffer_past_8_mb_is_hashlib_sha256():
+    data = np.random.default_rng(0).bytes(8 * 2**20 + 65)
+    assert snfair.cli._sha256(data).hexdigest() == hashlib.sha256(data).hexdigest()
 
 
 @pytest.mark.parametrize(
@@ -822,6 +866,32 @@ def test_simulate_loads_neither_the_fourier_stack_nor_openssl(tmp_path):
         "_hashlib",
     }
     assert not loaded & heavy
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["transform", "--payoff", "{payoff}"],
+        ["analyze", "--payoff", "{payoff}", "--set", "{set}"],
+        ["simulate", "--votes", "{votes}"],
+        ["gen-payoff", "--model", "indicator", "--set", "{set}"],
+    ],
+    ids=["transform", "analyze", "simulate-votes", "gen-payoff-indicator"],
+)
+def test_reading_an_input_file_loads_no_openssl(argv, tmp_path):
+    documents = {
+        "payoff": {"n": 3, "values": [1.0, 2.0, 0.5, 3.0, 0.0, 1.5]},
+        "set": {"n": 3, "members": [0, 1, 4]},
+        "votes": VOTES3,
+    }
+    paths = {}
+    for label, document in documents.items():
+        paths[label] = tmp_path / f"{label}.json"
+        paths[label].write_text(json.dumps(document))
+    out = tmp_path / "out.json"
+    loaded = _modules_loaded_by(*(arg.format(**paths) for arg in argv), "--out", str(out))
+    assert json.loads(out.read_text())["metadata"]["input_hashes"]  # ran to its end
+    assert "_hashlib" not in loaded
 
 
 def test_gen_payoff_loads_no_fourier_stack(tmp_path):

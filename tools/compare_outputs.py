@@ -127,6 +127,8 @@ def _commands() -> list[list[str]]:
         ["simulate", "--votes", "votes_winner_cycle9.json", "--max-n", "9",
          "--out", "winner_cycle9.json"],
         ["simulate", "--votes", "votes_split5.json", "--out", "split5.json"],
+        # rejected: a generation flag next to a votes file
+        ["simulate", "--votes", "votes_split5.json", "--seed", "3"],
         ["simulate", "--votes", "votes_crlf4.json", "--out", "crlf4.json"],
         ["gen-payoff", "--model", "indicator", "--set", "set_crlf4.json", "--out", "ind_crlf4.json"],
         ["gen-payoff", "--model", "indicator", "--set", "iid6.json", "--out", "ind6.json"],
