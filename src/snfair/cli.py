@@ -3,15 +3,18 @@
 Five commands: gen-payoff, transform, analyze, verify, simulate.  Each
 accepts only the flags it reads: every command takes --out and --max-n,
 gen-payoff, simulate and verify take --seed, and analyze takes --tol,
-its degree threshold.  simulate reads --latency, --n-tx, --validators
+its degree threshold.  gen-payoff reads each model flag, --seed among
+them, only for its own --model (``MODEL_DEFAULTS``), so another model's
+flag is a usage error.  simulate reads --latency, --n-tx, --validators
 and --seed only to generate votes, so each is a usage error next to a
 --votes file.  Every output file embeds the tool version, the
-full flag configuration and the SHA-256 of each input file; nothing
+flags the command read and the SHA-256 of each input file; nothing
 time-dependent is written, so identical invocations produce
-byte-identical files.  The verify command exits 0 exactly when every
-theorem-backed check in the chosen suite passes, each against the
-suite's own fixed tolerance; trend quantities are reported but never
-gate.
+byte-identical files.  Seeded values come from CPython's Mersenne
+Twister (:func:`snfair.permutations.seeded`).  The verify command exits
+0 exactly when every theorem-backed check in the chosen suite passes,
+each against the suite's own fixed tolerance; trend quantities are
+reported but never gate.
 
 The input files (payoffs, ordering sets, vote profiles) are JSON in
 UTF-8 whatever the locale, and only this module knows their formats
@@ -79,6 +82,17 @@ EMIT_CHUNK = 16384
 # and its output's config records none of them.
 GENERATION_DEFAULTS = {"latency": "iid_shuffle", "n_tx": 4, "validators": 5, "seed": 0}
 
+# gen-payoff's models, each with the flags it reads and their defaults
+# (None: no default).  A flag of another model is a usage error, and an
+# output's config records only its model's flags.
+MODEL_DEFAULTS = {
+    "cfmm": {"deltas": None, "p0": 100.0, "gamma": 0.001, "beta": 1.0},
+    "liquidation": {"k": None, "c": None},
+    "junta": {"n": None, "pairs": None, "coeff": 1.0},
+    "indicator": {"set": None},
+    "random": {"n": None, "dist": "uniform01", "nonzero": None, "seed": 0},
+}
+
 # The keys of snfair.verify.SUITES in the order --help lists them, written
 # out so that parsing arguments imports no suite.
 VERIFY_SUITES = ("claim1", "claim2", "eigenvalue", "indicator_degree", "roundtrip", "uncertainty")
@@ -102,15 +116,21 @@ def _check_size(n, max_n: int) -> None:
 
 
 def _payoff_from_json(n: int, values):
+    import numpy as np
+
     from .payoffs import PayoffFn
 
     # JSON strings and booleans would be coerced to numbers.
     if not isinstance(values, list) or not set(map(type, values)) <= {int, float}:
         raise ValueError("values must be a list of numbers")
+    # Converted here, as one read-only float array that the payoff keeps:
+    # an int past int64 would make PayoffFn see an object array.
     try:
-        return PayoffFn(n, values)
+        values = np.array(values, dtype=float)
     except OverflowError:  # an int past the float range, as 1e400 is inf
         raise ValueError("payoff values must be finite")
+    values.setflags(write=False)
+    return PayoffFn(n, values)
 
 
 def _set_from_json(n: int, members):
@@ -262,6 +282,19 @@ def _emit_csv(rows: list[dict], path: str) -> None:
         writer.writerows(rows)
 
 
+def _take_flags(args: argparse.Namespace, reads: dict, others=(), context: str = "") -> None:
+    """Reject the first flag of `others` that was given but is not in
+    `reads` ("not allowed with <context>"), then fill in each flag of
+    `reads` left unset (None) with its default."""
+    for key in others:
+        if key not in reads and getattr(args, key) is not None:
+            flag = "--" + key.replace("_", "-")
+            raise ValueError(f"argument {flag}: not allowed with {context}")
+    for key, default in reads.items():
+        if getattr(args, key) is None:
+            setattr(args, key, default)
+
+
 def _parse_deltas(text: str) -> tuple[float, ...]:
     try:
         return tuple(float(x) for x in text.split(","))
@@ -316,6 +349,8 @@ def cmd_gen_payoff(args: argparse.Namespace) -> int:
         random_payoff,
     )
 
+    others = [key for flags in MODEL_DEFAULTS.values() for key in flags]
+    _take_flags(args, MODEL_DEFAULTS[args.model], others, f"--model {args.model}")
     if args.model == "cfmm":
         if args.deltas is None:
             raise ValueError("cfmm model needs --deltas")
@@ -414,15 +449,10 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     from .sequencing import majority_graph, simulate, valid_orderings
 
     if args.votes:
-        given = [key for key in GENERATION_DEFAULTS if getattr(args, key) is not None]
-        if given:
-            flag = "--" + given[0].replace("_", "-")
-            raise ValueError(f"argument {flag}: not allowed with argument --votes")
+        _take_flags(args, {}, GENERATION_DEFAULTS, "argument --votes")
         votes = _load_json(args, "votes")
     else:
-        for key, default in GENERATION_DEFAULTS.items():
-            if getattr(args, key) is None:
-                setattr(args, key, default)
+        _take_flags(args, GENERATION_DEFAULTS)
         _check_size(args.n_tx, args.max_n)
         votes = simulate(
             n_tx=args.n_tx,
@@ -523,23 +553,24 @@ def build_parser() -> argparse.ArgumentParser:
         required=True,
         choices=["cfmm", "liquidation", "junta", "indicator", "random"],
     )
+    # Every model flag stays None until given; cmd_gen_payoff rejects the
+    # flags its model does not read and fills in MODEL_DEFAULTS.
     p.add_argument("--deltas", help="cfmm trade sizes, comma separated")
-    p.add_argument("--p0", type=float, default=100.0, help="initial price")
-    p.add_argument("--gamma", type=float, default=0.001, help="price impact per unit")
-    p.add_argument("--beta", type=float, default=1.0, help="extraction coefficient")
+    p.add_argument("--p0", type=float, help="initial price")
+    p.add_argument("--gamma", type=float, help="price impact per unit")
+    p.add_argument("--beta", type=float, help="extraction coefficient")
     p.add_argument("--k", type=int, help="liquidation half-count of trades")
     p.add_argument("--c", type=int, help="liquidation depth")
     p.add_argument("--n", type=int, help="group size for junta/random models")
     p.add_argument("--pairs", help="junta constraints as slot:item, comma separated")
-    p.add_argument("--coeff", type=float, default=1.0, help="junta term coefficient")
+    p.add_argument("--coeff", type=float, help="junta term coefficient")
     p.add_argument("--set", help="ordering set file for the indicator model")
     p.add_argument(
-        "--dist", choices=["uniform01", "sparse"], default="uniform01",
-        help="random payoff distribution",
+        "--dist", choices=["uniform01", "sparse"], help="random payoff distribution",
     )
     p.add_argument("--nonzero", type=int, help="support size for sparse payoffs")
     _add_common(p, seed=True)
-    p.set_defaults(func=cmd_gen_payoff)
+    p.set_defaults(func=cmd_gen_payoff, seed=None)
 
     p = sub.add_parser("transform", help="Fourier-transform a payoff file")
     p.add_argument("--payoff", required=True, help="payoff JSON file")
@@ -604,7 +635,7 @@ def main(argv=None) -> int:
         args.input_hashes = {}  # filled by _load_json: label -> SHA-256 of the bytes read
         if "tol" in args and not 0.0 <= args.tol < float("inf"):
             raise ValueError(f"--tol must be a finite number >= 0, got {args.tol!r}")
-        seed = getattr(args, "seed", None)  # simulate's stays None until given
+        seed = getattr(args, "seed", None)  # gen-payoff's and simulate's stay None until given
         if seed is not None and seed < 0:
             raise ValueError(f"--seed must be an integer >= 0, got {seed}")
         return args.func(args)

@@ -17,7 +17,8 @@ drives the cumulative move to -c or below (the position would have been
 liquidated), else 0.
 
 Junta payoffs are weighted sums of position-constraint indicators; random
-payoffs come from a seeded generator for reproducible experiments.
+payoffs come from a seeded generator for reproducible experiments
+(CPython's Mersenne Twister, :func:`snfair.permutations.seeded`).
 
 Every generator enumerates S_n, so each is bounded by the one library
 limit, :func:`snfair.permutations.check_enumerable` (n <= 10), which
@@ -33,7 +34,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from .errors import ModelValidityError
-from .permutations import check_enumerable, row_chunks, words
+from .permutations import check_enumerable, row_chunks, seeded, uniform, words
 from .sets import OrderingSet, owned_read_only
 
 if TYPE_CHECKING:
@@ -56,7 +57,11 @@ class PayoffFn:
 
     def __post_init__(self) -> None:
         check_enumerable(self.n)
-        vals = owned_read_only(self.values, float)
+        raw = np.asarray(self.values)
+        # Strings, bools, objects and complex numbers would be coerced to floats.
+        if raw.dtype.kind not in "iuf":
+            raise ValueError(f"payoff values must be real numbers, got dtype {raw.dtype}")
+        vals = owned_read_only(raw, float)
         if vals.shape != (factorial(self.n),):
             raise ValueError(
                 f"need {factorial(self.n)} values for n={self.n}, got shape {vals.shape}"
@@ -223,19 +228,21 @@ def random_payoff(
     """Seeded random payoff: dense uniform values, or a sparse support.
 
     dist="uniform01" draws every value from [0, 1); dist="sparse" places
-    `nonzero` values in (0, 1] at distinct random ranks.
+    `nonzero` values in (0, 1] at distinct random ranks.  Both draw from
+    :func:`snfair.permutations.seeded`, which takes only a non-negative
+    integer seed.
     """
     check_enumerable(n)
     size = factorial(n)
-    rng = np.random.default_rng(seed)
+    rng = seeded(seed)
     if dist == "uniform01":
-        values = rng.random(size)
+        values = uniform(rng, size)
     elif dist == "sparse":
         if nonzero is None or not 1 <= nonzero <= size:
             raise ValueError(f"sparse payoff needs 1 <= nonzero <= {size}")
         values = np.zeros(size)
-        ranks = rng.choice(size, size=nonzero, replace=False)
-        values[ranks] = 1.0 - rng.random(nonzero)  # in (0, 1]
+        ranks = rng.sample(range(size), nonzero)
+        values[ranks] = 1.0 - uniform(rng, nonzero)  # in (0, 1]
     else:
         raise ValueError(f"unknown distribution {dist!r}")
     values.setflags(write=False)

@@ -25,10 +25,15 @@ profiles) take the rows :data:`ROW_CHUNK` = 8! at a time
 (:func:`row_chunks`), one block per chunk.  Their temporaries then stay
 a few MB at any n, and each row goes through the same operations in the
 same order as in one whole-array pass, so every value comes out the same.
+
+Seeded values, for random payoffs, votes and the verify suites' cases,
+all come from :func:`seeded`, and uniform floats from :func:`uniform`,
+which also draws them ROW_CHUNK at a time.
 """
 from __future__ import annotations
 
 import itertools
+import random
 from dataclasses import dataclass
 from functools import lru_cache
 from math import factorial
@@ -165,6 +170,35 @@ def is_integer(value) -> bool:
     return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
 
 
+def seeded(seed) -> random.Random:
+    """The package's one source of seeded values: CPython's Mersenne Twister.
+
+    `seed` must be a non-negative Python or numpy integer.  random.Random
+    itself would take a float, a string or a bool, and would seed -1 and
+    1 alike.  numpy's own generators are not used: importing them loads
+    OpenSSL and nine extension modules, 6 MB of resident memory.
+    """
+    if not is_integer(seed) or seed < 0:
+        raise ValueError(f"seed must be a non-negative integer, got {seed!r}")
+    return random.Random(int(seed))
+
+
+def uniform(rng: random.Random, size: int) -> np.ndarray:
+    """`size` float64 values in [0, 1) from `rng`, each (w >> 11) * 2**-53
+    for the next 64-bit word w of its stream.
+
+    The words come ROW_CHUNK at a time from one getrandbits call, which
+    fills 32-bit words in order from the least significant, so the values
+    do not depend on the chunk size.
+    """
+    out = np.empty(size)
+    for rows in row_chunks(size):
+        count = rows.stop - rows.start
+        raw = rng.getrandbits(64 * count).to_bytes(8 * count, "little")
+        np.multiply(np.frombuffer(raw, dtype="<u8") >> 11, 2.0**-53, out=out[rows])
+    return out
+
+
 def check_enumerable(n: int) -> None:
     """Reject group sizes that are not integers in 1..MAX_ENUMERABLE_N.
 
@@ -174,11 +208,11 @@ def check_enumerable(n: int) -> None:
     resident (whole process, measured with getrusage on a 2-core Intel
     Xeon, numpy float64) and take 2.2-2.3 s.  Whole ``snfair`` commands
     at n = 10 on that machine: ``simulate --latency adversarial_cycle``
-    peaks at 65 MB, ``gen-payoff --model random`` at 65 MB, ``--model
+    peaks at 65 MB, ``gen-payoff --model random`` at 60 MB, ``--model
     cfmm`` at 68 MB, ``--model liquidation`` at 59 MB, ``transform``
     at 251 MB, ``analyze`` of a CFMM payoff on all 3628800 orders at
     368 MB, and ``verify --suite claim1`` and ``--suite uncertainty`` at
-    433 and 289 MB.
+    433 and 287 MB.
     """
     if not is_integer(n):
         raise ValueError(f"n must be an integer, got {n!r}")

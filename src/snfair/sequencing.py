@@ -19,7 +19,7 @@ from math import factorial
 
 import numpy as np
 
-from .permutations import check_enumerable, row_chunks, words
+from .permutations import check_enumerable, row_chunks, seeded, words
 from .sets import OrderingSet
 
 
@@ -124,18 +124,17 @@ def simulate(
     """Generate a vote profile from a latency model.
 
     iid_shuffle: every validator receives an independent uniformly random
-    order (seeded).  adversarial_cycle: validators receive rotations of
-    the base order, which yields a full-cycle majority graph; requires
-    n_tx >= 3 and a validator count that is a multiple of n_tx.
+    order, drawn from :func:`snfair.permutations.seeded`.
+    adversarial_cycle: validators receive rotations of the base order,
+    which yields a full-cycle majority graph; requires n_tx >= 3 and a
+    validator count that is a multiple of n_tx.
     """
     if n_tx < 1 or n_validators < 1:
         raise ValueError("need positive transaction and validator counts")
     if latency_model == "iid_shuffle":
-        rng = np.random.default_rng(seed)
-        orders = tuple(
-            tuple(int(x) for x in rng.permutation(n_tx) + 1)
-            for _ in range(n_validators)
-        )
+        rng = seeded(seed)
+        labels = range(1, n_tx + 1)
+        orders = tuple(tuple(rng.sample(labels, n_tx)) for _ in range(n_validators))
         return VoteProfile(n_tx, orders)
     if latency_model == "adversarial_cycle":
         if n_tx < 3:

@@ -332,6 +332,28 @@ def test_simulate_config_records_generation_flags_only_when_it_generates(tmp_pat
     }
 
 
+@pytest.mark.parametrize(
+    "argv, config",
+    [
+        (["--model", "cfmm", "--deltas", "1,2"],
+         {"deltas": "1,2", "p0": 100.0, "gamma": 0.001, "beta": 1.0}),
+        (["--model", "liquidation", "--k", "2", "--c", "1"], {"k": 2, "c": 1}),
+        (["--model", "junta", "--n", "3", "--pairs", "1:1"],
+         {"n": 3, "pairs": "1:1", "coeff": 1.0}),
+        (["--model", "random", "--n", "3"], {"n": 3, "dist": "uniform01", "seed": 0}),
+        (["--model", "random", "--n", "3", "--dist", "sparse", "--nonzero", "2", "--seed", "4"],
+         {"n": 3, "dist": "sparse", "nonzero": 2, "seed": 4}),
+    ],
+    ids=["cfmm", "liquidation", "junta", "random", "random-sparse"],
+)
+def test_gen_payoff_config_records_only_the_models_flags(argv, config, tmp_path):
+    out = tmp_path / "f.json"
+    assert run("gen-payoff", *argv, "--out", str(out)) == EXIT_OK
+    model = argv[1]
+    expected = {"command": "gen-payoff", "max_n": 8, "model": model, **config}
+    assert json.loads(out.read_text())["metadata"]["config"] == expected
+
+
 def test_simulate_seed_changes_output(tmp_path):
     a, b = tmp_path / "a.json", tmp_path / "b.json"
     run("simulate", "--n-tx", "4", "--validators", "3", "--seed", "1", "--out", str(a))
@@ -487,6 +509,19 @@ def test_transform_config_records_only_the_flags_it_reads(tmp_path):
          "error: argument --latency: not allowed with argument --votes"),
         (["simulate", "--votes", "{path}", "--seed", "0"], VOTES3,
          "error: argument --seed: not allowed with argument --votes"),
+        # flags of another gen-payoff model
+        (["gen-payoff", "--model", "liquidation", "--k", "2", "--c", "1", "--p0", "5",
+          "--dist", "sparse"], None, "error: argument --p0: not allowed with --model liquidation"),
+        (["gen-payoff", "--model", "cfmm", "--deltas", "1,2", "--seed", "3"], None,
+         "error: argument --seed: not allowed with --model cfmm"),
+        (["gen-payoff", "--model", "random", "--n", "3", "--coeff", "1"], None,
+         "error: argument --coeff: not allowed with --model random"),
+        (["gen-payoff", "--model", "junta", "--n", "3", "--pairs", "1:1", "--nonzero", "2"],
+         None, "error: argument --nonzero: not allowed with --model junta"),
+        (["gen-payoff", "--model", "indicator", "--set", "{path}", "--n", "3"],
+         {"n": 3, "members": [0]}, "error: argument --n: not allowed with --model indicator"),
+        (["gen-payoff", "--model", "cfmm", "--deltas", "1,2", "--k", "1"], None,
+         "error: argument --k: not allowed with --model cfmm"),
     ],
     ids=["no-n", "top-level-list", "float-n", "bool-n", "string-n", "huge-n", "verify-n0",
          "float-member", "bool-member", "scalar-members", "float-vote", "scalar-validators",
@@ -500,7 +535,8 @@ def test_transform_config_records_only_the_flags_it_reads(tmp_path):
          "bad-suite", "bad-int", "no-command", "unread-gen-payoff-tol", "unread-transform-seed",
          "unread-transform-tol", "unread-analyze-seed", "unread-simulate-tol",
          "unread-verify-tol", "votes-with-n-tx", "votes-with-validators",
-         "votes-with-latency", "votes-with-seed"],
+         "votes-with-latency", "votes-with-seed", "liquidation-with-p0", "cfmm-with-seed",
+         "random-with-coeff", "junta-with-nonzero", "indicator-with-n", "cfmm-with-k"],
 )
 def test_malformed_input_is_one_line_usage_error(argv, content, reason, tmp_path, capsys):
     # bytes are the file's raw text; anything else is written as JSON
@@ -773,7 +809,8 @@ def test_claim1_profiles_each_set_and_summarizes_each_spectrum_once(monkeypatch)
     calls = {}
     _count_calls(monkeypatch, snfair.intersecting, "intersection_profile", calls)
     _count_calls(monkeypatch, snfair.fourier, "schatten_summary", calls)
-    passed, rows = SUITES["claim1"](5, 5)
+    # seed 0 leaves two junta rows over the iid admissible set unbounded
+    passed, rows = SUITES["claim1"](5, 0)
     bounded = [row for row in rows if row["bound"] is not None]
     sets = {row["set"] for row in rows}
     payoffs = {row["payoff"] for row in bounded}
@@ -892,6 +929,23 @@ def test_reading_an_input_file_loads_no_openssl(argv, tmp_path):
     loaded = _modules_loaded_by(*(arg.format(**paths) for arg in argv), "--out", str(out))
     assert json.loads(out.read_text())["metadata"]["input_hashes"]  # ran to its end
     assert "_hashlib" not in loaded
+
+
+def test_seeded_commands_load_neither_numpy_random_nor_openssl(tmp_path):
+    commands = [
+        ["gen-payoff", "--model", "random", "--n", "4"],
+        ["gen-payoff", "--model", "random", "--n", "4", "--dist", "sparse", "--nonzero", "3"],
+        ["simulate", "--n-tx", "4"],
+    ]
+    commands += [["verify", "--suite", suite, "--n", "4"] for suite in VERIFY_SUITES]
+    offenders = {}
+    for i, argv in enumerate(commands):
+        out = tmp_path / f"out{i}.json"
+        loaded = _modules_loaded_by(*argv, "--out", str(out))
+        assert out.exists() and "numpy" in loaded  # the command ran to its end
+        if loaded & {"numpy.random", "_hashlib"}:
+            offenders[" ".join(argv)] = sorted(loaded & {"numpy.random", "_hashlib"})
+    assert offenders == {}
 
 
 def test_gen_payoff_loads_no_fourier_stack(tmp_path):

@@ -1,9 +1,13 @@
 """Payoff generators against slow per-ordering reference implementations."""
 import itertools
+import random
 from math import factorial
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from snfair import permutations
 from snfair.errors import CapacityError, ModelValidityError
@@ -254,6 +258,46 @@ def test_random_sparse_support():
     assert np.all((support > 0.0) & (support <= 1.0))
     single = random_payoff(3, seed=2, dist="sparse", nonzero=1)
     assert np.count_nonzero(single.values) == 1
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_sparse_values_lie_in_the_half_open_unit_interval_in_any_chunking(data):
+    n = data.draw(st.integers(1, 5))
+    nonzero = data.draw(st.integers(1, factorial(n)))
+    seed = data.draw(st.integers(0, 2**64))
+    f = random_payoff(n, seed=seed, dist="sparse", nonzero=nonzero)
+    with mock.patch.object(permutations, "ROW_CHUNK", 11):
+        chunked = random_payoff(n, seed=seed, dist="sparse", nonzero=nonzero)
+    # distinct ranks first, then one 64-bit word per value
+    rng = random.Random(seed)
+    expected = np.zeros(factorial(n))
+    for rank in rng.sample(range(factorial(n)), nonzero):
+        expected[rank] = 1.0 - (rng.getrandbits(64) >> 11) * 2.0**-53
+    assert f.values.tolist() == chunked.values.tolist() == expected.tolist()
+    support = f.values[f.values != 0.0]
+    assert support.size == nonzero
+    assert np.all((support > 0.0) & (support <= 1.0))
+
+
+@pytest.mark.parametrize("dist, nonzero", [("uniform01", None), ("sparse", 2)])
+def test_random_payoff_takes_only_a_non_negative_integer_seed(dist, nonzero):
+    for seed in (-1, True, 1.5, "3"):
+        with pytest.raises(ValueError, match="seed must be a non-negative integer"):
+            random_payoff(3, seed=seed, dist=dist, nonzero=nonzero)
+    given_numpy = random_payoff(3, seed=np.int64(2), dist=dist, nonzero=nonzero)
+    given_int = random_payoff(3, seed=2, dist=dist, nonzero=nonzero)
+    assert given_numpy.values.tolist() == given_int.values.tolist()
+
+
+@pytest.mark.parametrize(
+    "values",
+    [["1", "2"], [True, False], np.array([1.0, 2.0], dtype=object), [1 + 0j, 2 + 0j]],
+    ids=["str", "bool", "object", "complex"],
+)
+def test_payoff_values_must_be_real_numbers(values):
+    with pytest.raises(ValueError, match="payoff values must be real numbers"):
+        PayoffFn(2, values)
 
 
 def test_random_sparse_validation():

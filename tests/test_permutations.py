@@ -1,5 +1,6 @@
 """Permutation arithmetic against hand oracles and brute-force enumeration."""
 import itertools
+import random
 from math import factorial
 from unittest import mock
 
@@ -16,6 +17,8 @@ from snfair.permutations import (
     group_matrix,
     lehmer_unrank,
     rank_of_word,
+    seeded,
+    uniform,
     words,
 )
 
@@ -208,3 +211,41 @@ def test_word_validation():
         Permutation((0, 1, 2))
     with pytest.raises(ValueError):
         Permutation(())
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 2**70), st.integers(0, 100))
+def test_uniform_is_the_top_53_bits_of_each_64_bit_word_in_any_chunking(seed, size):
+    values = uniform(seeded(seed), size)
+    with mock.patch.object(permutations, "ROW_CHUNK", 11):
+        chunked = uniform(seeded(seed), size)
+    # one getrandbits(64) per value draws the same two 32-bit words in turn
+    rng = random.Random(seed)
+    expected = [(rng.getrandbits(64) >> 11) * 2.0**-53 for _ in range(size)]
+    assert values.dtype == np.float64 and values.shape == (size,)
+    assert values.tolist() == chunked.tolist() == expected
+    assert np.all((values >= 0.0) & (values < 1.0))
+
+
+def test_uniform_stays_below_one_at_the_largest_word():
+    class Stream:
+        def __init__(self, word):
+            self.word = word
+
+        def getrandbits(self, bits):
+            return int.from_bytes(self.word.to_bytes(8, "little") * (bits // 64), "little")
+
+    assert uniform(Stream(2**64 - 1), 3).tolist() == [1.0 - 2.0**-53] * 3
+    assert uniform(Stream(2**11), 2).tolist() == [2.0**-53] * 2
+    assert uniform(Stream(2**11 - 1), 2).tolist() == [0.0] * 2
+
+
+@pytest.mark.parametrize("seed", [-1, True, 1.5, "3", None])
+def test_seeded_takes_only_a_non_negative_integer(seed):
+    # random.Random would take each of these, and seed -1 as it seeds 1
+    with pytest.raises(ValueError, match="seed must be a non-negative integer"):
+        seeded(seed)
+
+
+def test_seeded_takes_a_numpy_integer_as_its_value():
+    assert seeded(np.int64(2)).random() == seeded(2).random() == random.Random(2).random()

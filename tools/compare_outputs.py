@@ -112,6 +112,12 @@ def _commands() -> list[list[str]]:
         ["gen-payoff", "--model", "junta", "--n", "4", "--pairs", "1:2,3:2"],
         ["gen-payoff", "--model", "junta", "--n", "4", "--pairs", "0:1"],
         ["gen-payoff", "--model", "junta", "--pairs", "5:1", "--n", "4"],
+        # rejected: a flag of another model, its default value included
+        ["gen-payoff", "--model", "liquidation", "--k", "2", "--c", "1", "--p0", "5",
+         "--dist", "sparse"],
+        ["gen-payoff", "--model", "cfmm", "--deltas", "1,2", "--seed", "3"],
+        ["gen-payoff", "--model", "random", "--n", "3", "--dist", "uniform01", "--pairs", "1:1"],
+        ["gen-payoff", "--model", "junta", "--n", "3", "--pairs", "1:1", "--gamma", "0.001"],
     ]
     for n in (4, 6, 7, 8):
         cmds.append(["simulate", "--n-tx", str(n), "--seed", str(n), "--out", f"iid{n}.json"])
