@@ -1,20 +1,14 @@
 """Command-line front end: reproducible generation, analysis, and verification.
 
 Five commands: gen-payoff, transform, analyze, verify, simulate.  Each
-accepts only the flags it reads: every command takes --out and --max-n,
-gen-payoff, simulate and verify take --seed, and analyze takes --tol,
-its degree threshold.  gen-payoff reads each model flag, --seed among
-them, only for its own --model (``MODEL_DEFAULTS``), so another model's
-flag is a usage error.  simulate reads --latency, --n-tx, --validators
-and --seed only to generate votes, so each is a usage error next to a
---votes file.  Every output file embeds the tool version, the
-flags the command read and the SHA-256 of each input file; nothing
-time-dependent is written, so identical invocations produce
-byte-identical files.  Seeded values come from CPython's Mersenne
-Twister (:func:`snfair.permutations.seeded`).  The verify command exits
-0 exactly when every theorem-backed check in the chosen suite passes,
-each against the suite's own fixed tolerance; trend quantities are
-reported but never gate.
+accepts only the flags it reads, as the table ``FLAGS`` declares.  Every
+output file embeds the tool version, the flags the command read and the
+SHA-256 of each input file; nothing time-dependent is written, so
+identical invocations produce byte-identical files.  Seeded values come
+from CPython's Mersenne Twister (:func:`snfair.permutations.seeded`).
+The verify command exits 0 exactly when every theorem-backed check in
+the chosen suite passes, each against the suite's own fixed tolerance;
+trend quantities are reported but never gate.
 
 The input files (payoffs, ordering sets, vote profiles) are JSON in
 UTF-8 whatever the locale, and only this module knows their formats
@@ -29,15 +23,13 @@ of them at module scope: each command imports the layers it runs when
 it starts, so ``--version`` and ``--help`` load no numpy and
 ``simulate`` never loads the Fourier stack.
 
-``--max-n`` (default 8) is a command-line setting on top of the
-library's own limit of n <= 10: every command checks each group size
-against it once, as soon as the size is known (from a flag, a model, or
-the raw JSON of an input file) and before any n!-sized work.  ``--tol``
-must be a finite number >= 0 and ``--seed`` an integer >= 0.  A
-malformed command line (an unknown or missing flag, a bad value or
-choice, no command) ends like any other usage error: one ``error:``
-line on stderr and exit code 2.  ``--help`` and ``--version`` print and
-exit 0 as argparse makes them.
+``--max-n`` (default 8, at most the library's limit of 10) is a
+command-line setting: every command checks each group size against it
+once, as soon as the size is known (from a flag, a model, or an input
+file's raw JSON) and before any n!-sized work.  A malformed command line
+(an unknown, unread or missing flag, a bad value, choice or range, no
+command) ends like any other usage error: one ``error:`` line on stderr
+and exit code 2.  ``--help`` and ``--version`` print and exit 0.
 
 Payloads hand numpy arrays (payoff values, spectrum blocks, set members)
 straight to the JSON writer, which streams them to the output in chunks
@@ -77,21 +69,9 @@ EXIT_USAGE = 2
 # a chunk of ints costs about 2 MB under tracemalloc, a full n = 9 list 14 MB.
 EMIT_CHUNK = 16384
 
-# simulate's flags for a generated vote profile and their defaults.  A
-# --votes file replaces generation, so none of them may be given with it,
-# and its output's config records none of them.
-GENERATION_DEFAULTS = {"latency": "iid_shuffle", "n_tx": 4, "validators": 5, "seed": 0}
-
-# gen-payoff's models, each with the flags it reads and their defaults
-# (None: no default).  A flag of another model is a usage error, and an
-# output's config records only its model's flags.
-MODEL_DEFAULTS = {
-    "cfmm": {"deltas": None, "p0": 100.0, "gamma": 0.001, "beta": 1.0},
-    "liquidation": {"k": None, "c": None},
-    "junta": {"n": None, "pairs": None, "coeff": 1.0},
-    "indicator": {"set": None},
-    "random": {"n": None, "dist": "uniform01", "nonzero": None, "seed": 0},
-}
+# permutations.MAX_ENUMERABLE_N, the library's size limit and the largest
+# --max-n, written out so that parsing arguments imports no numpy.
+MAX_ENUMERABLE_N = 10
 
 # The keys of snfair.verify.SUITES in the order --help lists them, written
 # out so that parsing arguments imports no suite.
@@ -282,19 +262,6 @@ def _emit_csv(rows: list[dict], path: str) -> None:
         writer.writerows(rows)
 
 
-def _take_flags(args: argparse.Namespace, reads: dict, others=(), context: str = "") -> None:
-    """Reject the first flag of `others` that was given but is not in
-    `reads` ("not allowed with <context>"), then fill in each flag of
-    `reads` left unset (None) with its default."""
-    for key in others:
-        if key not in reads and getattr(args, key) is not None:
-            flag = "--" + key.replace("_", "-")
-            raise ValueError(f"argument {flag}: not allowed with {context}")
-    for key, default in reads.items():
-        if getattr(args, key) is None:
-            setattr(args, key, default)
-
-
 def _parse_deltas(text: str) -> tuple[float, ...]:
     try:
         return tuple(float(x) for x in text.split(","))
@@ -349,11 +316,7 @@ def cmd_gen_payoff(args: argparse.Namespace) -> int:
         random_payoff,
     )
 
-    others = [key for flags in MODEL_DEFAULTS.values() for key in flags]
-    _take_flags(args, MODEL_DEFAULTS[args.model], others, f"--model {args.model}")
     if args.model == "cfmm":
-        if args.deltas is None:
-            raise ValueError("cfmm model needs --deltas")
         model = CfmmModel(
             deltas=_parse_deltas(args.deltas),
             p0=args.p0,
@@ -363,24 +326,16 @@ def cmd_gen_payoff(args: argparse.Namespace) -> int:
         _check_size(model.n, args.max_n)
         payoff = cfmm_payoff(model)
     elif args.model == "liquidation":
-        if args.k is None or args.c is None:
-            raise ValueError("liquidation model needs --k and --c")
         model = LiquidationModel(k=args.k, c=args.c)
         _check_size(model.n, args.max_n)
         payoff = liquidation_payoff(model)
     elif args.model == "junta":
-        if args.n is None or args.pairs is None:
-            raise ValueError("junta model needs --n and --pairs")
         _check_size(args.n, args.max_n)
         term = JuntaTerm(constraints=_parse_pairs(args.pairs), coefficient=args.coeff)
         payoff = junta_payoff([term], args.n)
     elif args.model == "indicator":
-        if args.set is None:
-            raise ValueError("indicator model needs --set")
         payoff = indicator_payoff(_load_json(args, "set"))
     elif args.model == "random":
-        if args.n is None:
-            raise ValueError("random model needs --n")
         _check_size(args.n, args.max_n)
         payoff = random_payoff(
             args.n, seed=args.seed, dist=args.dist, nonzero=args.nonzero
@@ -448,11 +403,9 @@ def cmd_analyze(args: argparse.Namespace) -> int:
 def cmd_simulate(args: argparse.Namespace) -> int:
     from .sequencing import majority_graph, simulate, valid_orderings
 
-    if args.votes:
-        _take_flags(args, {}, GENERATION_DEFAULTS, "argument --votes")
+    if args.votes is not None:
         votes = _load_json(args, "votes")
     else:
-        _take_flags(args, GENERATION_DEFAULTS)
         _check_size(args.n_tx, args.max_n)
         votes = simulate(
             n_tx=args.n_tx,
@@ -525,18 +478,67 @@ class _Parser(argparse.ArgumentParser):
         raise ValueError(message)
 
 
-def _add_common(parser: argparse.ArgumentParser, *, seed: bool) -> None:
-    """--out and --max-n, and --seed for the commands that draw random values."""
-    parser.add_argument("--out", help="output file (default: stdout)")
-    if seed:
-        parser.add_argument("--seed", type=int, default=0, help="random seed (default 0)")
-    parser.add_argument(
-        "--max-n",
-        type=int,
-        default=8,
-        dest="max_n",
-        help="largest group size a command accepts (default 8, at most 10)",
-    )
+NEEDED = object()  # the default of a flag that must be given wherever it is read
+
+# FLAGS holds each command's flags in --help order, one row per flag:
+# (flag, default, when, type or choices, help[, range]).  A flag is read
+# while each flag that `when` names by dest, on an earlier row, holds one
+# of its values (None: not given), so always when `when` is empty.  A
+# range is (low, high, how an error names it).
+_CFMM = {"model": ("cfmm",)}
+_LIQUIDATION = {"model": ("liquidation",)}
+_JUNTA = {"model": ("junta",)}
+_RANDOM = {"model": ("random",)}
+_GENERATED = {"votes": (None,)}
+_SEED_RANGE = (0, float("inf"), "an integer >= 0")
+_PAYOFF = ("--payoff", NEEDED, {}, str, "payoff JSON file")
+_CSV = ("--csv", None, {}, str, "also write per-block stats as CSV")
+_OUT = ("--out", None, {}, str, "output file (default: stdout)")
+_MAX_N = ("--max-n", 8, {}, int, "largest group size a command accepts (default 8, at most 10)",
+          (1, MAX_ENUMERABLE_N, f"an integer from 1 to {MAX_ENUMERABLE_N}"))
+
+FLAGS = {
+    "gen-payoff": [
+        ("--model", NEEDED, {}, ["cfmm", "liquidation", "junta", "indicator", "random"], None),
+        ("--deltas", NEEDED, _CFMM, str, "cfmm trade sizes, comma separated"),
+        ("--p0", 100.0, _CFMM, float, "initial price"),
+        ("--gamma", 0.001, _CFMM, float, "price impact per unit"),
+        ("--beta", 1.0, _CFMM, float, "extraction coefficient"),
+        ("--k", NEEDED, _LIQUIDATION, int, "liquidation half-count of trades"),
+        ("--c", NEEDED, _LIQUIDATION, int, "liquidation depth"),
+        ("--n", NEEDED, {"model": ("junta", "random")}, int, "group size for junta/random models"),
+        ("--pairs", NEEDED, _JUNTA, str, "junta constraints as slot:item, comma separated"),
+        ("--coeff", 1.0, _JUNTA, float, "junta term coefficient"),
+        ("--set", NEEDED, {"model": ("indicator",)}, str,
+         "ordering set file for the indicator model"),
+        ("--dist", "uniform01", _RANDOM, ["uniform01", "sparse"], "random payoff distribution"),
+        ("--nonzero", NEEDED, {"model": ("random",), "dist": ("sparse",)}, int,
+         "support size for sparse payoffs"),
+        _OUT, ("--seed", 0, _RANDOM, int, "random seed (default 0)", _SEED_RANGE), _MAX_N,
+    ],
+    "transform": [_PAYOFF, _CSV, _OUT, _MAX_N],
+    "analyze": [
+        _PAYOFF, ("--set", NEEDED, {}, str, "ordering set JSON file"), _CSV,
+        ("--tol", 1e-9, {}, float,
+         "degree threshold, relative to the payoff's 2-norm (default 1e-9)",
+         (0.0, sys.float_info.max, "a finite number >= 0")),
+        _OUT, _MAX_N,
+    ],
+    "verify": [
+        ("--suite", NEEDED, {}, VERIFY_SUITES, None),
+        ("--n", 4, {}, int, "group size (default 4)"),
+        ("--csv", None, {}, str, "also write per-case rows as CSV"),
+        _OUT, ("--seed", 0, {}, int, "random seed (default 0)", _SEED_RANGE), _MAX_N,
+    ],
+    "simulate": [
+        ("--votes", None, {}, str, "vote profile JSON file (overrides generation)"),
+        ("--latency", "iid_shuffle", _GENERATED, ["iid_shuffle", "adversarial_cycle"],
+         "latency model for generated profiles"),
+        ("--n-tx", 4, _GENERATED, int, "transaction count"),
+        ("--validators", 5, _GENERATED, int, "validator count"),
+        _OUT, ("--seed", 0, _GENERATED, int, "random seed (default 0)", _SEED_RANGE), _MAX_N,
+    ],
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -546,73 +548,44 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=f"snfair {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("gen-payoff", help="generate a payoff file from a model")
-    p.add_argument(
-        "--model",
-        required=True,
-        choices=["cfmm", "liquidation", "junta", "indicator", "random"],
-    )
-    # Every model flag stays None until given; cmd_gen_payoff rejects the
-    # flags its model does not read and fills in MODEL_DEFAULTS.
-    p.add_argument("--deltas", help="cfmm trade sizes, comma separated")
-    p.add_argument("--p0", type=float, help="initial price")
-    p.add_argument("--gamma", type=float, help="price impact per unit")
-    p.add_argument("--beta", type=float, help="extraction coefficient")
-    p.add_argument("--k", type=int, help="liquidation half-count of trades")
-    p.add_argument("--c", type=int, help="liquidation depth")
-    p.add_argument("--n", type=int, help="group size for junta/random models")
-    p.add_argument("--pairs", help="junta constraints as slot:item, comma separated")
-    p.add_argument("--coeff", type=float, help="junta term coefficient")
-    p.add_argument("--set", help="ordering set file for the indicator model")
-    p.add_argument(
-        "--dist", choices=["uniform01", "sparse"], help="random payoff distribution",
-    )
-    p.add_argument("--nonzero", type=int, help="support size for sparse payoffs")
-    _add_common(p, seed=True)
-    p.set_defaults(func=cmd_gen_payoff, seed=None)
-
-    p = sub.add_parser("transform", help="Fourier-transform a payoff file")
-    p.add_argument("--payoff", required=True, help="payoff JSON file")
-    p.add_argument("--csv", help="also write per-block stats as CSV")
-    _add_common(p, seed=False)
-    p.set_defaults(func=cmd_transform)
-
-    p = sub.add_parser("analyze", help="fairness analysis of a payoff over a set")
-    p.add_argument("--payoff", required=True, help="payoff JSON file")
-    p.add_argument("--set", required=True, help="ordering set JSON file")
-    p.add_argument("--csv", help="also write per-block stats as CSV")
-    p.add_argument(
-        "--tol",
-        type=float,
-        default=1e-9,
-        help="degree threshold, relative to the payoff's 2-norm (default 1e-9)",
-    )
-    _add_common(p, seed=False)
-    p.set_defaults(func=cmd_analyze)
-
-    p = sub.add_parser("verify", help="run a verification suite")
-    p.add_argument("--suite", required=True, choices=VERIFY_SUITES)
-    p.add_argument("--n", type=int, default=4, help="group size (default 4)")
-    p.add_argument("--csv", help="also write per-case rows as CSV")
-    _add_common(p, seed=True)
-    p.set_defaults(func=cmd_verify)
-
-    p = sub.add_parser("simulate", help="votes -> majority graph -> admissible set")
-    p.add_argument("--votes", help="vote profile JSON file (overrides generation)")
-    p.add_argument(
-        "--latency",
-        choices=["iid_shuffle", "adversarial_cycle"],
-        help="latency model for generated profiles",
-    )
-    p.add_argument("--n-tx", type=int, dest="n_tx", help="transaction count")
-    p.add_argument("--validators", type=int, help="validator count")
-    _add_common(p, seed=True)
-    # The generation flags stay None until given, --seed too, so that
-    # cmd_simulate can reject them next to --votes.
-    p.set_defaults(func=cmd_simulate, seed=None)
-
+    commands = {
+        "gen-payoff": (cmd_gen_payoff, "generate a payoff file from a model"),
+        "transform": (cmd_transform, "Fourier-transform a payoff file"),
+        "analyze": (cmd_analyze, "fairness analysis of a payoff over a set"),
+        "verify": (cmd_verify, "run a verification suite"),
+        "simulate": (cmd_simulate, "votes -> majority graph -> admissible set"),
+    }
+    for command, (func, summary) in commands.items():
+        p = sub.add_parser(command, help=summary)
+        for flag, default, when, kind, text, *_ in FLAGS[command]:
+            # A conditional flag stays None until given: _read_flags fills it in.
+            kw = {"type": kind} if isinstance(kind, type) else {"choices": kind}
+            kw.update(default=None if when else default, required=default is NEEDED and not when)
+            p.add_argument(flag, help=text, **kw)
+        p.set_defaults(func=func)
     return parser
+
+
+def _read_flags(args: argparse.Namespace) -> None:
+    """Check the parsed flags against FLAGS, row by row: a value out of
+    range, a flag given where it is not read, or a NEEDED one missing where
+    it is read is a usage error.  A flag read but not given takes its
+    default; one not read stays None, and so out of metadata.config."""
+    for flag, default, when, _, _, *ranges in FLAGS[args.command]:
+        key = flag[2:].replace("-", "_")
+        value = getattr(args, key)
+        for low, high, text in ranges:
+            if value is not None and not low <= value <= high:
+                raise ValueError(f"{flag} must be {text}, got {value!r}")
+        named = {k: f"--{k} {getattr(args, k)}" if v != (None,) else f"argument --{k}"
+                 for k, v in when.items()}
+        failed = [k for k, values in when.items() if getattr(args, k) not in values]
+        if failed and value is not None:
+            raise ValueError(f"argument {flag}: not allowed with {named[failed[0]]}")
+        if not failed and value is None:
+            if default is NEEDED:
+                raise ValueError(f"{' '.join(named.values())} needs {flag}")
+            setattr(args, key, default)
 
 
 def _join_negative_deltas(argv: list[str]) -> list[str]:
@@ -633,11 +606,7 @@ def main(argv=None) -> int:
             _join_negative_deltas(sys.argv[1:] if argv is None else argv)
         )
         args.input_hashes = {}  # filled by _load_json: label -> SHA-256 of the bytes read
-        if "tol" in args and not 0.0 <= args.tol < float("inf"):
-            raise ValueError(f"--tol must be a finite number >= 0, got {args.tol!r}")
-        seed = getattr(args, "seed", None)  # gen-payoff's and simulate's stay None until given
-        if seed is not None and seed < 0:
-            raise ValueError(f"--seed must be an integer >= 0, got {seed}")
+        _read_flags(args)
         return args.func(args)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)

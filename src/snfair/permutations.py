@@ -29,6 +29,12 @@ same order as in one whole-array pass, so every value comes out the same.
 Seeded values, for random payoffs, votes and the verify suites' cases,
 all come from :func:`seeded`, and uniform floats from :func:`uniform`,
 which also draws them ROW_CHUNK at a time.
+
+:func:`lehmer_unrank` and :func:`enumerate_group` build one element at
+a time, in pure Python, and no scan calls them.  They stay public as
+reference oracles: the tests check :func:`rank_of_word`, :func:`words`
+and :meth:`Permutation.rank` against them, and compare the payoff,
+Fourier and Cayley layers with per-element computations over them.
 """
 from __future__ import annotations
 

@@ -22,6 +22,7 @@ from hypothesis.extra import numpy as hnp
 import snfair.cli
 import snfair.fourier
 import snfair.intersecting
+import snfair.permutations
 import snfair.verify
 from snfair.cayley import SymmetricSet
 from snfair.cli import EXIT_CHECK_FAILED, EXIT_OK, EXIT_USAGE, VERIFY_SUITES, _emit, main
@@ -196,6 +197,10 @@ def test_every_suite_runs_or_names_its_smallest_n(suite, n, tmp_path, capsys):
 
 def test_verify_suite_choices_are_the_suite_registry():
     assert VERIFY_SUITES == tuple(sorted(SUITES))
+
+
+def test_max_n_limit_is_the_librarys():
+    assert snfair.cli.MAX_ENUMERABLE_N == snfair.permutations.MAX_ENUMERABLE_N
 
 
 def test_verify_roundtrip_n5_exit_zero(tmp_path):
@@ -403,6 +408,97 @@ def test_each_command_declares_exactly_the_flags_it_reads():
     assert analyze.get_default("tol") == snfair.fourier.DEGREE_TOL
 
 
+# One command line per way through a command's flags, and the dests of the
+# flags it reads besides --out and --max-n.
+PATHS = {
+    "cfmm": (["gen-payoff", "--model", "cfmm", "--deltas", "1,2"],
+             {"model", "deltas", "p0", "gamma", "beta"}),
+    "liquidation": (["gen-payoff", "--model", "liquidation", "--k", "2", "--c", "1"],
+                    {"model", "k", "c"}),
+    "junta": (["gen-payoff", "--model", "junta", "--n", "3", "--pairs", "1:1"],
+              {"model", "n", "pairs", "coeff"}),
+    "indicator": (["gen-payoff", "--model", "indicator", "--set", "{set}"], {"model", "set"}),
+    "random": (["gen-payoff", "--model", "random", "--n", "3"], {"model", "n", "dist", "seed"}),
+    "random-sparse": (["gen-payoff", "--model", "random", "--n", "3", "--dist", "sparse",
+                       "--nonzero", "2"], {"model", "n", "dist", "nonzero", "seed"}),
+    "transform": (["transform", "--payoff", "{payoff}"], {"payoff"}),
+    "analyze": (["analyze", "--payoff", "{payoff}", "--set", "{set}"], {"payoff", "set", "tol"}),
+    "verify": (["verify", "--suite", "claim2"], {"suite", "n", "seed"}),
+    "simulate": (["simulate", "--n-tx", "3"], {"latency", "n_tx", "validators", "seed"}),
+    "simulate-votes": (["simulate", "--votes", "{votes}"], {"votes"}),
+}
+
+
+def _path_inputs(tmp_path):
+    """Paths of a valid n = 3 payoff, ordering set and vote profile,
+    written under tmp_path and keyed by the label of their input flag."""
+    documents = {
+        "payoff": {"n": 3, "values": [1.0, 2.0, 0.5, 3.0, 0.0, 1.5]},
+        "set": {"n": 3, "members": [0, 1, 4]},
+        "votes": VOTES3,
+    }
+    paths = {}
+    for label, document in documents.items():
+        paths[label] = str(tmp_path / f"{label}.json")
+        (tmp_path / f"{label}.json").write_text(json.dumps(document))
+    return paths
+
+
+# Every row of cli.FLAGS that is read only under a condition.
+CONDITIONAL = [(cmd, row) for cmd, rows in snfair.cli.FLAGS.items() for row in rows if row[2]]
+
+
+@pytest.mark.parametrize(
+    "command, row", CONDITIONAL, ids=[f"{command} {row[0]}" for command, row in CONDITIONAL]
+)
+def test_a_conditional_flag_is_given_only_where_read_and_then_if_needed(
+    command, row, tmp_path, capsys
+):
+    # on each path of its command, the flag given where it is not read, or
+    # a NEEDED one left out where it is, is one usage-error line naming it
+    flag, default, when, kind = row[:4]
+    key = flag[2:].replace("-", "_")
+    dests = [r[0][2:].replace("-", "_") for r in snfair.cli.FLAGS[command]]
+    assert set(when) <= set(dests[: dests.index(key)])  # conditions are settled first
+    paths = _path_inputs(tmp_path)
+    checked = 0
+    for argv, reads in PATHS.values():
+        if argv[0] != command:
+            continue
+        argv = [arg.format(**paths) for arg in argv]
+        if key not in reads:
+            value = "2" if isinstance(kind, type) else kind[0]
+            line = f"error: argument {flag}: not allowed with "
+            assert run(*argv, flag, value) == EXIT_USAGE
+        elif default is snfair.cli.NEEDED:
+            i = argv.index(flag)
+            line = f" needs {flag}"
+            assert run(*argv[:i], *argv[i + 2:]) == EXIT_USAGE
+        else:
+            continue
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and line in err[0]
+        checked += 1
+    assert checked
+
+
+@pytest.mark.parametrize("path", PATHS)
+def test_config_records_exactly_the_flags_each_path_reads(path, tmp_path):
+    argv, reads = PATHS[path]
+    argv = [arg.format(**_path_inputs(tmp_path)) for arg in argv]
+    out = tmp_path / "out.json"
+    assert run(*argv, "--out", str(out)) == EXIT_OK
+    expected = {"command": argv[0], "max_n": 8}
+    for flag, default, _, kind, *_ in snfair.cli.FLAGS[argv[0]]:
+        key = flag[2:].replace("-", "_")
+        if key in reads and flag in argv:
+            given = argv[argv.index(flag) + 1]
+            expected[key] = kind(given) if isinstance(kind, type) else given
+        elif key in reads:
+            expected[key] = default
+    assert json.loads(out.read_text())["metadata"]["config"] == expected
+
+
 def test_transform_config_records_only_the_flags_it_reads(tmp_path):
     payoff, out = tmp_path / "f.json", tmp_path / "spec.json"
     payoff.write_text(json.dumps({"n": 2, "values": [1.0, 2.0]}))
@@ -522,6 +618,18 @@ def test_transform_config_records_only_the_flags_it_reads(tmp_path):
          {"n": 3, "members": [0]}, "error: argument --n: not allowed with --model indicator"),
         (["gen-payoff", "--model", "cfmm", "--deltas", "1,2", "--k", "1"], None,
          "error: argument --k: not allowed with --model cfmm"),
+        # --nonzero is read only by the sparse distribution
+        (["gen-payoff", "--model", "random", "--n", "3", "--nonzero", "2"], None,
+         "error: argument --nonzero: not allowed with --dist uniform01"),
+        (["gen-payoff", "--model", "random", "--n", "3", "--dist", "sparse"], None,
+         "error: --model random --dist sparse needs --nonzero"),
+        # --max-n past the library's limit, or below 1
+        (["gen-payoff", "--model", "random", "--n", "3", "--max-n", "0"], None,
+         "error: --max-n must be an integer from 1 to 10, got 0"),
+        (["gen-payoff", "--model", "random", "--n", "3", "--max-n", "-5"], None,
+         "error: --max-n must be an integer from 1 to 10, got -5"),
+        (["gen-payoff", "--model", "random", "--n", "11", "--max-n", "11"], None,
+         "error: --max-n must be an integer from 1 to 10, got 11"),
     ],
     ids=["no-n", "top-level-list", "float-n", "bool-n", "string-n", "huge-n", "verify-n0",
          "float-member", "bool-member", "scalar-members", "float-vote", "scalar-validators",
@@ -536,7 +644,9 @@ def test_transform_config_records_only_the_flags_it_reads(tmp_path):
          "unread-transform-tol", "unread-analyze-seed", "unread-simulate-tol",
          "unread-verify-tol", "votes-with-n-tx", "votes-with-validators",
          "votes-with-latency", "votes-with-seed", "liquidation-with-p0", "cfmm-with-seed",
-         "random-with-coeff", "junta-with-nonzero", "indicator-with-n", "cfmm-with-k"],
+         "random-with-coeff", "junta-with-nonzero", "indicator-with-n", "cfmm-with-k",
+         "dense-with-nonzero", "sparse-without-nonzero", "max-n-0", "max-n-negative",
+         "max-n-11"],
 )
 def test_malformed_input_is_one_line_usage_error(argv, content, reason, tmp_path, capsys):
     # bytes are the file's raw text; anything else is written as JSON
@@ -916,15 +1026,7 @@ def test_simulate_loads_neither_the_fourier_stack_nor_openssl(tmp_path):
     ids=["transform", "analyze", "simulate-votes", "gen-payoff-indicator"],
 )
 def test_reading_an_input_file_loads_no_openssl(argv, tmp_path):
-    documents = {
-        "payoff": {"n": 3, "values": [1.0, 2.0, 0.5, 3.0, 0.0, 1.5]},
-        "set": {"n": 3, "members": [0, 1, 4]},
-        "votes": VOTES3,
-    }
-    paths = {}
-    for label, document in documents.items():
-        paths[label] = tmp_path / f"{label}.json"
-        paths[label].write_text(json.dumps(document))
+    paths = _path_inputs(tmp_path)
     out = tmp_path / "out.json"
     loaded = _modules_loaded_by(*(arg.format(**paths) for arg in argv), "--out", str(out))
     assert json.loads(out.read_text())["metadata"]["input_hashes"]  # ran to its end
@@ -960,3 +1062,5 @@ def test_gen_payoff_loads_no_fourier_stack(tmp_path):
 def test_version_and_help_load_no_numpy(flag):
     loaded = _modules_loaded_by(flag)
     assert "snfair.cli" in loaded and "numpy" not in loaded
+    # each costs milliseconds of a start-up that --version times
+    assert not loaded & {"dataclasses", "inspect"}

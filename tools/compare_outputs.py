@@ -118,6 +118,13 @@ def _commands() -> list[list[str]]:
         ["gen-payoff", "--model", "cfmm", "--deltas", "1,2", "--seed", "3"],
         ["gen-payoff", "--model", "random", "--n", "3", "--dist", "uniform01", "--pairs", "1:1"],
         ["gen-payoff", "--model", "junta", "--n", "3", "--pairs", "1:1", "--gamma", "0.001"],
+        # rejected: --nonzero without --dist sparse, and --dist sparse without it
+        ["gen-payoff", "--model", "random", "--n", "3", "--nonzero", "2"],
+        ["gen-payoff", "--model", "random", "--n", "3", "--dist", "sparse"],
+        # rejected: a needed flag missing, and --max-n outside 1..10
+        ["gen-payoff", "--model", "liquidation", "--k", "2"],
+        ["gen-payoff", "--model", "random", "--n", "3", "--max-n", "0"],
+        ["gen-payoff", "--model", "random", "--n", "11", "--max-n", "11"],
     ]
     for n in (4, 6, 7, 8):
         cmds.append(["simulate", "--n-tx", str(n), "--seed", str(n), "--out", f"iid{n}.json"])
