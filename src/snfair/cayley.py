@@ -40,7 +40,7 @@ import numpy as np
 from .errors import EmptySetError
 from .partitions import dimension
 from .payoffs import indicator_payoff
-from .permutations import rank_of_word, row_chunks, words
+from .permutations import group_order, rank_of_word, word_blocks, words
 from .sets import OrderingSet
 
 # Absolute: a shape is within the bound when the largest eigenvalue of
@@ -50,12 +50,11 @@ BOUND_TOL = 1e-9
 
 
 def _inverse_ranks(members: OrderingSet) -> np.ndarray:
-    """Rank of each member's inverse: its word's argsort, ranked ROW_CHUNK
-    members at a time."""
+    """Rank of each member's inverse: its word's argsort, ranked one block
+    of :func:`snfair.permutations.word_blocks` at a time."""
     inv = np.empty(len(members), dtype=np.int64)
-    for rows in row_chunks(len(members)):
-        member_words = words(members.n, members.members[rows])
-        inv[rows] = rank_of_word(np.argsort(member_words, axis=1) + 1)
+    for rows, block in word_blocks(members.n, members.members):
+        inv[rows] = rank_of_word(np.argsort(block, axis=1) + 1)
     return inv
 
 
@@ -126,8 +125,8 @@ def dense_operator(conn: SymmetricSet) -> np.ndarray:
     Independent of the representation machinery; used to cross-check the
     block route.  Row p holds weight 1/|F| at column rank(t * p) for each t.
     """
-    size = factorial(conn.n)
-    perms = words(conn.n, slice(None))
+    size = group_order(conn.n)
+    perms = words(conn.n, np.arange(size))
     mat = np.zeros((size, size))
     for t in words(conn.n, conn.members):
         # column rank(t * p) for every row p; p -> t * p is a bijection

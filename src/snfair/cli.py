@@ -125,12 +125,7 @@ def _set_from_json(n: int, members):
 def _votes_from_json(n_tx: int, validators):
     from .sequencing import VoteProfile
 
-    # JSON booleans would pass as 0/1 and floats would truncate.
-    if not isinstance(validators, list) or not all(
-        isinstance(o, list) and all(type(x) is int for x in o) for o in validators
-    ):
-        raise ValueError("validators must be a list of lists of integer labels")
-    return VoteProfile(n_tx, tuple(tuple(o) for o in validators))
+    return VoteProfile(n_tx, validators)
 
 
 # The input files, keyed by the flag that names one: what a message calls

@@ -30,8 +30,8 @@ constants.
 A payoff keeps its transform (``PayoffFn.spectrum``) and a spectrum its
 Schatten summary (``FourierSpectrum.schatten``), both read-only.
 
-The only size limit is :func:`snfair.permutations.check_enumerable`,
-which every :class:`~snfair.payoffs.PayoffFn` passes on construction.
+The only size limit is :func:`snfair.permutations.group_order`, which
+every :class:`~snfair.payoffs.PayoffFn` passes on construction.
 """
 from __future__ import annotations
 

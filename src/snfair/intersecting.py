@@ -10,10 +10,10 @@ examples: t pinned slots leave (n - t)! members all sharing those slots.
 The scan is exact and stops as soon as the answer is known.  Every pair
 agrees on the slots all members share, so their number (the floor) is a
 lower bound on the level.  Member 0 is compared with all the others
-first, in O(m n), reading the members' words ROW_CHUNK at a time from
-:func:`snfair.permutations.words`, which builds them from the S_8 table
-above n = 8.  That already reaches the floor for stabilizer sets, the
-full group and every admissible set whose majority graph orders all
+first, in O(m n), reading the members' words one block at a time from
+:func:`snfair.permutations.word_blocks`, which builds them from the S_8
+table above n = 8.  That already reaches the floor for stabilizer sets,
+the full group and every admissible set whose majority graph orders all
 its components (as a tournament's does): such a set permutes the items
 of each component freely, and every component of two or more items has
 a derangement.  Otherwise the remaining pairs are compared in tiles of
@@ -22,7 +22,7 @@ float32 entries, the product of a row tile and a column tile counts
 agreements exactly, and the scan stops after the first tile that brings
 the minimum down to the floor.  Each tile's words are read as it comes,
 so the scan holds no copy of the members' words, nor any table of S_n
-above n = 8: its memory is one chunk, or one tile, beyond the set's
+above n = 8: its memory is one block, or one tile, beyond the set's
 ranks.
 
 The structural link verified here: once a set's size clears (n - t)!, its
@@ -40,7 +40,7 @@ from math import factorial
 import numpy as np
 
 from .errors import EmptySetError
-from .permutations import check_enumerable, is_integer, row_chunks, words
+from .permutations import group_order, is_integer, word_blocks, words
 from .sets import OrderingSet
 
 # Rows and columns of one agreement tile: a 512 x 2048 float32 product is 4 MB.
@@ -70,8 +70,8 @@ def intersection_profile(members: OrderingSet) -> IntersectionProfile:
     # itself at all n slots, the level's starting value.
     shared = np.ones(n, dtype=bool)
     t_max = n
-    for rows in row_chunks(m):
-        agree = words(n, ranks[rows]) == first
+    for _, block in word_blocks(n, ranks):
+        agree = block == first
         shared &= agree.all(axis=0)
         t_max = min(t_max, int(agree.sum(axis=1).min()))
     common_pairs = tuple((int(i) + 1, int(first[i])) for i in np.nonzero(shared)[0])
@@ -158,10 +158,9 @@ def stabilizer_set(n: int, pairs) -> OrderingSet:
     for i, j in pairs:
         if not (1 <= i <= n and 1 <= j <= n):
             raise ValueError(f"pair ({i}, {j}) outside 1..{n}")
-    check_enumerable(n)
-    keep = np.ones(factorial(n), dtype=bool)
-    for rows in row_chunks(len(keep)):
-        chunk, part = words(n, rows), keep[rows]
+    keep = np.ones(group_order(n), dtype=bool)
+    for rows, block in word_blocks(n):
+        part = keep[rows]
         for i, j in pairs:
-            part &= chunk[:, i - 1] == j
+            part &= block[:, i - 1] == j
     return OrderingSet.from_mask(n, keep)

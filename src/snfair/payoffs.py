@@ -21,20 +21,19 @@ payoffs come from a seeded generator for reproducible experiments
 (CPython's Mersenne Twister, :func:`snfair.permutations.seeded`).
 
 Every generator enumerates S_n, so each is bounded by the one library
-limit, :func:`snfair.permutations.check_enumerable` (n <= 10), which
-runs before anything of size n! is allocated.
+limit, :func:`snfair.permutations.group_order` (n <= 10), which gives
+every n!-sized array its length.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from math import factorial
 from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .errors import ModelValidityError
-from .permutations import check_enumerable, row_chunks, seeded, uniform, words
+from .permutations import group_order, seeded, uniform, word_blocks
 from .sets import OrderingSet, owned_read_only
 
 if TYPE_CHECKING:
@@ -56,15 +55,15 @@ class PayoffFn:
     values: np.ndarray
 
     def __post_init__(self) -> None:
-        check_enumerable(self.n)
+        size = group_order(self.n)
         raw = np.asarray(self.values)
         # Strings, bools, objects and complex numbers would be coerced to floats.
         if raw.dtype.kind not in "iuf":
             raise ValueError(f"payoff values must be real numbers, got dtype {raw.dtype}")
         vals = owned_read_only(raw, float)
-        if vals.shape != (factorial(self.n),):
+        if vals.shape != (size,):
             raise ValueError(
-                f"need {factorial(self.n)} values for n={self.n}, got shape {vals.shape}"
+                f"need {size} values for n={self.n}, got shape {vals.shape}"
             )
         # min and max are NaN if any value is, so they see every non-finite
         # value without an n!-sized mask.
@@ -116,17 +115,16 @@ class CfmmModel:
 
 
 def cfmm_payoff(model: CfmmModel) -> PayoffFn:
-    """Total extraction of every ordering of the model's trades, built
-    ROW_CHUNK orderings at a time."""
+    """Total extraction of every ordering of the model's trades, built one
+    block of :func:`snfair.permutations.word_blocks` at a time."""
     n = model.n
-    check_enumerable(n)
     deltas = np.asarray(model.deltas, dtype=float)
-    values = np.empty(factorial(n))
+    values = np.empty(group_order(n))
     # Values past the float range become inf or nan silently here; the
     # PayoffFn check then rejects them with one message.
     with np.errstate(over="ignore", invalid="ignore"):
-        for rows in row_chunks(len(values)):
-            sizes = deltas[words(n, rows) - 1]  # trade size per slot
+        for rows, block in word_blocks(n):
+            sizes = deltas[block - 1]  # trade size per slot
             # prior[:, k] = price before slot k: the price factors, their
             # running product times p0, then shifted one slot right behind
             # p0, all in place
@@ -176,14 +174,13 @@ class LiquidationModel:
 
 def liquidation_payoff(model: LiquidationModel) -> PayoffFn:
     """Indicator of orderings whose running move total ever reaches -c,
-    built ROW_CHUNK orderings at a time."""
+    built one block of :func:`snfair.permutations.word_blocks` at a time."""
     n = model.n
-    check_enumerable(n)
     moves = np.asarray(model.moves, dtype=np.int8)
-    values = np.empty(factorial(n))
-    for rows in row_chunks(len(values)):
+    values = np.empty(group_order(n))
+    for rows, block in word_blocks(n):
         # int8 holds every running total: it stays within -k..k
-        running = moves[words(n, rows) - 1]
+        running = moves[block - 1]
         np.cumsum(running, axis=1, dtype=np.int8, out=running)
         values[rows] = (running <= -model.c).any(axis=1)
     values.setflags(write=False)
@@ -204,8 +201,7 @@ def junta_payoff(terms, n: int) -> PayoffFn:
     # Imported here, as PayoffFn.spectrum imports fourier: intersecting is above.
     from .intersecting import stabilizer_set
 
-    check_enumerable(n)
-    values = np.zeros(factorial(n))
+    values = np.zeros(group_order(n))
     for term in terms:
         values += term.coefficient * stabilizer_set(n, term.constraints).mask()
     values.setflags(write=False)
@@ -232,8 +228,7 @@ def random_payoff(
     :func:`snfair.permutations.seeded`, which takes only a non-negative
     integer seed.
     """
-    check_enumerable(n)
-    size = factorial(n)
+    size = group_order(n)
     rng = seeded(seed)
     if dist == "uniform01":
         values = uniform(rng, size)

@@ -11,30 +11,31 @@ Conventions used throughout the package:
   Lehmer code / factorial number system.  ``rank(identity) == 0`` and
   ``rank == factorial(n) - 1`` for the order-reversing word.
 
-Exhaustive enumeration is capped at n <= 10 by :func:`check_enumerable`,
-the package's one size limit (see its docstring for the memory cost).
-Every scan over S_n reads its one-line words from one source,
-:func:`words`.  Up to n = WORD_TABLE_N = 8 that is the cached table of
-all of S_n (:func:`group_matrix`, 322 KB at n = 8).  Above, the ranks
-fall into blocks of 8! that share their first n - 8 letters, and each
-block's words are built on demand from the S_8 table, so no process
-holds an n! x n array.  Scans that would otherwise make n!-row
+This module alone knows how S_n is sized and walked.  Every n!-sized
+array takes its length from :func:`group_order`, which caps exhaustive
+enumeration at n <= 10, the package's one size limit (see its docstring
+for the memory cost).  Every scan over S_n reads its one-line words from
+one loop, :func:`word_blocks`.  Up to n = WORD_TABLE_N = 8 it yields one
+block, from the cached table of all of S_n (:func:`group_matrix`, 322 KB
+at n = 8).  Above, blocks of 8! ranks share their first n - 8 letters,
+and each block's words are built on demand from the S_8 table, so no
+process holds an n! x n array.  Scans that would otherwise make n!-row
 temporaries (ranking words, the FFT's coset order among them, the CFMM
 and liquidation payoffs, admissible and stabilizer sets, agreement
-profiles) take the rows :data:`ROW_CHUNK` = 8! at a time
-(:func:`row_chunks`), one block per chunk.  Their temporaries then stay
-a few MB at any n, and each row goes through the same operations in the
-same order as in one whole-array pass, so every value comes out the same.
+profiles) thus hold a few MB at any n, and each row goes through the
+same operations in the same order as in one whole-array pass, so every
+value comes out the same.  :func:`words` gathers the blocks into one
+array for the callers that need one.
 
 Seeded values, for random payoffs, votes and the verify suites' cases,
 all come from :func:`seeded`, and uniform floats from :func:`uniform`,
-which also draws them ROW_CHUNK at a time.
+which draws them ROW_CHUNK at a time.
 
 :func:`lehmer_unrank` and :func:`enumerate_group` build one element at
 a time, in pure Python, and no scan calls them.  They stay public as
-reference oracles: the tests check :func:`rank_of_word`, :func:`words`
-and :meth:`Permutation.rank` against them, and compare the payoff,
-Fourier and Cayley layers with per-element computations over them.
+reference oracles: the tests check ranks and words against them, and
+compare the payoff, Fourier and Cayley layers with per-element
+computations over them.
 """
 from __future__ import annotations
 
@@ -50,14 +51,11 @@ from .errors import CapacityError
 
 MAX_ENUMERABLE_N = 10
 
-# Largest n whose whole word table group_matrix builds; words builds
-# larger groups' words from this table.
+# Largest n whose whole word table group_matrix builds; word_blocks
+# builds larger groups' words from this table, one block of 8! at a time.
 WORD_TABLE_N = 8
 
-# Rows per chunk of a scan over S_n.  Above WORD_TABLE_N, a block is the
-# 8! ranks that share their first n - 8 letters, whose words are one
-# relabelled copy of the S_8 table; a chunk of 8! rows is exactly one
-# block.  One float64 per entry of 40320 ten-item words is 3.2 MB.
+# Values per chunk of the loops that read no words: uniform, OrderingSet.from_mask.
 ROW_CHUNK = factorial(WORD_TABLE_N)
 
 
@@ -77,6 +75,8 @@ class Permutation:
         n = len(self.mapping)
         if n == 0:
             raise ValueError("permutation must act on at least one point")
+        if not all(map(is_integer, self.mapping)):
+            raise ValueError(f"entries must be integers, got {self.mapping!r}")
         if sorted(self.mapping) != list(range(1, n + 1)):
             raise ValueError(f"not a bijection of 1..{n}: {self.mapping!r}")
 
@@ -127,23 +127,22 @@ def rank_of_word(words) -> np.ndarray:
 
     Digit i counts the later entries smaller than entry i, and the digits
     are summed in Horner form.  A single word gives a 0-d array, a stack
-    of words an owned array of ranks, ranked ROW_CHUNK words at a time.
-    Only the length is checked: ranks past 20 letters overflow int64.
+    of words an owned array of ranks, in one pass whose temporaries take
+    about 2 * rows * n bytes for int8 words (70 MB for all of S_10; the
+    scans pass one block of :func:`word_blocks`, a few MB).  Only the
+    length is checked: ranks past 20 letters overflow int64.
     """
     w = np.asarray(words)
     n = w.shape[-1]
     if n > 20:
         raise OverflowError(f"ranks of {n}-letter words do not fit in int64")
-    stack = w.reshape(-1, n)
     ranks = np.zeros(w.shape[:-1], dtype=np.int64)
-    flat = ranks.reshape(-1)
-    for rows in row_chunks(len(stack)):
-        # One contiguous row per slot: S_10 in 0.11 s, not 1.2 s as columns.
-        slots = stack[rows].T.copy()
-        rank = flat[rows]
-        for i in range(n):
-            rank *= n - i
-            rank += (slots[i + 1 :] < slots[i]).sum(0, dtype=np.int8)
+    rank = ranks.reshape(-1)
+    # One contiguous row per slot: S_10 in 0.11 s, not 1.2 s as columns.
+    slots = w.reshape(-1, n).T.copy()
+    for i in range(n):
+        rank *= n - i
+        rank += (slots[i + 1 :] < slots[i]).sum(0, dtype=np.int8)
     return ranks
 
 
@@ -166,7 +165,7 @@ def lehmer_unrank(n: int, r: int) -> Permutation:
 
 def enumerate_group(n: int):
     """Yield every element of S_n in lexicographic (rank) order."""
-    check_enumerable(n)
+    group_order(n)
     for word in itertools.permutations(range(1, n + 1)):
         yield Permutation(word)
 
@@ -205,20 +204,20 @@ def uniform(rng: random.Random, size: int) -> np.ndarray:
     return out
 
 
-def check_enumerable(n: int) -> None:
-    """Reject group sizes that are not integers in 1..MAX_ENUMERABLE_N.
+def group_order(n: int) -> int:
+    """n! for an integer n in 1..MAX_ENUMERABLE_N; any other n is rejected.
 
-    The package's only size limit: payoffs, ordering sets and the group
-    index check it before allocating anything of size n!.  At the cap,
-    one transform and inverse of a dense n = 10 payoff peak at 303 MB
-    resident (whole process, measured with getrusage on a 2-core Intel
-    Xeon, numpy float64) and take 2.2-2.3 s.  Whole ``snfair`` commands
-    at n = 10 on that machine: ``simulate --latency adversarial_cycle``
-    peaks at 65 MB, ``gen-payoff --model random`` at 60 MB, ``--model
-    cfmm`` at 68 MB, ``--model liquidation`` at 59 MB, ``transform``
-    at 251 MB, ``analyze`` of a CFMM payoff on all 3628800 orders at
-    368 MB, and ``verify --suite claim1`` and ``--suite uncertainty`` at
-    433 and 287 MB.
+    The package's only size limit: every array of size n! takes its
+    length from here, so the check runs before anything of that size is
+    allocated.  At the cap, one transform and inverse of a dense n = 10
+    payoff peak at 303 MB resident (whole process, measured with
+    getrusage on a 2-core Intel Xeon, numpy float64) and take 2.2-2.3 s.
+    Whole ``snfair`` commands at n = 10 on that machine: ``simulate
+    --latency adversarial_cycle`` peaks at 65 MB, ``gen-payoff --model
+    random`` at 60 MB, ``--model cfmm`` at 68 MB, ``--model liquidation``
+    at 59 MB, ``transform`` at 251 MB, ``analyze`` of a CFMM payoff on
+    all 3628800 orders at 368 MB, and ``verify --suite claim1`` and
+    ``--suite uncertainty`` at 433 and 287 MB.
     """
     if not is_integer(n):
         raise ValueError(f"n must be an integer, got {n!r}")
@@ -228,84 +227,92 @@ def check_enumerable(n: int) -> None:
         raise CapacityError(
             f"exhaustive enumeration capped at n <= {MAX_ENUMERABLE_N}, got n = {n}"
         )
+    return factorial(n)
 
 
-def words(n: int, ranks) -> np.ndarray:
-    """One-line words of the given ranks of S_n as int8 rows, one per rank.
+def word_blocks(n: int, ranks=None):
+    """Yield (rows, words) for the one-line words of S_n, one block at a time.
 
-    `ranks` is a slice of step 1 or a 1-D integer array of nondecreasing
-    ranks (an ordering set's members are sorted).  Up to WORD_TABLE_N the
-    rows are :func:`group_matrix`'s, a read-only view for a slice.  Above,
-    rank r = q * 8! + s is the q-th (n - 8)-letter prefix in lexicographic
-    order followed by row s of the S_8 table, relabelled in order onto the
-    8 letters the prefix leaves free: t += t >= a for each prefix letter a,
-    smallest first.  Each block's rows are copied into one contiguous
-    buffer, reused from block to block, relabelled there and written out:
-    beyond the result, a call holds one block's buffer at most.
+    `ranks` is a strictly increasing 1-D integer array (an ordering set's
+    members), so a block holds at most m! of them, or None for all of S_n.
+    With m = min(n, WORD_TABLE_N), block q holds the m! ranks that share
+    the q-th (n - m)-letter prefix: rank q * m! + s is that prefix, then
+    row s of group_matrix(m) relabelled onto the letters the prefix leaves
+    free (t += t >= a for each prefix letter a, smallest first).  `words`
+    are the int8 rows of positions `rows`, a slice of `ranks` (of range(n!)
+    for a full walk); blocks that hold none of `ranks` are skipped.  A full
+    walk up to n = WORD_TABLE_N yields the read-only table itself; every
+    other block's words overwrite the last one's in buffers of one block.
     """
-    check_enumerable(n)
-    size = factorial(n)
-    if isinstance(ranks, slice):
-        start, stop, step = ranks.indices(size)
-        if step != 1:
-            raise ValueError(f"a slice of ranks must have step 1, got {step}")
-        stop = max(start, stop)
-        count, first, last = stop - start, start, stop - 1
+    size = group_order(n)
+    table = group_matrix(min(n, WORD_TABLE_N))
+    block, m = table.shape
+    head = n - m
+    if ranks is None:
+        count, q0, q1 = size, 0, None
     else:
         ranks = np.asarray(ranks)
         if ranks.ndim != 1 or ranks.dtype.kind not in "iu":
-            raise ValueError("ranks must be a slice or a 1-D integer array")
+            raise ValueError("ranks must be a 1-D integer array")
         count = len(ranks)
-        if count and (ranks[0] < 0 or ranks[-1] >= size or np.any(ranks[1:] < ranks[:-1])):
-            raise ValueError(f"ranks must be nondecreasing and in [0, {size})")
-        first, last = (int(ranks[0]), int(ranks[-1])) if count else (0, -1)
-    if n <= WORD_TABLE_N:
-        return group_matrix(n)[ranks]
-    table, head = group_matrix(WORD_TABLE_N), n - WORD_TABLE_N
-    block = len(table)
-    out = np.empty((count, n), dtype=np.int8)
-    # Each row's last 8 letters as one unaligned 8-byte field, so that a
+        if count and (ranks[0] < 0 or ranks[-1] >= size or np.any(ranks[1:] <= ranks[:-1])):
+            raise ValueError(f"ranks must be strictly increasing and in [0, {size})")
+        q0, q1 = (int(ranks[0]) // block, int(ranks[-1]) // block + 1) if count else (0, 0)
+    if not head and ranks is None:
+        yield slice(0, size), table
+        return
+    out = np.empty((min(count, block), n), dtype=np.int8)
+    # Each row's last m letters as one unaligned m-byte field, so that a
     # block is written one row per element rather than one letter.
-    field = {"names": ["tail"], "formats": [f"V{WORD_TABLE_N}"], "offsets": [head], "itemsize": n}
+    field = {"names": ["tail"], "formats": [f"V{m}"], "offsets": [head], "itemsize": n}
     tails = out.view(np.dtype(field))["tail"][:, 0]
-    buf = np.empty((min(count, block), WORD_TABLE_N), dtype=np.int8)
+    buf = np.empty((len(out), m), dtype=np.int8)
     above = np.empty(buf.shape, dtype=bool)
-    q0, q1 = first // block, last // block
-    prefixes = itertools.islice(itertools.permutations(range(1, n + 1), head), q0, q1 + 1)
+    prefixes = itertools.islice(itertools.permutations(range(1, n + 1), head), q0, q1)
     for q, prefix in enumerate(prefixes, q0):
         base = q * block
-        if isinstance(ranks, slice):
-            i0, i1 = max(start, base) - start, min(stop, base + block) - start
-            tail = buf[: i1 - i0]
-            np.copyto(tail, table[start + i0 - base : start + i1 - base])
+        if ranks is None:
+            rows = slice(base, base + block)
+            np.copyto(buf, table)
         else:
-            i0, i1 = np.searchsorted(ranks, (base, base + block))
-            tail = buf[: i1 - i0]
-            np.take(table, ranks[i0:i1] - base, axis=0, out=tail)
-        mask = above[: i1 - i0]
+            rows = slice(*np.searchsorted(ranks, (base, base + block)))
+            np.take(table, ranks[rows] - base, axis=0, out=buf[: rows.stop - rows.start])
+        k = rows.stop - rows.start
+        tail, mask = buf[:k], above[:k]
         for letter in sorted(prefix):
             np.greater_equal(tail, letter, out=mask)
             tail += mask.view(np.int8)
+        # Column by column: broadcasting the prefix tuple is 10x slower.
         for slot, letter in enumerate(prefix):
-            out[i0:i1, slot] = letter
-        tails[i0:i1] = tail.view(tails.dtype)[:, 0]
+            out[:k, slot] = letter
+        tails[:k] = tail.view(tails.dtype)[:, 0]
+        if k:
+            yield rows, out[:k]
+
+
+def words(n: int, ranks) -> np.ndarray:
+    """int8 one-line words of strictly increasing ranks of S_n, from :func:`word_blocks`."""
+    group_order(n)  # n sizes the array, so it is checked first
+    out = np.empty((np.size(ranks), n), dtype=np.int8)
+    for rows, block in word_blocks(n, ranks):
+        out[rows] = block
     return out
 
 
 @lru_cache(maxsize=WORD_TABLE_N)
 def group_matrix(n: int) -> np.ndarray:
     """All of S_n for n <= WORD_TABLE_N as an int8 array of shape (n!, n),
-    row r = word of rank r; larger groups' words come from :func:`words`.
+    row r = word of rank r; larger groups' words come from :func:`word_blocks`.
 
     Cached and marked read-only; shared freely across callers.
     """
-    check_enumerable(n)
+    size = group_order(n)
     if n > WORD_TABLE_N:
         raise ValueError(
             f"the word table is built only up to n = {WORD_TABLE_N}, got n = {n}; "
-            "read larger groups' words with words(n, ranks)"
+            "read larger groups' words with word_blocks(n, ranks)"
         )
-    mat = np.empty((factorial(n), n), dtype=np.int8)
+    mat = np.empty((size, n), dtype=np.int8)
     # The top k! rows of the last k columns hold S_k on 1..k.  S_{k+1} is
     # k + 1 blocks of k! rows: block a puts a in the new column and S_k
     # relabelled to skip a beside it.  Block 1 is the source itself,

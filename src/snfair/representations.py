@@ -57,8 +57,8 @@ The recursion's set-up uses no tableau objects and no dense generators:
 - Coset order.  Digit k of rank r's position is #{i < k : w_i < w_k}
   for the word w of rank r, digit n - k of the reversed word's Lehmer
   code.  So the order is ``rank_of_word`` of the reversed words, ranked
-  one ROW_CHUNK of ``words`` at a time into the one int64 order, and it
-  is an involution.
+  one block of ``word_blocks`` at a time into the one int64 order, and
+  it is an involution.
 
 The per-shape row words and generators (O(k * d) numbers) and the per-n
 rank-to-coset-digit index are cached read-only arrays, safe to share
@@ -75,7 +75,7 @@ from math import factorial, sqrt
 import numpy as np
 
 from .partitions import dimension, partitions_of, standard_tableaux
-from .permutations import Permutation, check_enumerable, rank_of_word, row_chunks, words
+from .permutations import Permutation, group_order, rank_of_word, word_blocks
 
 # Shapes of at most this many boxes keep their coset matrices for the
 # process.  Level k holds k * k! floats over all its shapes, so levels
@@ -222,10 +222,9 @@ def _coset_order(n: int) -> np.ndarray:
     Digit k is #{i < k : w_i < w_k}, one less than the letter at slot k
     once the letters after it are removed and the rest renumbered: digit
     n - k of the reversed word's Lehmer code, so the order is an involution."""
-    check_enumerable(n)
-    order = np.empty(factorial(n), dtype=np.int64)
-    for rows in row_chunks(len(order)):
-        order[rows] = rank_of_word(words(n, rows)[:, ::-1])
+    order = np.empty(group_order(n), dtype=np.int64)
+    for rows, block in word_blocks(n):
+        order[rows] = rank_of_word(block[:, ::-1])
     order.setflags(write=False)
     return order
 
@@ -236,8 +235,9 @@ def fft(n: int, values: np.ndarray) -> dict[tuple[int, ...], np.ndarray]:
     # Stacked as (cosets * d) x d rows, so the last level's blocks own their
     # memory.  The order is its own inverse, so one gather puts it in place.
     level = {(1,): values[_coset_order(n)[:, None]]}
+    size = group_order(n)
     for k in range(2, n + 1):
-        cosets = factorial(n) // factorial(k)
+        cosets = size // factorial(k)
         built = {}
         for shape in partitions_of(k):
             mats, corners = _coset_matrices(shape)
@@ -261,9 +261,10 @@ def fft(n: int, values: np.ndarray) -> dict[tuple[int, ...], np.ndarray]:
 def fft_adjoint(n: int, blocks: dict[tuple[int, ...], np.ndarray]) -> np.ndarray:
     """sum_shape <blocks[shape], evaluate(shape, p)>_F for every rank; missing
     shapes count as zero blocks."""
+    size = group_order(n)
     level = {s: np.asarray(m, dtype=float)[None] for s, m in blocks.items()}
     for k in range(n, 1, -1):
-        cosets = factorial(n) // factorial(k)
+        cosets = size // factorial(k)
         spread = {}
         for shape, g in level.items():
             mats, corners = _coset_matrices(shape)
@@ -277,5 +278,5 @@ def fft_adjoint(n: int, blocks: dict[tuple[int, ...], np.ndarray]) -> np.ndarray
             del mats
         level = spread
     if (1,) not in level:
-        return np.zeros(factorial(n))
+        return np.zeros(size)
     return level[(1,)].reshape(-1)[_coset_order(n)]

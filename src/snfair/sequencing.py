@@ -15,24 +15,32 @@ profile produces one big cycle and leaves every ordering admissible.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import factorial
 
 import numpy as np
 
-from .permutations import check_enumerable, row_chunks, seeded, words
+from .permutations import group_order, is_integer, seeded, word_blocks
 from .sets import OrderingSet
 
 
 @dataclass(frozen=True)
 class VoteProfile:
-    """Receive orders reported by validators, one full sequence each."""
+    """Receive orders reported by validators, one full sequence each, kept
+    as tuples of integer labels; sorting would take True for 1, 2.0 for 2."""
 
     n_tx: int
     validators: tuple[tuple[int, ...], ...]
 
     def __post_init__(self) -> None:
+        if not is_integer(self.n_tx):
+            raise ValueError(f"n_tx must be an integer, got {self.n_tx!r}")
         if self.n_tx < 1:
             raise ValueError("need at least one transaction")
+        sequence = (list, tuple)
+        if not isinstance(self.validators, sequence) or not all(
+            isinstance(o, sequence) and all(map(is_integer, o)) for o in self.validators
+        ):
+            raise ValueError("validators must be a list of lists of integer labels")
+        object.__setattr__(self, "validators", tuple(map(tuple, self.validators)))
         if not self.validators:
             raise ValueError("need at least one validator")
         expected = list(range(1, self.n_tx + 1))
@@ -88,11 +96,12 @@ def valid_orderings(graph: MajorityGraph) -> OrderingSet:
     """Orderings respecting every edge between different components.
 
     The ordering word lists transaction labels by execution slot, so tx i
-    precedes tx j when i appears earlier in the word.  S_n is scanned in
-    row chunks: for each chunk the int8 slot of every item on a cross
-    edge, then each cross edge's precedence ANDed into one n! boolean
-    mask, whose True ranks become the set.  Enumerating S_n bounds n_tx by
-    :func:`snfair.permutations.check_enumerable`.
+    precedes tx j when i appears earlier in the word.  S_n is scanned one
+    block of :func:`snfair.permutations.word_blocks` at a time: for each
+    block the int8 slot of every item on a cross edge, then each cross
+    edge's precedence ANDed into one n! boolean mask, whose True ranks
+    become the set.  Enumerating S_n bounds n_tx by
+    :func:`snfair.permutations.group_order`.
     """
     n = graph.n_tx
     component = {}
@@ -103,12 +112,10 @@ def valid_orderings(graph: MajorityGraph) -> OrderingSet:
         (i, j) for (i, j) in sorted(graph.edges) if component[i] != component[j]
     ]
     items = sorted({v for edge in cross_edges for v in edge})
-    check_enumerable(n)
-    keep = np.ones(factorial(n), dtype=bool)
-    for rows in row_chunks(len(keep)):
-        chunk = words(n, rows)
+    keep = np.ones(group_order(n), dtype=bool)
+    for rows, block in word_blocks(n):
         # slot_of[v][r] = 0-based execution slot of item v under ordering r
-        slot_of = {v: (chunk == v).argmax(axis=1).astype(np.int8) for v in items}
+        slot_of = {v: (block == v).argmax(axis=1).astype(np.int8) for v in items}
         part = keep[rows]
         for i, j in cross_edges:
             part &= slot_of[i] < slot_of[j]

@@ -20,12 +20,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from math import factorial
 from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .permutations import check_enumerable, row_chunks, words
+from .permutations import group_order, row_chunks, words
 
 if TYPE_CHECKING:
     from .intersecting import IntersectionProfile
@@ -48,8 +47,7 @@ class OrderingSet:
     members: np.ndarray
 
     def __post_init__(self) -> None:
-        check_enumerable(self.n)
-        size = factorial(self.n)
+        size = group_order(self.n)
         raw = np.asarray(self.members)
         if raw.ndim != 1 or (raw.size and raw.dtype.kind not in "iu"):
             raise ValueError("members must be a 1-D sequence of integer ranks")
@@ -88,8 +86,7 @@ class OrderingSet:
 
     @classmethod
     def full_group(cls, n: int) -> "OrderingSet":
-        check_enumerable(n)
-        ranks = np.arange(factorial(n))
+        ranks = np.arange(group_order(n))
         ranks.setflags(write=False)
         return cls(n, ranks)
 
@@ -118,7 +115,7 @@ class OrderingSet:
 
     def mask(self) -> np.ndarray:
         """Dense boolean membership vector of length n!."""
-        out = np.zeros(factorial(self.n), dtype=bool)
+        out = np.zeros(group_order(self.n), dtype=bool)
         out[self.members] = True
         return out
 

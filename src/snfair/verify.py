@@ -43,7 +43,6 @@ from __future__ import annotations
 
 from functools import partial
 from itertools import chain
-from math import factorial
 from random import Random
 
 import numpy as np
@@ -63,7 +62,7 @@ from .payoffs import (
     liquidation_payoff,
     random_payoff,
 )
-from .permutations import Permutation, seeded
+from .permutations import Permutation, group_order, seeded
 from .sequencing import majority_graph, simulate, valid_orderings
 from .sets import OrderingSet
 
@@ -109,12 +108,12 @@ def _equality_payoffs(n: int):
     """The point mass and the constant, the support-spread equality cases."""
     # Owned and read-only, so PayoffFn keeps each array instead of copying
     # it, and each is built only once the caller has the one before.
-    point = np.zeros(factorial(n))
+    point = np.zeros(group_order(n))
     point[0] = 1.0
     point.setflags(write=False)
     yield "point_mass", PayoffFn(n, point)
     del point
-    constant = np.ones(factorial(n))
+    constant = np.ones(group_order(n))
     constant.setflags(write=False)
     yield "constant", PayoffFn(n, constant)
 
@@ -158,7 +157,7 @@ def _corpus_sets(n: int, seed: int) -> dict[str, OrderingSet]:
 
 
 def _suite_roundtrip(n: int, seed: int):
-    size = factorial(n)
+    size = group_order(n)
 
     def cases():
         yield from _uniform_payoffs(n, seed, 5)
@@ -179,7 +178,7 @@ def _suite_roundtrip(n: int, seed: int):
 
 
 def _suite_uncertainty(n: int, seed: int):
-    order = factorial(n)
+    order = group_order(n)
     cases = chain(_uniform_payoffs(n, seed, 100), _corpus_payoffs(n, seed), _equality_payoffs(n))
     for label, f in cases:
         check = uncertainty_check(f)
@@ -197,7 +196,7 @@ def _suite_uncertainty(n: int, seed: int):
 
 
 def _random_symmetric_set(n: int, rng: Random) -> SymmetricSet:
-    size = factorial(n)
+    size = group_order(n)
     picks = rng.sample(range(size), min(4, size))
     return symmetrize(OrderingSet.from_ranks(n, picks))
 

@@ -81,15 +81,15 @@ def ordering_sets(draw):
 
 
 @settings(max_examples=300, deadline=None)
-@given(ordering_sets(), st.sampled_from([permutations.ROW_CHUNK, 11]))
-def test_profile_matches_oracle_on_random_sets(members, chunk):
-    # 11 divides no n!, so up to 40 members span up to four chunks
+@given(ordering_sets(), st.sampled_from([permutations.WORD_TABLE_N, 2, 3, 4]))
+def test_profile_matches_oracle_on_random_sets(members, table_n):
+    # With a table of S_2, S_3 or S_4, up to 40 members span many blocks
     n, words = members.n, members.matrix().tolist()
     t = t_max_oracle(members)
     shared = tuple(
         (i + 1, words[0][i]) for i in range(n) if all(w[i] == words[0][i] for w in words)
     )
-    with mock.patch.object(permutations, "ROW_CHUNK", chunk):
+    with mock.patch.object(permutations, "WORD_TABLE_N", table_n):
         profile = intersection_profile(members)
     assert profile.t_max == t
     assert profile.common_pairs == shared
@@ -99,9 +99,9 @@ def test_profile_matches_oracle_on_random_sets(members, chunk):
 @pytest.mark.parametrize("n", [4, 5, 6, 7])
 def test_intersecting_family_sits_above_its_floor(monkeypatch, n):
     # no slot is shared, so the floor lies below t_max and the tiles run;
-    # 11 divides no n!, so the member-0 scan crosses chunk boundaries
-    monkeypatch.setattr(permutations, "ROW_CHUNK", 11)
+    # with a table of S_3, the member-0 scan and the tiles cross blocks
     members = OrderingSet(n, two_of_first_three_fixed(n))
+    monkeypatch.setattr(permutations, "WORD_TABLE_N", 3)
     profile = intersection_profile(members)
     assert profile.common_pairs == ()
     assert profile.t_max == t_max_oracle(members) == 1
@@ -198,12 +198,12 @@ def test_stabilizer_sizes():
 
 
 def test_stabilizer_members_satisfy_pins(monkeypatch):
-    monkeypatch.setattr(permutations, "ROW_CHUNK", 11)  # divides no n!
+    words = group_matrix(7)
+    monkeypatch.setattr(permutations, "WORD_TABLE_N", 2)  # blocks of two ranks
     members = stabilizer_set(4, [(2, 3), (4, 1)])
     for word in members.matrix():
         assert word[1] == 3 and word[3] == 1
     assert len(members) == 2
-    words = group_matrix(7)
     members = stabilizer_set(7, [(3, 1), (1, 2)])
     pinned = (words[:, 0] == 2) & (words[:, 2] == 1)
     assert members.members.tolist() == np.flatnonzero(pinned).tolist()

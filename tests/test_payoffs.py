@@ -149,19 +149,24 @@ def junta_whole(terms, n):
 
 
 def test_chunked_payoffs_equal_the_whole_array_formulas(monkeypatch):
-    # 11 divides no n!, so every chunk boundary splits a block of orderings;
-    # n = 8 also reaches the unrolled pairwise sum of eight or more slots
-    monkeypatch.setattr(permutations, "ROW_CHUNK", 11)
-    rng = np.random.default_rng(31)
-    for n in range(1, 9):
-        model = CfmmModel(tuple(float(d) for d in rng.integers(-5, 6, n)), gamma=0.01, beta=1.5)
-        assert np.array_equal(cfmm_payoff(model).values, cfmm_whole(model))
-    for k in range(1, 4):
-        for c in range(1, k + 1):
-            model = LiquidationModel(k, c)
-            assert np.array_equal(liquidation_payoff(model).values, liquidation_whole(model))
+    # Above a table of S_2, S_3 or S_4, each block's words are relabelled
+    # from it, as they are from the S_8 table above n = 8; n = 8 also
+    # reaches the unrolled pairwise sum of eight or more slots
     terms = [JuntaTerm(((1, 1), (4, 9)), -2.5), JuntaTerm(((7, 2),), 0.75)]
     assert np.array_equal(junta_payoff(terms, 9).values, junta_whole(terms, 9))
+    terms = [JuntaTerm(((1, 1), (4, 7)), -2.5), JuntaTerm(((7, 2),), 0.75)]
+    rng = np.random.default_rng(31)
+    for table_n in (2, 3, 4):
+        monkeypatch.setattr(permutations, "WORD_TABLE_N", table_n)
+        for n in range(1, 9):
+            deltas = tuple(float(d) for d in rng.integers(-5, 6, n))
+            model = CfmmModel(deltas, gamma=0.01, beta=1.5)
+            assert np.array_equal(cfmm_payoff(model).values, cfmm_whole(model))
+        for k in range(1, 4):
+            for c in range(1, k + 1):
+                model = LiquidationModel(k, c)
+                assert np.array_equal(liquidation_payoff(model).values, liquidation_whole(model))
+        assert np.array_equal(junta_payoff(terms, 7).values, junta_whole(terms, 7))
 
 
 def test_liquidation_depth_validation():

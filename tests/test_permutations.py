@@ -1,7 +1,9 @@
 """Permutation arithmetic against hand oracles and brute-force enumeration."""
 import itertools
 import random
+import re
 from math import factorial
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -19,6 +21,7 @@ from snfair.permutations import (
     rank_of_word,
     seeded,
     uniform,
+    word_blocks,
     words,
 )
 
@@ -100,18 +103,14 @@ def test_rank_of_word_agrees_with_permutation_rank():
         Permutation(tuple(range(21, 0, -1))).rank()
 
 
-def test_rank_of_word_ranks_a_stack_of_words(monkeypatch):
+def test_rank_of_word_ranks_a_stack_of_words():
     words = group_matrix(5)
     ranks = rank_of_word(words)
     assert ranks.tolist() == list(range(120))
     assert ranks.tolist() == [p.rank() for p in enumerate_group(5)]
     assert rank_of_word(words.reshape(12, 10, 5)).tolist() == ranks.reshape(12, 10).tolist()
-    # 11 is a prime above 10, so it divides no n! the package enumerates
-    # and every chunk boundary falls inside a block of the group matrix
-    monkeypatch.setattr(permutations, "ROW_CHUNK", 11)
-    for n in range(1, 8):
+    for n in range(1, 9):
         assert rank_of_word(group_matrix(n)).tolist() == list(range(factorial(n)))
-    assert rank_of_word(words.reshape(12, 10, 5)).tolist() == ranks.reshape(12, 10).tolist()
     # Non-contiguous stacks: the reversed words, and every other word of
     # every other block read through a strided 3-D view.
     for stack in (group_matrix(6)[:, ::-1], group_matrix(6).reshape(24, 30, 6)[::2, ::3]):
@@ -158,50 +157,117 @@ def test_group_matrix_rows_are_rank_ordered():
 
 @st.composite
 def rank_requests(draw):
-    """A size n in {9, 10} and either an increasing rank array (repeats
-    allowed) or a slice that crosses a boundary between 8!-rank blocks."""
-    n = draw(st.sampled_from([9, 10]))
-    size, block = factorial(n), factorial(8)
+    """A table size, n above it, and strictly increasing ranks of S_n:
+    random ones, or a run across a boundary between blocks of table_n!
+    ranks.  The S_8 table serves n = 9 and 10, and tables of S_2, S_3 and
+    S_4 serve n up to 8."""
+    table_n = draw(st.sampled_from([permutations.WORD_TABLE_N, 2, 3, 4]))
+    n = draw(st.integers(table_n + 1, 10 if table_n == permutations.WORD_TABLE_N else 8))
+    size, block = factorial(n), factorial(table_n)
     if draw(st.booleans()):
-        ranks = draw(st.lists(st.integers(0, size - 1), max_size=60))
-        return n, np.array(sorted(ranks), dtype=np.int64)
+        ranks = draw(st.lists(st.integers(0, size - 1), max_size=60, unique=True))
+        return table_n, n, np.array(sorted(ranks), dtype=np.int64)
     edge = block * draw(st.integers(1, size // block - 1))
-    return n, slice(edge - draw(st.integers(1, 90)), edge + draw(st.integers(1, 90)))
+    start = max(0, edge - draw(st.integers(1, 90)))
+    return table_n, n, np.arange(start, min(size, edge + draw(st.integers(1, 90))))
 
 
 @settings(max_examples=120, deadline=None)
-@given(rank_requests(), st.sampled_from([permutations.ROW_CHUNK, 11]))
-def test_words_above_the_table_match_unranking(request, chunk):
-    n, ranks = request
-    with mock.patch.object(permutations, "ROW_CHUNK", chunk):
+@given(rank_requests())
+def test_words_above_the_table_match_unranking(request):
+    table_n, n, ranks = request
+    with mock.patch.object(permutations, "WORD_TABLE_N", table_n):
         got = words(n, ranks)
-    expect = np.arange(ranks.start, ranks.stop) if isinstance(ranks, slice) else ranks
-    assert got.dtype == np.int8 and got.shape == (len(expect), n)
-    assert [tuple(w) for w in got.tolist()] == [lehmer_unrank(n, int(r)).mapping for r in expect]
-    assert rank_of_word(got).tolist() == expect.tolist()
+        blocks = [(rows, block.copy()) for rows, block in word_blocks(n, ranks)]
+    assert got.dtype == np.int8 and got.shape == (len(ranks), n)
+    assert [tuple(w) for w in got.tolist()] == [lehmer_unrank(n, int(r)).mapping for r in ranks]
+    assert rank_of_word(got).tolist() == ranks.tolist()
+    # one block per table_n!-rank prefix that holds any of the ranks, in order
+    assert [rows.start for rows, _ in blocks] == np.flatnonzero(
+        np.diff(ranks // factorial(table_n), prepend=-1)
+    ).tolist()
+    assert b"".join(block.tobytes() for _, block in blocks) == got.tobytes()
+
+
+@pytest.mark.parametrize("table_n", [2, 3, 4])
+def test_full_walk_above_the_table_matches_the_table(table_n):
+    for n in range(table_n + 1, 9):
+        expect = group_matrix(n)
+        with mock.patch.object(permutations, "WORD_TABLE_N", table_n):
+            walked = [(rows, block.copy()) for rows, block in word_blocks(n)]
+        block = factorial(table_n)
+        assert [rows for rows, _ in walked] == [
+            slice(q, q + block) for q in range(0, factorial(n), block)
+        ]
+        assert b"".join(b.tobytes() for _, b in walked) == expect.tobytes()
 
 
 def test_words_up_to_the_table_are_its_rows():
-    mat = group_matrix(6)
-    assert words(6, slice(100, 300)).base is mat
-    ranks = np.array([0, 5, 5, 719])
-    np.testing.assert_array_equal(words(6, ranks), mat[ranks])
-    assert words(9, slice(5, 2)).shape == (0, 9)
+    for n in range(1, 9):
+        mat = group_matrix(n)
+        ((rows, block),) = word_blocks(n)
+        assert rows == slice(0, factorial(n)) and block is mat and not block.flags.writeable
+    ranks = np.array([0, 5, 6, 719])
+    np.testing.assert_array_equal(words(6, ranks), group_matrix(6)[ranks])
     assert words(9, np.array([], dtype=np.int64)).shape == (0, 9)
+    assert list(word_blocks(9, np.array([], dtype=np.int64))) == []
 
 
 def test_words_reject_what_they_cannot_read_in_blocks():
     for n in (6, 9):
         size = factorial(n)
-        for bad in ([3, 2], [-1, 0], [0, size], np.array([[0, 1]]), np.array([0.0, 1.0])):
+        for bad in ([3, 2], [5, 5], [-1, 0], [0, size], np.array([[0, 1]]),
+                    np.array([0.0, 1.0]), slice(0, 10)):
             with pytest.raises(ValueError):
                 words(n, bad)
-        with pytest.raises(ValueError, match="step 1"):
-            words(n, slice(0, 10, 2))
+            with pytest.raises(ValueError):
+                next(word_blocks(n, bad))
     with pytest.raises(CapacityError):
-        words(11, slice(0, 1))
+        words(11, [0])
+    with pytest.raises(CapacityError):
+        next(word_blocks(11))
     with pytest.raises(ValueError, match="only up to n = 8"):
         group_matrix(9)
+
+
+def test_every_group_sized_array_takes_its_length_from_group_order():
+    # group_order checks n before returning n!, so no array of that size
+    # can be allocated for an n the package does not enumerate.
+    sized = re.compile(r"np\.(empty|zeros|ones|full|arange)\(\(?\s*factorial\(")
+    sources = sorted(Path(permutations.__file__).parent.glob("*.py"))
+    assert len(sources) > 10
+    found = [
+        f"{path.name}:{i}: {line.strip()}"
+        for path in sources
+        for i, line in enumerate(path.read_text().splitlines(), 1)
+        if sized.search(line)
+    ]
+    assert found == []
+    # Outside the modules that define group_order and the dimension formula,
+    # factorial only scales or divides: every length comes from group_order.
+    scalar_uses = {
+        "cayley.py": ["bound = factorial(conn.n) / (len(conn) * dimension(shape))"],
+        "fairness.py": [
+            "mean = float(self.on_set.sum() / factorial(f.n))",
+            "trivial = (1.0 - 1.0 / factorial(f.n)) * top",
+            "coeff = (s - t - 1) / factorial(n - t)",
+            "implied = (1.0 - gap / self.linf) * factorial(n - t) / (s - t - 1)",
+        ],
+        "fourier.py": [
+            "values /= factorial(spec.n)",
+            "holds=product >= factorial(f.n) * (1.0 - SUPPORT_SPREAD_TOL),",
+        ],
+        "intersecting.py": ["gate = m >= factorial(n - t_max)"],
+        "representations.py": ["cosets = size // factorial(k)"] * 2,
+    }
+    uses = {}
+    for path in sources:
+        if path.name in ("permutations.py", "partitions.py"):
+            continue
+        for line in path.read_text().splitlines():
+            if "factorial(" in line:
+                uses.setdefault(path.name, []).append(line.strip())
+    assert uses == scalar_uses
 
 
 def test_word_validation():
@@ -211,6 +277,11 @@ def test_word_validation():
         Permutation((0, 1, 2))
     with pytest.raises(ValueError):
         Permutation(())
+    # sorted() would take each of these as 1..n, and 1.0, 2.0, 3.0 ranked as 0
+    for mapping in ((True, 2), (1.0, 2.0, 3.0), (1, 2.0), ("1",)):
+        with pytest.raises(ValueError, match="entries must be integers"):
+            Permutation(mapping)
+    assert Permutation((np.int64(2), np.uint8(1))).rank() == 1
 
 
 @settings(max_examples=200, deadline=None)

@@ -144,11 +144,11 @@ def vote_profiles(draw):
 
 
 @settings(max_examples=80, deadline=None)
-@given(vote_profiles(), st.sampled_from([permutations.ROW_CHUNK, 11]))
-def test_valid_orderings_matches_argsort_formulation(votes, chunk):
-    # 11 divides no n!, so chunk boundaries fall inside blocks of S_n
+@given(vote_profiles(), st.sampled_from([permutations.WORD_TABLE_N, 2, 3, 4]))
+def test_valid_orderings_matches_argsort_formulation(votes, table_n):
+    # Above table_n, the scan reads blocks relabelled from the S_table_n table
     graph = majority_graph(votes)
-    with mock.patch.object(permutations, "ROW_CHUNK", chunk):
+    with mock.patch.object(permutations, "WORD_TABLE_N", table_n):
         members = valid_orderings(graph)
     assert np.array_equal(members.members, argsort_orderings(graph))
     assert {tuple(w) for w in members.matrix().tolist()} == admissible_oracle(votes)
@@ -265,6 +265,15 @@ def test_vote_profile_validation():
         VoteProfile(3, ((1, 2, 2),))
     with pytest.raises(ValueError):
         VoteProfile(3, ())
+    # sorted() would take each of these as a permutation of 1..n_tx
+    for n_tx, validators in ((3, ((1.0, 2.0, 3.0),)), (2, ((True, 2),)), (3, 5), (3, (7,))):
+        with pytest.raises(ValueError, match="must be a list of lists of integer labels"):
+            VoteProfile(n_tx, validators)
+    with pytest.raises(ValueError, match="n_tx must be an integer"):
+        VoteProfile(True, ((True,),))
+    listed = VoteProfile(np.int64(3), [[1, 2, 3], [3, 2, 1]])
+    assert listed == VoteProfile(3, ((1, 2, 3), (3, 2, 1)))
+    assert listed.validators == ((1, 2, 3), (3, 2, 1))
 
 
 def test_capacity_guard_on_enumeration():

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from snfair import permutations
 from snfair.permutations import lehmer_unrank, rank_of_word
 from snfair.sets import OrderingSet
 
@@ -109,6 +110,13 @@ def test_no_array_the_caller_holds_can_write_the_members():
     assert sets[0].members.tolist() == sets[1].members.tolist() == [0, 5, 11]
     assert OrderingSet.from_mask(4, sets[0].mask()) == sets[0]
     assert sets[2].members.tolist() == list(range(24))
+
+
+def test_from_mask_gathers_across_chunks(monkeypatch):
+    # 11 divides no n!, so the gather's chunks end at uneven ranks
+    keep = np.random.default_rng(5).random(720) < 0.3
+    monkeypatch.setattr(permutations, "ROW_CHUNK", 11)
+    assert OrderingSet.from_mask(6, keep).members.tolist() == np.flatnonzero(keep).tolist()
 
 
 def test_from_ranks_takes_unsorted_numpy_input_with_duplicates():
