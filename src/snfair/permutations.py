@@ -15,17 +15,19 @@ This module alone knows how S_n is sized and walked.  Every n!-sized
 array takes its length from :func:`group_order`, which caps exhaustive
 enumeration at n <= 10, the package's one size limit (see its docstring
 for the memory cost).  Every scan over S_n reads its one-line words from
-one loop, :func:`word_blocks`.  Up to n = WORD_TABLE_N = 8 it yields one
-block, from the cached table of all of S_n (:func:`group_matrix`, 322 KB
-at n = 8).  Above, blocks of 8! ranks share their first n - 8 letters,
-and each block's words are built on demand from the S_8 table, so no
-process holds an n! x n array.  Scans that would otherwise make n!-row
-temporaries (ranking words, the FFT's coset order among them, the CFMM
-and liquidation payoffs, admissible and stabilizer sets, agreement
-profiles) thus hold a few MB at any n, and each row goes through the
-same operations in the same order as in one whole-array pass, so every
-value comes out the same.  :func:`words` gathers the blocks into one
-array for the callers that need one.
+one loop, :func:`word_blocks`, in blocks of at most ROW_CHUNK = 4096
+rows.  Up to n = WORD_TABLE_N = 8 the blocks are read-only views of the
+cached table of all of S_n (:func:`group_matrix`, 322 KB at n = 8).
+Above, the 8! ranks that share their first n - 8 letters take the rest
+from the S_8 table, relabelled, and each block's words are built on
+demand in buffers of ROW_CHUNK rows, so no process holds an n! x n
+array.  Scans that would otherwise make n!-row temporaries (ranking
+words, the FFT's coset order among them, the CFMM and liquidation
+payoffs, admissible and stabilizer sets, agreement profiles) thus hold
+a few ROW_CHUNK x n arrays, about 1 MB at n = 10, and each row goes
+through the same operations in the same order as in one whole-array
+pass, so every value comes out the same.  :func:`words` gathers the
+blocks into one array for the callers that need one.
 
 Seeded values, for random payoffs, votes and the verify suites' cases,
 all come from :func:`seeded`, and uniform floats from :func:`uniform`,
@@ -52,17 +54,22 @@ from .errors import CapacityError
 MAX_ENUMERABLE_N = 10
 
 # Largest n whose whole word table group_matrix builds; word_blocks
-# builds larger groups' words from this table, one block of 8! at a time.
+# builds larger groups' words from this table.
 WORD_TABLE_N = 8
 
-# Values per chunk of the loops that read no words: uniform, OrderingSet.from_mask.
-ROW_CHUNK = factorial(WORD_TABLE_N)
+# Rows per block of every loop over S_n or an n!-sized array: word_blocks,
+# uniform, OrderingSet.from_mask.  A scan's temporaries are a few
+# ROW_CHUNK x n arrays at any n.
+ROW_CHUNK = 4096
 
 
-def row_chunks(rows: int):
-    """Consecutive slices of at most ROW_CHUNK rows that cover range(rows)."""
-    for start in range(0, rows, ROW_CHUNK):
-        yield slice(start, min(start + ROW_CHUNK, rows))
+def row_chunks(start: int, stop: int | None = None):
+    """Consecutive slices of at most ROW_CHUNK rows that cover range(start, stop),
+    or range(start) when stop is None."""
+    if stop is None:
+        start, stop = 0, start
+    for first in range(start, stop, ROW_CHUNK):
+        yield slice(first, min(first + ROW_CHUNK, stop))
 
 
 @dataclass(frozen=True)
@@ -129,8 +136,8 @@ def rank_of_word(words) -> np.ndarray:
     are summed in Horner form.  A single word gives a 0-d array, a stack
     of words an owned array of ranks, in one pass whose temporaries take
     about 2 * rows * n bytes for int8 words (70 MB for all of S_10; the
-    scans pass one block of :func:`word_blocks`, a few MB).  Only the
-    length is checked: ranks past 20 letters overflow int64.
+    scans pass one block of :func:`word_blocks`, 80 KB at n = 10).  Only
+    the length is checked: ranks past 20 letters overflow int64.
     """
     w = np.asarray(words)
     n = w.shape[-1]
@@ -192,9 +199,9 @@ def uniform(rng: random.Random, size: int) -> np.ndarray:
     """`size` float64 values in [0, 1) from `rng`, each (w >> 11) * 2**-53
     for the next 64-bit word w of its stream.
 
-    The words come ROW_CHUNK at a time from one getrandbits call, which
-    fills 32-bit words in order from the least significant, so the values
-    do not depend on the chunk size.
+    The words come ROW_CHUNK at a time (32 KB) from one getrandbits call,
+    which fills 32-bit words in order from the least significant, so the
+    values do not depend on the chunk size.
     """
     out = np.empty(size)
     for rows in row_chunks(size):
@@ -213,11 +220,11 @@ def group_order(n: int) -> int:
     payoff peak at 303 MB resident (whole process, measured with
     getrusage on a 2-core Intel Xeon, numpy float64) and take 2.2-2.3 s.
     Whole ``snfair`` commands at n = 10 on that machine: ``simulate
-    --latency adversarial_cycle`` peaks at 65 MB, ``gen-payoff --model
-    random`` at 60 MB, ``--model cfmm`` at 68 MB, ``--model liquidation``
-    at 59 MB, ``transform`` at 251 MB, ``analyze`` of a CFMM payoff on
-    all 3628800 orders at 368 MB, and ``verify --suite claim1`` and
-    ``--suite uncertainty`` at 433 and 287 MB.
+    --latency adversarial_cycle`` peaks at 64 MB, ``gen-payoff --model
+    random`` and ``--model cfmm`` at 60 MB, ``--model liquidation`` at
+    59 MB, ``transform`` at 253 MB, ``analyze`` of a CFMM payoff on all
+    3628800 orders at 368 MB, and ``verify --suite claim1`` and ``--suite
+    uncertainty`` at 428 and 277 MB.
     """
     if not is_integer(n):
         raise ValueError(f"n must be an integer, got {n!r}")
@@ -231,22 +238,25 @@ def group_order(n: int) -> int:
 
 
 def word_blocks(n: int, ranks=None):
-    """Yield (rows, words) for the one-line words of S_n, one block at a time.
+    """Yield (rows, words) for the one-line words of S_n, at most ROW_CHUNK
+    rows at a time.
 
     `ranks` is a strictly increasing 1-D integer array (an ordering set's
-    members), so a block holds at most m! of them, or None for all of S_n.
-    With m = min(n, WORD_TABLE_N), block q holds the m! ranks that share
-    the q-th (n - m)-letter prefix: rank q * m! + s is that prefix, then
-    row s of group_matrix(m) relabelled onto the letters the prefix leaves
-    free (t += t >= a for each prefix letter a, smallest first).  `words`
-    are the int8 rows of positions `rows`, a slice of `ranks` (of range(n!)
-    for a full walk); blocks that hold none of `ranks` are skipped.  A full
-    walk up to n = WORD_TABLE_N yields the read-only table itself; every
-    other block's words overwrite the last one's in buffers of one block.
+    members), or None for all of S_n.  With m = min(n, WORD_TABLE_N), the
+    m! ranks that share the q-th (n - m)-letter prefix form prefix block q:
+    rank q * m! + s is that prefix, then row s of group_matrix(m)
+    relabelled onto the letters the prefix leaves free (t += t >= a for
+    each prefix letter a, smallest first).  `words` are the int8 rows of
+    positions `rows`, a slice of `ranks` (of range(n!) for a full walk),
+    taken ROW_CHUNK at a time from the start of each prefix block; prefix
+    blocks that hold none of `ranks` are skipped.  A full walk up to
+    n = WORD_TABLE_N yields read-only views of the table itself; every
+    other block's words overwrite the last one's in buffers of ROW_CHUNK
+    rows.
     """
     size = group_order(n)
     table = group_matrix(min(n, WORD_TABLE_N))
-    block, m = table.shape
+    stride, m = table.shape
     head = n - m
     if ranks is None:
         count, q0, q1 = size, 0, None
@@ -257,11 +267,12 @@ def word_blocks(n: int, ranks=None):
         count = len(ranks)
         if count and (ranks[0] < 0 or ranks[-1] >= size or np.any(ranks[1:] <= ranks[:-1])):
             raise ValueError(f"ranks must be strictly increasing and in [0, {size})")
-        q0, q1 = (int(ranks[0]) // block, int(ranks[-1]) // block + 1) if count else (0, 0)
+        q0, q1 = (int(ranks[0]) // stride, int(ranks[-1]) // stride + 1) if count else (0, 0)
     if not head and ranks is None:
-        yield slice(0, size), table
+        for rows in row_chunks(size):
+            yield rows, table[rows]
         return
-    out = np.empty((min(count, block), n), dtype=np.int8)
+    out = np.empty((min(count, ROW_CHUNK), n), dtype=np.int8)
     # Each row's last m letters as one unaligned m-byte field, so that a
     # block is written one row per element rather than one letter.
     field = {"names": ["tail"], "formats": [f"V{m}"], "offsets": [head], "itemsize": n}
@@ -270,23 +281,26 @@ def word_blocks(n: int, ranks=None):
     above = np.empty(buf.shape, dtype=bool)
     prefixes = itertools.islice(itertools.permutations(range(1, n + 1), head), q0, q1)
     for q, prefix in enumerate(prefixes, q0):
-        base = q * block
+        base = q * stride
         if ranks is None:
-            rows = slice(base, base + block)
-            np.copyto(buf, table)
+            span = (base, base + stride)
         else:
-            rows = slice(*np.searchsorted(ranks, (base, base + block)))
-            np.take(table, ranks[rows] - base, axis=0, out=buf[: rows.stop - rows.start])
-        k = rows.stop - rows.start
-        tail, mask = buf[:k], above[:k]
-        for letter in sorted(prefix):
-            np.greater_equal(tail, letter, out=mask)
-            tail += mask.view(np.int8)
+            span = np.searchsorted(ranks, (base, base + stride))
         # Column by column: broadcasting the prefix tuple is 10x slower.
         for slot, letter in enumerate(prefix):
-            out[:k, slot] = letter
-        tails[:k] = tail.view(tails.dtype)[:, 0]
-        if k:
+            out[:, slot] = letter
+        letters = sorted(prefix)
+        for rows in row_chunks(*span):
+            k = rows.stop - rows.start
+            tail, mask = buf[:k], above[:k]
+            if ranks is None:
+                np.copyto(tail, table[rows.start - base : rows.stop - base])
+            else:
+                np.take(table, ranks[rows] - base, axis=0, out=tail)
+            for letter in letters:
+                np.greater_equal(tail, letter, out=mask)
+                tail += mask.view(np.int8)
+            tails[:k] = tail.view(tails.dtype)[:, 0]
             yield rows, out[:k]
 
 

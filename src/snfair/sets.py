@@ -73,7 +73,8 @@ class OrderingSet:
     @classmethod
     def from_mask(cls, n: int, keep: np.ndarray) -> "OrderingSet":
         """The ranks where a length-n! boolean mask is True (see :meth:`mask`),
-        gathered ROW_CHUNK entries at a time into the one members array."""
+        gathered ROW_CHUNK mask entries at a time, so the members array is
+        the only large array it makes."""
         ranks = np.empty(np.count_nonzero(keep), dtype=np.int64)
         filled = 0
         for rows in row_chunks(len(keep)):

@@ -81,15 +81,20 @@ def ordering_sets(draw):
 
 
 @settings(max_examples=300, deadline=None)
-@given(ordering_sets(), st.sampled_from([permutations.WORD_TABLE_N, 2, 3, 4]))
-def test_profile_matches_oracle_on_random_sets(members, table_n):
-    # With a table of S_2, S_3 or S_4, up to 40 members span many blocks
+@given(
+    ordering_sets(),
+    st.sampled_from([permutations.WORD_TABLE_N, 2, 3, 4]),
+    st.sampled_from([permutations.ROW_CHUNK, 7]),
+)
+def test_profile_matches_oracle_on_random_sets(members, table_n, row_chunk):
+    # With a table of S_2, S_3 or S_4, or blocks of 7 rows, up to 40
+    # members span many blocks
     n, words = members.n, members.matrix().tolist()
     t = t_max_oracle(members)
     shared = tuple(
         (i + 1, words[0][i]) for i in range(n) if all(w[i] == words[0][i] for w in words)
     )
-    with mock.patch.object(permutations, "WORD_TABLE_N", table_n):
+    with mock.patch.multiple(permutations, WORD_TABLE_N=table_n, ROW_CHUNK=row_chunk):
         profile = intersection_profile(members)
     assert profile.t_max == t
     assert profile.common_pairs == shared

@@ -1,6 +1,7 @@
 """Payoff generators against slow per-ordering reference implementations."""
 import itertools
 import random
+import tracemalloc
 from math import factorial
 from unittest import mock
 
@@ -22,7 +23,7 @@ from snfair.payoffs import (
     liquidation_payoff,
     random_payoff,
 )
-from snfair.permutations import enumerate_group
+from snfair.permutations import enumerate_group, group_matrix
 from snfair.sets import OrderingSet
 
 
@@ -151,12 +152,18 @@ def junta_whole(terms, n):
 def test_chunked_payoffs_equal_the_whole_array_formulas(monkeypatch):
     # Above a table of S_2, S_3 or S_4, each block's words are relabelled
     # from it, as they are from the S_8 table above n = 8; n = 8 also
-    # reaches the unrolled pairwise sum of eight or more slots
+    # reaches the unrolled pairwise sum of eight or more slots.  11 divides
+    # no m!, so blocks of 11 rows end inside a prefix block or the table.
     terms = [JuntaTerm(((1, 1), (4, 9)), -2.5), JuntaTerm(((7, 2),), 0.75)]
-    assert np.array_equal(junta_payoff(terms, 9).values, junta_whole(terms, 9))
+    whole9 = junta_whole(terms, 9)
+    chunks, tables = (permutations.ROW_CHUNK, 11), (2, 3, 4, permutations.WORD_TABLE_N)
+    for row_chunk in chunks:
+        monkeypatch.setattr(permutations, "ROW_CHUNK", row_chunk)
+        assert np.array_equal(junta_payoff(terms, 9).values, whole9)
     terms = [JuntaTerm(((1, 1), (4, 7)), -2.5), JuntaTerm(((7, 2),), 0.75)]
     rng = np.random.default_rng(31)
-    for table_n in (2, 3, 4):
+    for row_chunk, table_n in itertools.product(chunks, tables):
+        monkeypatch.setattr(permutations, "ROW_CHUNK", row_chunk)
         monkeypatch.setattr(permutations, "WORD_TABLE_N", table_n)
         for n in range(1, 9):
             deltas = tuple(float(d) for d in rng.integers(-5, 6, n))
@@ -167,6 +174,30 @@ def test_chunked_payoffs_equal_the_whole_array_formulas(monkeypatch):
                 model = LiquidationModel(k, c)
                 assert np.array_equal(liquidation_payoff(model).values, liquidation_whole(model))
         assert np.array_equal(junta_payoff(terms, 7).values, junta_whole(terms, 7))
+
+
+@pytest.mark.parametrize(
+    "generate, model, slack",
+    [(cfmm_payoff, CfmmModel((2.0, -5.0, 1.0, 3.0, -1.0, 4.0, -2.0, 1.0)), 2**20),
+     (liquidation_payoff, LiquidationModel(4, 2), 2**18)],
+    ids=["cfmm", "liquidation"],
+)
+def test_n8_payoff_scans_hold_a_few_blocks_of_rows(generate, model, slack):
+    # The 8! values and the S_8 table take 315 KiB each.  Beside them a
+    # scan holds a few arrays of ROW_CHUNK = 4096 rows.  CFMM's sizes and
+    # prices, word buffers and row sums take 0.85 MiB, within four
+    # 4096 x 8 float64 arrays (1 MiB); liquidation's int8 moves and
+    # buffers take 0.16 MiB, within eight 4096 x 8 int8 arrays (256 KiB).
+    # Temporaries of all 8! rows would take 5.2 and 0.68 MiB.
+    group_matrix.cache_clear()
+    tracemalloc.start()
+    try:
+        f = generate(model)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert f.values.nbytes == group_matrix(8).nbytes == factorial(8) * 8
+    assert peak < 2 * f.values.nbytes + slack
 
 
 def test_liquidation_depth_validation():

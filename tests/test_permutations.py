@@ -173,40 +173,55 @@ def rank_requests(draw):
 
 
 @settings(max_examples=120, deadline=None)
-@given(rank_requests())
-def test_words_above_the_table_match_unranking(request):
+@given(rank_requests(), st.sampled_from([permutations.ROW_CHUNK, 7, 11]))
+def test_words_above_the_table_match_unranking(request, row_chunk):
     table_n, n, ranks = request
-    with mock.patch.object(permutations, "WORD_TABLE_N", table_n):
+    with mock.patch.multiple(permutations, WORD_TABLE_N=table_n, ROW_CHUNK=row_chunk):
         got = words(n, ranks)
         blocks = [(rows, block.copy()) for rows, block in word_blocks(n, ranks)]
     assert got.dtype == np.int8 and got.shape == (len(ranks), n)
     assert [tuple(w) for w in got.tolist()] == [lehmer_unrank(n, int(r)).mapping for r in ranks]
     assert rank_of_word(got).tolist() == ranks.tolist()
-    # one block per table_n!-rank prefix that holds any of the ranks, in order
-    assert [rows.start for rows, _ in blocks] == np.flatnonzero(
-        np.diff(ranks // factorial(table_n), prepend=-1)
-    ).tolist()
+    # each table_n!-rank prefix that holds any of the ranks, in order, in
+    # blocks of at most ROW_CHUNK of them
+    prefix_starts = np.flatnonzero(np.diff(ranks // factorial(table_n), prepend=-1)).tolist()
+    starts = [
+        r
+        for first, stop in zip(prefix_starts, prefix_starts[1:] + [len(ranks)])
+        for r in range(first, stop, row_chunk)
+    ]
+    assert [rows.start for rows, _ in blocks] == starts
+    assert all(0 < len(block) <= row_chunk for _, block in blocks)
     assert b"".join(block.tobytes() for _, block in blocks) == got.tobytes()
 
 
 @pytest.mark.parametrize("table_n", [2, 3, 4])
 def test_full_walk_above_the_table_matches_the_table(table_n):
-    for n in range(table_n + 1, 9):
+    span = factorial(table_n)
+    for row_chunk, n in itertools.product([permutations.ROW_CHUNK, 7], range(table_n + 1, 9)):
         expect = group_matrix(n)
-        with mock.patch.object(permutations, "WORD_TABLE_N", table_n):
+        with mock.patch.multiple(permutations, WORD_TABLE_N=table_n, ROW_CHUNK=row_chunk):
             walked = [(rows, block.copy()) for rows, block in word_blocks(n)]
-        block = factorial(table_n)
         assert [rows for rows, _ in walked] == [
-            slice(q, q + block) for q in range(0, factorial(n), block)
+            slice(r, min(r + row_chunk, q + span))
+            for q in range(0, factorial(n), span)
+            for r in range(q, q + span, row_chunk)
         ]
         assert b"".join(b.tobytes() for _, b in walked) == expect.tobytes()
 
 
 def test_words_up_to_the_table_are_its_rows():
-    for n in range(1, 9):
+    for row_chunk, n in itertools.product([permutations.ROW_CHUNK, 7], range(1, 9)):
         mat = group_matrix(n)
-        ((rows, block),) = word_blocks(n)
-        assert rows == slice(0, factorial(n)) and block is mat and not block.flags.writeable
+        with mock.patch.object(permutations, "ROW_CHUNK", row_chunk):
+            walked = list(word_blocks(n))
+        # consecutive read-only views of the cached table, ROW_CHUNK rows at most
+        assert [rows for rows, _ in walked] == [
+            slice(r, min(r + row_chunk, factorial(n))) for r in range(0, factorial(n), row_chunk)
+        ]
+        for rows, block in walked:
+            assert block.base is mat and not block.flags.writeable
+            assert np.array_equal(block, mat[rows])
     ranks = np.array([0, 5, 6, 719])
     np.testing.assert_array_equal(words(6, ranks), group_matrix(6)[ranks])
     assert words(9, np.array([], dtype=np.int64)).shape == (0, 9)

@@ -144,11 +144,16 @@ def vote_profiles(draw):
 
 
 @settings(max_examples=80, deadline=None)
-@given(vote_profiles(), st.sampled_from([permutations.WORD_TABLE_N, 2, 3, 4]))
-def test_valid_orderings_matches_argsort_formulation(votes, table_n):
-    # Above table_n, the scan reads blocks relabelled from the S_table_n table
+@given(
+    vote_profiles(),
+    st.sampled_from([permutations.WORD_TABLE_N, 2, 3, 4]),
+    st.sampled_from([permutations.ROW_CHUNK, 7]),
+)
+def test_valid_orderings_matches_argsort_formulation(votes, table_n, row_chunk):
+    # Above table_n, the scan reads blocks relabelled from the S_table_n
+    # table, and blocks of 7 rows end inside prefix blocks and the table
     graph = majority_graph(votes)
-    with mock.patch.object(permutations, "WORD_TABLE_N", table_n):
+    with mock.patch.multiple(permutations, WORD_TABLE_N=table_n, ROW_CHUNK=row_chunk):
         members = valid_orderings(graph)
     assert np.array_equal(members.members, argsort_orderings(graph))
     assert {tuple(w) for w in members.matrix().tolist()} == admissible_oracle(votes)
@@ -171,9 +176,10 @@ def cycle_scan_peak(n):
 
 
 def test_n9_cycle_scans_hold_no_copy_of_the_group():
-    # The set's 9! ranks take 2.8 MiB and the S_8 table 0.3 MiB.  Chunked
-    # scans add a few MiB more; a table of S_9 would add 3.3 MiB and
-    # whole-array scans n! x n compares (3.3 MiB each) and rank copies.
+    # The set's 9! ranks take 2.8 MiB and the S_8 table 0.3 MiB.  Scans in
+    # blocks of ROW_CHUNK rows add 0.7 MiB more; a table of S_9 would add
+    # 3.3 MiB and whole-array scans n! x n compares (3.3 MiB each) and
+    # rank copies.
     assert cycle_scan_peak(9) < 10 * 2**20
 
 

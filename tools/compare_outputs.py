@@ -95,12 +95,14 @@ def _commands() -> list[list[str]]:
         ["gen-payoff", "--model", "random", "--n", "7", "--seed", "1", "--out", "random7.json"],
         # float arrays longer than one chunk of the streaming writer
         ["gen-payoff", "--model", "random", "--n", "9", "--max-n", "9", "--out", "random9.json"],
-        # S_9 and S_10 span several row chunks of the payoff scans
+        # S_9 and S_10 span many prefix blocks and row chunks of the payoff scans
         ["gen-payoff", "--model", "cfmm", "--deltas=2,-5,1,3,-1,4,-2,1,5", "--max-n", "9",
          "--out", "cfmm9.json"],
+        ["gen-payoff", "--model", "cfmm", "--deltas=2,-5,1,3,-1,4,-2,1,5,-3", "--max-n", "10",
+         "--out", "cfmm10.json"],
         ["gen-payoff", "--model", "liquidation", "--k", "5", "--c", "3", "--max-n", "10",
          "--out", "liq10.json"],
-        # one three-pin term over the six row chunks of S_9
+        # one three-pin term over the nine prefix blocks of S_9
         ["gen-payoff", "--model", "junta", "--n", "9", "--max-n", "9", "--pairs", "1:1,2:3,5:4",
          "--coeff", "-2.5", "--out", "junta9.json"],
         # rejected: trade sizes whose payoff overflows, and a negative seed
