@@ -69,7 +69,10 @@ class SymmetricSet(OrderingSet):
         if len(self) == 0:
             raise EmptySetError("connection set must be nonempty")
         inv = _inverse_ranks(self)
-        lacking = ~self.mask()[inv]
+        # Each inverse's place in the sorted members; past the last member
+        # it reads the last, which is then smaller than the inverse.
+        at = np.searchsorted(self.members, inv)
+        lacking = self.members[np.minimum(at, len(self) - 1, out=at)] != inv
         if lacking.any():
             i = int(np.argmax(lacking))
             raise ValueError(

@@ -33,9 +33,10 @@ and exit code 2.  ``--help`` and ``--version`` print and exit 0.
 
 Payloads hand numpy arrays (payoff values, spectrum blocks, set members)
 straight to the JSON writer, which streams them to the output in chunks
-of EMIT_CHUNK items: the bytes are those of ``json.dumps(indent=2,
-sort_keys=True)``, but neither the whole document nor a Python list of a
-whole array is ever built.
+of :data:`snfair.permutations.ROW_CHUNK` items, the row budget of every
+scan: the bytes are those of ``json.dumps(indent=2, sort_keys=True)``,
+but neither the whole document nor a Python list of a whole array is
+ever built.
 """
 from __future__ import annotations
 
@@ -64,10 +65,6 @@ except ImportError:
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
 EXIT_USAGE = 2
-
-# Largest number of array items _emit turns into Python objects at once:
-# a chunk of ints costs about 2 MB under tracemalloc, a full n = 9 list 14 MB.
-EMIT_CHUNK = 16384
 
 # permutations.MAX_ENUMERABLE_N, the library's size limit and the largest
 # --max-n, written out so that parsing arguments imports no numpy.
@@ -194,7 +191,7 @@ def _metadata(args: argparse.Namespace) -> dict:
 
 def _write_json(write, obj, pad: str) -> None:
     """Write obj as ``json.dumps(obj, indent=2, sort_keys=True)`` would at
-    indentation pad, but array by array in chunks of at most EMIT_CHUNK.
+    indentation pad, but array by array in chunks of at most ROW_CHUNK.
 
     A chunk dumped by the C encoder with separator ",\\n" + indent and its
     brackets trimmed is exactly what indent=2 writes for a flat list.
@@ -225,10 +222,12 @@ def _write_json(write, obj, pad: str) -> None:
         if not obj.size:
             write("[]")
             return
+        from .permutations import row_chunks
+
         sep = ",\n" + inner
-        for start in range(0, obj.size, EMIT_CHUNK):
-            chunk = json.dumps(obj[start : start + EMIT_CHUNK].tolist(), separators=(sep, ": "))
-            write(("[\n" + inner if start == 0 else sep) + chunk[1:-1])
+        for rows in row_chunks(obj.size):
+            chunk = json.dumps(obj[rows].tolist(), separators=(sep, ": "))
+            write(("[\n" + inner if rows.start == 0 else sep) + chunk[1:-1])
         write("\n" + pad + "]")
     else:
         write(json.dumps(obj, default=_numpy_to_builtin))

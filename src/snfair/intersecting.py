@@ -16,14 +16,14 @@ table above n = 8.  That already reaches the floor for stabilizer sets,
 the full group and every admissible set whose majority graph orders all
 its components (as a tournament's does): such a set permutes the items
 of each component freely, and every component of two or more items has
-a derangement.  Otherwise the remaining pairs are compared in tiles of
-ROW_TILE x COL_TILE: with each word one-hot encoded as n^2 (slot, item)
-float32 entries, the product of a row tile and a column tile counts
-agreements exactly, and the scan stops after the first tile that brings
-the minimum down to the floor.  Each tile's words are read as it comes,
-so the scan holds no copy of the members' words, nor any table of S_n
-above n = 8: its memory is one block, or one tile, beyond the set's
-ranks.
+a derangement.  Otherwise the remaining pairs are compared in square
+tiles of TILE x TILE members: with each word one-hot encoded as n^2
+(slot, item) float32 entries, the product of a row tile and a column
+tile counts agreements exactly, and the scan stops after the first tile
+that brings the minimum down to the floor.  Each tile's words are read
+as it comes, so the scan holds no copy of the members' words, nor any
+table of S_n above n = 8: its memory is one block, or one tile, beyond
+the set's ranks.
 
 The structural link verified here: once a set's size clears (n - t)!, its
 indicator function must carry spectral mass at degree t or above.  The
@@ -43,9 +43,8 @@ from .errors import EmptySetError
 from .permutations import group_order, is_integer, word_blocks, words
 from .sets import OrderingSet
 
-# Rows and columns of one agreement tile: a 512 x 2048 float32 product is 4 MB.
-ROW_TILE = 512
-COL_TILE = 2048
+# Rows and columns of one agreement tile: a 1024 x 1024 float32 product is 4 MB.
+TILE = 1024
 
 
 @dataclass(frozen=True)
@@ -91,10 +90,10 @@ def _tiled_minimum(n: int, ranks: np.ndarray, t_max: int, floor: int) -> int:
     true minimum.
     """
     m = len(ranks)
-    for r0 in range(1, m - 1, ROW_TILE):
-        rows = _one_hot(words(n, ranks[r0 : r0 + ROW_TILE]))
-        for c0 in range(r0, m, COL_TILE):
-            cols = _one_hot(words(n, ranks[c0 : c0 + COL_TILE]))
+    for r0 in range(1, m - 1, TILE):
+        rows = _one_hot(words(n, ranks[r0 : r0 + TILE]))
+        for c0 in range(r0, m, TILE):
+            cols = _one_hot(words(n, ranks[c0 : c0 + TILE]))
             t_max = min(t_max, int((rows @ cols.T).min()))
             if t_max == floor:
                 return t_max

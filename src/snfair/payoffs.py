@@ -203,14 +203,15 @@ def junta_payoff(terms, n: int) -> PayoffFn:
 
     values = np.zeros(group_order(n))
     for term in terms:
-        values += term.coefficient * stabilizer_set(n, term.constraints).mask()
+        values[stabilizer_set(n, term.constraints).members] += term.coefficient
     values.setflags(write=False)
     return PayoffFn(n, values)
 
 
 def indicator_payoff(members: OrderingSet) -> PayoffFn:
     """The 0/1 indicator of an ordering set."""
-    values = members.mask().astype(float)
+    values = np.zeros(group_order(members.n))
+    values[members.members] = 1.0
     values.setflags(write=False)
     return PayoffFn(members.n, values)
 

@@ -31,7 +31,8 @@ blocks into one array for the callers that need one.
 
 Seeded values, for random payoffs, votes and the verify suites' cases,
 all come from :func:`seeded`, and uniform floats from :func:`uniform`,
-which draws them ROW_CHUNK at a time.
+which draws them ROW_CHUNK at a time.  The command line's JSON writer
+streams arrays in :func:`row_chunks` of the same size.
 
 :func:`lehmer_unrank` and :func:`enumerate_group` build one element at
 a time, in pure Python, and no scan calls them.  They stay public as
@@ -58,8 +59,8 @@ MAX_ENUMERABLE_N = 10
 WORD_TABLE_N = 8
 
 # Rows per block of every loop over S_n or an n!-sized array: word_blocks,
-# uniform, OrderingSet.from_mask.  A scan's temporaries are a few
-# ROW_CHUNK x n arrays at any n.
+# uniform, OrderingSet.from_mask and the CLI's JSON writer.  A scan's
+# temporaries are a few ROW_CHUNK x n arrays at any n.
 ROW_CHUNK = 4096
 
 
@@ -221,8 +222,9 @@ def group_order(n: int) -> int:
     getrusage on a 2-core Intel Xeon, numpy float64) and take 2.2-2.3 s.
     Whole ``snfair`` commands at n = 10 on that machine: ``simulate
     --latency adversarial_cycle`` peaks at 64 MB, ``gen-payoff --model
-    random`` and ``--model cfmm`` at 60 MB, ``--model liquidation`` at
-    59 MB, ``transform`` at 253 MB, ``analyze`` of a CFMM payoff on all
+    random`` at 57 MB, ``--model cfmm`` and ``--model liquidation`` at
+    58 MB, ``--model junta`` with two pins at 33 MB, ``transform`` at
+    244-254 MB (two heap layouts), ``analyze`` of a CFMM payoff on all
     3628800 orders at 368 MB, and ``verify --suite claim1`` and ``--suite
     uncertainty`` at 428 and 277 MB.
     """

@@ -1,9 +1,10 @@
 """Sets of orderings, stored as read-only arrays of sorted dense ranks.
 
 An :class:`OrderingSet` holds its members as one read-only int64 array of
-strictly increasing Lehmer ranks, so masks, word matrices and payoff
-restrictions index with it directly; the rows of :meth:`OrderingSet.matrix`
-are the members' one-line words.  It keeps its agreement `profile`,
+strictly increasing Lehmer ranks, so indicator payoffs, word matrices
+and payoff restrictions index with it directly, and membership is a
+binary search in it; the rows of :meth:`OrderingSet.matrix` are the
+members' one-line words.  It keeps its agreement `profile`,
 scanned on first use.
 
 The members array is made at most once.  A read-only int64 array that
@@ -72,9 +73,9 @@ class OrderingSet:
 
     @classmethod
     def from_mask(cls, n: int, keep: np.ndarray) -> "OrderingSet":
-        """The ranks where a length-n! boolean mask is True (see :meth:`mask`),
-        gathered ROW_CHUNK mask entries at a time, so the members array is
-        the only large array it makes."""
+        """The ranks where a length-n! boolean mask is True, gathered
+        ROW_CHUNK mask entries at a time, so the members array is the only
+        large array it makes."""
         ranks = np.empty(np.count_nonzero(keep), dtype=np.int64)
         filled = 0
         for rows in row_chunks(len(keep)):
@@ -113,12 +114,6 @@ class OrderingSet:
         from .intersecting import intersection_profile
 
         return intersection_profile(self)
-
-    def mask(self) -> np.ndarray:
-        """Dense boolean membership vector of length n!."""
-        out = np.zeros(group_order(self.n), dtype=bool)
-        out[self.members] = True
-        return out
 
     def matrix(self) -> np.ndarray:
         """Members as one-line words, one row per member (int8)."""

@@ -28,8 +28,12 @@ def all_transpositions(n):
 
 def test_symmetric_set_validation():
     SymmetricSet(3, (0,))  # identity alone is fine
-    with pytest.raises(ValueError):
-        SymmetricSet(3, (3,))  # a 3-cycle without its inverse
+    # a 3-cycle without its inverse, which ranks above every member (231
+    # lacks 312) or below every member (312 lacks 231)
+    with pytest.raises(ValueError, match="not closed under inversion: rank 3 lacks 4"):
+        SymmetricSet(3, (3,))
+    with pytest.raises(ValueError, match="not closed under inversion: rank 4 lacks 3"):
+        SymmetricSet(3, (4,))
     with pytest.raises(EmptySetError):
         SymmetricSet(3, ())
 
@@ -196,7 +200,9 @@ def test_bound_violations_of_given_blocks_match_the_sets_own_transform(monkeypat
     flagged = set()
     for conn in (all_transpositions(5), symmetrize(OrderingSet.from_ranks(5, [3, 17, 40]))):
         report = spectrum_report(conn)
-        fresh = fft(5, conn.mask())
+        indicator = np.zeros(factorial(5))
+        indicator[conn.members] = 1.0
+        fresh = fft(5, indicator)
         for normalized in (True, False):
             scale = len(conn) if normalized else 1.0
             bad = tuple(

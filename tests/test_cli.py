@@ -856,11 +856,12 @@ def _containers(children):
 
 
 @settings(max_examples=200, deadline=None)
-@given(st.recursive(_LEAVES, _containers, max_leaves=12), st.sampled_from([1, 3, 16384]))
+@given(st.recursive(_LEAVES, _containers, max_leaves=12), st.sampled_from([1, 3, 4096]))
 def test_emit_streams_exactly_what_indented_json_dumps_writes(pair, chunk):
     value, builtin = pair
     out = io.StringIO()
-    with mock.patch.object(snfair.cli, "EMIT_CHUNK", chunk), contextlib.redirect_stdout(out):
+    rows = mock.patch.object(snfair.permutations, "ROW_CHUNK", chunk)
+    with rows, contextlib.redirect_stdout(out):
         _emit(value, None)
     assert out.getvalue() == json.dumps(builtin, indent=2, sort_keys=True) + "\n"
 
@@ -878,6 +879,8 @@ def test_emit_of_a_full_n9_set_stays_well_below_its_list_form(tmp_path):
         tracemalloc.stop()
     assert len(as_list) == 362880 and list_peak > 10e6  # about 14 MB
     assert emit_peak < list_peak / 4
+    # one ROW_CHUNK of ints as Python objects and their text
+    assert emit_peak <= 2**20
 
 
 def test_equality_payoffs_hand_their_arrays_over():

@@ -9,11 +9,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from snfair import permutations
+from snfair import intersecting, permutations
 from snfair.errors import EmptySetError
 from snfair.intersecting import (
-    COL_TILE,
-    ROW_TILE,
+    TILE,
     intersection_profile,
     stabilizer_set,
     verify_indicator_degree,
@@ -104,12 +103,16 @@ def test_profile_matches_oracle_on_random_sets(members, table_n, row_chunk):
 @pytest.mark.parametrize("n", [4, 5, 6, 7])
 def test_intersecting_family_sits_above_its_floor(monkeypatch, n):
     # no slot is shared, so the floor lies below t_max and the tiles run;
-    # with a table of S_3, the member-0 scan and the tiles cross blocks
+    # with a table of S_3, the member-0 scan and the tiles cross blocks,
+    # and with tiles of 7 members, tile edges fall inside every family
     members = OrderingSet(n, two_of_first_three_fixed(n))
     monkeypatch.setattr(permutations, "WORD_TABLE_N", 3)
-    profile = intersection_profile(members)
-    assert profile.common_pairs == ()
-    assert profile.t_max == t_max_oracle(members) == 1
+    t = t_max_oracle(members)
+    for tile in (TILE, 7):
+        monkeypatch.setattr(intersecting, "TILE", tile)
+        profile = intersection_profile(members)
+        assert profile.common_pairs == ()
+        assert profile.t_max == t == 1
 
 
 def test_only_low_pair_in_the_last_tile():
@@ -121,7 +124,7 @@ def test_only_low_pair_in_the_last_tile():
     y = Permutation((9, 2, 3, 4, 5, 6, 7, 8, 1)).rank()
     members = OrderingSet.from_ranks(9, [*stab.members.tolist(), x, y])
     m = len(members)
-    assert m > ROW_TILE and m > COL_TILE
+    assert m > TILE
     assert members.members[-2:].tolist() == [x, y]
     words = members.matrix()
     assert np.flatnonzero((words == words[-1]).sum(axis=1) == 0).tolist() == [m - 2]

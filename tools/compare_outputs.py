@@ -63,6 +63,7 @@ INPUTS = {
     }),
     "family6.json": _json(_two_of_first_three_fixed(6)),
     "family7.json": _json(_two_of_first_three_fixed(7)),
+    "family8.json": _json(_two_of_first_three_fixed(8)),
     "family9.json": _json(_two_of_first_three_fixed(9)),
     "votes_winner_cycle9.json": _json(_winner_cycle9()),
     "votes_crlf4.json": _crlf({
@@ -150,6 +151,7 @@ def _commands() -> list[list[str]]:
         ["gen-payoff", "--model", "indicator", "--set", "cycle8.json", "--out", "ind8.json"],
         ["gen-payoff", "--model", "indicator", "--set", "family6.json", "--out", "ind_family6.json"],
         ["gen-payoff", "--model", "indicator", "--set", "family7.json", "--out", "ind_family7.json"],
+        ["gen-payoff", "--model", "indicator", "--set", "family8.json", "--out", "ind_family8.json"],
         ["transform", "--payoff", "random6.json", "--out", "spec6.json", "--csv", "spec6.csv"],
         ["transform", "--payoff", "cfmm7.json", "--out", "spec7.json", "--csv", "spec7.csv"],
         ["transform", "--payoff", "sparse5.json"],
@@ -189,6 +191,10 @@ def _commands() -> list[list[str]]:
          "--csv", "an_family6.csv"],
         ["analyze", "--payoff", "ind_family7.json", "--set", "family7.json",
          "--out", "an_family7.json"],
+        # 1920 members, more than one agreement tile (the n = 6 and 7
+        # families have 312 or fewer and fit in one)
+        ["analyze", "--payoff", "ind_family8.json", "--set", "family8.json",
+         "--out", "an_family8.json"],
         ["analyze", "--payoff", "cfmm6.json", "--set", "iid7.json"],
         ["analyze", "--payoff", "missing.json", "--set", "iid6.json"],
         ["analyze", "--payoff", "payoff_huge4.json", "--set", "set_crlf4.json"],
