@@ -12,10 +12,11 @@ trend quantities are reported but never gate.
 
 The input files (payoffs, ordering sets, vote profiles) are JSON in
 UTF-8 whatever the locale, and only this module knows their formats
-(``INPUT_FORMATS``).  Each is read once: ``input_hashes`` holds the
-SHA-256 of the very bytes that were parsed, computed by CPython's
-built-in SHA-256 rather than hashlib's OpenSSL, so that reading a file
-does not load libcrypto.
+(``INPUT_FORMATS``); the class that keeps each file's items checks their
+types.  Each is read once: ``input_hashes`` holds the SHA-256 of the
+very bytes that were parsed, computed by CPython's built-in SHA-256
+rather than hashlib's OpenSSL, so that reading a file does not load
+libcrypto.
 
 This module parses arguments and formats results; the analysis is in the
 layers and the verify suites in :mod:`snfair.verify`.  It imports none
@@ -92,53 +93,21 @@ def _check_size(n, max_n: int) -> None:
         )
 
 
-def _payoff_from_json(n: int, values):
-    import numpy as np
-
-    from .payoffs import PayoffFn
-
-    # JSON strings and booleans would be coerced to numbers.
-    if not isinstance(values, list) or not set(map(type, values)) <= {int, float}:
-        raise ValueError("values must be a list of numbers")
-    # Converted here, as one read-only float array that the payoff keeps:
-    # an int past int64 would make PayoffFn see an object array.
-    try:
-        values = np.array(values, dtype=float)
-    except OverflowError:  # an int past the float range, as 1e400 is inf
-        raise ValueError("payoff values must be finite")
-    values.setflags(write=False)
-    return PayoffFn(n, values)
-
-
-def _set_from_json(n: int, members):
-    from .sets import OrderingSet
-
-    # JSON booleans would pass as 0/1 and floats would truncate.
-    if not isinstance(members, list) or any(type(r) is not int for r in members):
-        raise ValueError("members must be a list of integer ranks")
-    return OrderingSet(n, members)
-
-
-def _votes_from_json(n_tx: int, validators):
-    from .sequencing import VoteProfile
-
-    return VoteProfile(n_tx, validators)
-
-
-# The input files, keyed by the flag that names one: what a message calls
-# the file, its group-size field, its items field, and the function that
-# makes its object from those two fields.
+# The input files by the flag that names one: what a message calls the file,
+# its size and items fields, and the module and class that build and type it.
 INPUT_FORMATS = {
-    "payoff": ("payoff", "n", "values", _payoff_from_json),
-    "set": ("ordering set", "n", "members", _set_from_json),
-    "votes": ("votes", "n_tx", "validators", _votes_from_json),
+    "payoff": ("payoff", "n", "values", "payoffs", "PayoffFn"),
+    "set": ("ordering set", "n", "members", "sets", "OrderingSet"),
+    "votes": ("votes", "n_tx", "validators", "sequencing", "VoteProfile"),
 }
 
 
 def _load_json(args: argparse.Namespace, label: str):
     """The object in the input file that flag --<label> names, whose group
     size passes --max-n; a malformed file raises a ValueError naming it."""
-    what, size_key, key, build = INPUT_FORMATS[label]
+    import importlib
+
+    what, size_key, key, module, name = INPUT_FORMATS[label]
     path = getattr(args, label)
     try:
         with open(path, "rb") as fh:
@@ -165,6 +134,7 @@ def _load_json(args: argparse.Namespace, label: str):
     if not isinstance(data, dict) or not {size_key, key} <= data.keys():
         raise ValueError(f"malformed {what} file {path}: need an object with {size_key}, {key}")
     _check_size(data[size_key], args.max_n)
+    build = getattr(importlib.import_module(f".{module}", __package__), name)
     try:
         return build(data[size_key], data[key])
     except ValueError as exc:

@@ -45,7 +45,8 @@ from .errors import DegenerateError, EmptySetError
 from .fourier import DEGREE_TOL, degree as spectral_degree
 from .intersecting import stabilizer_set
 from .partitions import dimension, partitions_of
-from .payoffs import PayoffFn, indicator_payoff
+from .payoffs import REAL, PayoffFn, indicator_payoff
+from .permutations import all_of, is_integer
 from .sets import OrderingSet
 
 # Absolute: a gap within CLASSIFY_TOL of 0 is perfectly fair, within it of
@@ -124,6 +125,8 @@ class Analysis:
     """
 
     def __init__(self, f: PayoffFn, members: OrderingSet, tol: float = DEGREE_TOL):
+        if not all_of((tol,), REAL):
+            raise ValueError(f"tol must be a real number, got {tol!r}")
         if f.n != members.n:
             raise ValueError(f"payoff on S_{f.n} but set in S_{members.n}")
         if len(members) == 0:
@@ -213,6 +216,32 @@ class Analysis:
         )
 
 
+@dataclass(frozen=True)
+class IndicatorDegreeReport:
+    """The indicator's spectral degree against the set's agreement `profile`."""
+
+    deg_indicator: int
+    claim_holds: bool
+
+
+def verify_indicator_degree(members: OrderingSet) -> IndicatorDegreeReport:
+    """Check that a large high-agreement set has a high-degree indicator:
+    once a set's size clears (n - t)!, its indicator must carry spectral
+    mass at degree t or above.
+
+    The comparison level is min(t_max, n - 1) because degrees cap at
+    n - 1.  The clamp only binds for singletons, whose point-mass
+    indicator has full spectrum anyway: two distinct orderings agree on
+    at most n - 2 slots.  Sets below the (n - t_max)! size gate satisfy
+    the claim vacuously.  The degree threshold is ``fourier.DEGREE_TOL``.
+    """
+    profile = members.profile
+    deg = spectral_degree(indicator_payoff(members))
+    required = min(profile.t_max, members.n - 1)
+    holds = (not profile.size_gate) or deg >= required
+    return IndicatorDegreeReport(deg_indicator=deg, claim_holds=holds)
+
+
 def nested_stabilizer_instance(
     n: int, outer_pins: int, inner_pins: int
 ) -> tuple[PayoffFn, OrderingSet]:
@@ -224,7 +253,7 @@ def nested_stabilizer_instance(
     the set's agreement level while the restriction stays nonzero, which
     is exactly the lower-bound regime.
     """
-    if not 0 < outer_pins < inner_pins < n:
+    if not (all(map(is_integer, (n, outer_pins, inner_pins))) and 0 < outer_pins < inner_pins < n):
         raise ValueError("need 0 < outer_pins < inner_pins < n")
     outer = stabilizer_set(n, [(i, i) for i in range(1, outer_pins + 1)])
     inner = stabilizer_set(n, [(i, i) for i in range(1, inner_pins + 1)])

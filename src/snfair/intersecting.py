@@ -24,13 +24,6 @@ that brings the minimum down to the floor.  Each tile's words are read
 as it comes, so the scan holds no copy of the members' words, nor any
 table of S_n above n = 8: its memory is one block, or one tile, beyond
 the set's ranks.
-
-The structural link verified here: once a set's size clears (n - t)!, its
-indicator function must carry spectral mass at degree t or above.  The
-degree of any function caps at n - 1, so the comparison level is clamped
-there; the clamp only binds for singletons (any two distinct orderings
-agree on at most n - 2 slots, hence non-singleton levels never exceed
-n - 2), and a singleton's point-mass indicator has full spectrum anyway.
 """
 from __future__ import annotations
 
@@ -105,35 +98,6 @@ def _one_hot(words: np.ndarray) -> np.ndarray:
     k, n = words.shape
     hot = words[:, :, None] == np.arange(1, n + 1, dtype=words.dtype)
     return hot.reshape(k, n * n).astype(np.float32)
-
-
-@dataclass(frozen=True)
-class IndicatorDegreeReport:
-    """The indicator's spectral degree against the set's agreement level,
-    which the set's `profile` holds."""
-
-    deg_indicator: int
-    claim_holds: bool
-
-
-def verify_indicator_degree(members: OrderingSet) -> IndicatorDegreeReport:
-    """Check that a large high-agreement set has a high-degree indicator.
-
-    The comparison level is min(t_max, n - 1) because degrees cap at
-    n - 1; the clamp only matters for singletons (see module docstring).
-    Sets below the (n - t_max)! size gate satisfy the claim vacuously.
-    The degree threshold is ``fourier.DEGREE_TOL``.
-    """
-    # Imported here so that the agreement scan, which simulate runs, does
-    # not load the Fourier stack.
-    from .fourier import degree
-    from .payoffs import indicator_payoff
-
-    profile = members.profile
-    deg = degree(indicator_payoff(members))
-    required = min(profile.t_max, members.n - 1)
-    holds = (not profile.size_gate) or deg >= required
-    return IndicatorDegreeReport(deg_indicator=deg, claim_holds=holds)
 
 
 def stabilizer_set(n: int, pairs) -> OrderingSet:

@@ -2,9 +2,10 @@
 
 Every generator returns a dense :class:`PayoffFn` whose entry at rank r
 is the payoff of the ordering with that rank, handing its values over
-read-only so that the payoff keeps them without a copy.  The CFMM,
-liquidation and random families produce nonnegative values; a junta
-payoff is negative wherever a term with a negative coefficient holds.
+read-only so that the payoff keeps them without a copy; a list of values
+is typed (ints and floats, no bools) and converted to floats once.  The
+CFMM, liquidation and random families produce nonnegative values; a
+junta payoff is negative wherever a term with a negative coefficient holds.
 
 CFMM sandwich-style model: n labeled trades with signed sizes; executing
 trade with size D against price p books extraction beta * D^2 * p and
@@ -33,7 +34,8 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from .errors import ModelValidityError
-from .permutations import group_order, seeded, uniform, word_blocks
+from .intersecting import stabilizer_set
+from .permutations import all_of, group_order, is_integer, seeded, uniform, word_blocks
 from .sets import OrderingSet, owned_read_only
 
 if TYPE_CHECKING:
@@ -46,6 +48,8 @@ if TYPE_CHECKING:
 # leaves a wide margin.
 MAX_MAGNITUDE = 1e100
 
+REAL = (int, float, np.integer, np.floating)  # a payoff value's or a model's real types
+
 
 @dataclass(frozen=True, eq=False)
 class PayoffFn:
@@ -56,7 +60,17 @@ class PayoffFn:
 
     def __post_init__(self) -> None:
         size = group_order(self.n)
-        raw = np.asarray(self.values)
+        raw = self.values
+        if isinstance(raw, (list, tuple)):
+            # Typed, then converted once: numpy would read True as 1.0.
+            if not all_of(raw, REAL):
+                raise ValueError("payoff values must be real numbers")
+            try:
+                raw = np.array(raw, dtype=float)
+            except OverflowError:  # an int past the float range, as 1e400 is inf
+                raise ValueError("payoff values must be finite")
+            raw.setflags(write=False)
+        raw = np.asarray(raw)
         # Strings, bools, objects and complex numbers would be coerced to floats.
         if raw.dtype.kind not in "iuf":
             raise ValueError(f"payoff values must be real numbers, got dtype {raw.dtype}")
@@ -94,6 +108,8 @@ class CfmmModel:
     beta: float = 1.0
 
     def __post_init__(self) -> None:
+        if not all_of((*self.deltas, self.p0, self.gamma, self.beta), REAL):
+            raise ValueError("trade sizes, p0, gamma and beta must be real numbers")
         if len(self.deltas) < 1:
             raise ModelValidityError("need at least one trade")
         if self.p0 <= 0:
@@ -155,6 +171,8 @@ class LiquidationModel:
     c: int
 
     def __post_init__(self) -> None:
+        if not (is_integer(self.k) and is_integer(self.c)):
+            raise ValueError(f"k and c must be integers, got {self.k!r} and {self.c!r}")
         if self.k < 1:
             raise ModelValidityError("k must be positive")
         if not 0 < self.c <= self.k:
@@ -194,13 +212,14 @@ class JuntaTerm:
     constraints: tuple[tuple[int, int], ...]
     coefficient: float = 1.0
 
+    def __post_init__(self) -> None:  # stabilizer_set checks the constraints
+        if not all_of((self.coefficient,), REAL):
+            raise ValueError(f"coefficient must be a real number, got {self.coefficient!r}")
+
 
 def junta_payoff(terms, n: int) -> PayoffFn:
     """Sum of the terms' weighted constraint indicators on S_n, each the
     indicator of its constraints' stabilizer set, which checks them."""
-    # Imported here, as PayoffFn.spectrum imports fourier: intersecting is above.
-    from .intersecting import stabilizer_set
-
     values = np.zeros(group_order(n))
     for term in terms:
         values[stabilizer_set(n, term.constraints).members] += term.coefficient

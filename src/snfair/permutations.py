@@ -90,6 +90,8 @@ class Permutation:
 
     @classmethod
     def identity(cls, n: int) -> "Permutation":
+        if not is_integer(n):
+            raise ValueError(f"n must be an integer, got {n!r}")
         return cls(tuple(range(1, n + 1)))
 
     @classmethod
@@ -181,6 +183,12 @@ def enumerate_group(n: int):
 def is_integer(value) -> bool:
     """True for a Python or numpy integer; False for a bool, a float, a string."""
     return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
+def all_of(items, kinds) -> bool:
+    """True when every item is an instance of `kinds` and none is a bool,
+    checked once per distinct element type: numpy would take True for 1."""
+    return all(issubclass(kind, kinds) and kind is not bool for kind in set(map(type, items)))
 
 
 def seeded(seed) -> random.Random:

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .permutations import group_order, is_integer, seeded, word_blocks
+from .permutations import all_of, group_order, is_integer, seeded, word_blocks
 from .sets import OrderingSet
 
 
@@ -35,9 +35,8 @@ class VoteProfile:
             raise ValueError(f"n_tx must be an integer, got {self.n_tx!r}")
         if self.n_tx < 1:
             raise ValueError("need at least one transaction")
-        sequence = (list, tuple)
-        if not isinstance(self.validators, sequence) or not all(
-            isinstance(o, sequence) and all(map(is_integer, o)) for o in self.validators
+        if not isinstance(self.validators, (list, tuple)) or not all(
+            isinstance(o, (list, tuple)) and all_of(o, (int, np.integer)) for o in self.validators
         ):
             raise ValueError("validators must be a list of lists of integer labels")
         object.__setattr__(self, "validators", tuple(map(tuple, self.validators)))
@@ -136,6 +135,8 @@ def simulate(
     which yields a full-cycle majority graph; requires n_tx >= 3 and a
     validator count that is a multiple of n_tx.
     """
+    if not (is_integer(n_tx) and is_integer(n_validators)):
+        raise ValueError(f"counts must be integers, got {n_tx!r} and {n_validators!r}")
     if n_tx < 1 or n_validators < 1:
         raise ValueError("need positive transaction and validator counts")
     if latency_model == "iid_shuffle":

@@ -9,11 +9,12 @@ scanned on first use.
 
 The members array is made at most once.  A read-only int64 array that
 owns its memory is kept as given: nothing can write to it without first
-clearing its read-only flag, as is true of any array the set keeps.
-Any other input (a sequence, a writable array, a view that a writable
-array may alias, another dtype) is copied once, so later writes by the
-caller cannot reach the set; payoffs and spectra keep their arrays by the
-same rule, :func:`owned_read_only`.  :meth:`OrderingSet.from_ranks`,
+clearing its read-only flag, as is true of any array the set keeps.  A
+list is typed (integers, no bools) and converted once; any other input
+(a writable array, a view that a writable array may alias, another
+dtype) is copied once, so later writes by the caller cannot reach the
+set.  Payoffs and spectra keep their arrays by the same rule,
+:func:`owned_read_only`.  :meth:`OrderingSet.from_ranks`,
 :meth:`OrderingSet.from_mask` and :meth:`OrderingSet.full_group` build
 their rank arrays themselves and hand them over that way.
 """
@@ -25,10 +26,25 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .permutations import group_order, row_chunks, words
+from .permutations import all_of, group_order, row_chunks, words
 
 if TYPE_CHECKING:
     from .intersecting import IntersectionProfile
+
+
+def _rank_array(raw) -> np.ndarray:
+    """`raw` as a 1-D integer array, typed first if a list (numpy reads True as 1)."""
+    if not isinstance(raw, (list, tuple)):
+        raw = np.asarray(raw)
+    elif all_of(raw, (int, np.integer)):
+        try:
+            raw = np.array(raw, dtype=np.int64)
+            raw.setflags(write=False)  # so that owned_read_only keeps it
+        except OverflowError:  # a rank past int64: the list is rejected below
+            pass
+    if not isinstance(raw, np.ndarray) or raw.ndim != 1 or raw.size and raw.dtype.kind not in "iu":
+        raise ValueError("members must be a 1-D sequence of integer ranks")
+    return raw
 
 
 def owned_read_only(raw, dtype=None) -> np.ndarray:
@@ -49,22 +65,15 @@ class OrderingSet:
 
     def __post_init__(self) -> None:
         size = group_order(self.n)
-        raw = np.asarray(self.members)
-        if raw.ndim != 1 or (raw.size and raw.dtype.kind not in "iu"):
-            raise ValueError("members must be a 1-D sequence of integer ranks")
-        ranks = owned_read_only(raw, np.int64)
-        if ranks.size and (
-            ranks[0] < 0 or ranks[-1] >= size or np.any(ranks[1:] <= ranks[:-1])
-        ):
-            raise ValueError(
-                f"members must be strictly increasing ranks in [0, {size})"
-            )
+        ranks = owned_read_only(_rank_array(self.members), np.int64)
+        if ranks.size and (ranks[0] < 0 or ranks[-1] >= size or np.any(ranks[1:] <= ranks[:-1])):
+            raise ValueError(f"members must be strictly increasing ranks in [0, {size})")
         object.__setattr__(self, "members", ranks)
 
     @classmethod
     def from_ranks(cls, n: int, ranks) -> "OrderingSet":
         """The set of the given ranks, in any order and with repeats."""
-        ranks = np.sort(np.asarray(ranks, dtype=np.int64))
+        ranks = np.sort(_rank_array(ranks).astype(np.int64, copy=False))
         keep = np.ones(ranks.shape, dtype=bool)
         keep[1:] = ranks[1:] != ranks[:-1]
         ranks = ranks[keep]

@@ -48,9 +48,9 @@ from random import Random
 import numpy as np
 
 from .cayley import SymmetricSet, dense_operator, spectrum_report, symmetrize
-from .fairness import Analysis, nested_stabilizer_instance
+from .fairness import Analysis, nested_stabilizer_instance, verify_indicator_degree
 from .fourier import inverse, transform, uncertainty_check
-from .intersecting import stabilizer_set, verify_indicator_degree
+from .intersecting import stabilizer_set
 from .partitions import dimension, partitions_of
 from .payoffs import (
     CfmmModel,

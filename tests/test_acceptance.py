@@ -13,9 +13,9 @@ import numpy as np
 
 from snfair.cayley import SymmetricSet, dense_operator, spectrum_report, symmetrize
 from snfair.cli import main
-from snfair.fairness import Analysis, nested_stabilizer_instance
+from snfair.fairness import Analysis, nested_stabilizer_instance, verify_indicator_degree
 from snfair.fourier import PayoffFn, degree, inverse, transform, uncertainty_check
-from snfair.intersecting import stabilizer_set, intersection_profile, verify_indicator_degree
+from snfair.intersecting import stabilizer_set, intersection_profile
 from snfair.partitions import dimension, partitions_of
 from snfair.payoffs import (
     CfmmModel,

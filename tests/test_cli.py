@@ -105,6 +105,19 @@ def test_gen_payoff_repeat_is_byte_identical(tmp_path):
     assert a.read_bytes() == b.read_bytes()
 
 
+def test_payoff_ints_past_int64_transform_as_their_floats(tmp_path):
+    outputs = []
+    for values in ("[%d, 1]" % 2**70, "[1.1805916207174113e+21, 1.0]"):
+        payoff, spec = tmp_path / "f.json", tmp_path / f"spec{len(outputs)}.json"
+        payoff.write_text('{"n": 2, "values": %s}' % values)
+        assert run("transform", "--payoff", str(payoff), "--out", str(spec)) == EXIT_OK
+        data = json.loads(spec.read_text())
+        del data["metadata"]["input_hashes"]
+        outputs.append(data)
+    assert outputs[0] == outputs[1]
+    assert outputs[0]["blocks"][0]["matrix"] == [[2**70 + 1.0]]
+
+
 def test_transform_writes_blocks_and_csv(tmp_path):
     payoff = tmp_path / "f.json"
     spec = tmp_path / "spec.json"
@@ -530,6 +543,16 @@ def test_transform_config_records_only_the_flags_it_reads(tmp_path):
         (["transform", "--payoff", "{path}"], {"n": 3, "values": [1, "2", 3, 4, 5, 6]}, "values"),
         (["transform", "--payoff", "{path}"], {"n": 3, "values": [1, True, 3, 4, 5, 6]}, "values"),
         (["transform", "--payoff", "{path}"], {"n": 3, "values": 5}, "values"),
+        (["gen-payoff", "--model", "indicator", "--set", "{path}"], {"n": 3, "members": [0, None]},
+         "malformed ordering set file {path}: members must be a 1-D sequence of integer ranks"),
+        (["gen-payoff", "--model", "indicator", "--set", "{path}"],
+         {"n": 3, "members": [[0], [1]]},
+         "malformed ordering set file {path}: members must be a 1-D sequence of integer ranks"),
+        (["gen-payoff", "--model", "indicator", "--set", "{path}"],
+         {"n": 3, "members": [0, 2**70]},
+         "malformed ordering set file {path}: members must be a 1-D sequence of integer ranks"),
+        (["transform", "--payoff", "{path}"], {"n": 2, "values": [None, 1]},
+         "malformed payoff file {path}: payoff values must be real numbers"),
         (["analyze", "--payoff", "{path}", "--set", "{path}", "--tol", "nan"], None, "--tol"),
         (["verify", "--suite", "claim1", "--tol", "inf"], None, "--tol"),
         (["gen-payoff", "--model", "random", "--n", "3", "--tol", "-1"], None, "--tol"),
@@ -633,7 +656,8 @@ def test_transform_config_records_only_the_flags_it_reads(tmp_path):
     ],
     ids=["no-n", "top-level-list", "float-n", "bool-n", "string-n", "huge-n", "verify-n0",
          "float-member", "bool-member", "scalar-members", "float-vote", "scalar-validators",
-         "string-value", "bool-value", "scalar-values", "tol-nan", "tol-inf", "tol-negative",
+         "string-value", "bool-value", "scalar-values", "null-member", "nested-members",
+         "member-past-int64", "null-value", "tol-nan", "tol-inf", "tol-negative",
          "analyze-tol-inf", "analyze-tol-negative", "seed-negative", "payoff-is-dir",
          "out-dir-missing", "csv-dir-missing",
          "verify-out-is-dir", "float-past-range-value", "int-past-float-value",

@@ -11,12 +11,8 @@ from hypothesis import strategies as st
 
 from snfair import intersecting, permutations
 from snfair.errors import EmptySetError
-from snfair.intersecting import (
-    TILE,
-    intersection_profile,
-    stabilizer_set,
-    verify_indicator_degree,
-)
+from snfair.fairness import verify_indicator_degree
+from snfair.intersecting import TILE, intersection_profile, stabilizer_set
 from snfair.permutations import Permutation, group_matrix
 from snfair.sets import OrderingSet
 

@@ -328,12 +328,63 @@ def test_random_payoff_takes_only_a_non_negative_integer_seed(dist, nonzero):
 
 @pytest.mark.parametrize(
     "values",
-    [["1", "2"], [True, False], np.array([1.0, 2.0], dtype=object), [1 + 0j, 2 + 0j]],
-    ids=["str", "bool", "object", "complex"],
+    [["1", "2"], [True, False], np.array([1.0, 2.0], dtype=object), [1 + 0j, 2 + 0j],
+     [1.0, True], (np.float64(1.0), np.bool_(True)), [None, 1.0], [[1.0], [2.0]], [1.0, "2"]],
+    ids=["str", "bool", "object", "complex", "bool-among-floats", "numpy-bool",
+         "none", "nested", "str-among-floats"],
 )
 def test_payoff_values_must_be_real_numbers(values):
     with pytest.raises(ValueError, match="payoff values must be real numbers"):
         PayoffFn(2, values)
+
+
+def test_lists_of_numpy_numbers_give_the_same_values():
+    python = PayoffFn(3, [0.5, 2, -1.25, 3, 0.0, 7])
+    numpy = PayoffFn(3, [np.float64(0.5), np.int8(2), np.float32(-1.25), np.uint64(3),
+                         np.float16(0.0), np.int64(7)])
+    assert numpy.values.dtype == python.values.dtype == np.float64
+    assert numpy.values.tolist() == python.values.tolist()
+
+
+def test_a_list_is_converted_into_the_array_the_payoff_keeps():
+    values = [float(r % 7) for r in range(factorial(9))]
+    tracemalloc.start()
+    try:
+        f = PayoffFn(9, values)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert f.values.base is None and not f.values.flags.writeable
+    assert f.values.tolist() == values
+    assert peak < 1.5 * f.values.nbytes  # no second n!-sized copy
+
+
+def test_list_ints_convert_to_floats_past_int64_but_not_past_the_float_range():
+    assert PayoffFn(2, [2**70, 1]).values.tolist() == [float(2**70), 1.0]
+    with pytest.raises(ValueError, match="payoff values must be finite"):
+        PayoffFn(2, [10**400, 1])
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: CfmmModel(deltas=(1, True)),
+        lambda: CfmmModel(deltas=(1, 2), p0=True),
+        lambda: CfmmModel(deltas=(1.0, "2")),
+        lambda: CfmmModel(deltas=(1.0, 2.0), gamma=None),
+        lambda: LiquidationModel(k=True, c=True),
+        lambda: LiquidationModel(k=1.5, c=1),
+        lambda: LiquidationModel(k=2, c=1.0),
+        lambda: JuntaTerm(((1, 1),), coefficient=True),
+        lambda: JuntaTerm(((1, 1),), coefficient="2"),
+    ],
+    ids=["cfmm-bool-delta", "cfmm-bool-p0", "cfmm-str-delta", "cfmm-none-gamma",
+         "liquidation-bools", "liquidation-float-k", "liquidation-float-c",
+         "junta-bool-coefficient", "junta-str-coefficient"],
+)
+def test_model_arguments_must_be_numbers_of_their_kind(build):
+    with pytest.raises(ValueError, match="must be"):
+        build()
 
 
 def test_random_sparse_validation():

@@ -262,6 +262,10 @@ def test_simulate_validation():
         simulate(3, 3, "quantum")
     with pytest.raises(ValueError):
         simulate(0, 3)
+    # True would pass as one validator, and 2.0 would reach range()
+    for n_tx, n_validators in ((3, True), (True, 3), (3, 2.0), (3.0, 2)):
+        with pytest.raises(ValueError, match="counts must be integers"):
+            simulate(n_tx, n_validators)
 
 
 def test_vote_profile_validation():

@@ -1,3 +1,6 @@
+import tracemalloc
+from math import factorial
+
 import numpy as np
 import pytest
 
@@ -23,6 +26,42 @@ def test_size_must_be_an_exact_integer():
         with pytest.raises(ValueError, match="n must be an integer"):
             OrderingSet(n, [0])
     assert OrderingSet(np.int64(3), [0, 5]).members.tolist() == [0, 5]
+
+
+@pytest.mark.parametrize(
+    "members",
+    [[0, True], [0, 1.0], [0, None], [[0], [1]], [0, "1"], (0, np.bool_(True))],
+    ids=["bool", "float", "none", "nested", "str", "numpy-bool"],
+)
+def test_list_members_must_be_integers(members):
+    # numpy would read [0, True] as the ranks 0 and 1
+    with pytest.raises(ValueError, match="members must be a 1-D sequence of integer ranks"):
+        OrderingSet(3, members)
+    with pytest.raises(ValueError, match="members must be a 1-D sequence of integer ranks"):
+        OrderingSet.from_ranks(3, members)
+
+
+def test_lists_of_numpy_integers_give_the_same_members():
+    python = OrderingSet(4, [0, 3, 17])
+    for members in ([np.int64(0), np.uint8(3), np.int32(17)], (np.int16(0), 3, np.uint64(17))):
+        numpy = OrderingSet(4, members)
+        assert numpy.members.dtype == python.members.dtype == np.int64
+        assert numpy.members.tolist() == python.members.tolist()
+        assert OrderingSet.from_ranks(4, members[::-1]) == python
+
+
+def test_a_list_is_converted_into_the_array_the_set_keeps():
+    members = list(range(0, factorial(9), 2))
+    tracemalloc.start()
+    try:
+        s = OrderingSet(9, members)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert s.members.base is None and not s.members.flags.writeable
+    assert s.members.tolist() == members
+    # one n!/2-sized int64 array and small temporaries, not a second copy
+    assert peak < 1.5 * s.members.nbytes
 
 
 def test_from_ranks_sorts_and_dedups():

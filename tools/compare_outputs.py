@@ -55,6 +55,8 @@ def _winner_cycle9() -> dict:
 # commands run.  The CRLF files carry non-ASCII text in an unused key, and
 # the lone-CR payoff is malformed: its error names a line and column.  The
 # two huge payoffs are finite but past the magnitude a transform can take.
+# Ints past int64 are exact in JSON: a payoff takes them as floats, and a
+# set rejects them.
 INPUTS = {
     "votes_unanimous6.json": _json({"n_tx": 6, "validators": [[2, 1, 3, 4, 5, 6]] * 3}),
     "votes_split5.json": _json({
@@ -75,6 +77,9 @@ INPUTS = {
     "payoff_cr.json": b'{"n": 2,\r "note": "\xc3\xa9",\r "values": [1.0,\r 2.0,]}',
     "payoff_huge4.json": _json({"n": 4, "values": [1e160] + [0.0] * 23}),
     "payoff_huge3.json": _json({"n": 3, "values": [1e308] * 6}),
+    "payoff_int70.json": _json({"n": 2, "values": [2**70, 1]}),
+    "set_int70.json": _json({"n": 2, "members": [0, 2**70]}),
+    "set_int63.json": _json({"n": 2, "members": [0, 2**63]}),
 }
 
 
@@ -152,6 +157,8 @@ def _commands() -> list[list[str]]:
         ["gen-payoff", "--model", "indicator", "--set", "family6.json", "--out", "ind_family6.json"],
         ["gen-payoff", "--model", "indicator", "--set", "family7.json", "--out", "ind_family7.json"],
         ["gen-payoff", "--model", "indicator", "--set", "family8.json", "--out", "ind_family8.json"],
+        ["gen-payoff", "--model", "indicator", "--set", "set_int70.json"],
+        ["gen-payoff", "--model", "indicator", "--set", "set_int63.json"],
         ["transform", "--payoff", "random6.json", "--out", "spec6.json", "--csv", "spec6.csv"],
         ["transform", "--payoff", "cfmm7.json", "--out", "spec7.json", "--csv", "spec7.csv"],
         ["transform", "--payoff", "sparse5.json"],
@@ -159,6 +166,7 @@ def _commands() -> list[list[str]]:
         ["transform", "--payoff", "payoff_huge4.json", "--csv", "spec_huge4.csv"],
         ["transform", "--payoff", "payoff_huge3.json", "--out", "spec_huge3.json",
          "--csv", "spec_huge3.csv"],
+        ["transform", "--payoff", "payoff_int70.json", "--out", "spec_int70.json"],
         # 2-D blocks up to 90 x 90
         ["transform", "--payoff", "cfmm8.json", "--out", "spec8.json", "--csv", "spec8.csv"],
         # blocks up to 216 x 216, from generators built above n = 8
