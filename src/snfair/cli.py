@@ -19,7 +19,10 @@ rather than hashlib's OpenSSL, so that reading a file does not load
 libcrypto.
 
 This module parses arguments and formats results; the analysis is in the
-layers and the verify suites in :mod:`snfair.verify`.  It imports none
+layers and the verify suites in :mod:`snfair.verify`.  Each ``cmd_*``
+function writes nothing: it returns its JSON payload, its CSV rows and
+its stderr summary line (None where it has none), and ``main`` writes
+every output, in that order, through one path.  It imports none
 of them at module scope: each command imports the layers it runs when
 it starts, so ``--version`` and ``--help`` load no numpy and
 ``simulate`` never loads the Fourier stack.
@@ -42,6 +45,7 @@ ever built.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import io
 import json
 import re
@@ -205,13 +209,9 @@ def _write_json(write, obj, pad: str) -> None:
 
 def _emit(payload: dict, out: str | None) -> None:
     """Write payload as indented, key-sorted JSON without building the text."""
-    if out:
-        with open(out, "w") as fh:
-            _write_json(fh.write, payload, "")
-            fh.write("\n")
-    else:
-        _write_json(sys.stdout.write, payload, "")
-        sys.stdout.write("\n")
+    with open(out, "w") if out else contextlib.nullcontext(sys.stdout) as fh:
+        _write_json(fh.write, payload, "")
+        fh.write("\n")
 
 
 def _emit_csv(rows: list[dict], path: str) -> None:
@@ -268,7 +268,7 @@ def _spectrum_rows(spec) -> list[dict]:
 # ---------------------------------------------------------------- commands
 
 
-def cmd_gen_payoff(args: argparse.Namespace) -> int:
+def cmd_gen_payoff(args: argparse.Namespace) -> tuple[dict, None, str]:
     from .payoffs import (
         CfmmModel,
         JuntaTerm,
@@ -305,31 +305,22 @@ def cmd_gen_payoff(args: argparse.Namespace) -> int:
             args.n, seed=args.seed, dist=args.dist, nonzero=args.nonzero
         )
 
-    payload = {"n": payoff.n, "values": payoff.values, "metadata": _metadata(args)}
-    _emit(payload, args.out)
     vals = payoff.values
-    print(
+    summary = (
         f"n={payoff.n} orderings={vals.size} "
-        f"min={vals.min():.6g} max={vals.max():.6g} mean={vals.mean():.6g}",
-        file=sys.stderr,
+        f"min={vals.min():.6g} max={vals.max():.6g} mean={vals.mean():.6g}"
     )
-    return EXIT_OK
+    return {"n": payoff.n, "values": vals}, None, summary
 
 
-def cmd_transform(args: argparse.Namespace) -> int:
+def cmd_transform(args: argparse.Namespace) -> tuple[dict, list[dict] | None, None]:
     spec = _load_json(args, "payoff").spectrum
-    payload = {
-        "n": spec.n,
-        "blocks": [{"lambda": list(s), "matrix": m} for s, m in spec.blocks.items()],
-        "metadata": _metadata(args),
-    }
-    _emit(payload, args.out)
-    if args.csv:
-        _emit_csv(_spectrum_rows(spec), args.csv)
-    return EXIT_OK
+    blocks = [{"lambda": s, "matrix": m} for s, m in spec.blocks.items()]
+    rows = _spectrum_rows(spec) if args.csv else None
+    return {"n": spec.n, "blocks": blocks}, rows, None
 
 
-def cmd_analyze(args: argparse.Namespace) -> int:
+def cmd_analyze(args: argparse.Namespace) -> tuple[dict, list[dict] | None, None]:
     from dataclasses import asdict
 
     from .fairness import Analysis
@@ -357,14 +348,12 @@ def cmd_analyze(args: argparse.Namespace) -> int:
         report["upper_regime"] = None
         report["lower_regime"] = None
         report["note"] = pair.bounds_note
-    report["metadata"] = _metadata(args)
-    _emit(report, args.out)
-    if args.csv:
-        _emit_csv(_spectrum_rows(payoff.spectrum), args.csv)
-    return EXIT_OK
+    return report, _spectrum_rows(payoff.spectrum) if args.csv else None, None
 
 
-def cmd_simulate(args: argparse.Namespace) -> int:
+def cmd_simulate(args: argparse.Namespace) -> tuple[dict, None, str]:
+    from dataclasses import asdict
+
     from .sequencing import majority_graph, simulate, valid_orderings
 
     if args.votes is not None:
@@ -381,53 +370,39 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     admissible = valid_orderings(graph)
     largest_scc = max(map(len, graph.sccs))
     profile = admissible.profile
-    written = {"n_tx": votes.n_tx, "validators": [list(o) for o in votes.validators]}
-    payload = {"n": admissible.n, "members": admissible.members, "votes": written}
+    payload = {"n": admissible.n, "members": admissible.members, "votes": asdict(votes)}
     payload["stats"] = {
         "num_sccs": len(graph.sccs),
         "largest_scc": largest_scc,
         "has_cycle": graph.has_cycle,
-        "edges": [list(e) for e in sorted(graph.edges)],
-        "sccs": [list(c) for c in graph.sccs],
+        "edges": sorted(graph.edges),
+        "sccs": graph.sccs,
         "t_max": profile.t_max,
-        "common_pairs": [list(p) for p in profile.common_pairs],
+        "common_pairs": profile.common_pairs,
         "set_size": len(admissible),
     }
-    payload["metadata"] = _metadata(args)
-    _emit(payload, args.out)
-    print(
+    summary = (
         f"n_tx={votes.n_tx} validators={len(votes.validators)} "
         f"admissible={len(admissible)} sccs={len(graph.sccs)} "
-        f"largest_scc={largest_scc} cycle={graph.has_cycle} t_max={profile.t_max}",
-        file=sys.stderr,
+        f"largest_scc={largest_scc} cycle={graph.has_cycle} t_max={profile.t_max}"
     )
-    return EXIT_OK
+    return payload, None, summary
 
 
 # ---------------------------------------------------------------- verify
 
 
-def cmd_verify(args: argparse.Namespace) -> int:
+def cmd_verify(args: argparse.Namespace) -> tuple[dict, list[dict], str]:
     from .verify import SUITES
 
     _check_size(args.n, args.max_n)
     passed, rows = SUITES[args.suite](args.n, args.seed)
-    report = {
-        "suite": args.suite,
-        "n": args.n,
-        "passed": passed,
-        "cases": rows,
-        "metadata": _metadata(args),
-    }
-    _emit(report, args.out)
-    if args.csv:
-        _emit_csv(rows, args.csv)
-    print(
+    report = {"suite": args.suite, "n": args.n, "passed": passed, "cases": rows}
+    summary = (
         f"suite={args.suite} n={args.n} cases={len(rows)} "
-        f"passed={'yes' if passed else 'NO'}",
-        file=sys.stderr,
+        f"passed={'yes' if passed else 'NO'}"
     )
-    return EXIT_OK if passed else EXIT_CHECK_FAILED
+    return report, rows, summary
 
 
 # ---------------------------------------------------------------- parser
@@ -571,7 +546,14 @@ def main(argv=None) -> int:
         )
         args.input_hashes = {}  # filled by _load_json: label -> SHA-256 of the bytes read
         _read_flags(args)
-        return args.func(args)
+        payload, rows, summary = args.func(args)
+        payload["metadata"] = _metadata(args)
+        _emit(payload, args.out)
+        if getattr(args, "csv", None):
+            _emit_csv(rows, args.csv)
+        if summary:
+            print(summary, file=sys.stderr)
+        return EXIT_OK if payload.get("passed", True) else EXIT_CHECK_FAILED
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

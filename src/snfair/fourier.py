@@ -45,7 +45,8 @@ import numpy as np
 
 from .errors import DegenerateError
 from .partitions import dimension, partitions_of
-from .payoffs import PayoffFn
+from .payoffs import REAL, PayoffFn
+from .permutations import all_of
 from .representations import fft, fft_adjoint
 from .sets import owned_read_only
 
@@ -114,6 +115,8 @@ def degree(f: PayoffFn, tol: float = DEGREE_TOL) -> int:
     The threshold is relative: a block counts when its Frobenius norm
     exceeds tol * ||f||_2.  Undefined for the zero function.
     """
+    if not all_of((tol,), REAL):
+        raise ValueError(f"tol must be a real number, got {tol!r}")
     norm = float(np.linalg.norm(f.values))
     if norm == 0.0:
         raise DegenerateError("degree of the zero function is undefined")

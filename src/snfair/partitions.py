@@ -11,12 +11,51 @@ Standard tableaux of a shape are enumerated in last-letter order: tableaux
 are compared by the row index of n, then of n - 1, and so on.  This order
 makes the restriction from S_n to S_{n-1} block-structured, and it fixes
 the basis used by the representation matrices.
+
+The cached helpers here and in :mod:`snfair.representations` check their
+arguments' types before the cache lookup (:func:`checked_cache`): the
+cache compares keys by value, so ``(2, True)`` would find the entry of
+``(2, 1)``.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, wraps
 from math import factorial, prod
+
+import numpy as np
+
+from .permutations import all_of, is_integer
+
+
+def checked_cache(check, maxsize: int):
+    """lru_cache(maxsize) behind `check`, which is called with the same
+    arguments before every lookup and raises on a mistyped one."""
+
+    def decorate(fn):
+        cached = lru_cache(maxsize=maxsize)(fn)
+
+        @wraps(fn)
+        def checked(*args, **kwargs):
+            check(*args, **kwargs)
+            return cached(*args, **kwargs)
+
+        checked.cache_info, checked.cache_clear = cached.cache_info, cached.cache_clear
+        return checked
+
+    return decorate
+
+
+def _check_count(n: int) -> None:
+    if not is_integer(n):
+        raise ValueError(f"n must be an integer, got {n!r}")
+
+
+def _check_parts(shape: tuple[int, ...]) -> None:
+    """A shape's types, checked before a cache lookup; its values are
+    checked on a miss, as equal keys share one verdict."""
+    if type(shape) is not tuple or not all_of(shape, (int, np.integer)):
+        raise ValueError(f"a shape must be a tuple of integers, got {shape!r}")
 
 
 def _check_shape(shape: tuple[int, ...]) -> None:
@@ -28,7 +67,7 @@ def _check_shape(shape: tuple[int, ...]) -> None:
         raise ValueError(f"parts must be weakly decreasing: {shape!r}")
 
 
-@lru_cache(maxsize=64)
+@checked_cache(_check_count, maxsize=64)
 def partitions_of(n: int) -> tuple[tuple[int, ...], ...]:
     """All partitions of n in descending-lexicographic order."""
     if n < 1:
@@ -45,7 +84,7 @@ def partitions_of(n: int) -> tuple[tuple[int, ...], ...]:
     return tuple(gen(n, n))
 
 
-@lru_cache(maxsize=4096)
+@checked_cache(_check_parts, maxsize=4096)
 def dimension(shape: tuple[int, ...]) -> int:
     """Number of standard tableaux of the shape (hook length formula, exact)."""
     _check_shape(shape)
@@ -99,7 +138,7 @@ class StandardTableau:
         return tuple(row_of[v] for v in range(self.n, 0, -1))
 
 
-@lru_cache(maxsize=1024)
+@checked_cache(_check_parts, maxsize=1024)
 def standard_tableaux(shape: tuple[int, ...]) -> tuple[StandardTableau, ...]:
     """All standard tableaux of the shape, in last-letter order."""
     _check_shape(shape)

@@ -271,6 +271,9 @@ def word_blocks(n: int, ranks=None):
     if ranks is None:
         count, q0, q1 = size, 0, None
     else:
+        # numpy would read True as 1; an integer array cannot hold a bool
+        if isinstance(ranks, (list, tuple)) and not all_of(ranks, (int, np.integer)):
+            raise ValueError("ranks must be a 1-D integer array")
         ranks = np.asarray(ranks)
         if ranks.ndim != 1 or ranks.dtype.kind not in "iu":
             raise ValueError("ranks must be a 1-D integer array")

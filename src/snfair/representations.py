@@ -74,8 +74,8 @@ from math import factorial, sqrt
 
 import numpy as np
 
-from .partitions import dimension, partitions_of, standard_tableaux
-from .permutations import Permutation, group_order, rank_of_word, word_blocks
+from .partitions import checked_cache, dimension, partitions_of, standard_tableaux
+from .permutations import Permutation, group_order, is_integer, rank_of_word, word_blocks
 
 # Shapes of at most this many boxes keep their coset matrices for the
 # process.  Level k holds k * k! floats over all its shapes, so levels
@@ -87,7 +87,13 @@ _CACHED_LEVEL = 7
 _coset_cache: dict[tuple[int, ...], tuple[np.ndarray, tuple]] = {}
 
 
-@lru_cache(maxsize=4096)
+def _check_generator(shape: tuple[int, ...], k: int) -> None:
+    dimension(shape)  # the shape's check
+    if not is_integer(k):
+        raise ValueError(f"k must be an integer, got {k!r}")
+
+
+@checked_cache(_check_generator, maxsize=4096)
 def adjacent_generator(shape: tuple[int, ...], k: int) -> np.ndarray:
     """Matrix of the adjacent transposition (k, k+1) on the shape's module."""
     n = sum(shape)
@@ -188,8 +194,8 @@ def _young(shape: tuple[int, ...]):
 
 
 def _coset_matrices(shape: tuple[int, ...]):
-    """evaluate(shape, c_j) for j = 1..k stacked, and the (mu, offset) of each
-    block of the restriction to S_{k-1}, top row's corner first.  Kept
+    """evaluate(shape, c_j) for j = 1..k stacked, and the (mu, offset, dim) of
+    each block of the restriction to S_{k-1}, top row's corner first.  Kept
     read-only for the process when k <= _CACHED_LEVEL, built afresh on
     every call otherwise."""
     if shape in _coset_cache:
@@ -205,8 +211,8 @@ def _coset_matrices(shape: tuple[int, ...]):
     corners = []
     offset = 0
     for _, mu in _corners(shape):
-        corners.append((mu, offset))
-        offset += dimension(mu)
+        corners.append((mu, offset, dimension(mu)))
+        offset += corners[-1][2]
     built = mats, tuple(corners)
     if k <= _CACHED_LEVEL:
         mats.setflags(write=False)
@@ -241,11 +247,10 @@ def fft(n: int, values: np.ndarray) -> dict[tuple[int, ...], np.ndarray]:
         built = {}
         for shape in partitions_of(k):
             mats, corners = _coset_matrices(shape)
-            d = dimension(shape)
+            d = mats.shape[1]
             stack = np.empty((cosets * d, d))
             out = stack.reshape(cosets, d, d)
-            for mu, off in corners:
-                e = dimension(mu)
+            for mu, off, e in corners:
                 sub = level[mu].reshape(cosets, k, e, e)
                 # out[o][:, mu cols] = sum_j mats[j][:, mu rows] @ sub[o, j]
                 part = np.tensordot(sub, mats[:, :, off : off + e], ([1, 2], [0, 2]))
@@ -268,8 +273,7 @@ def fft_adjoint(n: int, blocks: dict[tuple[int, ...], np.ndarray]) -> np.ndarray
         spread = {}
         for shape, g in level.items():
             mats, corners = _coset_matrices(shape)
-            for mu, off in corners:
-                e = dimension(mu)
+            for mu, off, e in corners:
                 # sub[o, j] = mats[j][:, mu rows].T @ g[o][:, mu cols]
                 cols = g[:, :, off : off + e]
                 sub = np.tensordot(cols, mats[:, :, off : off + e], ([1], [1]))

@@ -85,6 +85,9 @@ class OrderingSet:
         """The ranks where a length-n! boolean mask is True, gathered
         ROW_CHUNK mask entries at a time, so the members array is the only
         large array it makes."""
+        size = group_order(n)
+        if not isinstance(keep, np.ndarray) or keep.dtype != bool or keep.shape != (size,):
+            raise ValueError(f"the mask must be a 1-D bool array of length {size}")
         ranks = np.empty(np.count_nonzero(keep), dtype=np.int64)
         filled = 0
         for rows in row_chunks(len(keep)):

@@ -1,5 +1,6 @@
 """End-to-end checks of the command-line interface via its main() entry."""
 import argparse
+import ast
 import contextlib
 import errno
 import gc
@@ -817,6 +818,27 @@ def test_analyze_reports_bounds_only_for_nonnegative_nonzero_restrictions(
     assert reason in report["note"]
     assert report["uncertainty_bound"] is None
     assert report["upper_regime"] is None and report["lower_regime"] is None
+
+
+def test_main_alone_writes_every_output():
+    # Each command returns its payload, CSV rows and summary line, and
+    # main writes them: one call of each writer, and no cmd_* prints or
+    # touches sys.stdout or sys.stderr.
+    with open(snfair.cli.__file__) as fh:
+        tree = ast.parse(fh.read())
+    callers = {"_emit": [], "_emit_csv": [], "_metadata": [], "print": [], "sys": []}
+    for fn in tree.body:
+        if isinstance(fn, ast.FunctionDef):
+            for node in ast.walk(fn):
+                if isinstance(node, ast.Call) and isinstance(node.func, ast.Name):
+                    callers.get(node.func.id, []).append(fn.name)
+                elif isinstance(node, ast.Name) and node.id == "sys":
+                    callers["sys"].append(fn.name)
+    assert callers["_emit"] == callers["_emit_csv"] == callers["_metadata"] == ["main"]
+    assert [name for name in callers["print"] + callers["sys"] if name.startswith("cmd_")] == []
+    commands = [fn.name for fn in tree.body
+                if isinstance(fn, ast.FunctionDef) and fn.name.startswith("cmd_")]
+    assert len(commands) == 5
 
 
 def test_emit_writes_numpy_values_as_their_builtins(tmp_path):

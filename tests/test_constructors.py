@@ -3,9 +3,7 @@
 Each call below is given valid arguments, then one argument or one list
 element is replaced: by a bool, a string or None anywhere, and by a
 float where an integer belongs.  The call must raise ValueError or
-TypeError, never return.  The partition helpers are not listed: they are
-cached by value, so True finds the entry of 1, and the library passes
-them only shapes it made itself.
+TypeError, never return.
 """
 import copy
 
@@ -15,7 +13,9 @@ from hypothesis import strategies as st
 
 from snfair.cayley import SymmetricSet
 from snfair.fairness import Analysis, nested_stabilizer_instance
+from snfair.fourier import degree
 from snfair.intersecting import stabilizer_set
+from snfair.partitions import dimension, partitions_of, standard_tableaux
 from snfair.payoffs import (
     CfmmModel,
     JuntaTerm,
@@ -24,7 +24,16 @@ from snfair.payoffs import (
     junta_payoff,
     random_payoff,
 )
-from snfair.permutations import Permutation, enumerate_group, group_order, lehmer_unrank, seeded
+from snfair.permutations import (
+    Permutation,
+    enumerate_group,
+    group_order,
+    lehmer_unrank,
+    seeded,
+    word_blocks,
+    words,
+)
+from snfair.representations import adjacent_generator, evaluate
 from snfair.sequencing import VoteProfile, simulate
 from snfair.sets import OrderingSet
 
@@ -41,6 +50,19 @@ CALLS = {
     "enumerate_group": (lambda n: list(enumerate_group(n)), [3], [(0,)], []),
     "group_order": (group_order, [3], [(0,)], []),
     "seeded": (seeded, [3], [(0,)], []),
+    "words": (words, [3, [0, 4]], [(0,), (1, 0), (1, 1)], []),
+    "word_blocks": (lambda n, ranks: list(word_blocks(n, ranks)), [3, [0, 4]],
+                    [(0,), (1, 0), (1, 1)], []),
+    # cached: each checks its arguments before the lookup, where (2, True)
+    # would find the entry of (2, 1)
+    "partitions_of": (partitions_of, [3], [(0,)], []),
+    "dimension": (lambda shape: dimension(tuple(shape)), [[2, 1]], [(0, 0), (0, 1)], []),
+    "standard_tableaux": (lambda shape: standard_tableaux(tuple(shape)), [[2, 1]],
+                          [(0, 0), (0, 1)], []),
+    "adjacent_generator": (lambda shape, k: adjacent_generator(tuple(shape), k), [[2, 1], 1],
+                           [(0, 0), (0, 1), (1,)], []),
+    "evaluate": (lambda shape: evaluate(tuple(shape), Permutation((2, 1, 3))), [[2, 1]],
+                 [(0, 0), (0, 1)], []),
     "OrderingSet": (OrderingSet, [3, [0, 4]], [(0,), (1, 0), (1, 1)], []),
     "OrderingSet.from_ranks": (OrderingSet.from_ranks, [3, [4, 0, 4]],
                                [(0,), (1, 0), (1, 1), (1, 2)], []),
@@ -69,6 +91,7 @@ CALLS = {
     "nested_stabilizer_instance": (nested_stabilizer_instance, [4, 1, 2],
                                    [(0,), (1,), (2,)], []),
     "Analysis": (lambda tol: Analysis(PAYOFF, MEMBERS, tol), [1e-9], [], [(0,)]),
+    "degree": (lambda tol: degree(PAYOFF, tol), [1e-9], [], [(0,)]),
 }
 
 NOT_A_NUMBER = st.one_of(st.booleans(), st.text(max_size=3), st.none())
@@ -88,6 +111,17 @@ def _replaced(args, path, value):
 def test_each_call_returns_on_its_valid_arguments(name):
     call, args, _, _ = CALLS[name]
     call(*copy.deepcopy(args))
+
+
+@pytest.mark.parametrize("name, path", [
+    pytest.param(name, path, id=f"{name}-{'.'.join(map(str, path))}")
+    for name in sorted(CALLS) for path in sum(CALLS[name][2:], [])
+])
+def test_true_in_any_slot_raises(name, path):
+    # the one mistyped value that numpy and the caches read as a valid 1
+    call, args, _, _ = CALLS[name]
+    with pytest.raises((ValueError, TypeError)):
+        call(*_replaced(args, path, True))
 
 
 @settings(max_examples=400, deadline=None)

@@ -151,6 +151,19 @@ def test_from_mask_gathers_across_chunks(monkeypatch):
     assert OrderingSet.from_mask(6, keep).members.tolist() == np.flatnonzero(keep).tolist()
 
 
+@pytest.mark.parametrize("keep", [
+    pytest.param(np.ones(5, dtype=bool), id="short"),
+    pytest.param(np.ones(7, dtype=bool), id="long"),
+    pytest.param(np.ones(6), id="float"),
+    pytest.param(np.ones(6, dtype=np.int8), id="int8"),
+    pytest.param(np.ones((2, 3), dtype=bool), id="2-d"),
+    pytest.param([True] * 6, id="list"),
+])
+def test_from_mask_takes_only_a_bool_array_of_length_n_factorial(keep):
+    with pytest.raises(ValueError, match="1-D bool array of length 6"):
+        OrderingSet.from_mask(3, keep)
+
+
 def test_from_ranks_takes_unsorted_numpy_input_with_duplicates():
     ranks = np.array([23, 4, 4, 0, 23, 7, 0], dtype=np.int32)
     s = OrderingSet.from_ranks(4, ranks)

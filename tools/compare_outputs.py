@@ -162,6 +162,8 @@ def _commands() -> list[list[str]]:
         ["transform", "--payoff", "random6.json", "--out", "spec6.json", "--csv", "spec6.csv"],
         ["transform", "--payoff", "cfmm7.json", "--out", "spec7.json", "--csv", "spec7.csv"],
         ["transform", "--payoff", "sparse5.json"],
+        # JSON to stdout while the CSV goes to a file
+        ["transform", "--payoff", "sparse5.json", "--csv", "spec5.csv"],
         ["transform", "--payoff", "payoff_cr.json"],
         ["transform", "--payoff", "payoff_huge4.json", "--csv", "spec_huge4.csv"],
         ["transform", "--payoff", "payoff_huge3.json", "--out", "spec_huge3.json",
@@ -215,6 +217,7 @@ def _commands() -> list[list[str]]:
         ["verify", "--suite", "eigenvalue", "--n", "1"],
         ["verify", "--suite", "claim1", "--n", "1"],
         ["verify", "--suite", "claim2", "--n", "3"],
+        ["verify", "--suite", "claim2", "--n", "4", "--csv", "claim2_4.csv"],
     ]
     # the dense cross-check of the eigenvalue suite at its smallest sizes
     for n in (2, 3):
