@@ -27,8 +27,9 @@ sinf = max over all blocks of sigma_max.  The support-spread inequality
 holds for every nonzero payoff, with equality for point masses and for
 constants.
 
-A payoff keeps its transform (``PayoffFn.spectrum``) and a spectrum its
-Schatten summary (``FourierSpectrum.schatten``), both read-only.
+A payoff keeps its transform (``PayoffFn.spectrum``), a spectrum its
+Schatten summary (``FourierSpectrum.schatten``), both read-only, and its
+blocks by :func:`snfair.permutations.owned_read_only`.
 
 The only size limit is :func:`snfair.permutations.group_order`, which
 every :class:`~snfair.payoffs.PayoffFn` passes on construction.
@@ -46,9 +47,8 @@ import numpy as np
 from .errors import DegenerateError
 from .partitions import dimension, partitions_of
 from .payoffs import REAL, PayoffFn
-from .permutations import all_of
+from .permutations import all_of, owned_read_only
 from .representations import fft, fft_adjoint
-from .sets import owned_read_only
 
 # Relative: a block counts toward the degree when its Frobenius norm
 # exceeds DEGREE_TOL * ||f||_2.  Blocks that are zero in exact arithmetic
@@ -71,9 +71,8 @@ SUPPORT_SPREAD_TOL = 1e-9
 
 @dataclass(frozen=True, eq=False)
 class FourierSpectrum:
-    """Read-only blocks (:func:`snfair.sets.owned_read_only`), one per
-    partition of n in canonical order; its `schatten` summary is computed
-    on first use and kept."""
+    """Read-only blocks, one per partition of n in canonical order; its
+    `schatten` summary is computed on first use and kept."""
 
     n: int
     blocks: Mapping[tuple[int, ...], np.ndarray]

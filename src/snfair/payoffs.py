@@ -3,8 +3,8 @@
 Every generator returns a dense :class:`PayoffFn` whose entry at rank r
 is the payoff of the ordering with that rank, handing its values over
 read-only so that the payoff keeps them without a copy; a list of values
-is typed (ints and floats, no bools) and converted to floats once.  The
-CFMM, liquidation and random families produce nonnegative values; a
+is typed (no bools) and converted once, both by :mod:`snfair.permutations`.
+The CFMM, liquidation and random families produce nonnegative values; a
 junta payoff is negative wherever a term with a negative coefficient holds.
 
 CFMM sandwich-style model: n labeled trades with signed sizes; executing
@@ -35,8 +35,9 @@ import numpy as np
 
 from .errors import ModelValidityError
 from .intersecting import stabilizer_set
-from .permutations import all_of, group_order, is_integer, seeded, uniform, word_blocks
-from .sets import OrderingSet, owned_read_only
+from .permutations import (all_of, group_order, is_integer, owned_read_only, seeded,
+                           typed_array, uniform, word_blocks)
+from .sets import OrderingSet
 
 if TYPE_CHECKING:
     from .fourier import FourierSpectrum
@@ -61,15 +62,9 @@ class PayoffFn:
     def __post_init__(self) -> None:
         size = group_order(self.n)
         raw = self.values
-        if isinstance(raw, (list, tuple)):
-            # Typed, then converted once: numpy would read True as 1.0.
-            if not all_of(raw, REAL):
-                raise ValueError("payoff values must be real numbers")
-            try:
-                raw = np.array(raw, dtype=float)
-            except OverflowError:  # an int past the float range, as 1e400 is inf
-                raise ValueError("payoff values must be finite")
-            raw.setflags(write=False)
+        if isinstance(raw, (list, tuple)):  # an int past the float range is not finite
+            raw = typed_array(raw, REAL, float, "payoff values must be real numbers",
+                              "payoff values must be finite")
         raw = np.asarray(raw)
         # Strings, bools, objects and complex numbers would be coerced to floats.
         if raw.dtype.kind not in "iuf":

@@ -28,6 +28,10 @@ a few ROW_CHUNK x n arrays, about 1 MB at n = 10, and each row goes
 through the same operations in the same order as in one whole-array
 pass, so every value comes out the same.  :func:`words` gathers the
 blocks into one array for the callers that need one.
+Every input becomes a kept array here: :func:`typed_array` converts a
+typed list once, :func:`owned_read_only` keeps or copies an array once,
+and :func:`rank_array`, the one rank check, does both for ordering sets'
+members and the ranks :func:`word_blocks` reads.
 
 Seeded values, for random payoffs, votes and the verify suites' cases,
 all come from :func:`seeded`, and uniform floats from :func:`uniform`,
@@ -191,6 +195,29 @@ def all_of(items, kinds) -> bool:
     return all(issubclass(kind, kinds) and kind is not bool for kind in set(map(type, items)))
 
 
+def typed_array(items, kinds, dtype, mistyped: str, past_range: str) -> np.ndarray:
+    """A list or tuple as a read-only `dtype` array, converted once.  Raises
+    ValueError(mistyped) unless each item is one of `kinds` and no bool (numpy
+    reads True as 1), and ValueError(past_range) for an int `dtype` cannot hold."""
+    if not all_of(items, kinds):
+        raise ValueError(mistyped)
+    try:
+        out = np.array(items, dtype=dtype)
+    except OverflowError:
+        raise ValueError(past_range) from None
+    out.setflags(write=False)
+    return out
+
+
+def owned_read_only(raw, dtype=None) -> np.ndarray:
+    """`raw` as a read-only array, kept as given when it is one that owns
+    its memory (and has the dtype), else converted or copied once."""
+    owned = isinstance(raw, np.ndarray) and raw.base is None and not raw.flags.writeable
+    out = np.asarray(raw, dtype=dtype) if owned else np.array(raw, dtype=dtype)
+    out.setflags(write=False)
+    return out
+
+
 def seeded(seed) -> random.Random:
     """The package's one source of seeded values: CPython's Mersenne Twister.
 
@@ -247,12 +274,35 @@ def group_order(n: int) -> int:
     return factorial(n)
 
 
+def rank_array(n: int, raw, sort: bool = False) -> np.ndarray:
+    """Strictly increasing ranks of S_n as a read-only int64 array (by
+    :func:`typed_array` and :func:`owned_read_only`) from a list, tuple, 1-D
+    integer or empty array; `sort` sorts and drops repeats before the check."""
+    size = group_order(n)
+    mistyped = "members must be a 1-D sequence of integer ranks"
+    if isinstance(raw, (list, tuple)):
+        raw = typed_array(raw, (int, np.integer), np.int64, mistyped, mistyped)
+    raw = np.asarray(raw)
+    if raw.ndim != 1 or raw.size and raw.dtype.kind not in "iu":
+        raise ValueError(mistyped)
+    if sort:  # not np.unique, whose first call imports numpy.ma (over 1 MB resident)
+        raw = np.sort(raw.astype(np.int64, copy=False))
+        keep = np.ones(raw.shape, dtype=bool)
+        keep[1:] = raw[1:] != raw[:-1]
+        raw = raw[keep]
+        raw.setflags(write=False)
+    ranks = owned_read_only(raw, np.int64)
+    if ranks.size and (ranks[0] < 0 or ranks[-1] >= size or np.any(ranks[1:] <= ranks[:-1])):
+        raise ValueError(f"members must be strictly increasing ranks in [0, {size})")
+    return ranks
+
+
 def word_blocks(n: int, ranks=None):
     """Yield (rows, words) for the one-line words of S_n, at most ROW_CHUNK
     rows at a time.
 
-    `ranks` is a strictly increasing 1-D integer array (an ordering set's
-    members), or None for all of S_n.  With m = min(n, WORD_TABLE_N), the
+    `ranks` are an ordering set's members, as :func:`rank_array` checks
+    them, or None for all of S_n.  With m = min(n, WORD_TABLE_N), the
     m! ranks that share the q-th (n - m)-letter prefix form prefix block q:
     rank q * m! + s is that prefix, then row s of group_matrix(m)
     relabelled onto the letters the prefix leaves free (t += t >= a for
@@ -271,15 +321,8 @@ def word_blocks(n: int, ranks=None):
     if ranks is None:
         count, q0, q1 = size, 0, None
     else:
-        # numpy would read True as 1; an integer array cannot hold a bool
-        if isinstance(ranks, (list, tuple)) and not all_of(ranks, (int, np.integer)):
-            raise ValueError("ranks must be a 1-D integer array")
-        ranks = np.asarray(ranks)
-        if ranks.ndim != 1 or ranks.dtype.kind not in "iu":
-            raise ValueError("ranks must be a 1-D integer array")
+        ranks = rank_array(n, ranks)
         count = len(ranks)
-        if count and (ranks[0] < 0 or ranks[-1] >= size or np.any(ranks[1:] <= ranks[:-1])):
-            raise ValueError(f"ranks must be strictly increasing and in [0, {size})")
         q0, q1 = (int(ranks[0]) // stride, int(ranks[-1]) // stride + 1) if count else (0, 0)
     if not head and ranks is None:
         for rows in row_chunks(size):

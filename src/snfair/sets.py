@@ -7,16 +7,11 @@ binary search in it; the rows of :meth:`OrderingSet.matrix` are the
 members' one-line words.  It keeps its agreement `profile`,
 scanned on first use.
 
-The members array is made at most once.  A read-only int64 array that
-owns its memory is kept as given: nothing can write to it without first
-clearing its read-only flag, as is true of any array the set keeps.  A
-list is typed (integers, no bools) and converted once; any other input
-(a writable array, a view that a writable array may alias, another
-dtype) is copied once, so later writes by the caller cannot reach the
-set.  Payoffs and spectra keep their arrays by the same rule,
-:func:`owned_read_only`.  :meth:`OrderingSet.from_ranks`,
-:meth:`OrderingSet.from_mask` and :meth:`OrderingSet.full_group` build
-their rank arrays themselves and hand them over that way.
+The members array is made once, by the package's one rank rule,
+:func:`snfair.permutations.rank_array`: a list is typed and converted,
+and an array is kept if it is read-only and owns its memory, else
+copied, so later writes by the caller cannot reach the set.
+:meth:`OrderingSet.from_ranks` sorts and drops repeats first.
 """
 from __future__ import annotations
 
@@ -26,34 +21,10 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .permutations import all_of, group_order, row_chunks, words
+from .permutations import group_order, rank_array, row_chunks, words
 
 if TYPE_CHECKING:
     from .intersecting import IntersectionProfile
-
-
-def _rank_array(raw) -> np.ndarray:
-    """`raw` as a 1-D integer array, typed first if a list (numpy reads True as 1)."""
-    if not isinstance(raw, (list, tuple)):
-        raw = np.asarray(raw)
-    elif all_of(raw, (int, np.integer)):
-        try:
-            raw = np.array(raw, dtype=np.int64)
-            raw.setflags(write=False)  # so that owned_read_only keeps it
-        except OverflowError:  # a rank past int64: the list is rejected below
-            pass
-    if not isinstance(raw, np.ndarray) or raw.ndim != 1 or raw.size and raw.dtype.kind not in "iu":
-        raise ValueError("members must be a 1-D sequence of integer ranks")
-    return raw
-
-
-def owned_read_only(raw, dtype=None) -> np.ndarray:
-    """`raw` as a read-only array, kept as given when it is one that owns
-    its memory (and has the dtype), else converted or copied once."""
-    owned = isinstance(raw, np.ndarray) and raw.base is None and not raw.flags.writeable
-    out = np.asarray(raw, dtype=dtype) if owned else np.array(raw, dtype=dtype)
-    out.setflags(write=False)
-    return out
 
 
 @dataclass(frozen=True, eq=False)
@@ -64,21 +35,12 @@ class OrderingSet:
     members: np.ndarray
 
     def __post_init__(self) -> None:
-        size = group_order(self.n)
-        ranks = owned_read_only(_rank_array(self.members), np.int64)
-        if ranks.size and (ranks[0] < 0 or ranks[-1] >= size or np.any(ranks[1:] <= ranks[:-1])):
-            raise ValueError(f"members must be strictly increasing ranks in [0, {size})")
-        object.__setattr__(self, "members", ranks)
+        object.__setattr__(self, "members", rank_array(self.n, self.members))
 
     @classmethod
     def from_ranks(cls, n: int, ranks) -> "OrderingSet":
         """The set of the given ranks, in any order and with repeats."""
-        ranks = np.sort(_rank_array(ranks).astype(np.int64, copy=False))
-        keep = np.ones(ranks.shape, dtype=bool)
-        keep[1:] = ranks[1:] != ranks[:-1]
-        ranks = ranks[keep]
-        ranks.setflags(write=False)
-        return cls(n, ranks)
+        return cls(n, rank_array(n, ranks, sort=True))
 
     @classmethod
     def from_mask(cls, n: int, keep: np.ndarray) -> "OrderingSet":

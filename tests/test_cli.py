@@ -552,6 +552,14 @@ def test_transform_config_records_only_the_flags_it_reads(tmp_path):
         (["gen-payoff", "--model", "indicator", "--set", "{path}"],
          {"n": 3, "members": [0, 2**70]},
          "malformed ordering set file {path}: members must be a 1-D sequence of integer ranks"),
+        (["gen-payoff", "--model", "indicator", "--set", "{path}"], {"n": 3, "members": [4, 1]},
+         "malformed ordering set file {path}: members must be strictly increasing ranks in [0, 6)"),
+        (["gen-payoff", "--model", "indicator", "--set", "{path}"], {"n": 3, "members": [1, 1]},
+         "malformed ordering set file {path}: members must be strictly increasing ranks in [0, 6)"),
+        (["gen-payoff", "--model", "indicator", "--set", "{path}"], {"n": 3, "members": [-1, 0]},
+         "malformed ordering set file {path}: members must be strictly increasing ranks in [0, 6)"),
+        (["gen-payoff", "--model", "indicator", "--set", "{path}"], {"n": 3, "members": [0, 6]},
+         "malformed ordering set file {path}: members must be strictly increasing ranks in [0, 6)"),
         (["transform", "--payoff", "{path}"], {"n": 2, "values": [None, 1]},
          "malformed payoff file {path}: payoff values must be real numbers"),
         (["analyze", "--payoff", "{path}", "--set", "{path}", "--tol", "nan"], None, "--tol"),
@@ -658,7 +666,8 @@ def test_transform_config_records_only_the_flags_it_reads(tmp_path):
     ids=["no-n", "top-level-list", "float-n", "bool-n", "string-n", "huge-n", "verify-n0",
          "float-member", "bool-member", "scalar-members", "float-vote", "scalar-validators",
          "string-value", "bool-value", "scalar-values", "null-member", "nested-members",
-         "member-past-int64", "null-value", "tol-nan", "tol-inf", "tol-negative",
+         "member-past-int64", "unsorted-members", "repeated-member", "negative-member",
+         "member-past-n-factorial", "null-value", "tol-nan", "tol-inf", "tol-negative",
          "analyze-tol-inf", "analyze-tol-negative", "seed-negative", "payoff-is-dir",
          "out-dir-missing", "csv-dir-missing",
          "verify-out-is-dir", "float-past-range-value", "int-past-float-value",
@@ -1097,6 +1106,28 @@ def test_seeded_commands_load_neither_numpy_random_nor_openssl(tmp_path):
         if loaded & {"numpy.random", "_hashlib"}:
             offenders[" ".join(argv)] = sorted(loaded & {"numpy.random", "_hashlib"})
     assert offenders == {}
+
+
+def test_no_command_loads_numpy_ma(tmp_path):
+    # np.unique's first call imports numpy.ma, over 1 MB resident: ordering
+    # sets drop repeated ranks by sorting and a neighbour mask instead.
+    # The eigenvalue suite reaches OrderingSet.from_ranks through symmetrize.
+    paths = _path_inputs(tmp_path)
+    commands = [["verify", "--suite", suite, "--n", "4"] for suite in VERIFY_SUITES]
+    commands += [
+        ["gen-payoff", "--model", "indicator", "--set", paths["set"]],
+        ["analyze", "--payoff", paths["payoff"], "--set", paths["set"]],
+        ["simulate", "--n-tx", "4"],
+        ["simulate", "--votes", paths["votes"]],
+    ]
+    offenders = []
+    for i, argv in enumerate(commands):
+        out = tmp_path / f"out{i}.json"
+        loaded = _modules_loaded_by(*argv, "--out", str(out))
+        assert out.exists() and "numpy" in loaded  # the command ran to its end
+        if "numpy.ma" in loaded:
+            offenders.append(" ".join(argv))
+    assert offenders == []
 
 
 def test_gen_payoff_loads_no_fourier_stack(tmp_path):

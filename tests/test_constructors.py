@@ -7,6 +7,7 @@ TypeError, never return.
 """
 import copy
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -29,7 +30,9 @@ from snfair.permutations import (
     enumerate_group,
     group_order,
     lehmer_unrank,
+    rank_array,
     seeded,
+    typed_array,
     word_blocks,
     words,
 )
@@ -50,6 +53,9 @@ CALLS = {
     "enumerate_group": (lambda n: list(enumerate_group(n)), [3], [(0,)], []),
     "group_order": (group_order, [3], [(0,)], []),
     "seeded": (seeded, [3], [(0,)], []),
+    "rank_array": (rank_array, [3, [0, 4]], [(0,), (1, 0), (1, 1)], []),
+    "typed_array": (lambda items: typed_array(items, (int, np.integer), np.int64, "type", "range"),
+                    [[0, 4]], [(0, 0), (0, 1)], []),
     "words": (words, [3, [0, 4]], [(0,), (1, 0), (1, 1)], []),
     "word_blocks": (lambda n, ranks: list(word_blocks(n, ranks)), [3, [0, 4]],
                     [(0,), (1, 0), (1, 1)], []),

@@ -1,4 +1,5 @@
 """Permutation arithmetic against hand oracles and brute-force enumeration."""
+import ast
 import itertools
 import random
 import re
@@ -11,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from snfair import permutations
+from snfair import permutations, sets
 from snfair.errors import CapacityError
 from snfair.permutations import (
     Permutation,
@@ -24,6 +25,7 @@ from snfair.permutations import (
     word_blocks,
     words,
 )
+from snfair.sets import OrderingSet
 
 
 def compose_oracle(p, q):
@@ -245,6 +247,57 @@ def test_words_reject_what_they_cannot_read_in_blocks():
         group_matrix(9)
 
 
+@st.composite
+def rank_inputs(draw):
+    """n in 1..7 and what a caller may pass as its ranks: a list, tuple or
+    array of ranks inside and outside [0, n!), sorted, as drawn or with a
+    repeat, an empty float array, or a list or tuple holding one mistyped
+    item (a bool, a float, None or a nested list)."""
+    n = draw(st.integers(1, 7))
+    ranks = draw(st.lists(st.integers(-2, factorial(n) + 1) | st.just(2**63), max_size=8))
+    order = draw(st.sampled_from(["sorted", "as drawn", "repeated"]))
+    if order == "sorted":
+        ranks = sorted(set(ranks))
+    elif order == "repeated":
+        ranks = sorted(ranks + ranks[:1])
+    kind = draw(st.sampled_from(["list", "tuple", "array", "empty float array"]))
+    if kind == "empty float array":
+        return n, np.array([])
+    if kind == "array":
+        return n, np.array([r for r in ranks if r < 2**63], dtype=np.int64)
+    odd = draw(st.sampled_from([[], [True], [1.0], [None], [[0]]]))
+    at = draw(st.integers(0, len(ranks)))
+    items = ranks[:at] + odd + ranks[at:]
+    return n, items if kind == "list" else tuple(items)
+
+
+@settings(max_examples=300, deadline=None)
+@given(rank_inputs())
+def test_words_take_exactly_the_ranks_an_ordering_set_takes(case):
+    n, raw = case
+    try:
+        expect = OrderingSet(n, raw).matrix()
+    except ValueError:
+        with pytest.raises(ValueError):
+            words(n, raw)
+        with pytest.raises(ValueError):
+            list(word_blocks(n, raw))
+        return
+    got = words(n, raw)
+    assert got.dtype == np.int8 and got.shape == (len(expect), n)
+    np.testing.assert_array_equal(got, expect)
+    assert b"".join(block.tobytes() for _, block in word_blocks(n, raw)) == got.tobytes()
+
+
+def test_no_ranks_give_no_words():
+    # an ordering set may be empty, whatever the dtype of its empty array
+    for empty in ([], (), np.array([]), np.array([], dtype=np.int64)):
+        got = words(3, empty)
+        assert got.dtype == np.int8 and got.shape == (0, 3)
+        assert list(word_blocks(3, empty)) == []
+        assert len(OrderingSet(3, empty)) == 0
+
+
 def test_every_group_sized_array_takes_its_length_from_group_order():
     # group_order checks n before returning n!, so no array of that size
     # can be allocated for an n the package does not enumerate.
@@ -283,6 +336,31 @@ def test_every_group_sized_array_takes_its_length_from_group_order():
             if "factorial(" in line:
                 uses.setdefault(path.name, []).append(line.strip())
     assert uses == scalar_uses
+
+
+def _functions_with(pattern):
+    """(module, innermost enclosing function) of each package source line
+    that matches `pattern`."""
+    found = []
+    for path in sorted(Path(permutations.__file__).parent.glob("*.py")):
+        text = path.read_text()
+        defs = [d for d in ast.walk(ast.parse(text)) if isinstance(d, ast.FunctionDef)]
+        for i, line in enumerate(text.splitlines(), 1):
+            if re.search(pattern, line):
+                around = [d for d in defs if d.lineno <= i <= d.end_lineno]
+                owner = max(around, key=lambda d: d.lineno).name if around else None
+                found.append((path.name, owner))
+    return found
+
+
+def test_each_input_rule_is_written_once():
+    # A typed list is converted only by typed_array, and a rank array is
+    # checked only by rank_array, which ordering sets and word_blocks share.
+    assert _functions_with(r"except OverflowError") == [("permutations.py", "typed_array")]
+    assert _functions_with(r"strictly increasing.* in \[0, ") == [
+        ("permutations.py", "rank_array")
+    ]
+    assert "_rank_array" not in vars(sets)
 
 
 def test_word_validation():

@@ -80,6 +80,12 @@ INPUTS = {
     "payoff_int70.json": _json({"n": 2, "values": [2**70, 1]}),
     "set_int70.json": _json({"n": 2, "members": [0, 2**70]}),
     "set_int63.json": _json({"n": 2, "members": [0, 2**63]}),
+    # ranks out of order, repeated, negative and past n!, and the empty set
+    "set_unsorted3.json": _json({"n": 3, "members": [4, 1]}),
+    "set_repeated3.json": _json({"n": 3, "members": [1, 1]}),
+    "set_negative3.json": _json({"n": 3, "members": [-1, 0]}),
+    "set_past3.json": _json({"n": 3, "members": [0, 6]}),
+    "set_empty3.json": _json({"n": 3, "members": []}),
 }
 
 
@@ -159,6 +165,14 @@ def _commands() -> list[list[str]]:
         ["gen-payoff", "--model", "indicator", "--set", "family8.json", "--out", "ind_family8.json"],
         ["gen-payoff", "--model", "indicator", "--set", "set_int70.json"],
         ["gen-payoff", "--model", "indicator", "--set", "set_int63.json"],
+        ["gen-payoff", "--model", "indicator", "--set", "set_unsorted3.json"],
+        ["gen-payoff", "--model", "indicator", "--set", "set_repeated3.json"],
+        ["gen-payoff", "--model", "indicator", "--set", "set_negative3.json"],
+        ["gen-payoff", "--model", "indicator", "--set", "set_past3.json"],
+        # the empty set's indicator is zero; analyze rejects the set
+        ["gen-payoff", "--model", "indicator", "--set", "set_empty3.json",
+         "--out", "ind_empty3.json"],
+        ["analyze", "--payoff", "ind_empty3.json", "--set", "set_empty3.json"],
         ["transform", "--payoff", "random6.json", "--out", "spec6.json", "--csv", "spec6.csv"],
         ["transform", "--payoff", "cfmm7.json", "--out", "spec7.json", "--csv", "spec7.csv"],
         ["transform", "--payoff", "sparse5.json"],
