@@ -7,10 +7,10 @@ machine precision.
 """
 import numpy as np
 
-from snfair.fourier import PayoffFn, degree, inverse
+from snfair.fourier import degree, inverse
 from snfair.intersecting import stabilizer_set
 from snfair.partitions import dimension
-from snfair.payoffs import CfmmModel, cfmm_payoff, indicator_payoff
+from snfair.payoffs import CfmmModel, PayoffFn, cfmm_payoff, indicator_payoff
 
 N = 5
 
@@ -36,8 +36,9 @@ def main():
     pinned = indicator_payoff(stabilizer_set(N, [(1, 1)]))
     describe("indicator of 'slot 1 holds item 1'", pinned)
 
-    point = PayoffFn(N, np.eye(120)[42])
-    describe("point mass at rank 42", point)
+    mass = np.zeros(120)
+    mass[42] = 1.0
+    describe("point mass at rank 42", PayoffFn(N, mass))
 
     print(
         "\nThe indicator is a 1-junta: everything sits in the top two shapes."

@@ -393,10 +393,10 @@ def cmd_simulate(args: argparse.Namespace) -> tuple[dict, None, str]:
 
 
 def cmd_verify(args: argparse.Namespace) -> tuple[dict, list[dict], str]:
-    from .verify import SUITES
+    from .verify import run
 
     _check_size(args.n, args.max_n)
-    passed, rows = SUITES[args.suite](args.n, args.seed)
+    passed, rows = run(args.suite, args.n, args.seed)
     report = {"suite": args.suite, "n": args.n, "passed": passed, "cases": rows}
     summary = (
         f"suite={args.suite} n={args.n} cases={len(rows)} "

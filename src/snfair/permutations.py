@@ -254,14 +254,8 @@ def group_order(n: int) -> int:
     length from here, so the check runs before anything of that size is
     allocated.  At the cap, one transform and inverse of a dense n = 10
     payoff peak at 303 MB resident (whole process, measured with
-    getrusage on a 2-core Intel Xeon, numpy float64) and take 2.2-2.3 s.
-    Whole ``snfair`` commands at n = 10 on that machine: ``simulate
-    --latency adversarial_cycle`` peaks at 64 MB, ``gen-payoff --model
-    random`` at 57 MB, ``--model cfmm`` and ``--model liquidation`` at
-    58 MB, ``--model junta`` with two pins at 33 MB, ``transform`` at
-    244-254 MB (two heap layouts), ``analyze`` of a CFMM payoff on all
-    3628800 orders at 368 MB, and ``verify --suite claim1`` and ``--suite
-    uncertainty`` at 428 and 277 MB.
+    getrusage on a 2-core Intel Xeon, numpy float64) and take 2.2-2.3 s;
+    the README lists what whole ``snfair`` commands peak at.
     """
     if not is_integer(n):
         raise ValueError(f"n must be an integer, got {n!r}")

@@ -43,7 +43,9 @@ The recursion's set-up uses no tableau objects and no dense generators:
   row of letter v), and a shape's words form a d x k int8 array built by
   the same corner recursion: the words of each corner shape mu, with the
   corner's row appended, one block per corner, top row first, which is
-  last-letter order.  A generator has at most two nonzeros per row, so
+  last-letter order.  The same walk records each corner block's (mu,
+  offset, dim), so ``_young`` is the one table of the blocks that the
+  recursion contracts.  A generator has at most two nonzeros per row, so
   s_j is three (k - 1) x d arrays read at row j - 1: the diagonal, the
   partner tableau and the off-diagonal weight (0, partner = itself, when
   j and j + 1 share a row or column).  For j <= k - 2 the letters j and
@@ -140,35 +142,33 @@ def evaluate(shape: tuple[int, ...], p: Permutation) -> np.ndarray:
     return mat
 
 
-def _corners(shape: tuple[int, ...]):
-    """(row, mu) for each removable corner, top row first, with mu the
-    shape left by removing it."""
-    out = []
-    for i, part in enumerate(shape):
-        if i + 1 == len(shape) or part > shape[i + 1]:
-            out.append((i, tuple(p for p in shape[:i] + (part - 1,) + shape[i + 1 :] if p)))
-    return out
-
-
 @lru_cache(maxsize=256)
 def _young(shape: tuple[int, ...]):
     """Row words of the shape's tableaux in last-letter order, d x k int8
-    (words[t, v - 1] = row of letter v in tableau t), and every generator
-    s_j as (diagonal, partner, weight) rows j - 1 of (k - 1) x d arrays."""
+    (words[t, v - 1] = row of letter v in tableau t), every generator s_j
+    as (diagonal, partner, weight) rows j - 1 of (k - 1) x d arrays, and
+    the (mu, offset, dim) of each block of the restriction to S_{k-1}, with
+    mu the shape left by removing a corner, top row's corner first."""
     k = sum(shape)
-    blocks = [(row, _young(mu)) for row, mu in _corners(shape)] if k > 1 else []
-    d = sum(len(sub[0]) for _, sub in blocks) if blocks else 1
+    blocks = []
+    for row, part in enumerate(shape):
+        if k > 1 and (row + 1 == len(shape) or part > shape[row + 1]):
+            mu = tuple(p for p in shape[:row] + (part - 1,) + shape[row + 1 :] if p)
+            blocks.append((row, mu, _young(mu)))
+    d = sum(len(sub[0]) for _, _, sub in blocks) if blocks else 1
     words = np.zeros((d, k), dtype=np.int8)
     diag, weight = np.empty((k - 1, d)), np.empty((k - 1, d))
     partner = np.empty((k - 1, d), dtype=np.intp)
+    corners = []
     off = 0
-    for row, (sub_words, sub_diag, sub_partner, sub_weight) in blocks:
+    for row, mu, (sub_words, sub_diag, sub_partner, sub_weight, _) in blocks:
         e = len(sub_words)
         words[off : off + e, : k - 1] = sub_words
         words[off : off + e, k - 1] = row
         diag[: k - 2, off : off + e] = sub_diag
         partner[: k - 2, off : off + e] = sub_partner + off
         weight[: k - 2, off : off + e] = sub_weight
+        corners.append((mu, off, e))
         off += e
     if blocks:
         # s_{k-1} exchanges k - 1 and k.  Letter k ends its row, and k - 1
@@ -190,30 +190,24 @@ def _young(shape: tuple[int, ...]):
         partner[k - 2] = np.where(np.abs(dist) == 1, np.arange(d), np.searchsorted(codes, swapped))
     for arr in (words, diag, partner, weight):
         arr.setflags(write=False)
-    return words, diag, partner, weight
+    return words, diag, partner, weight, tuple(corners)
 
 
 def _coset_matrices(shape: tuple[int, ...]):
-    """evaluate(shape, c_j) for j = 1..k stacked, and the (mu, offset, dim) of
-    each block of the restriction to S_{k-1}, top row's corner first.  Kept
-    read-only for the process when k <= _CACHED_LEVEL, built afresh on
-    every call otherwise."""
+    """evaluate(shape, c_j) for j = 1..k stacked, and the shape's corner
+    blocks from :func:`_young`.  Kept read-only for the process when
+    k <= _CACHED_LEVEL, built afresh on every call otherwise."""
     if shape in _coset_cache:
         return _coset_cache[shape]
-    k, d = sum(shape), dimension(shape)
-    _, diag, partner, weight = _young(shape)
+    _, diag, partner, weight, corners = _young(shape)
+    k, d = sum(shape), diag.shape[1]
     mats = np.empty((k, d, d))
     mats[k - 1] = np.eye(d)
     for j in range(k - 1, 0, -1):
         # s_j @ M: row a is diag[a] * M[a] + weight[a] * M[partner[a]]
         m = mats[j]
         mats[j - 1] = diag[j - 1, :, None] * m + weight[j - 1, :, None] * m[partner[j - 1]]
-    corners = []
-    offset = 0
-    for _, mu in _corners(shape):
-        corners.append((mu, offset, dimension(mu)))
-        offset += corners[-1][2]
-    built = mats, tuple(corners)
+    built = mats, corners
     if k <= _CACHED_LEVEL:
         mats.setflags(write=False)
         _coset_cache[shape] = built

@@ -65,22 +65,16 @@ class MajorityGraph:
 
 def majority_graph(votes: VoteProfile) -> MajorityGraph:
     n = votes.n_tx
-    position = np.empty((len(votes.validators), n), dtype=np.int32)
-    for v, order in enumerate(votes.validators):
-        for pos, tx in enumerate(order):
-            position[v, tx - 1] = pos
-
-    edges = set()
-    reach = np.eye(n, dtype=bool)
-    half = len(votes.validators) / 2.0
-    for i in range(1, n + 1):
-        for j in range(1, n + 1):
-            if i == j:
-                continue
-            before = int((position[:, i - 1] < position[:, j - 1]).sum())
-            if before > half:
-                edges.add((i, j))
-                reach[i - 1, j - 1] = True
+    orders = np.array(votes.validators)
+    count = len(orders)
+    # position[v, tx - 1] = the place at which validator v received tx
+    position = np.empty((count, n), dtype=np.int32)
+    position[np.arange(count)[:, None], orders - 1] = np.arange(n)
+    # before[i, j] = how many validators received i + 1 before j + 1
+    before = (position[:, :, None] < position[:, None, :]).sum(0)
+    majority = 2 * before > count
+    edges = frozenset((int(i) + 1, int(j) + 1) for i, j in zip(*np.nonzero(majority)))
+    reach = majority | np.eye(n, dtype=bool)
 
     # Transitive closure (Warshall); i and j share a strongly connected
     # component iff each reaches the other.
@@ -88,7 +82,7 @@ def majority_graph(votes: VoteProfile) -> MajorityGraph:
         reach |= np.outer(reach[:, k], reach[k])
     mutual = reach & reach.T
     sccs = tuple(sorted({tuple(int(j) + 1 for j in np.flatnonzero(r)) for r in mutual}))
-    return MajorityGraph(n_tx=n, edges=frozenset(edges), sccs=sccs)
+    return MajorityGraph(n_tx=n, edges=edges, sccs=sccs)
 
 
 def valid_orderings(graph: MajorityGraph) -> OrderingSet:

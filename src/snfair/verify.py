@@ -1,15 +1,17 @@
 """The six ``snfair verify`` suites, their runner, and the corpora they share.
 
-``SUITES[name](n, seed)`` runs one suite and returns (passed, rows).
-Each suite is a generator of one (ok, row) pair per case, built and
-checked one case at a time; :func:`run` is the one loop around them.  It
-rejects an n below the suite's smallest n (``SMALLEST_N``) with a
-ValueError naming the suite before any work, keeps the rows in order,
-one dict per case with trend quantities that are reported but never
-gate, and passes the suite exactly when every case's theorem-backed
-check holds.  ``seed`` picks the random payoffs, sets and votes of
-every suite but claim2, which has none.  Each check has one fixed
-tolerance, named here or in its layer with its measured margin:
+``run(name, n, seed)`` runs one suite and returns (passed, rows).
+``SUITES`` is the one table of suites: each name maps to the suite's
+cases, its smallest n and why its cases need that n.  The cases are a
+generator of one (ok, row) pair per case, built and checked one case at
+a time; :func:`run` is the one loop around them.  It rejects an n below
+the row's smallest n with a ValueError naming the suite before any
+work, keeps the rows in order, one dict per case with trend quantities
+that are reported but never gate, and passes the suite exactly when
+every case's theorem-backed check holds.  ``seed`` picks the random
+payoffs, sets and votes of every suite but claim2, which has none.
+Each check has one fixed tolerance, named here or in its layer with its
+measured margin:
 
 - roundtrip: transform then inverse returns the payoff, and Parseval
   holds, for uniform, sparse, point-mass and constant payoffs.  Both the
@@ -41,7 +43,6 @@ so that no set's blocks outlive its case.
 """
 from __future__ import annotations
 
-from functools import partial
 from itertools import chain
 from random import Random
 
@@ -65,14 +66,6 @@ from .payoffs import (
 from .permutations import Permutation, group_order, seeded
 from .sequencing import majority_graph, simulate, valid_orderings
 from .sets import OrderingSet
-
-# The smallest n of each suite whose cases need more than S_1, and why.
-SMALLEST_N = {
-    "uncertainty": (2, "for its two-slot corpus cases"),
-    "eigenvalue": (2, "for a transposition set"),
-    "claim1": (2, "for its two-slot corpus cases"),
-    "claim2": (4, "for a non-degenerate instance"),
-}
 
 # roundtrip: absolute, for both the largest round-trip error (the payoffs
 # are of order 1) and Parseval's relative error.  Worst over seeds 0-2:
@@ -325,28 +318,25 @@ def _suite_claim2(n: int, seed: int):
         }
 
 
-_CASES = {
-    "roundtrip": _suite_roundtrip,
-    "uncertainty": _suite_uncertainty,
-    "eigenvalue": _suite_eigenvalue,
-    "indicator_degree": _suite_indicator_degree,
-    "claim1": _suite_claim1,
-    "claim2": _suite_claim2,
+# Each suite's cases, its smallest n, and why its cases need that n.
+SUITES = {
+    "roundtrip": (_suite_roundtrip, 1, "as every group size does"),
+    "uncertainty": (_suite_uncertainty, 2, "for its two-slot corpus cases"),
+    "eigenvalue": (_suite_eigenvalue, 2, "for a transposition set"),
+    "indicator_degree": (_suite_indicator_degree, 1, "as every group size does"),
+    "claim1": (_suite_claim1, 2, "for its two-slot corpus cases"),
+    "claim2": (_suite_claim2, 4, "for a non-degenerate instance"),
 }
 
 
 def run(name: str, n: int, seed: int) -> tuple[bool, list[dict]]:
     """Run the named suite: (passed, rows), passed the AND of every case's ok."""
-    if name in SMALLEST_N:
-        smallest, why = SMALLEST_N[name]
-        if n < smallest:
-            raise ValueError(f"{name} suite needs n >= {smallest} {why}")
+    cases, smallest, why = SUITES[name]
+    if n < smallest:
+        raise ValueError(f"{name} suite needs n >= {smallest} {why}")
     passed = True
     rows = []
-    for ok, row in _CASES[name](n, seed):
+    for ok, row in cases(n, seed):
         passed &= ok
         rows.append(row)
     return passed, rows
-
-
-SUITES = {name: partial(run, name) for name in _CASES}

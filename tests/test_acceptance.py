@@ -14,13 +14,14 @@ import numpy as np
 from snfair.cayley import SymmetricSet, dense_operator, spectrum_report, symmetrize
 from snfair.cli import main
 from snfair.fairness import Analysis, nested_stabilizer_instance, verify_indicator_degree
-from snfair.fourier import PayoffFn, degree, inverse, transform, uncertainty_check
+from snfair.fourier import degree, inverse, transform, uncertainty_check
 from snfair.intersecting import stabilizer_set, intersection_profile
 from snfair.partitions import dimension, partitions_of
 from snfair.payoffs import (
     CfmmModel,
     JuntaTerm,
     LiquidationModel,
+    PayoffFn,
     cfmm_payoff,
     junta_payoff,
     liquidation_payoff,

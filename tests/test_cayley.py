@@ -9,9 +9,9 @@ from hypothesis import strategies as st
 import snfair.fourier
 from snfair.cayley import BOUND_TOL, SymmetricSet, dense_operator, spectrum_report, symmetrize
 from snfair.errors import EmptySetError
-from snfair.fourier import PayoffFn, transform
+from snfair.fourier import transform
 from snfair.partitions import dimension, partitions_of
-from snfair.payoffs import random_payoff
+from snfair.payoffs import PayoffFn, random_payoff
 from snfair.permutations import Permutation, lehmer_unrank
 from snfair.representations import evaluate, fft
 from snfair.sets import OrderingSet

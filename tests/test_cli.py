@@ -213,6 +213,16 @@ def test_verify_suite_choices_are_the_suite_registry():
     assert VERIFY_SUITES == tuple(sorted(SUITES))
 
 
+@pytest.mark.parametrize("suite", [name for name, row in SUITES.items() if row[1] > 1])
+def test_each_suite_starts_at_its_rows_smallest_n(suite):
+    _, smallest, why = SUITES[suite]
+    with pytest.raises(ValueError) as below:
+        snfair.verify.run(suite, smallest - 1, 0)
+    assert str(below.value) == f"{suite} suite needs n >= {smallest} {why}"
+    passed, rows = snfair.verify.run(suite, smallest, 0)
+    assert passed and rows
+
+
 def test_max_n_limit_is_the_librarys():
     assert snfair.cli.MAX_ENUMERABLE_N == snfair.permutations.MAX_ENUMERABLE_N
 
@@ -279,7 +289,7 @@ def test_a_failing_case_fails_the_suite_and_keeps_every_row(monkeypatch, tmp_pat
         return PayoffFn(back.n, back.values + 1e-6)
 
     monkeypatch.setattr(snfair.verify, "inverse", off_for_the_constant)
-    passed, rows = SUITES["roundtrip"](4, 0)
+    passed, rows = snfair.verify.run("roundtrip", 4, 0)
     assert passed is False
     assert [row["payoff"] for row in rows] == [
         "uniform_0", "uniform_1", "uniform_2", "uniform_3", "uniform_4",
@@ -302,10 +312,10 @@ def test_the_suite_constant_is_what_gates(suite, constant, monkeypatch):
     # at n = 4 the round trip errs by up to 2.5e-16 and claim1's smallest
     # slack is -1.1e-13, so a zero tolerance fails both suites
     assert getattr(snfair.verify, constant) == 1e-9
-    passed, rows = SUITES[suite](4, 0)
+    passed, rows = snfair.verify.run(suite, 4, 0)
     assert passed
     monkeypatch.setattr(snfair.verify, constant, 0.0)
-    failed, tight_rows = SUITES[suite](4, 0)
+    failed, tight_rows = snfair.verify.run(suite, 4, 0)
     assert not failed and len(tight_rows) == len(rows)
     assert not all(row["ok"] for row in tight_rows)
 
@@ -965,7 +975,7 @@ def _count_calls(monkeypatch, module, name, calls):
 def test_claim1_transforms_each_payoff_once(monkeypatch):
     calls = {}
     _count_calls(monkeypatch, snfair.fourier, "transform", calls)
-    passed, rows = SUITES["claim1"](5, 5)
+    passed, rows = snfair.verify.run("claim1", 5, 5)
     bounded = [row for row in rows if row["bound"] is not None]
     payoffs = {row["payoff"] for row in bounded}
     assert passed and len(rows) == 25 and len(payoffs) == 5
@@ -978,7 +988,7 @@ def test_claim1_profiles_each_set_and_summarizes_each_spectrum_once(monkeypatch)
     _count_calls(monkeypatch, snfair.intersecting, "intersection_profile", calls)
     _count_calls(monkeypatch, snfair.fourier, "schatten_summary", calls)
     # seed 0 leaves two junta rows over the iid admissible set unbounded
-    passed, rows = SUITES["claim1"](5, 0)
+    passed, rows = snfair.verify.run("claim1", 5, 0)
     bounded = [row for row in rows if row["bound"] is not None]
     sets = {row["set"] for row in rows}
     payoffs = {row["payoff"] for row in bounded}
@@ -1000,7 +1010,7 @@ def test_eigenvalue_suite_transforms_each_set_once_holding_one_set(monkeypatch):
         snfair.fourier, "fft", lambda n, w: held.append(live_sets() - before) or real(n, w)
     )
     monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: grams.append(a.shape) or real_eigvalsh(a))
-    passed, rows = SUITES["eigenvalue"](5, 0)
+    passed, rows = snfair.verify.run("eigenvalue", 5, 0)
     # one transform per set and one gram eigendecomposition per shape serve
     # both scalings, and the sets are built one at a time, so no earlier set
     # and its blocks are still alive

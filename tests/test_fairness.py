@@ -11,9 +11,8 @@ import snfair.intersecting
 from snfair.cayley import symmetrize
 from snfair.errors import DegenerateError, EmptySetError
 from snfair.fairness import Analysis, nested_stabilizer_instance
-from snfair.fourier import PayoffFn
 from snfair.intersecting import stabilizer_set
-from snfair.payoffs import CfmmModel, cfmm_payoff, indicator_payoff, random_payoff
+from snfair.payoffs import CfmmModel, PayoffFn, cfmm_payoff, indicator_payoff, random_payoff
 from snfair.sets import OrderingSet
 
 

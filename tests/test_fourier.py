@@ -10,7 +10,6 @@ from snfair.errors import CapacityError, DegenerateError
 from snfair.fourier import (
     DEGREE_TOL,
     FourierSpectrum,
-    PayoffFn,
     degree,
     inverse,
     schatten_summary,
@@ -18,7 +17,7 @@ from snfair.fourier import (
     uncertainty_check,
 )
 from snfair.partitions import dimension, partitions_of
-from snfair.payoffs import JuntaTerm, indicator_payoff, junta_payoff, random_payoff
+from snfair.payoffs import JuntaTerm, PayoffFn, indicator_payoff, junta_payoff, random_payoff
 from snfair.intersecting import stabilizer_set
 from snfair.permutations import enumerate_group, group_matrix, lehmer_unrank, rank_of_word
 from snfair.representations import evaluate

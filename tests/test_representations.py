@@ -56,15 +56,25 @@ def test_generator_index_bounds():
 
 
 def test_sparse_generators_rebuild_the_tableau_oracle():
-    # The transform's row words and (diagonal, partner, weight) rows, built
-    # by corner recursion, against the tableau objects and dense matrices.
+    # The transform's row words, (diagonal, partner, weight) rows and corner
+    # blocks, built by corner recursion, against the tableau objects and
+    # dense matrices.
     for n in range(1, 8):
         for shape in partitions_of(n):
-            words, diag, partner, weight = _young(shape)
+            words, diag, partner, weight, corners = _young(shape)
             tabs = standard_tableaux(shape)
             rows = [[t.position(v)[0] for v in range(1, n + 1)] for t in tabs]
             np.testing.assert_array_equal(words, rows)
             d = len(tabs)
+            # block (mu, offset, dim) holds the tableaux with n in the row
+            # whose corner mu lacks, in last-letter order
+            ends = [0]
+            for mu, offset, dim in corners:
+                assert (offset, dim) == (ends[-1], dimension(mu))
+                ends.append(offset + dim)
+                row = next(i for i, part in enumerate(mu + (0,)) if part != shape[i])
+                assert all(t.position(n)[0] == row for t in tabs[offset : offset + dim])
+            assert ends[-1] == (d if n > 1 else 0)
             diagonal = np.arange(d)
             for j in range(1, n):
                 dense = np.zeros((d, d))
