@@ -26,6 +26,9 @@ breaks the raw one too.
 A connection set is a :class:`SymmetricSet`: an ordering set that checks
 on construction that it is nonempty and closed under inversion.  It keeps
 its blocks B_shape, read-only: its indicator's transform divided by |F|.
+Inverse ranks are computed in int64 by ``rank_of_word`` and cast to the
+members' int32 block by block as they are stored, so the closure check
+compares and searches in one dtype.
 """
 from __future__ import annotations
 
@@ -52,7 +55,7 @@ BOUND_TOL = 1e-9
 def _inverse_ranks(members: OrderingSet) -> np.ndarray:
     """Rank of each member's inverse: its word's argsort, ranked one block
     of :func:`snfair.permutations.word_blocks` at a time."""
-    inv = np.empty(len(members), dtype=np.int64)
+    inv = np.empty(len(members), dtype=np.int32)
     for rows, block in word_blocks(members.n, members.members):
         inv[rows] = rank_of_word(np.argsort(block, axis=1) + 1)
     return inv

@@ -12,11 +12,13 @@ agrees on the slots all members share, so their number (the floor) is a
 lower bound on the level.  Member 0 is compared with all the others
 first, in O(m n), reading the members' words one block at a time from
 :func:`snfair.permutations.word_blocks`, which builds them from the S_8
-table above n = 8.  That already reaches the floor for stabilizer sets,
-the full group and every admissible set whose majority graph orders all
-its components (as a tournament's does): such a set permutes the items
-of each component freely, and every component of two or more items has
-a derangement.  Otherwise the remaining pairs are compared in square
+table above n = 8.  The pass ends at the first block that holds a
+member agreeing with member 0 nowhere: then no slot is shared and the
+level is 0, whatever the rest holds.  The pass alone reaches the floor
+for stabilizer sets, the full group and every admissible set whose
+majority graph orders all its components (as a tournament's does): such
+a set permutes the items of each component freely, and every component
+of two or more items has a derangement.  Otherwise the remaining pairs are compared in square
 tiles of TILE x TILE members: with each word one-hot encoded as n^2
 (slot, item) float32 entries, the product of a row tile and a column
 tile counts agreements exactly, and the scan stops after the first tile
@@ -66,6 +68,8 @@ def intersection_profile(members: OrderingSet) -> IntersectionProfile:
         agree = block == first
         shared &= agree.all(axis=0)
         t_max = min(t_max, int(agree.sum(axis=1).min()))
+        if t_max == 0:  # a member shares no slot with member 0, so no slot is common
+            break
     common_pairs = tuple((int(i) + 1, int(first[i])) for i in np.nonzero(shared)[0])
     floor = len(common_pairs)
 

@@ -31,7 +31,8 @@ blocks into one array for the callers that need one.
 Every input becomes a kept array here: :func:`typed_array` converts a
 typed list once, :func:`owned_read_only` keeps or copies an array once,
 and :func:`rank_array`, the one rank check, does both for ordering sets'
-members and the ranks :func:`word_blocks` reads.
+members and the ranks :func:`word_blocks` reads, keeping them as int32:
+every rank array the package keeps is int32, since 10! < 2**31.
 
 Seeded values, for random payoffs, votes and the verify suites' cases,
 all come from :func:`seeded`, and uniform floats from :func:`uniform`,
@@ -144,7 +145,10 @@ def rank_of_word(words) -> np.ndarray:
     of words an owned array of ranks, in one pass whose temporaries take
     about 2 * rows * n bytes for int8 words (70 MB for all of S_10; the
     scans pass one block of :func:`word_blocks`, 80 KB at n = 10).  Only
-    the length is checked: ranks past 20 letters overflow int64.
+    the length is checked: ranks past 20 letters overflow int64.  The
+    ranks stay int64, as :meth:`Permutation.rank` takes up to 20 letters;
+    each caller that keeps ranks of S_n for n <= 10 casts a block to
+    int32, the package's one rank dtype, as it stores it.
     """
     w = np.asarray(words)
     n = w.shape[-1]
@@ -253,8 +257,9 @@ def group_order(n: int) -> int:
     The package's only size limit: every array of size n! takes its
     length from here, so the check runs before anything of that size is
     allocated.  At the cap, one transform and inverse of a dense n = 10
-    payoff peak at 303 MB resident (whole process, measured with
-    getrusage on a 2-core Intel Xeon, numpy float64) and take 2.2-2.3 s;
+    payoff peak at 296 MB resident (whole process, measured with
+    getrusage on a 2-core Intel Xeon, numpy float64, glibc's default
+    allocator settings) and take about 2.4 s;
     the README lists what whole ``snfair`` commands peak at.
     """
     if not is_integer(n):
@@ -269,26 +274,38 @@ def group_order(n: int) -> int:
 
 
 def rank_array(n: int, raw, sort: bool = False) -> np.ndarray:
-    """Strictly increasing ranks of S_n as a read-only int64 array (by
+    """Strictly increasing ranks of S_n as a read-only int32 array (by
     :func:`typed_array` and :func:`owned_read_only`) from a list, tuple, 1-D
-    integer or empty array; `sort` sorts and drops repeats before the check."""
+    integer or empty array; `sort` sorts and drops repeats before the check.
+
+    int32 is the package's one rank dtype: 10! < 2**31, so every rank of
+    S_n for n <= MAX_ENUMERABLE_N fits.  A list is converted straight to
+    int32.  An array is checked in its own dtype and then converted, so no
+    value is wrapped into range.
+    """
     size = group_order(n)
     mistyped = "members must be a 1-D sequence of integer ranks"
+    outside = f"members must be strictly increasing ranks in [0, {size})"
     if isinstance(raw, (list, tuple)):
-        raw = typed_array(raw, (int, np.integer), np.int64, mistyped, mistyped)
+        try:
+            raw = typed_array(raw, (int, np.integer), np.int32, mistyped, outside)
+        except ValueError as exc:
+            # A rank past int32 is past every n!, and one past int64 is mistyped.
+            if exc.args == (outside,):
+                typed_array(raw, (int, np.integer), np.int64, mistyped, mistyped)
+            raise
     raw = np.asarray(raw)
     if raw.ndim != 1 or raw.size and raw.dtype.kind not in "iu":
         raise ValueError(mistyped)
     if sort:  # not np.unique, whose first call imports numpy.ma (over 1 MB resident)
-        raw = np.sort(raw.astype(np.int64, copy=False))
+        raw = np.sort(raw)
         keep = np.ones(raw.shape, dtype=bool)
         keep[1:] = raw[1:] != raw[:-1]
         raw = raw[keep]
         raw.setflags(write=False)
-    ranks = owned_read_only(raw, np.int64)
-    if ranks.size and (ranks[0] < 0 or ranks[-1] >= size or np.any(ranks[1:] <= ranks[:-1])):
-        raise ValueError(f"members must be strictly increasing ranks in [0, {size})")
-    return ranks
+    if raw.size and (raw[0] < 0 or raw[-1] >= size or np.any(raw[1:] <= raw[:-1])):
+        raise ValueError(outside)
+    return owned_read_only(raw, np.int32)
 
 
 def word_blocks(n: int, ranks=None):
@@ -335,7 +352,8 @@ def word_blocks(n: int, ranks=None):
         if ranks is None:
             span = (base, base + stride)
         else:
-            span = np.searchsorted(ranks, (base, base + stride))
+            # Keys in the ranks' dtype: int64 keys would copy the ranks to int64.
+            span = np.searchsorted(ranks, np.array((base, base + stride), dtype=ranks.dtype))
         # Column by column: broadcasting the prefix tuple is 10x slower.
         for slot, letter in enumerate(prefix):
             out[:, slot] = letter

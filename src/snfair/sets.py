@@ -1,11 +1,11 @@
 """Sets of orderings, stored as read-only arrays of sorted dense ranks.
 
-An :class:`OrderingSet` holds its members as one read-only int64 array of
-strictly increasing Lehmer ranks, so indicator payoffs, word matrices
-and payoff restrictions index with it directly, and membership is a
-binary search in it; the rows of :meth:`OrderingSet.matrix` are the
-members' one-line words.  It keeps its agreement `profile`,
-scanned on first use.
+An :class:`OrderingSet` holds its members as one read-only int32 array
+of strictly increasing Lehmer ranks, half the bytes of int64: every rank
+of S_10 fits.  Indicator payoffs, word matrices and payoff restrictions
+index with it directly, and membership is a binary search in it with an
+int32 key; the rows of :meth:`OrderingSet.matrix` are the members'
+one-line words.  It keeps its agreement `profile`, scanned on first use.
 
 The members array is made once, by the package's one rank rule,
 :func:`snfair.permutations.rank_array`: a list is typed and converted,
@@ -21,7 +21,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .permutations import group_order, rank_array, row_chunks, words
+from .permutations import group_order, is_integer, rank_array, row_chunks, words
 
 if TYPE_CHECKING:
     from .intersecting import IntersectionProfile
@@ -29,7 +29,8 @@ if TYPE_CHECKING:
 
 @dataclass(frozen=True, eq=False)
 class OrderingSet:
-    """A subset of S_n given by strictly increasing Lehmer ranks."""
+    """A subset of S_n given by strictly increasing Lehmer ranks, kept as a
+    read-only int32 array."""
 
     n: int
     members: np.ndarray
@@ -50,7 +51,7 @@ class OrderingSet:
         size = group_order(n)
         if not isinstance(keep, np.ndarray) or keep.dtype != bool or keep.shape != (size,):
             raise ValueError(f"the mask must be a 1-D bool array of length {size}")
-        ranks = np.empty(np.count_nonzero(keep), dtype=np.int64)
+        ranks = np.empty(np.count_nonzero(keep), dtype=np.int32)
         filled = 0
         for rows in row_chunks(len(keep)):
             found = np.flatnonzero(keep[rows])
@@ -62,7 +63,7 @@ class OrderingSet:
 
     @classmethod
     def full_group(cls, n: int) -> "OrderingSet":
-        ranks = np.arange(group_order(n))
+        ranks = np.arange(group_order(n), dtype=np.int32)
         ranks.setflags(write=False)
         return cls(n, ranks)
 
@@ -78,7 +79,11 @@ class OrderingSet:
         return len(self.members)
 
     def __contains__(self, rank: int) -> bool:
-        i = np.searchsorted(self.members, rank)
+        # The key takes the members' dtype, which holds every rank of S_n:
+        # a Python int key would make searchsorted copy them to int64.
+        if not (is_integer(rank) and 0 <= rank < group_order(self.n)):
+            return False
+        i = np.searchsorted(self.members, np.int32(rank))
         return bool(i < len(self.members) and self.members[i] == rank)
 
     @cached_property

@@ -237,3 +237,65 @@ def test_stabilizer_validation():
         stabilizer_set(4, [(5, 1)])
     with pytest.raises(ValueError):
         stabilizer_set(4, [(1, 0)])
+
+
+def unstopped_profile(members):
+    """The profile from member 0's pass over every member, then the tiles."""
+    n, words = members.n, members.matrix()
+    agree = words == words[0]
+    shared = agree.all(axis=0)
+    t_max, floor = int(agree.sum(axis=1).min()), int(shared.sum())
+    if t_max > floor:
+        t_max = intersecting._tiled_minimum(n, members.members, t_max, floor)
+    pairs = tuple((int(i) + 1, int(words[0][i])) for i in np.flatnonzero(shared))
+    return intersecting.IntersectionProfile(
+        t_max=t_max, common_pairs=pairs, size_gate=len(members) >= factorial(n - t_max)
+    )
+
+
+@st.composite
+def sets_with_a_derangement_of_member_0(draw):
+    """n in 2..7 and a set whose smallest rank has a derangement among the
+    others (a member agreeing with it at no slot), plus random members."""
+    n = draw(st.integers(2, 7))
+    size = factorial(n)
+    first = draw(st.integers(0, size - 2))
+    table = group_matrix(n)
+    later = np.flatnonzero((table != table[first]).all(axis=1))
+    later = later[later > first].tolist()
+    if not later:  # only the largest ranks lack a later derangement
+        first, later = 0, np.flatnonzero((table != table[0]).all(axis=1)).tolist()
+    derangement = draw(st.sampled_from(later))
+    others = draw(st.lists(st.integers(first + 1, size - 1), max_size=40))
+    return OrderingSet.from_ranks(n, [first, derangement, *others])
+
+
+@settings(max_examples=150, deadline=None)
+@given(sets_with_a_derangement_of_member_0(), st.sampled_from([permutations.ROW_CHUNK, 3]))
+def test_a_pass_stopped_at_level_0_gives_the_unstopped_profile(members, row_chunk):
+    with mock.patch.object(permutations, "ROW_CHUNK", row_chunk):
+        profile = intersection_profile(members)
+    assert profile == unstopped_profile(members)
+    assert profile.t_max == 0 and profile.common_pairs == ()
+
+
+@pytest.mark.parametrize("n", range(3, 8))
+def test_full_groups_and_cycle_sets_stop_with_the_unstopped_profile(n):
+    from snfair.sequencing import majority_graph, simulate, valid_orderings
+
+    cycle = valid_orderings(majority_graph(simulate(n, n, "adversarial_cycle")))
+    for members in (OrderingSet.full_group(n), cycle):
+        assert intersection_profile(members) == unstopped_profile(members)
+    # Read one row at a time, the pass ends at the identity's first derangement.
+    read = []
+
+    def counted(n, ranks):
+        for rows, block in permutations.word_blocks(n, ranks):
+            read.append(rows.stop - rows.start)
+            yield rows, block
+
+    with mock.patch.object(intersecting, "word_blocks", counted), \
+            mock.patch.object(permutations, "ROW_CHUNK", 1):
+        intersection_profile(OrderingSet.full_group(n))
+    table = group_matrix(n)
+    assert sum(read) == np.flatnonzero((table != table[0]).all(axis=1))[0] + 1

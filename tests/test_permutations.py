@@ -3,6 +3,7 @@ import ast
 import itertools
 import random
 import re
+import tracemalloc
 from math import factorial
 from pathlib import Path
 from unittest import mock
@@ -228,6 +229,23 @@ def test_words_up_to_the_table_are_its_rows():
     np.testing.assert_array_equal(words(6, ranks), group_matrix(6)[ranks])
     assert words(9, np.array([], dtype=np.int64)).shape == (0, 9)
     assert list(word_blocks(9, np.array([], dtype=np.int64))) == []
+
+
+def test_a_walk_over_int32_ranks_makes_no_wide_copy_of_them():
+    # Blocks of ROW_CHUNK rows and the rank check's comparison (0.35 MiB)
+    # only: int64 keys to searchsorted would copy the 9! ranks to int64
+    # (2.8 MiB) once per prefix block.
+    s = OrderingSet.full_group(9)
+    assert s.members.dtype == np.int32
+    group_matrix(8)
+    tracemalloc.start()
+    try:
+        rows = sum(block.shape[0] for _, block in word_blocks(9, s.members))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rows == factorial(9)
+    assert peak < 0.5 * 2**20
 
 
 def test_words_reject_what_they_cannot_read_in_blocks():

@@ -183,6 +183,22 @@ def test_n9_cycle_scans_hold_no_copy_of_the_group():
     assert cycle_scan_peak(9) < 10 * 2**20
 
 
+def test_n9_admissible_set_is_built_without_a_wide_rank_array():
+    # The mask (0.35 MiB), the set's 9! int32 ranks (1.38 MiB) and the
+    # rank check's comparison (0.35 MiB); int64 ranks, or an int64 copy of
+    # int32 ones, would add 1.38 MiB or more.
+    graph = majority_graph(simulate(9, 9, "adversarial_cycle"))
+    group_matrix(8)  # the word table is cached outside the trace
+    tracemalloc.start()
+    try:
+        members = valid_orderings(graph)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(members) == factorial(9) and members.members.dtype == np.int32
+    assert peak <= 2.5 * 2**20
+
+
 def test_n10_cycle_scans_hold_no_copy_of_the_group():
     # The set's 10! ranks take 27.7 MiB; a table of S_10 would add 34.6 MiB.
     assert cycle_scan_peak(10) < 40 * 2**20

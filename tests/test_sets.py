@@ -5,7 +5,9 @@ import numpy as np
 import pytest
 
 from snfair import permutations
-from snfair.permutations import lehmer_unrank, rank_of_word
+from snfair.cayley import _inverse_ranks
+from snfair.permutations import MAX_ENUMERABLE_N, lehmer_unrank, rank_of_word
+from snfair.representations import _coset_order
 from snfair.sets import OrderingSet
 
 
@@ -45,7 +47,7 @@ def test_lists_of_numpy_integers_give_the_same_members():
     python = OrderingSet(4, [0, 3, 17])
     for members in ([np.int64(0), np.uint8(3), np.int32(17)], (np.int16(0), 3, np.uint64(17))):
         numpy = OrderingSet(4, members)
-        assert numpy.members.dtype == python.members.dtype == np.int64
+        assert numpy.members.dtype == python.members.dtype == np.int32
         assert numpy.members.tolist() == python.members.tolist()
         assert OrderingSet.from_ranks(4, members[::-1]) == python
 
@@ -95,10 +97,10 @@ def test_permutations_roundtrip():
     assert again == s
 
 
-def test_members_are_a_read_only_int64_array():
+def test_members_are_a_read_only_int32_array():
     s = OrderingSet(4, (0, 5, 11))
     assert isinstance(s.members, np.ndarray)
-    assert s.members.dtype == np.int64 and s.members.ndim == 1
+    assert s.members.dtype == np.int32 and s.members.ndim == 1
     with pytest.raises(ValueError):
         s.members[0] = 3
     with pytest.raises(ValueError):
@@ -118,12 +120,18 @@ def test_no_array_the_caller_holds_can_write_the_members():
         ranks[0] = 3
         assert s.members.tolist() == [0, 5, 11]
         ranks[0] = 0
-    # A read-only array that owns its memory is kept as given, as is what
-    # the constructors build for themselves.  Nothing writes to such an
+    # A read-only int32 array that owns its memory is kept as given, as is
+    # what the constructors build for themselves.  Nothing writes to such an
     # array unless its read-only flag is cleared first, as for any copy.
-    frozen = np.array([0, 5, 11])
+    frozen = np.array([0, 5, 11], dtype=np.int32)
     frozen.setflags(write=False)
     assert OrderingSet(4, frozen).members is frozen
+    # One of another dtype is converted once, into an int32 array the set owns.
+    wide = np.array([0, 5, 11], dtype=np.int64)
+    wide.setflags(write=False)
+    kept = OrderingSet(4, wide).members
+    assert kept.dtype == np.int32 and kept.base is None and not kept.flags.writeable
+    assert kept.tolist() == [0, 5, 11]
     keep = np.zeros(24, dtype=bool)
     keep[[0, 5, 11]] = True
     sets = (
@@ -181,3 +189,41 @@ def test_equal_sets_hash_alike_and_subclasses_stay_distinct():
     plain = OrderingSet(4, closed.members)
     assert closed != plain and plain != closed
     assert hash(closed) == hash(symmetrize(plain))
+
+
+def test_every_rank_array_is_int32():
+    # int32 holds every rank of the largest group the package enumerates.
+    assert factorial(MAX_ENUMERABLE_N) < 2**31
+    for n in (1, 4, 9):
+        assert _coset_order(n).dtype == np.int32
+    s = OrderingSet(9, [0, 1, 362879])
+    assert _inverse_ranks(s).dtype == np.int32
+    assert _inverse_ranks(s).tolist() == [0, 1, 362879]
+
+
+@pytest.mark.parametrize("big", [2**31, 2**32 + 1])
+@pytest.mark.parametrize("kind", ["list", "int64 array"])
+def test_ranks_past_int32_are_rejected_not_wrapped(big, kind):
+    # 2**32 + 1 would wrap to the rank 1 in an int32 cast.
+    message = r"members must be strictly increasing ranks in \[0, 6\)"
+    members = [0, big] if kind == "list" else np.array([0, big], dtype=np.int64)
+    with pytest.raises(ValueError, match=message):
+        OrderingSet(3, members)
+    with pytest.raises(ValueError, match=message):
+        OrderingSet.from_ranks(3, members[::-1])
+    # past int64 a listed rank is mistyped, as it always was
+    with pytest.raises(ValueError, match="members must be a 1-D sequence of integer ranks"):
+        OrderingSet(3, [0, big, 2**63])
+    assert 2**32 + 1 not in OrderingSet(3, [1])
+
+
+def test_membership_keys_do_not_copy_the_members():
+    s = OrderingSet.full_group(9)
+    tracemalloc.start()
+    try:
+        found = [r in s for r in (0, 362879, 362880, -1, 2**40, True, 1.0)]
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert found == [True, True, False, False, False, False, False]
+    assert peak < 64 * 1024  # an int64 copy of the members takes 2.8 MiB

@@ -80,6 +80,9 @@ INPUTS = {
     "payoff_int70.json": _json({"n": 2, "values": [2**70, 1]}),
     "set_int70.json": _json({"n": 2, "members": [0, 2**70]}),
     "set_int63.json": _json({"n": 2, "members": [0, 2**63]}),
+    # past int32, the ranks' dtype: rejected, not wrapped (2**32 + 1 to 1)
+    "set_int31.json": _json({"n": 3, "members": [0, 2**31]}),
+    "set_int32.json": _json({"n": 3, "members": [0, 2**32 + 1]}),
     # ranks out of order, repeated, negative and past n!, and the empty set
     "set_unsorted3.json": _json({"n": 3, "members": [4, 1]}),
     "set_repeated3.json": _json({"n": 3, "members": [1, 1]}),
@@ -165,6 +168,8 @@ def _commands() -> list[list[str]]:
         ["gen-payoff", "--model", "indicator", "--set", "family8.json", "--out", "ind_family8.json"],
         ["gen-payoff", "--model", "indicator", "--set", "set_int70.json"],
         ["gen-payoff", "--model", "indicator", "--set", "set_int63.json"],
+        ["gen-payoff", "--model", "indicator", "--set", "set_int31.json"],
+        ["gen-payoff", "--model", "indicator", "--set", "set_int32.json"],
         ["gen-payoff", "--model", "indicator", "--set", "set_unsorted3.json"],
         ["gen-payoff", "--model", "indicator", "--set", "set_repeated3.json"],
         ["gen-payoff", "--model", "indicator", "--set", "set_negative3.json"],
