@@ -32,7 +32,9 @@ Every input becomes a kept array here: :func:`typed_array` converts a
 typed list once, :func:`owned_read_only` keeps or copies an array once,
 and :func:`rank_array`, the one rank check, does both for ordering sets'
 members and the ranks :func:`word_blocks` reads, keeping them as int32:
-every rank array the package keeps is int32, since 10! < 2**31.
+every rank array the package keeps is int32, since 10! < 2**31.  It
+checks their order in slices of ROW_CHUNK ranks, so neither building a
+set nor walking its members makes an m-sized temporary for m members.
 
 Seeded values, for random payoffs, votes and the verify suites' cases,
 all come from :func:`seeded`, and uniform floats from :func:`uniform`,
@@ -64,8 +66,8 @@ MAX_ENUMERABLE_N = 10
 WORD_TABLE_N = 8
 
 # Rows per block of every loop over S_n or an n!-sized array: word_blocks,
-# uniform, OrderingSet.from_mask and the CLI's JSON writer.  A scan's
-# temporaries are a few ROW_CHUNK x n arrays at any n.
+# rank_array's order check, uniform, OrderingSet.from_mask and the CLI's
+# JSON writer.  A scan's temporaries are a few ROW_CHUNK x n arrays at any n.
 ROW_CHUNK = 4096
 
 
@@ -281,7 +283,13 @@ def rank_array(n: int, raw, sort: bool = False) -> np.ndarray:
     int32 is the package's one rank dtype: 10! < 2**31, so every rank of
     S_n for n <= MAX_ENUMERABLE_N fits.  A list is converted straight to
     int32.  An array is checked in its own dtype and then converted, so no
-    value is wrapped into range.
+    value is wrapped into range.  The order is checked in :func:`row_chunks`
+    of the ranks, each slice against the ranks one position back, so the
+    check's temporary is a ROW_CHUNK-byte mask, not one byte per rank
+    (0.35 MiB for all of S_9, 3.5 MiB for S_10), and the re-check of a kept
+    array on every :func:`word_blocks` walk allocates nothing m-sized.  With
+    `sort`, the sort, its de-duplication mask and the compacted copy are
+    each m-sized.
     """
     size = group_order(n)
     mistyped = "members must be a 1-D sequence of integer ranks"
@@ -303,7 +311,9 @@ def rank_array(n: int, raw, sort: bool = False) -> np.ndarray:
         keep[1:] = raw[1:] != raw[:-1]
         raw = raw[keep]
         raw.setflags(write=False)
-    if raw.size and (raw[0] < 0 or raw[-1] >= size or np.any(raw[1:] <= raw[:-1])):
+    # Each slice against the ranks one position back, so a pair across a seam counts too.
+    falls = (raw[rows] <= raw[rows.start - 1 : rows.stop - 1] for rows in row_chunks(1, raw.size))
+    if raw.size and (raw[0] < 0 or raw[-1] >= size or any(fall.any() for fall in falls)):
         raise ValueError(outside)
     return owned_read_only(raw, np.int32)
 

@@ -232,9 +232,9 @@ def test_words_up_to_the_table_are_its_rows():
 
 
 def test_a_walk_over_int32_ranks_makes_no_wide_copy_of_them():
-    # Blocks of ROW_CHUNK rows and the rank check's comparison (0.35 MiB)
-    # only: int64 keys to searchsorted would copy the 9! ranks to int64
-    # (2.8 MiB) once per prefix block.
+    # Buffers of ROW_CHUNK rows only (0.18 MiB): a whole-array rank check
+    # would add a 9!-byte mask (0.35 MiB), and int64 keys to searchsorted
+    # would copy the 9! ranks to int64 (2.8 MiB) once per prefix block.
     s = OrderingSet.full_group(9)
     assert s.members.dtype == np.int32
     group_matrix(8)
@@ -245,7 +245,7 @@ def test_a_walk_over_int32_ranks_makes_no_wide_copy_of_them():
     finally:
         tracemalloc.stop()
     assert rows == factorial(9)
-    assert peak < 0.5 * 2**20
+    assert peak < 0.2 * 2**20
 
 
 def test_words_reject_what_they_cannot_read_in_blocks():
@@ -263,6 +263,50 @@ def test_words_reject_what_they_cannot_read_in_blocks():
         next(word_blocks(11))
     with pytest.raises(ValueError, match="only up to n = 8"):
         group_matrix(9)
+
+
+@pytest.mark.parametrize("n", [8, 9])
+@pytest.mark.parametrize("step", [0, 1], ids=["equal", "decreasing"])
+def test_an_order_fault_across_a_row_chunk_seam_is_rejected(n, step):
+    # The only non-increasing pair sits at positions (ROW_CHUNK - 1, ROW_CHUNK),
+    # on either side of the seam between two slices of ROW_CHUNK ranks.
+    seam = permutations.ROW_CHUNK
+    ranks = np.arange(0, 6 * seam, 3, dtype=np.int32)
+    ranks[seam] = ranks[seam - 1] - step
+    assert np.flatnonzero(ranks[1:] <= ranks[:-1]).tolist() == [seam - 1]
+    outside = re.escape(f"members must be strictly increasing ranks in [0, {factorial(n)})")
+    with pytest.raises(ValueError, match=outside):
+        OrderingSet(n, ranks)
+    with pytest.raises(ValueError, match=outside):
+        next(word_blocks(n, ranks))
+    with pytest.raises(ValueError, match=outside):
+        words(n, ranks)
+
+
+@st.composite
+def ranks_with_one_fault(draw):
+    """Strictly increasing ranks of S_6, then one of them overwritten: by its
+    neighbour's rank (the one before it, or after the first), one less, one
+    more, or any rank of S_6."""
+    ranks = np.array(sorted(draw(st.sets(st.integers(0, 719), min_size=2, max_size=40))))
+    at = draw(st.integers(0, len(ranks) - 1))
+    neighbour = int(ranks[at - 1] if at else ranks[1])
+    near = st.sampled_from([neighbour, max(neighbour - 1, 0), min(neighbour + 1, 719)])
+    ranks[at] = draw(near | st.integers(0, 719))
+    return ranks
+
+
+@settings(max_examples=200, deadline=None)
+@given(ranks_with_one_fault(), st.sampled_from([np.int32, np.int64, np.uint16]))
+def test_the_order_check_in_slices_matches_a_whole_array_check(ranks, dtype):
+    ranks = ranks.astype(dtype)
+    with mock.patch.object(permutations, "ROW_CHUNK", 3):
+        try:
+            permutations.rank_array(6, ranks)
+            accepted = True
+        except ValueError:
+            accepted = False
+    assert accepted == bool(np.all(ranks[1:] > ranks[:-1]))
 
 
 @st.composite

@@ -176,17 +176,17 @@ def cycle_scan_peak(n):
 
 
 def test_n9_cycle_scans_hold_no_copy_of_the_group():
-    # The set's 9! ranks take 2.8 MiB and the S_8 table 0.3 MiB.  Scans in
-    # blocks of ROW_CHUNK rows add 0.7 MiB more; a table of S_9 would add
-    # 3.3 MiB and whole-array scans n! x n compares (3.3 MiB each) and
-    # rank copies.
-    assert cycle_scan_peak(9) < 10 * 2**20
+    # The set's 9! int32 ranks take 1.38 MiB, the S_8 table 0.3 MiB and the
+    # scan's 9!-byte mask 0.35 MiB; blocks of ROW_CHUNK rows add the rest of
+    # the 2.14 MiB.  A whole-array rank check would add 0.35 MiB, a table of
+    # S_9 3.3 MiB, and whole-array scans n! x n compares (3.3 MiB each).
+    assert cycle_scan_peak(9) < 2.3 * 2**20
 
 
 def test_n9_admissible_set_is_built_without_a_wide_rank_array():
-    # The mask (0.35 MiB), the set's 9! int32 ranks (1.38 MiB) and the
-    # rank check's comparison (0.35 MiB); int64 ranks, or an int64 copy of
-    # int32 ones, would add 1.38 MiB or more.
+    # The mask (0.35 MiB), the set's 9! int32 ranks (1.38 MiB) and blocks
+    # of ROW_CHUNK rows: 1.83 MiB.  A whole-array rank check would add
+    # 0.35 MiB; int64 ranks, or an int64 copy of int32 ones, 1.38 MiB or more.
     graph = majority_graph(simulate(9, 9, "adversarial_cycle"))
     group_matrix(8)  # the word table is cached outside the trace
     tracemalloc.start()
@@ -196,12 +196,13 @@ def test_n9_admissible_set_is_built_without_a_wide_rank_array():
     finally:
         tracemalloc.stop()
     assert len(members) == factorial(9) and members.members.dtype == np.int32
-    assert peak <= 2.5 * 2**20
+    assert peak <= 2 * 2**20
 
 
 def test_n10_cycle_scans_hold_no_copy_of_the_group():
-    # The set's 10! ranks take 27.7 MiB; a table of S_10 would add 34.6 MiB.
-    assert cycle_scan_peak(10) < 40 * 2**20
+    # The set's 10! int32 ranks take 13.8 MiB and the scan's mask 3.5 MiB;
+    # a whole-array rank check would add 3.5 MiB, a table of S_10 34.6 MiB.
+    assert cycle_scan_peak(10) < 19 * 2**20
 
 
 def test_mixed_profile_two_components():

@@ -62,8 +62,22 @@ def test_a_list_is_converted_into_the_array_the_set_keeps():
         tracemalloc.stop()
     assert s.members.base is None and not s.members.flags.writeable
     assert s.members.tolist() == members
-    # one n!/2-sized int64 array and small temporaries, not a second copy
-    assert peak < 1.5 * s.members.nbytes
+    # one n!/2-sized int32 array and ROW_CHUNK-sized temporaries: no second
+    # copy, and no mask of one byte per member
+    assert peak < 1.1 * s.members.nbytes
+
+
+def test_an_owned_int32_array_is_kept_with_no_temporary_of_its_size():
+    ranks = np.arange(factorial(9), dtype=np.int32)
+    ranks.setflags(write=False)
+    tracemalloc.start()
+    try:
+        s = OrderingSet(9, ranks)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert s.members is ranks
+    assert peak < 64 * 1024  # a whole-array order check makes a 9!-byte mask (0.35 MiB)
 
 
 def test_from_ranks_sorts_and_dedups():

@@ -44,6 +44,15 @@ def _two_of_first_three_fixed(n: int) -> dict:
     return {"n": n, "members": members}
 
 
+def _seam_fault8() -> dict:
+    """8192 ranks of S_8, strictly increasing but for one decreasing pair at
+    positions (4095, 4096), on either side of a seam between slices of the
+    4096 ranks that the order check reads at a time."""
+    members = list(range(0, 3 * 8192, 3))
+    members[4096] = members[4095] - 1
+    return {"n": 8, "members": members}
+
+
 def _winner_cycle9() -> dict:
     """n = 9 votes: a Condorcet winner, the seven rotations of a 7-cycle,
     then one loser, so 7! of the 9! orderings are admissible."""
@@ -88,6 +97,7 @@ INPUTS = {
     "set_repeated3.json": _json({"n": 3, "members": [1, 1]}),
     "set_negative3.json": _json({"n": 3, "members": [-1, 0]}),
     "set_past3.json": _json({"n": 3, "members": [0, 6]}),
+    "set_seam8.json": _json(_seam_fault8()),
     "set_empty3.json": _json({"n": 3, "members": []}),
 }
 
@@ -174,6 +184,7 @@ def _commands() -> list[list[str]]:
         ["gen-payoff", "--model", "indicator", "--set", "set_repeated3.json"],
         ["gen-payoff", "--model", "indicator", "--set", "set_negative3.json"],
         ["gen-payoff", "--model", "indicator", "--set", "set_past3.json"],
+        ["gen-payoff", "--model", "indicator", "--set", "set_seam8.json"],
         # the empty set's indicator is zero; analyze rejects the set
         ["gen-payoff", "--model", "indicator", "--set", "set_empty3.json",
          "--out", "ind_empty3.json"],
@@ -225,6 +236,7 @@ def _commands() -> list[list[str]]:
         ["analyze", "--payoff", "ind_family8.json", "--set", "family8.json",
          "--out", "an_family8.json"],
         ["analyze", "--payoff", "cfmm6.json", "--set", "iid7.json"],
+        ["analyze", "--payoff", "cfmm8.json", "--set", "set_seam8.json"],
         ["analyze", "--payoff", "missing.json", "--set", "iid6.json"],
         ["analyze", "--payoff", "payoff_huge4.json", "--set", "set_crlf4.json"],
         ["analyze", "--payoff", "ind_crlf4.json", "--set", "set_crlf4.json",
