@@ -132,7 +132,7 @@ def dense_operator(conn: SymmetricSet) -> np.ndarray:
     block route.  Row p holds weight 1/|F| at column rank(t * p) for each t.
     """
     size = group_order(conn.n)
-    perms = words(conn.n, np.arange(size))
+    perms = words(conn.n)
     mat = np.zeros((size, size))
     for t in words(conn.n, conn.members):
         # column rank(t * p) for every row p; p -> t * p is a bijection

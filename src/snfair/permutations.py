@@ -16,12 +16,14 @@ array takes its length from :func:`group_order`, which caps exhaustive
 enumeration at n <= 10, the package's one size limit (see its docstring
 for the memory cost).  Every scan over S_n reads its one-line words from
 one loop, :func:`word_blocks`, in blocks of at most ROW_CHUNK = 4096
-rows.  Up to n = WORD_TABLE_N = 8 the blocks are read-only views of the
-cached table of all of S_n (:func:`group_matrix`, 322 KB at n = 8).
-Above, the 8! ranks that share their first n - 8 letters take the rest
-from the S_8 table, relabelled, and each block's words are built on
-demand in buffers of ROW_CHUNK rows, so no process holds an n! x n
-array.  Scans that would otherwise make n!-row temporaries (ranking
+rows.  The m! ranks that share their first n - m letters, for
+m = min(n - 1, WORD_TABLE_N) = min(n - 1, 8) (1 at n = 1), take the rest
+from the cached table of S_m (:func:`group_matrix`, 322 KB at m = 8),
+relabelled, and each block's words are built on demand in buffers of
+ROW_CHUNK rows, so no process holds a table of S_9 or S_10.  The same
+loop builds the tables: the table of S_n is the walk of S_n gathered
+by :func:`words`, so the tables of S_1 to S_8 form a chain, 363 KB in
+all.  Scans that would otherwise make n!-row temporaries (ranking
 words, the FFT's coset order among them, the CFMM and liquidation
 payoffs, admissible and stabilizer sets, agreement profiles) thus hold
 a few ROW_CHUNK x n arrays, about 1 MB at n = 10, and each row goes
@@ -61,8 +63,8 @@ from .errors import CapacityError
 
 MAX_ENUMERABLE_N = 10
 
-# Largest n whose whole word table group_matrix builds; word_blocks
-# builds larger groups' words from this table.
+# Largest n whose whole word table group_matrix caches; word_blocks
+# builds each group's words from the table one size down, or this one.
 WORD_TABLE_N = 8
 
 # Rows per block of every loop over S_n or an n!-sized array: word_blocks,
@@ -323,20 +325,19 @@ def word_blocks(n: int, ranks=None):
     rows at a time.
 
     `ranks` are an ordering set's members, as :func:`rank_array` checks
-    them, or None for all of S_n.  With m = min(n, WORD_TABLE_N), the
-    m! ranks that share the q-th (n - m)-letter prefix form prefix block q:
-    rank q * m! + s is that prefix, then row s of group_matrix(m)
-    relabelled onto the letters the prefix leaves free (t += t >= a for
-    each prefix letter a, smallest first).  `words` are the int8 rows of
-    positions `rows`, a slice of `ranks` (of range(n!) for a full walk),
-    taken ROW_CHUNK at a time from the start of each prefix block; prefix
-    blocks that hold none of `ranks` are skipped.  A full walk up to
-    n = WORD_TABLE_N yields read-only views of the table itself; every
-    other block's words overwrite the last one's in buffers of ROW_CHUNK
-    rows.
+    them, or None for all of S_n.  With m = min(n - 1, WORD_TABLE_N) (1 at
+    n = 1), the m! ranks that share the q-th (n - m)-letter prefix form
+    prefix block q: rank q * m! + s is that prefix, then row s of
+    group_matrix(m) relabelled onto the letters the prefix leaves free
+    (t += t >= a for each prefix letter a, smallest first).  `words` are the
+    int8 rows of positions `rows`, a slice of `ranks` (of range(n!) for a
+    full walk), taken ROW_CHUNK at a time from the start of each prefix
+    block; prefix blocks that hold none of `ranks` are skipped.  Each
+    block's words overwrite the last one's in buffers of ROW_CHUNK rows.
     """
     size = group_order(n)
-    table = group_matrix(min(n, WORD_TABLE_N))
+    n = int(n)  # itertools.permutations takes only a Python int
+    table = group_matrix(max(1, min(n - 1, WORD_TABLE_N)))
     stride, m = table.shape
     head = n - m
     if ranks is None:
@@ -345,10 +346,6 @@ def word_blocks(n: int, ranks=None):
         ranks = rank_array(n, ranks)
         count = len(ranks)
         q0, q1 = (int(ranks[0]) // stride, int(ranks[-1]) // stride + 1) if count else (0, 0)
-    if not head and ranks is None:
-        for rows in row_chunks(size):
-            yield rows, table[rows]
-        return
     out = np.empty((min(count, ROW_CHUNK), n), dtype=np.int8)
     # Each row's last m letters as one unaligned m-byte field, so that a
     # block is written one row per element rather than one letter.
@@ -374,7 +371,9 @@ def word_blocks(n: int, ranks=None):
             if ranks is None:
                 np.copyto(tail, table[rows.start - base : rows.stop - base])
             else:
-                np.take(table, ranks[rows] - base, axis=0, out=tail)
+                # "clip" never clips (the span keeps every index in [0, stride))
+                # but, unlike "raise", writes straight into `tail` unbuffered.
+                np.take(table, ranks[rows] - base, axis=0, out=tail, mode="clip")
             for letter in letters:
                 np.greater_equal(tail, letter, out=mask)
                 tail += mask.view(np.int8)
@@ -382,10 +381,11 @@ def word_blocks(n: int, ranks=None):
             yield rows, out[:k]
 
 
-def words(n: int, ranks) -> np.ndarray:
-    """int8 one-line words of strictly increasing ranks of S_n, from :func:`word_blocks`."""
-    group_order(n)  # n sizes the array, so it is checked first
-    out = np.empty((np.size(ranks), n), dtype=np.int8)
+def words(n: int, ranks=None) -> np.ndarray:
+    """int8 one-line words of strictly increasing ranks of S_n, or of all of
+    S_n for None, from :func:`word_blocks`."""
+    size = group_order(n)  # n sizes the array, so it is checked first
+    out = np.empty((size if ranks is None else np.size(ranks), n), dtype=np.int8)
     for rows, block in word_blocks(n, ranks):
         out[rows] = block
     return out
@@ -394,33 +394,18 @@ def words(n: int, ranks) -> np.ndarray:
 @lru_cache(maxsize=WORD_TABLE_N)
 def group_matrix(n: int) -> np.ndarray:
     """All of S_n for n <= WORD_TABLE_N as an int8 array of shape (n!, n),
-    row r = word of rank r; larger groups' words come from :func:`word_blocks`.
+    row r = word of rank r: ``[[1]]`` at n = 1, else ``words(n)``, the
+    walk that reads the S_{n-1} table, so the tables build as a chain.
+    Larger groups' words come from :func:`word_blocks`.
 
     Cached and marked read-only; shared freely across callers.
     """
-    size = group_order(n)
+    group_order(n)
     if n > WORD_TABLE_N:
         raise ValueError(
             f"the word table is built only up to n = {WORD_TABLE_N}, got n = {n}; "
             "read larger groups' words with word_blocks(n, ranks)"
         )
-    mat = np.empty((size, n), dtype=np.int8)
-    # The top k! rows of the last k columns hold S_k on 1..k.  S_{k+1} is
-    # k + 1 blocks of k! rows: block a puts a in the new column and S_k
-    # relabelled to skip a beside it.  Block 1 is the source itself,
-    # relabelled in place once the others are written.  Every step writes
-    # straight into the array, so the build makes no temporaries.
-    mat[0, n - 1] = 1
-    for k in range(1, n):
-        size = factorial(k)
-        src = mat[:size, n - k :]
-        for a in range(k + 1, 1, -1):
-            block = mat[(a - 1) * size : a * size]
-            block[:, n - k - 1] = a
-            dest = block[:, n - k :]
-            np.greater_equal(src, a, out=dest)
-            dest += src
-        mat[:size, n - k - 1] = 1
-        src += 1
+    mat = words(n) if n > 1 else np.ones((1, 1), dtype=np.int8)
     mat.setflags(write=False)
     return mat

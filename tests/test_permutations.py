@@ -15,6 +15,8 @@ from hypothesis import strategies as st
 
 from snfair import permutations, sets
 from snfair.errors import CapacityError
+from snfair.intersecting import stabilizer_set
+from snfair.payoffs import JuntaTerm, junta_payoff
 from snfair.permutations import (
     Permutation,
     enumerate_group,
@@ -145,6 +147,22 @@ def test_group_size_must_be_an_exact_integer():
     assert len(list(enumerate_group(np.uint8(3)))) == 6
 
 
+@pytest.mark.parametrize("n", [3, 8, 9])
+@pytest.mark.parametrize("kind", [np.int32, np.int64])
+def test_a_numpy_integer_n_walks_as_its_python_int(kind, n):
+    # Every walk at n >= 2 has a prefix, whose length itertools.permutations
+    # takes only as a Python int.
+    ranks = [0, 1, factorial(n) - 1]
+    assert words(kind(n)).tobytes() == words(n).tobytes()
+    assert words(kind(n), ranks).tobytes() == words(n, ranks).tobytes()
+    assert OrderingSet(kind(n), ranks).matrix().tobytes() == words(n, ranks).tobytes()
+    pins = [(1, 1), (n, 2)]
+    got, expect = stabilizer_set(kind(n), pins), stabilizer_set(n, pins)
+    assert got.members.tobytes() == expect.members.tobytes()
+    terms = [JuntaTerm(((1, 1),)), JuntaTerm(((2, 3),), 0.5)]
+    assert junta_payoff(terms, kind(n)).values.tobytes() == junta_payoff(terms, n).values.tobytes()
+
+
 def test_group_matrix_rows_are_rank_ordered():
     mat = group_matrix(4)
     assert mat.shape == (24, 4)
@@ -198,43 +216,52 @@ def test_words_above_the_table_match_unranking(request, row_chunk):
     assert b"".join(block.tobytes() for _, block in blocks) == got.tobytes()
 
 
+def all_words(n):
+    """Every word of S_n as an int8 array, in the order enumerate_group yields them."""
+    return np.array(list(itertools.permutations(range(1, n + 1))), dtype=np.int8)
+
+
+def prefix_slices(n, span, row_chunk):
+    """The rows of a full walk of S_n: each prefix block of `span` ranks in
+    slices of at most `row_chunk`."""
+    return [
+        slice(r, min(r + row_chunk, q + span))
+        for q in range(0, factorial(n), span)
+        for r in range(q, q + span, row_chunk)
+    ]
+
+
 @pytest.mark.parametrize("table_n", [2, 3, 4])
 def test_full_walk_above_the_table_matches_the_table(table_n):
-    span = factorial(table_n)
     for row_chunk, n in itertools.product([permutations.ROW_CHUNK, 7], range(table_n + 1, 9)):
-        expect = group_matrix(n)
         with mock.patch.multiple(permutations, WORD_TABLE_N=table_n, ROW_CHUNK=row_chunk):
             walked = [(rows, block.copy()) for rows, block in word_blocks(n)]
-        assert [rows for rows, _ in walked] == [
-            slice(r, min(r + row_chunk, q + span))
-            for q in range(0, factorial(n), span)
-            for r in range(q, q + span, row_chunk)
-        ]
-        assert b"".join(b.tobytes() for _, b in walked) == expect.tobytes()
+        assert [rows for rows, _ in walked] == prefix_slices(n, factorial(table_n), row_chunk)
+        assert b"".join(b.tobytes() for _, b in walked) == all_words(n).tobytes()
 
 
 def test_words_up_to_the_table_are_its_rows():
+    # Each walk up to the table reads the table one size down (S_1 at n = 1),
+    # and each table is that walk gathered.
     for row_chunk, n in itertools.product([permutations.ROW_CHUNK, 7], range(1, 9)):
-        mat = group_matrix(n)
+        expect = all_words(n)
         with mock.patch.object(permutations, "ROW_CHUNK", row_chunk):
-            walked = list(word_blocks(n))
-        # consecutive read-only views of the cached table, ROW_CHUNK rows at most
-        assert [rows for rows, _ in walked] == [
-            slice(r, min(r + row_chunk, factorial(n))) for r in range(0, factorial(n), row_chunk)
-        ]
-        for rows, block in walked:
-            assert block.base is mat and not block.flags.writeable
-            assert np.array_equal(block, mat[rows])
+            walked = [(rows, block.copy()) for rows, block in word_blocks(n)]
+        assert [rows for rows, _ in walked] == prefix_slices(n, factorial(max(1, n - 1)), row_chunk)
+        assert b"".join(b.tobytes() for _, b in walked) == expect.tobytes()
+        assert group_matrix(n).tobytes() == words(n).tobytes() == expect.tobytes()
     ranks = np.array([0, 5, 6, 719])
-    np.testing.assert_array_equal(words(6, ranks), group_matrix(6)[ranks])
+    np.testing.assert_array_equal(words(6, ranks), all_words(6)[ranks])
     assert words(9, np.array([], dtype=np.int64)).shape == (0, 9)
     assert list(word_blocks(9, np.array([], dtype=np.int64))) == []
 
 
 def test_a_walk_over_int32_ranks_makes_no_wide_copy_of_them():
-    # Buffers of ROW_CHUNK rows only (0.18 MiB): a whole-array rank check
-    # would add a 9!-byte mask (0.35 MiB), and int64 keys to searchsorted
-    # would copy the 9! ranks to int64 (2.8 MiB) once per prefix block.
+    # Buffers of ROW_CHUNK rows and one block's intp indices only (0.15 MiB).
+    # np.take's default mode="raise" would buffer each block's words too
+    # (0.18 MiB), a whole-array rank check would add a 9!-byte mask
+    # (0.35 MiB), and int64 keys to searchsorted would copy the 9! ranks
+    # to int64 (2.8 MiB) once per prefix block.
     s = OrderingSet.full_group(9)
     assert s.members.dtype == np.int32
     group_matrix(8)
@@ -245,7 +272,7 @@ def test_a_walk_over_int32_ranks_makes_no_wide_copy_of_them():
     finally:
         tracemalloc.stop()
     assert rows == factorial(9)
-    assert peak < 0.2 * 2**20
+    assert peak < 0.17 * 2**20
 
 
 def test_words_reject_what_they_cannot_read_in_blocks():

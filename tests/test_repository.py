@@ -1,11 +1,13 @@
 """Checks over the repository as a whole: where each name is imported from,
-the shape of the two registries, and the benchmark's own output checks."""
+the shape of the two registries, the one builder of S_n's words, and the
+benchmark's own output checks."""
 import ast
 import importlib
 import subprocess
 import sys
 from pathlib import Path
 
+import snfair.permutations
 import snfair.representations
 import snfair.verify
 
@@ -87,6 +89,25 @@ def test_each_registry_is_one_table():
         if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
     }
     assert "_young" in called and "dimension" not in called
+
+
+def test_one_loop_builds_the_words_of_s_n():
+    # word_blocks' prefix-and-relabel loop writes every word; each table
+    # group_matrix caches is that walk, gathered by words.
+    functions = {
+        node.name: node
+        for node in _tree(snfair.permutations).body
+        if isinstance(node, ast.FunctionDef)
+    }
+    table = list(ast.walk(functions["group_matrix"]))
+    assert not [node for node in table if isinstance(node, (ast.For, ast.While, ast.comprehension))]
+    assert "words" in {
+        node.func.id
+        for node in table
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+    }
+    walk = ast.walk(functions["word_blocks"])
+    assert len([node for node in walk if isinstance(node, (ast.Yield, ast.YieldFrom))]) == 1
 
 
 def test_benchmark_self_test_passes():

@@ -114,7 +114,8 @@ def test_fft_builds_no_dense_generator():
 
 def test_finished_transform_keeps_only_caches_and_small_coset_matrices():
     # After an n = 8 transform and its adjoint, what stays allocated is the
-    # cached group matrix, coset order and sparse generators, the coset
+    # cached word tables of S_1 to S_7 (the walk of S_8 reads S_7's, built
+    # from S_6's, and so on), coset order and sparse generators, the coset
     # matrices of levels k <= 7 (8 * sum k * k! bytes, 0.31 MiB), and the
     # caches' own entries.  Level 8's coset matrices (2.5 MiB, the largest
     # shape's alone 0.5 MiB) live for one pass.
@@ -132,7 +133,8 @@ def test_finished_transform_keeps_only_caches_and_small_coset_matrices():
     finally:
         tracemalloc.stop()
     young = [a for k in range(1, 9) for s in partitions_of(k) for a in _young(s)]
-    cached = sum(sys.getsizeof(a) for a in [group_matrix(8), _coset_order(8), *young])
+    tables = [group_matrix(k) for k in range(1, 8)]
+    cached = sum(sys.getsizeof(a) for a in [*tables, _coset_order(8), *young])
     coset_bytes = 8 * sum(k * factorial(k) for k in range(2, 8))
     assert sum(mats.nbytes for mats, _ in _coset_cache.values()) == coset_bytes
     assert cached <= held <= cached + coset_bytes + 64 * 1024

@@ -176,9 +176,9 @@ def cycle_scan_peak(n):
 
 
 def test_n9_cycle_scans_hold_no_copy_of_the_group():
-    # The set's 9! int32 ranks take 1.38 MiB, the S_8 table 0.3 MiB and the
-    # scan's 9!-byte mask 0.35 MiB; blocks of ROW_CHUNK rows add the rest of
-    # the 2.14 MiB.  A whole-array rank check would add 0.35 MiB, a table of
+    # The set's 9! int32 ranks take 1.38 MiB, the word tables of S_1 to S_8
+    # 0.35 MiB and the scan's 9!-byte mask 0.35 MiB; blocks of ROW_CHUNK
+    # rows add the rest of the 2.18 MiB.  A whole-array rank check would add 0.35 MiB, a table of
     # S_9 3.3 MiB, and whole-array scans n! x n compares (3.3 MiB each).
     assert cycle_scan_peak(9) < 2.3 * 2**20
 

@@ -108,6 +108,10 @@ def _commands() -> list[list[str]]:
     cmds += [[command, "--help"] for command in
              ("gen-payoff", "transform", "analyze", "verify", "simulate")]
     cmds += [
+        # the smallest walks: S_1 is the base word table, S_2 the first walk
+        # with a prefix letter
+        ["gen-payoff", "--model", "cfmm", "--deltas", "2"],
+        ["gen-payoff", "--model", "cfmm", "--deltas=2,-1"],
         ["gen-payoff", "--model", "cfmm", "--deltas", "3,-1,2,-4,1,2", "--out", "cfmm6.json"],
         ["gen-payoff", "--model", "cfmm", "--deltas", "-3,1,2,-1,2,1,-2", "--out", "cfmm7.json"],
         ["gen-payoff", "--model", "cfmm", "--deltas=2,-5,1,3,-1,4,-2,1", "--out", "cfmm8.json"],
@@ -162,6 +166,7 @@ def _commands() -> list[list[str]]:
     cmds.append(["simulate", "--n-tx", "10", "--validators", "10", "--latency",
                  "adversarial_cycle", "--max-n", "10", "--out", "cycle10.json"])
     cmds += [
+        ["simulate", "--n-tx", "2", "--validators", "3"],
         ["simulate", "--n-tx", "5", "--validators", "7", "--seed", "2"],
         ["simulate", "--votes", "votes_unanimous6.json", "--out", "single6.json"],
         ["simulate", "--votes", "votes_winner_cycle9.json", "--max-n", "9",
@@ -243,6 +248,9 @@ def _commands() -> list[list[str]]:
          "--out", "an_crlf4.json"],
         ["analyze", "--payoff", "ind_crlf4.json", "--set", "crlf4.json"],
         ["verify", "--suite", "roundtrip", "--n", "0"],
+        # the base word table, and the first walk with a prefix letter
+        ["verify", "--suite", "roundtrip", "--n", "1"],
+        ["verify", "--suite", "indicator_degree", "--n", "2"],
         # each below its suite's smallest n
         ["verify", "--suite", "uncertainty", "--n", "1"],
         ["verify", "--suite", "eigenvalue", "--n", "1"],
